@@ -28,13 +28,20 @@
 //! corrector path) or [`ChunkEngine::load_cold`]s (reset messages — the
 //! independent-chunks path). [`build_chunk_model`] wraps a single-shot
 //! cold engine for the legacy build-per-chunk API.
+//!
+//! Everything `x`-independent is also computed once, never per MCMC
+//! proposal: each invariant's `lhs` and `rhs` are compiled at build into
+//! flat postfix programs shared by every slice, and every factor's
+//! Gaussian or Student-t normalizer is hoisted at build (temporal,
+//! invariant) or at observation swap (observation). Both forms evaluate
+//! bit-identically to `Expr::eval` and `log_pdf`.
 
 use crate::error_model::{extrapolated_observation, gauge_observation, observation};
-use bayesperf_events::{Catalog, EventEnv, EventId, Expr, SourceNoise};
+use bayesperf_events::{Catalog, EventId, Expr, SourceNoise};
 use bayesperf_graph::CsrAdjacency;
 use bayesperf_inference::{
-    AdaptiveBudget, EpConfig, EpRunStats, EpSite, ExpectationPropagation, Gaussian, McmcConfig,
-    StudentT,
+    AdaptiveBudget, EpConfig, EpRunStats, EpSite, ExpectationPropagation, Gaussian, GaussianLogPdf,
+    McmcConfig, StudentT, StudentTLogPdf,
 };
 use bayesperf_simcpu::{MultiplexRun, Sample};
 
@@ -116,7 +123,126 @@ fn event_scales(catalog: &Catalog, cycles_per_window: f64) -> Vec<f64> {
         .collect()
 }
 
-/// One factor of a slice site.
+/// One instruction of a compiled [`Program`].
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Const(f64),
+    /// The denormalized value of an event: `x[local] · scale`.
+    Event {
+        local: usize,
+        scale: f64,
+    },
+    Add,
+    Sub,
+    Mul,
+    Div,
+}
+
+/// Deepest operand stack a [`Program`] may need (the built-in catalogs'
+/// invariants need at most 3).
+const MAX_STACK: usize = 8;
+
+/// An invariant side compiled once, at engine build, into a flat postfix
+/// program over the normalized slice state.
+///
+/// [`Program::eval`] is bit-identical to [`Expr::eval`] on the denormalized
+/// state: each node performs the same operation on the same operand values
+/// (subexpressions are pure, so evaluation order cannot change them), event
+/// values are `x · scale` as before, and a zero divisor still yields `0.0`.
+#[derive(Debug, Clone)]
+struct Program {
+    ops: Vec<Op>,
+}
+
+impl Program {
+    /// Compiles `expr`, whose event ids index `scales` and the state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if evaluating `expr` needs more than [`MAX_STACK`] operands.
+    fn compile(expr: &Expr, scales: &[f64]) -> Program {
+        fn emit(expr: &Expr, scales: &[f64], ops: &mut Vec<Op>) -> usize {
+            let (a, b, op) = match expr {
+                Expr::Const(v) => {
+                    ops.push(Op::Const(*v));
+                    return 1;
+                }
+                Expr::Event(id) => {
+                    let local = id.index();
+                    ops.push(Op::Event {
+                        local,
+                        scale: scales[local],
+                    });
+                    return 1;
+                }
+                Expr::Add(a, b) => (a, b, Op::Add),
+                Expr::Sub(a, b) => (a, b, Op::Sub),
+                Expr::Mul(a, b) => (a, b, Op::Mul),
+                Expr::Div(a, b) => (a, b, Op::Div),
+            };
+            let da = emit(a, scales, ops);
+            let db = emit(b, scales, ops);
+            ops.push(op);
+            da.max(db + 1)
+        }
+        let mut ops = Vec::new();
+        let depth = emit(expr, scales, &mut ops);
+        assert!(
+            depth <= MAX_STACK,
+            "expression needs {depth} stack slots, more than {MAX_STACK}: {expr}"
+        );
+        Program { ops }
+    }
+
+    fn eval(&self, x: &[f64]) -> f64 {
+        let mut stack = [0.0f64; MAX_STACK];
+        let mut top = 0;
+        for op in &self.ops {
+            let v = match *op {
+                Op::Const(v) => v,
+                Op::Event { local, scale } => x[local] * scale,
+                op => {
+                    top -= 1;
+                    let (a, b) = (stack[top - 1], stack[top]);
+                    top -= 1;
+                    match op {
+                        Op::Add => a + b,
+                        Op::Sub => a - b,
+                        Op::Mul => a * b,
+                        _ if b == 0.0 => 0.0,
+                        _ => a / b,
+                    }
+                }
+            };
+            stack[top] = v;
+            top += 1;
+        }
+        stack[0]
+    }
+}
+
+/// An invariant residual factor: a Gaussian on the relative residual
+/// `(lhs − rhs) / max(|lhs|, |rhs|, 1)` of the denormalized slice state.
+/// Compiled once per engine and shared by every slice.
+struct InvariantFactor {
+    lhs: Program,
+    rhs: Program,
+    gauss: GaussianLogPdf,
+    /// The events either side reads (ascending): the factor's adjacency.
+    events: Vec<usize>,
+}
+
+impl InvariantFactor {
+    fn log_pdf(&self, x: &[f64]) -> f64 {
+        let l = self.lhs.eval(x);
+        let r = self.rhs.eval(x);
+        let rel = (l - r) / l.abs().max(r.abs()).max(1.0);
+        self.gauss.eval(rel)
+    }
+}
+
+/// One factor of a slice site. Every Gaussian and Student-t term carries
+/// its normalizer, computed at engine build or observation swap.
 enum Factor {
     /// Observation slot on a single local variable; the Student-t lives in
     /// the site's `obs` table and is swapped per window (`None` = the
@@ -126,14 +252,11 @@ enum Factor {
     Temporal {
         prev: usize,
         cur: usize,
-        gauss: Gaussian,
+        gauss: GaussianLogPdf,
     },
-    /// Invariant residual factor over the current slice.
-    Inv {
-        lhs: Expr,
-        rhs: Expr,
-        gauss: Gaussian,
-    },
+    /// Invariant residual factor over the current slice (an index into
+    /// the site's `invariants`).
+    Inv(usize),
 }
 
 /// An EP site for one time slice (plus the previous slice's variables,
@@ -144,7 +267,7 @@ struct SliceSite {
     vars: Vec<usize>,
     factors: Vec<Factor>,
     /// Per-event observation slot (indexed by local variable `0..n_events`).
-    obs: Vec<Option<StudentT>>,
+    obs: Vec<Option<StudentTLogPdf>>,
     /// CSR variable→factor index: `adj.row(i)` is the factor set touching
     /// local variable `i` — the sparse locality the MCMC delta path walks.
     adj: CsrAdjacency,
@@ -155,40 +278,11 @@ struct SliceSite {
     /// Per-source error models, indexed by raw [`bayesperf_events::SourceId`]
     /// (base catalogs: just the PMU's `StudentT`).
     source_noise: std::sync::Arc<Vec<SourceNoise>>,
-}
-
-struct SliceEnv<'a> {
-    x: &'a [f64],
-    scales: &'a [f64],
-}
-
-impl EventEnv for SliceEnv<'_> {
-    fn value(&self, id: EventId) -> f64 {
-        self.x[id.index()] * self.scales[id.index()]
-    }
+    /// The catalog's invariants, catalog-ordered.
+    invariants: std::sync::Arc<[InvariantFactor]>,
 }
 
 impl SliceSite {
-    fn factor_log_pdf(&self, f: &Factor, x: &[f64]) -> f64 {
-        match f {
-            Factor::Obs { local } => match &self.obs[*local] {
-                Some(dist) => dist.log_pdf(x[*local]),
-                None => 0.0,
-            },
-            Factor::Temporal { prev, cur, gauss } => gauss.log_pdf(x[*cur] - x[*prev]),
-            Factor::Inv { lhs, rhs, gauss } => {
-                let env = SliceEnv {
-                    x,
-                    scales: &self.scales,
-                };
-                let l = lhs.eval(&env);
-                let r = rhs.eval(&env);
-                let rel = (l - r) / l.abs().max(r.abs()).max(1.0);
-                gauss.log_pdf(rel)
-            }
-        }
-    }
-
     /// Swaps this slice's observations to `window` (allocation-free): all
     /// slots and hints reset, then sampled events re-filled.
     ///
@@ -216,34 +310,37 @@ impl SliceSite {
         }
         for s in window {
             let local = s.event.index();
-            // Per-source dispatch: the sample's source tag picks the error
-            // model the factor is built from. Extrapolations always take
-            // the wide carry-forward factor, whatever the source; an
-            // unknown source id (newer producer than catalog) degrades to
-            // the PMU model rather than panicking the inference thread.
-            let noise = self
-                .source_noise
-                .get(s.source.index())
-                .copied()
-                .unwrap_or(SourceNoise::StudentT);
-            let dist = if s.is_extrapolated() {
-                extrapolated_observation(s, self.scales[local], extrap_sigma)
-            } else {
-                match noise {
-                    SourceNoise::StudentT => observation(s, self.scales[local], sigma_floor),
-                    SourceNoise::Gaussian { .. } => {
-                        gauge_observation(s, self.scales[local], noise.rel_scale(), sigma_floor)
-                    }
-                    SourceNoise::HeavyTail { rel_sigma } => {
-                        // Low-trust source: same wide heavy-tailed factor
-                        // an extrapolation gets, at the source's scale.
-                        extrapolated_observation(s, self.scales[local], rel_sigma)
-                    }
-                }
-            };
+            let dist = self.observation_dist(s, sigma_floor, extrap_sigma);
             self.hints[local] = Some(dist.loc);
             self.scale_hints[local] = Some(dist.scale * 3.0);
-            self.obs[local] = Some(dist);
+            self.obs[local] = Some(StudentTLogPdf::new(&dist));
+        }
+    }
+
+    /// The observation factor `s` contributes. Per-source dispatch: the
+    /// sample's source tag picks the error model the factor is built from.
+    /// Extrapolations always take the wide carry-forward factor, whatever
+    /// the source; an unknown source id (newer producer than catalog)
+    /// degrades to the PMU model rather than panicking the inference
+    /// thread.
+    fn observation_dist(&self, s: &Sample, sigma_floor: f64, extrap_sigma: f64) -> StudentT {
+        let scale = self.scales[s.event.index()];
+        let noise = self
+            .source_noise
+            .get(s.source.index())
+            .copied()
+            .unwrap_or(SourceNoise::StudentT);
+        if s.is_extrapolated() {
+            return extrapolated_observation(s, scale, extrap_sigma);
+        }
+        match noise {
+            SourceNoise::StudentT => observation(s, scale, sigma_floor),
+            SourceNoise::Gaussian { .. } => {
+                gauge_observation(s, scale, noise.rel_scale(), sigma_floor)
+            }
+            // Low-trust source: same wide heavy-tailed factor an
+            // extrapolation gets, at the source's scale.
+            SourceNoise::HeavyTail { rel_sigma } => extrapolated_observation(s, scale, rel_sigma),
         }
     }
 }
@@ -253,23 +350,23 @@ impl EpSite for SliceSite {
         &self.vars
     }
 
-    fn log_likelihood(&self, x: &[f64]) -> f64 {
-        self.factors.iter().map(|f| self.factor_log_pdf(f, x)).sum()
+    fn num_factors(&self) -> usize {
+        self.factors.len()
     }
 
-    fn log_likelihood_delta(&self, x: &mut [f64], i: usize, new: f64) -> f64 {
-        let old = x[i];
-        let mut before = 0.0;
-        for &fi in self.adj.row(i) {
-            before += self.factor_log_pdf(&self.factors[fi as usize], x);
+    fn factors_of(&self, i: usize) -> &[u32] {
+        self.adj.row(i)
+    }
+
+    fn factor_log_pdf(&self, f: usize, x: &[f64]) -> f64 {
+        match &self.factors[f] {
+            Factor::Obs { local } => match &self.obs[*local] {
+                Some(dist) => dist.eval(x[*local]),
+                None => 0.0,
+            },
+            Factor::Temporal { prev, cur, gauss } => gauss.eval(x[*cur] - x[*prev]),
+            Factor::Inv(k) => self.invariants[*k].log_pdf(x),
         }
-        x[i] = new;
-        let mut after = 0.0;
-        for &fi in self.adj.row(i) {
-            after += self.factor_log_pdf(&self.factors[fi as usize], x);
-        }
-        x[i] = old;
-        after - before
     }
 
     fn init_hint(&self, i: usize) -> Option<f64> {
@@ -347,7 +444,25 @@ impl ChunkEngine {
         let base_prior = Gaussian::new(cfg.prior_mean, cfg.prior_sd * cfg.prior_sd);
         let prior = vec![base_prior; slices * ne];
         let mut ep = ExpectationPropagation::new(prior.clone(), ep_config);
-        let tau_gauss = Gaussian::new(0.0, cfg.temporal_tau * cfg.temporal_tau);
+        let tau_gauss =
+            GaussianLogPdf::new(&Gaussian::new(0.0, cfg.temporal_tau * cfg.temporal_tau));
+        let invariants: std::sync::Arc<[InvariantFactor]> = catalog
+            .invariants()
+            .iter()
+            .map(|inv| {
+                let mut ids = inv.lhs.events();
+                ids.extend(inv.rhs.events());
+                ids.sort_unstable();
+                ids.dedup();
+                let sigma = inv.rel_noise.max(cfg.inv_sigma_floor);
+                InvariantFactor {
+                    lhs: Program::compile(&inv.lhs, &scales),
+                    rhs: Program::compile(&inv.rhs, &scales),
+                    gauss: GaussianLogPdf::new(&Gaussian::new(0.0, sigma * sigma)),
+                    events: ids.iter().map(|id| id.index()).collect(),
+                }
+            })
+            .collect();
 
         for t in 0..slices {
             // Site variables: slice t first, then slice t-1 (if any).
@@ -357,53 +472,32 @@ impl ChunkEngine {
             }
             let nlocal = vars.len();
             let mut factors = Vec::new();
+            // Factor adjacency per local variable, flattened to CSR below.
+            let mut edges: Vec<(usize, u32)> = Vec::new();
 
             // One observation slot per event of slice t; slots activate
             // when a window delivers a sample for the event.
             for e in 0..ne {
+                edges.push((e, factors.len() as u32));
                 factors.push(Factor::Obs { local: e });
             }
 
             // Invariant factors on slice t.
-            for inv in catalog.invariants() {
-                let sigma = inv.rel_noise.max(cfg.inv_sigma_floor);
-                factors.push(Factor::Inv {
-                    lhs: inv.lhs.clone(),
-                    rhs: inv.rhs.clone(),
-                    gauss: Gaussian::new(0.0, sigma * sigma),
-                });
+            for (k, inv) in invariants.iter().enumerate() {
+                edges.extend(inv.events.iter().map(|&e| (e, factors.len() as u32)));
+                factors.push(Factor::Inv(k));
             }
 
             // Temporal factors between slice t-1 and t.
             if t > 0 {
                 for e in 0..ne {
+                    edges.push((ne + e, factors.len() as u32));
+                    edges.push((e, factors.len() as u32));
                     factors.push(Factor::Temporal {
                         prev: ne + e,
                         cur: e,
                         gauss: tau_gauss,
                     });
-                }
-            }
-
-            // Factor adjacency per local variable, flattened to CSR.
-            let mut edges: Vec<(usize, u32)> = Vec::new();
-            for (fi, f) in factors.iter().enumerate() {
-                let fi = fi as u32;
-                match f {
-                    Factor::Obs { local } => edges.push((*local, fi)),
-                    Factor::Temporal { prev, cur, .. } => {
-                        edges.push((*prev, fi));
-                        edges.push((*cur, fi));
-                    }
-                    Factor::Inv { lhs, rhs, .. } => {
-                        let mut ids = lhs.events();
-                        ids.extend(rhs.events());
-                        ids.sort_unstable();
-                        ids.dedup();
-                        for id in ids {
-                            edges.push((id.index(), fi));
-                        }
-                    }
                 }
             }
             let adj = CsrAdjacency::from_edges(nlocal, edges.iter().copied());
@@ -417,6 +511,7 @@ impl ChunkEngine {
                 scale_hints: vec![None; nlocal],
                 scales: scales.clone(),
                 source_noise: source_noise.clone(),
+                invariants: invariants.clone(),
             });
         }
 
@@ -843,9 +938,11 @@ pub fn build_chunk_model<W: AsRef<[Sample]>>(
 mod tests {
     use super::*;
     use bayesperf_events::{Arch, Semantic};
+    use bayesperf_inference::FactorCache;
     use bayesperf_simcpu::{pack_round_robin, ConstantTruth, NoiseModel, Pmu, PmuConfig};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn run_fixture() -> (Catalog, MultiplexRun) {
         let cat = Catalog::new(Arch::X86SkyLake);
@@ -1142,5 +1239,202 @@ mod tests {
             cycles_per_window: 1e7,
         };
         build_chunk_model::<Vec<Sample>>(&cat, &[], &cfg, None, cfg.fast_ep());
+    }
+
+    /// A normalized state that reaches every branch of an invariant:
+    /// ordinary counts, exact zeros (zero divisors), negatives and values
+    /// far below one.
+    fn probe_state(rng: &mut StdRng, n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|_| match rng.gen_range(0..6u32) {
+                0 => 0.0,
+                1 => -3.0 * rng.gen::<f64>(),
+                2 => 1e-9 * rng.gen::<f64>(),
+                _ => 4.0 * rng.gen::<f64>(),
+            })
+            .collect()
+    }
+
+    /// The denormalized environment the parent evaluated `Expr`s against.
+    fn denormalized<'a>(x: &'a [f64], scales: &'a [f64]) -> impl Fn(EventId) -> f64 + 'a {
+        move |id: EventId| x[id.index()] * scales[id.index()]
+    }
+
+    #[test]
+    fn compiled_invariants_match_expr_eval_bitwise() {
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for arch in [Arch::X86SkyLake, Arch::Ppc64Power9] {
+            for cat in [Catalog::new(arch), Catalog::with_observation_plane(arch)] {
+                let scales = event_scales(&cat, 1.0e7);
+                for inv in cat.invariants() {
+                    let lhs = Program::compile(&inv.lhs, &scales);
+                    let rhs = Program::compile(&inv.rhs, &scales);
+                    for _ in 0..200 {
+                        let x = probe_state(&mut rng, cat.len());
+                        let env = denormalized(&x, &scales);
+                        assert_eq!(
+                            lhs.eval(&x).to_bits(),
+                            inv.lhs.eval(&env).to_bits(),
+                            "{:?} {}: lhs at {x:?}",
+                            arch,
+                            inv.name
+                        );
+                        assert_eq!(
+                            rhs.eval(&x).to_bits(),
+                            inv.rhs.eval(&env).to_bits(),
+                            "{:?} {}: rhs at {x:?}",
+                            arch,
+                            inv.name
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    fn random_expr(rng: &mut StdRng, depth: u32, n: usize) -> Expr {
+        if depth == 0 || rng.gen_range(0..4u32) == 0 {
+            return if rng.gen_range(0..3u32) == 0 {
+                Expr::konst([0.0, -2.5, 1.0, 64.0, 1e-3][rng.gen_range(0..5usize)])
+            } else {
+                Expr::event(EventId::from_raw(rng.gen_range(0..n) as u16))
+            };
+        }
+        let a = random_expr(rng, depth - 1, n);
+        let b = random_expr(rng, depth - 1, n);
+        match rng.gen_range(0..4u32) {
+            0 => a + b,
+            1 => a - b,
+            2 => a * b,
+            _ => a / b,
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn compiled_random_expressions_match_expr_eval_bitwise(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = 5;
+            let scales: Vec<f64> = (0..n)
+                .map(|_| [1.0, 0.5, 1.0e3, 7.25][rng.gen_range(0..4usize)])
+                .collect();
+            let expr = random_expr(&mut rng, 6, n);
+            let program = Program::compile(&expr, &scales);
+            for _ in 0..50 {
+                let x = probe_state(&mut rng, n);
+                prop_assert_eq!(
+                    program.eval(&x).to_bits(),
+                    expr.eval(&denormalized(&x, &scales)).to_bits(),
+                    "{} at {:?}",
+                    expr,
+                    x
+                );
+            }
+        }
+    }
+
+    /// Factor `f` of slice site `site` at `x`, evaluated the way the
+    /// uncached code did: `StudentT::log_pdf`, `Gaussian::log_pdf` and
+    /// `Expr::eval`, every normalizer recomputed.
+    fn reference_factor(
+        site: &SliceSite,
+        cat: &Catalog,
+        cfg: &ModelConfig,
+        window: &[Sample],
+        f: usize,
+        x: &[f64],
+    ) -> f64 {
+        let ne = cat.len();
+        let n_inv = cat.invariants().len();
+        if f < ne {
+            let extrap = cfg.extrap_sigma.max(cfg.obs_sigma_floor);
+            return match window.iter().rev().find(|s| s.event.index() == f) {
+                Some(s) => site
+                    .observation_dist(s, cfg.obs_sigma_floor, extrap)
+                    .log_pdf(x[f]),
+                None => 0.0,
+            };
+        }
+        if f < ne + n_inv {
+            let inv = &cat.invariants()[f - ne];
+            let env = denormalized(x, &site.scales);
+            let l = inv.lhs.eval(&env);
+            let r = inv.rhs.eval(&env);
+            let rel = (l - r) / l.abs().max(r.abs()).max(1.0);
+            let sigma = inv.rel_noise.max(cfg.inv_sigma_floor);
+            return Gaussian::new(0.0, sigma * sigma).log_pdf(rel);
+        }
+        let e = f - ne - n_inv;
+        let tau = cfg.temporal_tau;
+        Gaussian::new(0.0, tau * tau).log_pdf(x[e] - x[ne + e])
+    }
+
+    fn pmu_fixture(arch: Arch) -> (Catalog, MultiplexRun) {
+        let cat = Catalog::new(arch);
+        let rates = bayesperf_events::synthesize(&cat, &bayesperf_events::FreeParams::default());
+        let mut truth = ConstantTruth::new(rates);
+        let pmu = Pmu::new(&cat, PmuConfig::for_catalog(&cat));
+        let events: Vec<EventId> = cat.programmable_events().into_iter().take(12).collect();
+        let schedule = pack_round_robin(&cat, &events).unwrap();
+        let run = pmu.run_multiplexed(&mut truth, &schedule, 3);
+        (cat, run)
+    }
+
+    #[test]
+    fn cached_factor_values_and_deltas_match_uncached_evaluation() {
+        for arch in [Arch::X86SkyLake, Arch::Ppc64Power9] {
+            let (cat, run) = pmu_fixture(arch);
+            let cfg = ModelConfig::for_run(&run);
+            let windows: Vec<Vec<Sample>> = run.windows.iter().map(|w| w.samples.clone()).collect();
+            let mut engine = ChunkEngine::with_slices(&cat, &cfg, cfg.fast_ep(), windows.len());
+            engine.load_cold(&windows);
+            // Slice 1 carries all three factor kinds.
+            let t = 1;
+            let site: &SliceSite = engine.ep.site_mut::<SliceSite>(t).unwrap();
+            let reference =
+                |f: usize, x: &[f64]| reference_factor(site, &cat, &cfg, &windows[t], f, x);
+            let uncached_delta = |x: &mut [f64], i: usize, new: f64| {
+                let old = x[i];
+                let mut before = 0.0;
+                for &f in site.factors_of(i) {
+                    before += reference(f as usize, x);
+                }
+                x[i] = new;
+                let mut after = 0.0;
+                for &f in site.factors_of(i) {
+                    after += reference(f as usize, x);
+                }
+                x[i] = old;
+                after - before
+            };
+
+            let mut rng = StdRng::seed_from_u64(0xcac4e);
+            let mut x: Vec<f64> = (0..site.vars().len())
+                .map(|_| 0.25 + 1.5 * rng.gen::<f64>())
+                .collect();
+            let mut cache = FactorCache::new();
+            cache.start(site, &x);
+            let mut accepted = 0;
+            for step in 0..600 {
+                let i = rng.gen_range(0..x.len());
+                let new = x[i] + 0.4 * (rng.gen::<f64>() - 0.5);
+                let want = uncached_delta(&mut x, i, new);
+                let got = cache.delta(site, &mut x, i, new);
+                assert_eq!(got.to_bits(), want.to_bits(), "{arch:?} step {step}: delta");
+                if rng.gen::<bool>() {
+                    cache.accept(site, i);
+                    x[i] = new;
+                    accepted += 1;
+                }
+                for f in 0..site.num_factors() {
+                    assert_eq!(
+                        cache.value(f).to_bits(),
+                        reference(f, &x).to_bits(),
+                        "{arch:?} step {step}: factor {f}"
+                    );
+                }
+            }
+            assert!(accepted > 100 && accepted < 500);
+        }
     }
 }

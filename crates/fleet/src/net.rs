@@ -781,6 +781,8 @@ impl ScrapeMetrics {
 /// rounds, not wall time.
 pub struct FleetScraper {
     config: ScrapeConfig,
+    /// Catalog size: the posterior count every cached contribution has.
+    n_events: usize,
     endpoints: Vec<Endpoint>,
     agg: Aggregator,
     writer: bayesperf_core::SnapshotWriter<FleetSnapshot>,
@@ -808,6 +810,7 @@ impl FleetScraper {
         let fuse_spans = tele.spans().recorder();
         FleetScraper {
             config,
+            n_events,
             endpoints: Vec::new(),
             agg: Aggregator::new(n_events),
             writer,
@@ -974,8 +977,9 @@ impl FleetScraper {
             match &ep.cache {
                 Some((status, posteriors)) if view.state.contributes() => {
                     top_window = top_window.max(status.window);
-                    // Catalog mismatch is caught at decode time; a cached
-                    // entry is always catalog-sized.
+                    // `poll_endpoint` rejects snapshots whose posterior
+                    // count differs from the catalog, so a cached entry is
+                    // always catalog-sized.
                     self.agg
                         .absorb_shard(status.clone(), view, posteriors)
                         .expect("cached contribution is catalog-sized");
@@ -1020,6 +1024,7 @@ impl FleetScraper {
     /// per-endpoint, so threads never contend.
     fn poll_endpoints(&mut self) -> Tally {
         let config = self.config.clone();
+        let n_events = self.n_events;
         let n = self.endpoints.len();
         if n == 0 {
             return Tally::default();
@@ -1034,7 +1039,7 @@ impl FleetScraper {
                     scope.spawn(move || {
                         let mut tally = Tally::default();
                         for ep in eps {
-                            poll_endpoint(ep, config, &mut tally);
+                            poll_endpoint(ep, config, n_events, &mut tally);
                         }
                         tally
                     })
@@ -1061,7 +1066,8 @@ impl FleetScraper {
 
 /// One endpoint's round: honor cooldown, otherwise exchange with bounded
 /// retries, classify the outcome into health, and set the next cooldown.
-fn poll_endpoint(ep: &mut Endpoint, config: &ScrapeConfig, tally: &mut Tally) {
+/// Only snapshots with `n_events` posteriors are cached for fusion.
+fn poll_endpoint(ep: &mut Endpoint, config: &ScrapeConfig, n_events: usize, tally: &mut Tally) {
     if ep.cooldown > 0 {
         ep.cooldown -= 1;
         ep.health.on_skipped();
@@ -1106,6 +1112,16 @@ fn poll_endpoint(ep: &mut Endpoint, config: &ScrapeConfig, tally: &mut Tally) {
                 if snap.shard != ep.shard {
                     last_err = ShimError::WireMalformed {
                         what: "scrape response from a different shard",
+                    };
+                    continue;
+                }
+                if snap.posteriors.len() != n_events {
+                    // A well-formed frame from a foreign catalog cannot be
+                    // fused: a failed exchange, retried and then aged by
+                    // health like any other.
+                    last_err = ShimError::CatalogMismatch {
+                        expected: n_events,
+                        got: snap.posteriors.len(),
                     };
                     continue;
                 }

@@ -386,6 +386,58 @@ fn churn_under_faults_never_shows_torn_or_regressing_snapshots() {
     assert_eq!(scraper.endpoints(), 12);
 }
 
+/// A well-formed snapshot whose posterior count differs from the
+/// scraper's catalog is a failed exchange, not a cached contribution:
+/// `poll_round` returns, the foreign shard never contributes, and once
+/// it is the only endpoint left the last fused snapshot stays published.
+#[test]
+fn catalog_mismatched_snapshots_fail_the_exchange() {
+    for served in [EVENTS - 1, EVENTS + 1] {
+        let config = ScrapeConfig {
+            deadline: DEADLINE,
+            ..ScrapeConfig::default()
+        };
+        let mut scraper = FleetScraper::new(EVENTS, config);
+        for (shard, events) in [(0u32, EVENTS), (1, served)] {
+            let (_, r) = responder(shard, events);
+            scraper.add_endpoint(
+                ShardId::from_raw(shard),
+                ShardLabel::new(format!("m{shard}"), 0),
+                Box::new(SimTransport::new(
+                    r,
+                    LinkState::new(LinkProfile::clean(u64::from(shard))),
+                )),
+            );
+        }
+        let reader = scraper.reader();
+        let foreign = ShardId::from_raw(1);
+        for _ in 0..6 {
+            let report = scraper.poll_round();
+            assert!(report.published);
+            assert_eq!(report.contributors, 1, "serving {served} posteriors");
+            let snap = reader.read().expect("the catalog-sized shard publishes");
+            assert_eq!(snap.fused.len(), EVENTS);
+            assert!(snap.shards.iter().all(|s| s.shard != foreign));
+            assert!(snap.shard_health(foreign).unwrap().age > 0);
+        }
+        assert!(
+            scraper.totals().failures > 0,
+            "mismatch counts as a failure"
+        );
+
+        let last = reader.read().unwrap();
+        scraper.remove_endpoint(ShardId::from_raw(0)).unwrap();
+        for _ in 0..6 {
+            let report = scraper.poll_round();
+            assert!(!report.published);
+            assert_eq!(report.contributors, 0);
+            let snap = reader.read().expect("the last fused snapshot stays");
+            assert_eq!(snap.generation, last.generation);
+            assert_eq!(snap.fused, last.fused);
+        }
+    }
+}
+
 #[test]
 fn backoff_caps_keep_dead_endpoints_probed() {
     // The schedule invariant behind recovery: however long an endpoint

@@ -54,6 +54,38 @@ impl Gaussian {
     }
 }
 
+/// [`Gaussian::log_pdf`] with its `x`-independent normalizer computed once.
+///
+/// [`GaussianLogPdf::eval`] rounds exactly like `log_pdf`: the normalizer
+/// is the same left operand, computed by the same operations, and the
+/// kernel `d·d / 2σ²` keeps its operation order (Rust never contracts
+/// these into fused multiply-adds). Only the `ln` moves out of the loop.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GaussianLogPdf {
+    mean: f64,
+    two_var: f64,
+    norm: f64,
+}
+
+impl GaussianLogPdf {
+    /// Precomputes the normalizer of `g`.
+    pub fn new(g: &Gaussian) -> Self {
+        GaussianLogPdf {
+            mean: g.mean,
+            two_var: 2.0 * g.var,
+            norm: -0.5 * (LN_2PI + g.var.ln()),
+        }
+    }
+
+    /// Log probability density at `x`, bit-identical to
+    /// [`Gaussian::log_pdf`].
+    #[inline]
+    pub fn eval(&self, x: f64) -> f64 {
+        let d = x - self.mean;
+        self.norm - d * d / self.two_var
+    }
+}
+
 /// A scaled and shifted Student's t-distribution.
 ///
 /// This is the paper's §4.2 observation model: given `N` noisy samples of an
@@ -136,6 +168,48 @@ impl StudentT {
         } else {
             None
         }
+    }
+}
+
+/// [`StudentT::log_pdf`] with its `x`-independent normalizer computed once.
+///
+/// `log_pdf` subtracts left to right: two `ln_gamma` Lanczos series, then
+/// `ln(νπ)/2`, then `ln(scale)`, then the kernel. The first four terms do
+/// not depend on `x`, so their running difference is exactly the left
+/// operand of the final subtraction. [`StudentTLogPdf::eval`] subtracts the
+/// same kernel from it and is therefore bit-identical to `log_pdf`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StudentTLogPdf {
+    loc: f64,
+    scale: f64,
+    dof: f64,
+    /// `(ν + 1) / 2`, the kernel's exponent.
+    half_dof1: f64,
+    norm: f64,
+}
+
+impl StudentTLogPdf {
+    /// Precomputes the normalizer of `t`.
+    pub fn new(t: &StudentT) -> Self {
+        let v = t.dof;
+        StudentTLogPdf {
+            loc: t.loc,
+            scale: t.scale,
+            dof: v,
+            half_dof1: (v + 1.0) / 2.0,
+            norm: ln_gamma((v + 1.0) / 2.0)
+                - ln_gamma(v / 2.0)
+                - 0.5 * (v * std::f64::consts::PI).ln()
+                - t.scale.ln(),
+        }
+    }
+
+    /// Log probability density at `x`, bit-identical to
+    /// [`StudentT::log_pdf`].
+    #[inline]
+    pub fn eval(&self, x: f64) -> f64 {
+        let z = (x - self.loc) / self.scale;
+        self.norm - self.half_dof1 * (z * z / self.dof).ln_1p()
     }
 }
 
@@ -309,6 +383,38 @@ mod tests {
             let a = t.log_pdf(loc + d);
             let b = t.log_pdf(loc - d);
             prop_assert!((a - b).abs() < 1e-9);
+        }
+
+        #[test]
+        fn hoisted_gaussian_is_bit_identical(
+            mean in -1e3f64..1e3,
+            ln_var in -25.0f64..25.0,
+            x in -1e4f64..1e4,
+            near in -3.0f64..3.0,
+        ) {
+            let g = Gaussian::new(mean, ln_var.exp());
+            let h = GaussianLogPdf::new(&g);
+            for x in [x, mean + near * g.std_dev(), mean, -0.0, 0.0] {
+                prop_assert_eq!(h.eval(x).to_bits(), g.log_pdf(x).to_bits());
+            }
+        }
+
+        #[test]
+        fn hoisted_student_t_is_bit_identical(
+            loc in -1e3f64..1e3,
+            ln_scale in -27.0f64..10.0,
+            dof in 0.3f64..80.0,
+            x in -1e4f64..1e4,
+            near in -40.0f64..40.0,
+        ) {
+            // The observation factors use ν = n − 1 ≥ 2, 2.5 and 60.
+            for dof in [dof, dof.round().max(1.0), 2.5, 60.0] {
+                let t = StudentT::new(loc, ln_scale.exp(), dof);
+                let h = StudentTLogPdf::new(&t);
+                for x in [x, loc + near * t.scale, loc, -0.0, 0.0] {
+                    prop_assert_eq!(h.eval(x).to_bits(), t.log_pdf(x).to_bits());
+                }
+            }
         }
 
         #[test]

@@ -12,6 +12,31 @@
 //! 3. local update: moment-match a Gaussian to the tilted distribution
 //! 4. global update: `g ← g · Δgₖ` with damping
 //!
+//! # The proposal kernel
+//!
+//! A site exposes its likelihood as a product of factors
+//! ([`EpSite::num_factors`], [`EpSite::factors_of`],
+//! [`EpSite::factor_log_pdf`]), and every Metropolis proposal of a site's
+//! chain does only the work that can change its outcome:
+//!
+//! * **Hoisted normalizers.** Cavity densities are [`GaussianLogPdf`]s
+//!   built once per cavity formation; sites build their factors the same
+//!   way, at engine build or observation swap
+//!   ([`StudentTLogPdf`](crate::StudentTLogPdf) for Student-t
+//!   observations). A proposal never recomputes an `ln` or `ln Γ` that
+//!   cancels in its own delta.
+//! * **Current-value cache.** The worker's [`SiteWorkspace`] keeps each
+//!   cavity term and each factor ([`FactorCache`]) at the chain's current
+//!   state. A proposal evaluates the moved variable's cavity term and its
+//!   adjacent factors at the proposed value only; an accepted move commits
+//!   them ([`Target::start`]/[`Target::accept`]).
+//!
+//! Both are bit-identical to the uncached evaluation: a hoisted density
+//! subtracts the same kernel from the same normalizer, and a cached value
+//! is what a fresh evaluation at the current state returns. Every delta,
+//! and therefore every accept decision, RNG draw and posterior, is
+//! unchanged to the last bit.
+//!
 //! # The batched-parallel sweep schedule
 //!
 //! Sites only interact through the global approximation — the parallelism
@@ -89,9 +114,9 @@
 //!   entirely and compute moments by a site-local Cholesky solve.
 //!
 //! The hot path is allocation-free after warm-up: the sweep schedule,
-//! per-worker [`SiteWorkspace`] buffers (cavity state, MCMC scratch,
-//! analytic scratch) and per-site [`SiteUpdate`] records are cached inside
-//! the engine and reused across sweeps *and* across windows.
+//! per-worker [`SiteWorkspace`] buffers (cavity state, factor cache, MCMC
+//! scratch, analytic scratch) and per-site [`SiteUpdate`] records are
+//! cached inside the engine and reused across sweeps *and* across windows.
 //!
 //! The legacy [`ExpectationPropagation::run`] keeps the original
 //! caller-supplied-RNG sequential path (site updates in registration
@@ -99,10 +124,10 @@
 //! any scheduling choice.
 
 use crate::analytic::AnalyticScratch;
-use crate::dist::Gaussian;
+use crate::dist::{Gaussian, GaussianLogPdf};
 use crate::mcmc::{McmcConfig, McmcSampler, Target};
 use crate::message::GaussianMessage;
-use crate::parallel::{SiteUpdate, SiteWorkspace, SweepSchedule};
+use crate::parallel::{FactorCache, SiteUpdate, SiteWorkspace, SweepSchedule};
 use crate::rng::SiteRng;
 use rand::Rng;
 
@@ -119,30 +144,55 @@ pub enum MomentStrategy {
 }
 
 /// One partition of the data: a likelihood term over a subset of the global
-/// variables.
+/// variables, exposed as a product of factors.
+///
+/// The factor structure is what makes a Metropolis proposal cheap: when
+/// local variable `i` moves, only the factors in
+/// [`EpSite::factors_of`]`(i)` can change. The engine keeps every factor's
+/// log density at the chain's current state in a [`FactorCache`], so a
+/// proposal evaluates only its proposed side and an accepted move commits
+/// those values. An opaque likelihood is one factor adjacent to every
+/// variable ([`FnSite`]).
 pub trait EpSite {
     /// Indices of the global variables this site's likelihood touches.
     fn vars(&self) -> &[usize];
 
-    /// Log likelihood of the site's data given the site-local state `x`
-    /// (aligned with [`EpSite::vars`]).
-    fn log_likelihood(&self, x: &[f64]) -> f64;
+    /// Number of factors whose product is the site's likelihood.
+    fn num_factors(&self) -> usize;
 
-    /// Change in log likelihood when local variable `i` moves from `x[i]`
-    /// to `new`; must leave `x` unchanged.
+    /// The factors adjacent to local variable `i` — every factor whose
+    /// value can change when `x[i]` moves — in the order a proposal sums
+    /// them.
+    fn factors_of(&self, i: usize) -> &[u32];
+
+    /// Log density of factor `f` at the site-local state `x` (aligned with
+    /// [`EpSite::vars`]).
+    fn factor_log_pdf(&self, f: usize, x: &[f64]) -> f64;
+
+    /// Log likelihood of the site's data given the site-local state `x`:
+    /// the sum of every factor's log density.
+    fn log_likelihood(&self, x: &[f64]) -> f64 {
+        (0..self.num_factors())
+            .map(|f| self.factor_log_pdf(f, x))
+            .sum()
+    }
+
+    /// Evaluates the factors adjacent to local variable `i` at `x` into
+    /// `out` (cleared first, in [`EpSite::factors_of`] order) and returns
+    /// their sum, accumulated in that order from `0.0`.
     ///
-    /// The default recomputes the full likelihood twice. Sites with factor
-    /// structure should override it to only re-evaluate the factors adjacent
-    /// to `i` — the locality the BayesPerf accelerator exploits.
-    /// [`FactorSite`](crate::FactorSite) implements exactly that, backed by
-    /// a CSR variable→factor index.
-    fn log_likelihood_delta(&self, x: &mut [f64], i: usize, new: f64) -> f64 {
-        let old = x[i];
-        let before = self.log_likelihood(x);
-        x[i] = new;
-        let after = self.log_likelihood(x);
-        x[i] = old;
-        after - before
+    /// Provided so that, called through `dyn EpSite`, the per-factor calls
+    /// inside are statically dispatched to the site's own
+    /// [`EpSite::factor_log_pdf`].
+    fn adjacent_log_pdfs(&self, i: usize, x: &[f64], out: &mut Vec<f64>) -> f64 {
+        out.clear();
+        let mut sum = 0.0;
+        for &f in self.factors_of(i) {
+            let v = self.factor_log_pdf(f as usize, x);
+            out.push(v);
+            sum += v;
+        }
+        sum
     }
 
     /// Optional MCMC initialization hint for local variable `i` (e.g. the
@@ -213,11 +263,18 @@ impl<F: Fn(&[f64]) -> f64> FnSite<F> {
     }
 }
 
+/// An opaque likelihood is a single factor, adjacent to every variable.
 impl<F: Fn(&[f64]) -> f64> EpSite for FnSite<F> {
     fn vars(&self) -> &[usize] {
         &self.vars
     }
-    fn log_likelihood(&self, x: &[f64]) -> f64 {
+    fn num_factors(&self) -> usize {
+        1
+    }
+    fn factors_of(&self, _i: usize) -> &[u32] {
+        &[0]
+    }
+    fn factor_log_pdf(&self, _f: usize, x: &[f64]) -> f64 {
         (self.f)(x)
     }
 }
@@ -1022,6 +1079,9 @@ fn compute_site_update<R: Rng + ?Sized>(
     let SiteWorkspace {
         cavity_msgs,
         cavity,
+        cavity_pdf,
+        cavity_current,
+        factors,
         init,
         scales,
         scratch,
@@ -1117,8 +1177,16 @@ fn compute_site_update<R: Rng + ?Sized>(
             }
             _ => (config.mcmc.burn_in, config.mcmc.samples),
         };
-        let target = TiltedTarget { site, cavity };
-        sampler.run_budgeted(&target, init, scales, rng, scratch, burn_in, samples);
+        cavity_pdf.clear();
+        cavity_pdf.extend(cavity.iter().map(GaussianLogPdf::new));
+        let mut target = TiltedTarget {
+            site,
+            cavity: cavity_pdf,
+            cavity_current,
+            cavity_proposed: 0.0,
+            factors,
+        };
+        sampler.run_budgeted(&mut target, init, scales, rng, scratch, burn_in, samples);
         out.used_mcmc = true;
         out.mcmc_samples = scratch.samples_run();
         out.proposed = scratch.proposed();
@@ -1168,10 +1236,22 @@ fn compute_site_update<R: Rng + ?Sized>(
     }
 }
 
-/// The tilted distribution of one site: likelihood × cavity.
+/// The tilted distribution of one site: likelihood × cavity, with every
+/// term's log density at the chain's current state cached.
+///
+/// A proposal evaluates the moved variable's cavity term and adjacent
+/// factors at the proposed value only; the current side comes from the
+/// caches, which hold exactly what a fresh evaluation would return, so each
+/// delta is bit-identical to recomputing both sides.
 struct TiltedTarget<'a> {
     site: &'a dyn EpSite,
-    cavity: &'a [Gaussian],
+    /// Cavity densities, normalizers computed at cavity formation.
+    cavity: &'a [GaussianLogPdf],
+    /// `cavity[i]` at the chain's current `x[i]`.
+    cavity_current: &'a mut Vec<f64>,
+    /// The moved variable's cavity term at the last proposal.
+    cavity_proposed: f64,
+    factors: &'a mut FactorCache,
 }
 
 impl Target for TiltedTarget<'_> {
@@ -1180,17 +1260,26 @@ impl Target for TiltedTarget<'_> {
     }
 
     fn log_density(&self, x: &[f64]) -> f64 {
-        let prior: f64 = x
-            .iter()
-            .zip(self.cavity)
-            .map(|(xi, g)| g.log_pdf(*xi))
-            .sum();
+        let prior: f64 = x.iter().zip(self.cavity).map(|(xi, g)| g.eval(*xi)).sum();
         prior + self.site.log_likelihood(x)
     }
 
-    fn log_density_delta(&self, x: &mut [f64], i: usize, new: f64) -> f64 {
-        let d_prior = self.cavity[i].log_pdf(new) - self.cavity[i].log_pdf(x[i]);
-        d_prior + self.site.log_likelihood_delta(x, i, new)
+    fn start(&mut self, x: &[f64]) {
+        self.cavity_current.clear();
+        self.cavity_current
+            .extend(x.iter().zip(self.cavity).map(|(xi, g)| g.eval(*xi)));
+        self.factors.start(self.site, x);
+    }
+
+    fn log_density_delta(&mut self, x: &mut [f64], i: usize, new: f64) -> f64 {
+        self.cavity_proposed = self.cavity[i].eval(new);
+        let d_prior = self.cavity_proposed - self.cavity_current[i];
+        d_prior + self.factors.delta(self.site, x, i, new)
+    }
+
+    fn accept(&mut self, i: usize) {
+        self.cavity_current[i] = self.cavity_proposed;
+        self.factors.accept(self.site, i);
     }
 }
 
@@ -1530,6 +1619,60 @@ mod tests {
             "mean {} vs {expect}",
             warm.marginals[0].mean
         );
+    }
+
+    #[test]
+    fn tilted_target_deltas_match_uncached_evaluation_bitwise() {
+        // A three-variable chain site, proposals accepted at random: every
+        // cached delta must equal recomputing the cavity term and the
+        // adjacent factors on both sides, bit for bit.
+        let site = FactorSite::builder(vec![0, 1, 2])
+            .factor(&[0], |x: &[f64]| Gaussian::new(1.0, 0.1).log_pdf(x[0]))
+            .factor(&[0, 1], |x: &[f64]| {
+                Gaussian::new(0.0, 0.2).log_pdf(x[1] - x[0])
+            })
+            .gaussian_linear(&[1, 2], &[1.0, -2.0], 0.5, 0.3)
+            .poisson(2, 7.0, 2.0)
+            .build();
+        let cavity = [
+            Gaussian::new(0.5, 2.0),
+            Gaussian::new(-1.0, 0.5),
+            Gaussian::new(3.0, 9.0),
+        ];
+        let cavity_pdf: Vec<GaussianLogPdf> = cavity.iter().map(GaussianLogPdf::new).collect();
+        let (mut current, mut factors) = (Vec::new(), FactorCache::new());
+        let mut target = TiltedTarget {
+            site: &site,
+            cavity: &cavity_pdf,
+            cavity_current: &mut current,
+            cavity_proposed: 0.0,
+            factors: &mut factors,
+        };
+        let mut rng = rng();
+        let mut x = vec![0.7, -0.4, 2.5];
+        target.start(&x);
+        for step in 0..500 {
+            let i = rng.gen_range(0..3usize);
+            let new = x[i] + rng.gen::<f64>() - 0.5;
+            let old = x[i];
+            let mut before = 0.0;
+            for &f in site.factors_of(i) {
+                before += site.factor_log_pdf(f as usize, &x);
+            }
+            x[i] = new;
+            let mut after = 0.0;
+            for &f in site.factors_of(i) {
+                after += site.factor_log_pdf(f as usize, &x);
+            }
+            x[i] = old;
+            let want = (cavity[i].log_pdf(new) - cavity[i].log_pdf(old)) + (after - before);
+            let got = target.log_density_delta(&mut x, i, new);
+            assert_eq!(got.to_bits(), want.to_bits(), "step {step}");
+            if rng.gen::<bool>() {
+                x[i] = new;
+                target.accept(i);
+            }
+        }
     }
 
     #[test]

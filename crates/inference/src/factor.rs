@@ -1,17 +1,18 @@
 //! Factor-structured EP sites with sparse delta evaluation and an analytic
 //! Gaussian-linear fast path.
 //!
-//! [`EpSite::log_likelihood_delta`] documents the locality contract — when
-//! one local variable moves, only the factors adjacent to it need
-//! re-evaluation — but a closure-based [`FnSite`](crate::FnSite) cannot
-//! exploit it: the closure is opaque, so every proposal pays the full
-//! likelihood twice. [`FactorSite`] makes the factorization explicit: the
-//! site is a list of factors, each declaring which local variables it
-//! touches, and a CSR-flattened variable→factor index
-//! ([`bayesperf_graph::CsrAdjacency`]) drives the delta evaluation. For a
-//! site with `F` factors of bounded arity, a proposal costs `O(deg(i))`
-//! instead of `O(F)` — the same sparsity the accelerator's AcMC² sampler IPs
-//! exploit in hardware (§5).
+//! [`EpSite`] documents the locality contract — when one local variable
+//! moves, only the factors adjacent to it can change — but a closure-based
+//! [`FnSite`](crate::FnSite) cannot exploit it: the closure is one opaque
+//! factor, so every proposal pays the full likelihood. [`FactorSite`] makes
+//! the factorization explicit: the site is a list of factors, each
+//! declaring which local variables it touches, and a CSR-flattened
+//! variable→factor index ([`bayesperf_graph::CsrAdjacency`]) answers
+//! [`EpSite::factors_of`]. The engine's [`FactorCache`](crate::FactorCache)
+//! holds every factor's value at the chain's current state, so a proposal
+//! evaluates only the `deg(i)` adjacent factors, once, at the proposed
+//! value — instead of all `F` — the same sparsity the accelerator's AcMC²
+//! sampler IPs exploit in hardware (§5).
 //!
 //! # Typed factors and the analytic moment fast path
 //!
@@ -368,16 +369,6 @@ impl FactorSite {
         FactorSiteBuilder::new(vars)
     }
 
-    /// Number of factors.
-    pub fn num_factors(&self) -> usize {
-        self.factors.len()
-    }
-
-    /// The factor indices adjacent to local variable `i`.
-    pub fn factors_of(&self, i: usize) -> &[u32] {
-        self.adj.row(i)
-    }
-
     /// Replaces the observed value of the Gaussian-linear factor at
     /// `factor_idx` — the warm-start observation swap (topology and
     /// coefficients stay fixed; only the datum moves between windows).
@@ -412,23 +403,16 @@ impl EpSite for FactorSite {
         &self.vars
     }
 
-    fn log_likelihood(&self, x: &[f64]) -> f64 {
-        self.factors.iter().map(|f| f.log_pdf(x)).sum()
+    fn num_factors(&self) -> usize {
+        self.factors.len()
     }
 
-    fn log_likelihood_delta(&self, x: &mut [f64], i: usize, new: f64) -> f64 {
-        let old = x[i];
-        let mut before = 0.0;
-        for &fi in self.adj.row(i) {
-            before += self.factors[fi as usize].log_pdf(x);
-        }
-        x[i] = new;
-        let mut after = 0.0;
-        for &fi in self.adj.row(i) {
-            after += self.factors[fi as usize].log_pdf(x);
-        }
-        x[i] = old;
-        after - before
+    fn factors_of(&self, i: usize) -> &[u32] {
+        self.adj.row(i)
+    }
+
+    fn factor_log_pdf(&self, f: usize, x: &[f64]) -> f64 {
+        self.factors[f].log_pdf(x)
     }
 
     fn init_hint(&self, i: usize) -> Option<f64> {
@@ -461,6 +445,9 @@ impl EpSite for FactorSite {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FactorCache;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn two_factor_site() -> FactorSite {
         // x0 observed near 3; x0 + x1 ≈ 10.
@@ -486,7 +473,9 @@ mod tests {
         let site = two_factor_site();
         let mut x = vec![2.5, 7.1];
         let before = site.log_likelihood(&x);
-        let delta = site.log_likelihood_delta(&mut x, 1, 6.4);
+        let mut cache = FactorCache::new();
+        cache.start(&site, &x);
+        let delta = cache.delta(&site, &mut x, 1, 6.4);
         assert_eq!(x, vec![2.5, 7.1], "state must be restored");
         let full = site.log_likelihood(&[2.5, 6.4]) - before;
         assert!((delta - full).abs() < 1e-12, "delta {delta} vs {full}");
@@ -498,15 +487,36 @@ mod tests {
         let site = two_factor_site();
         assert_eq!(site.factors_of(0), &[0, 1]);
         assert_eq!(site.factors_of(1), &[1]);
-        // Moving local 1 must not evaluate factor 0: make that observable
-        // with a factor that panics when evaluated.
-        let trap = FactorSite::builder(vec![0, 1])
-            .factor(&[0], |_: &[f64]| -> f64 { panic!("factor 0 must not run") })
-            .factor(&[1], |x: &[f64]| -x[1] * x[1])
+        // Moving local 1 must not evaluate factor 0, and a proposal
+        // evaluates its adjacent factors once, at the proposed value:
+        // count every evaluation.
+        let calls: Arc<[AtomicUsize; 2]> = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
+        let (c0, c1) = (Arc::clone(&calls), Arc::clone(&calls));
+        let counted = FactorSite::builder(vec![0, 1])
+            .factor(&[0], move |_: &[f64]| {
+                c0[0].fetch_add(1, Ordering::Relaxed);
+                0.0
+            })
+            .factor(&[1], move |x: &[f64]| {
+                c1[1].fetch_add(1, Ordering::Relaxed);
+                -x[1] * x[1]
+            })
             .build();
         let mut x = vec![0.0, 1.0];
-        let d = trap.log_likelihood_delta(&mut x, 1, 2.0);
+        let mut cache = FactorCache::new();
+        cache.start(&counted, &x);
+        let d = cache.delta(&counted, &mut x, 1, 2.0);
         assert!((d - (-4.0 + 1.0)).abs() < 1e-12);
+        cache.accept(&counted, 1);
+        x[1] = 2.0;
+        let d = cache.delta(&counted, &mut x, 1, 3.0);
+        assert!((d - (-9.0 + 4.0)).abs() < 1e-12);
+        assert_eq!(calls[0].load(Ordering::Relaxed), 1, "factor 0: start only");
+        assert_eq!(
+            calls[1].load(Ordering::Relaxed),
+            3,
+            "factor 1: start + 2 proposals"
+        );
     }
 
     #[test]

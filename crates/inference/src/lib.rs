@@ -47,7 +47,7 @@ mod rng;
 mod special;
 
 pub use analytic::AnalyticScratch;
-pub use dist::{Gaussian, Gumbel, StudentT};
+pub use dist::{Gaussian, GaussianLogPdf, Gumbel, StudentT, StudentTLogPdf};
 pub use ep::{
     AdaptiveBudget, EpConfig, EpResult, EpRunStats, EpSite, ExpectationPropagation, FnSite,
     MomentStrategy,
@@ -58,7 +58,7 @@ pub use factor::{
 };
 pub use mcmc::{McmcConfig, McmcSampler, McmcScratch, McmcStats, Target};
 pub use message::GaussianMessage;
-pub use parallel::{SiteWorkspace, SweepSchedule};
+pub use parallel::{FactorCache, SiteWorkspace, SweepSchedule};
 pub use rng::{derive_stream_seed, SiteRng};
 pub use special::ln_gamma;
 

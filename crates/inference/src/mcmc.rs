@@ -11,6 +11,17 @@
 //! with Welford's online algorithm, which is numerically stable for counter
 //! magnitudes like 1e9 cycles where the naive `Σx²/n − mean²` form loses all
 //! significant digits to catastrophic cancellation.
+//!
+//! # The target contract
+//!
+//! The sampler tells its [`Target`] where the chain is: [`Target::start`]
+//! once with the initial state, [`Target::log_density_delta`] per proposal,
+//! and [`Target::accept`] after each accepted move. A target with factor
+//! structure can therefore keep every factor's log density at the chain's
+//! *current* state, evaluate only the proposed side of each proposal, and
+//! commit those values on acceptance — the EP engine's tilted target does
+//! exactly that. A rejected proposal needs no undo: the next proposal
+//! overwrites whatever it staged.
 
 use crate::standard_normal;
 use rand::Rng;
@@ -23,19 +34,35 @@ pub trait Target {
     /// Log density (up to an additive constant) of the full state.
     fn log_density(&self, x: &[f64]) -> f64;
 
-    /// Change in log density when component `i` moves from `x[i]` to `new`.
+    /// Starts a chain at `x`, before its first proposal. Targets that cache
+    /// values at the chain's current state fill the cache here; the
+    /// default caches nothing.
+    fn start(&mut self, x: &[f64]) {
+        let _ = x;
+    }
+
+    /// Change in log density when component `i` moves from `x[i]` to `new`;
+    /// must leave `x` unchanged. A caching target may stage the proposed
+    /// side here for [`Target::accept`] to commit.
     ///
     /// The default recomputes the full density twice; targets with factor
     /// structure should override with the local (adjacent-factors-only)
     /// computation — that locality is exactly what the accelerator's
     /// parallel samplers exploit.
-    fn log_density_delta(&self, x: &mut [f64], i: usize, new: f64) -> f64 {
+    fn log_density_delta(&mut self, x: &mut [f64], i: usize, new: f64) -> f64 {
         let old = x[i];
         let before = self.log_density(x);
         x[i] = new;
         let after = self.log_density(x);
         x[i] = old;
         after - before
+    }
+
+    /// The sampler accepted the proposal last passed to
+    /// [`Target::log_density_delta`] (`x[i]` now holds it). The default
+    /// does nothing.
+    fn accept(&mut self, i: usize) {
+        let _ = i;
     }
 }
 
@@ -225,7 +252,7 @@ impl McmcSampler {
     /// Panics if `init` or `scales` length differs from `target.dim()`.
     pub fn run<T: Target, R: Rng + ?Sized>(
         &self,
-        target: &T,
+        target: &mut T,
         init: &[f64],
         scales: &[f64],
         rng: &mut R,
@@ -247,7 +274,7 @@ impl McmcSampler {
     /// Panics if `init` or `scales` length differs from `target.dim()`.
     pub fn run_with_scratch<T: Target, R: Rng + ?Sized>(
         &self,
-        target: &T,
+        target: &mut T,
         init: &[f64],
         scales: &[f64],
         rng: &mut R,
@@ -275,7 +302,7 @@ impl McmcSampler {
     #[allow(clippy::too_many_arguments)]
     pub fn run_budgeted<T: Target, R: Rng + ?Sized>(
         &self,
-        target: &T,
+        target: &mut T,
         init: &[f64],
         scales: &[f64],
         rng: &mut R,
@@ -287,6 +314,7 @@ impl McmcSampler {
         assert_eq!(init.len(), d, "init length mismatch");
         assert_eq!(scales.len(), d, "scales length mismatch");
         scratch.prepare(init, scales, self.config.initial_step);
+        target.start(&scratch.x);
 
         let mut accepted = 0usize;
         let mut proposed = 0usize;
@@ -303,6 +331,7 @@ impl McmcSampler {
                 scratch.prop_window[i] += 1;
                 if delta >= 0.0 || rng.gen::<f64>() < delta.exp() {
                     scratch.x[i] = new;
+                    target.accept(i);
                     accepted += 1;
                     scratch.acc_window[i] += 1;
                 }
@@ -363,14 +392,14 @@ mod tests {
                 .map(|(xi, g)| g.log_pdf(*xi))
                 .sum()
         }
-        fn log_density_delta(&self, x: &mut [f64], i: usize, new: f64) -> f64 {
+        fn log_density_delta(&mut self, x: &mut [f64], i: usize, new: f64) -> f64 {
             self.components[i].log_pdf(new) - self.components[i].log_pdf(x[i])
         }
     }
 
     #[test]
     fn recovers_independent_gaussian_moments() {
-        let target = GaussTarget {
+        let mut target = GaussTarget {
             components: vec![Gaussian::new(2.0, 1.0), Gaussian::new(-5.0, 4.0)],
         };
         let sampler = McmcSampler::new(McmcConfig {
@@ -379,7 +408,7 @@ mod tests {
             ..McmcConfig::default()
         });
         let mut rng = StdRng::seed_from_u64(42);
-        let stats = sampler.run(&target, &[0.0, 0.0], &[1.0, 2.0], &mut rng);
+        let stats = sampler.run(&mut target, &[0.0, 0.0], &[1.0, 2.0], &mut rng);
         assert!(
             (stats.mean[0] - 2.0).abs() < 0.15,
             "mean0 {}",
@@ -395,7 +424,7 @@ mod tests {
         // A tight Gaussian around 1e9 (cycle-count scale). The naive
         // sum-of-squares estimator loses all precision here: 1e18 + O(1)
         // swamps f64's 15–16 significant digits. Welford keeps the spread.
-        let target = GaussTarget {
+        let mut target = GaussTarget {
             components: vec![Gaussian::new(1.0e9, 4.0)],
         };
         let sampler = McmcSampler::new(McmcConfig {
@@ -404,7 +433,7 @@ mod tests {
             ..McmcConfig::default()
         });
         let mut rng = StdRng::seed_from_u64(44);
-        let stats = sampler.run(&target, &[1.0e9], &[2.0], &mut rng);
+        let stats = sampler.run(&mut target, &[1.0e9], &[2.0], &mut rng);
         assert!(
             (stats.mean[0] - 1.0e9).abs() < 0.5,
             "mean {}",
@@ -416,23 +445,29 @@ mod tests {
 
     #[test]
     fn scratch_reuse_matches_fresh_run() {
-        let target = GaussTarget {
+        let mut target = GaussTarget {
             components: vec![Gaussian::new(1.0, 2.0), Gaussian::new(-2.0, 0.5)],
         };
         let sampler = McmcSampler::new(McmcConfig::default());
         let fresh = {
             let mut rng = StdRng::seed_from_u64(9);
-            sampler.run(&target, &[0.0, 0.0], &[1.0, 1.0], &mut rng)
+            sampler.run(&mut target, &[0.0, 0.0], &[1.0, 1.0], &mut rng)
         };
         // Dirty the scratch with a different-dimension run first.
         let mut scratch = McmcScratch::new();
-        let other = GaussTarget {
+        let mut other = GaussTarget {
             components: vec![Gaussian::new(0.0, 1.0); 5],
         };
         let mut rng = StdRng::seed_from_u64(1);
-        sampler.run_with_scratch(&other, &[0.0; 5], &[1.0; 5], &mut rng, &mut scratch);
+        sampler.run_with_scratch(&mut other, &[0.0; 5], &[1.0; 5], &mut rng, &mut scratch);
         let mut rng = StdRng::seed_from_u64(9);
-        sampler.run_with_scratch(&target, &[0.0, 0.0], &[1.0, 1.0], &mut rng, &mut scratch);
+        sampler.run_with_scratch(
+            &mut target,
+            &[0.0, 0.0],
+            &[1.0, 1.0],
+            &mut rng,
+            &mut scratch,
+        );
         assert_eq!(
             scratch.to_stats(),
             fresh,
@@ -460,7 +495,7 @@ mod tests {
             ..McmcConfig::default()
         });
         let mut rng = StdRng::seed_from_u64(43);
-        let stats = sampler.run(&CorrelatedTarget, &[1.0, -1.0], &[1.0, 1.0], &mut rng);
+        let stats = sampler.run(&mut CorrelatedTarget, &[1.0, -1.0], &[1.0, 1.0], &mut rng);
         // Marginals of both are N(0, ~1); component-wise walks mix slowly on
         // near-degenerate correlation, so bounds are generous.
         assert!(stats.mean[0].abs() < 0.35, "mean0 {}", stats.mean[0]);
@@ -479,7 +514,7 @@ mod tests {
                 -(x[0] * x[0] + x[0] * x[1] + x[1] * x[1])
             }
         }
-        let t = Full;
+        let mut t = Full;
         let mut x = vec![0.5, -0.25];
         let before = t.log_density(&x);
         let delta = t.log_density_delta(&mut x, 0, 1.5);
@@ -492,14 +527,14 @@ mod tests {
 
     #[test]
     fn budget_override_shrinks_the_run_and_is_accounted() {
-        let target = GaussTarget {
+        let mut target = GaussTarget {
             components: vec![Gaussian::new(0.0, 1.0), Gaussian::new(0.0, 1.0)],
         };
         let sampler = McmcSampler::new(McmcConfig::default());
         let mut scratch = McmcScratch::new();
         let mut rng = StdRng::seed_from_u64(21);
         sampler.run_budgeted(
-            &target,
+            &mut target,
             &[0.0, 0.0],
             &[1.0, 1.0],
             &mut rng,
@@ -520,10 +555,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "init length mismatch")]
     fn rejects_wrong_init_length() {
-        let t = GaussTarget {
+        let mut t = GaussTarget {
             components: vec![Gaussian::new(0.0, 1.0)],
         };
         let mut rng = StdRng::seed_from_u64(1);
-        McmcSampler::new(McmcConfig::default()).run(&t, &[0.0, 0.0], &[1.0, 1.0], &mut rng);
+        McmcSampler::new(McmcConfig::default()).run(&mut t, &[0.0, 0.0], &[1.0, 1.0], &mut rng);
     }
 }

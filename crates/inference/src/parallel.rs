@@ -11,8 +11,9 @@
 //!   [`ColorBatches`] value. The schedule is a pure function of the site
 //!   topology — not the per-window data — so a warm-started engine computes
 //!   it once and replays it across sliding windows;
-//! * [`SiteWorkspace`] — one per worker thread: cavity buffers, MCMC init
-//!   and proposal-scale vectors, the sampler's [`McmcScratch`], and the
+//! * [`SiteWorkspace`] — one per worker thread: cavity buffers, the
+//!   chain's [`FactorCache`] of current factor values, MCMC init and
+//!   proposal-scale vectors, the sampler's [`McmcScratch`], and the
 //!   analytic solver's [`AnalyticScratch`]. All reused across site updates,
 //!   so the steady-state sweep performs no heap allocation;
 //! * [`SiteUpdate`] — the per-site result record (damped site message, new
@@ -21,7 +22,7 @@
 //!   the merge deterministic.
 
 use crate::analytic::AnalyticScratch;
-use crate::dist::Gaussian;
+use crate::dist::{Gaussian, GaussianLogPdf};
 use crate::ep::EpSite;
 use crate::mcmc::McmcScratch;
 use crate::message::GaussianMessage;
@@ -87,14 +88,18 @@ impl SweepSchedule {
 /// Per-worker reusable buffers for one site update.
 ///
 /// Everything a site update needs besides the shared read-only state:
-/// cavity messages/distributions, MCMC initialization and proposal scales,
-/// the chain's [`McmcScratch`], and the Gaussian-linear solver's
-/// [`AnalyticScratch`]. Buffers grow to the largest site dimension seen,
+/// cavity messages/distributions (and their hoisted log densities), the
+/// chain's cached cavity and factor values, MCMC initialization and
+/// proposal scales, the chain's [`McmcScratch`], and the Gaussian-linear
+/// solver's [`AnalyticScratch`]. Buffers grow to the largest site seen,
 /// then stay allocation-free.
 #[derive(Debug, Default)]
 pub struct SiteWorkspace {
     pub(crate) cavity_msgs: Vec<GaussianMessage>,
     pub(crate) cavity: Vec<Gaussian>,
+    pub(crate) cavity_pdf: Vec<GaussianLogPdf>,
+    pub(crate) cavity_current: Vec<f64>,
+    pub(crate) factors: FactorCache,
     pub(crate) init: Vec<f64>,
     pub(crate) scales: Vec<f64>,
     pub(crate) scratch: McmcScratch,
@@ -105,6 +110,72 @@ impl SiteWorkspace {
     /// Creates an empty workspace; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+}
+
+/// Every factor's log density at a chain's current state — the cache that
+/// lets a Metropolis proposal evaluate only its proposed side.
+///
+/// [`FactorCache::start`] evaluates each factor of a site once; per
+/// proposal, [`FactorCache::delta`] sums the cached values of the moved
+/// variable's adjacent factors, evaluates those factors at the proposed
+/// value (staging the results), and returns the difference;
+/// [`FactorCache::accept`] commits the staged values. Both sums run in
+/// [`EpSite::factors_of`] order from `0.0` and the cached values equal a
+/// fresh evaluation, so each delta is bit-identical to evaluating the
+/// adjacent factors before and after the move. Allocation-free once grown
+/// to the largest site.
+#[derive(Debug, Clone, Default)]
+pub struct FactorCache {
+    current: Vec<f64>,
+    proposed: Vec<f64>,
+}
+
+impl FactorCache {
+    /// Creates an empty cache; buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Evaluates every factor of `site` at the chain's initial state `x`.
+    pub fn start<S: EpSite + ?Sized>(&mut self, site: &S, x: &[f64]) {
+        self.current.clear();
+        self.current
+            .extend((0..site.num_factors()).map(|f| site.factor_log_pdf(f, x)));
+    }
+
+    /// Change in `site`'s log likelihood when local variable `i` moves from
+    /// `x[i]` to `new` (`x` is left unchanged). The proposed values of the
+    /// adjacent factors stay staged until the next call.
+    pub fn delta<S: EpSite + ?Sized>(
+        &mut self,
+        site: &S,
+        x: &mut [f64],
+        i: usize,
+        new: f64,
+    ) -> f64 {
+        let mut before = 0.0;
+        for &f in site.factors_of(i) {
+            before += self.current[f as usize];
+        }
+        let old = x[i];
+        x[i] = new;
+        let after = site.adjacent_log_pdfs(i, x, &mut self.proposed);
+        x[i] = old;
+        after - before
+    }
+
+    /// Commits the values staged by the last [`FactorCache::delta`], which
+    /// moved local variable `i`.
+    pub fn accept<S: EpSite + ?Sized>(&mut self, site: &S, i: usize) {
+        for (&f, &v) in site.factors_of(i).iter().zip(&self.proposed) {
+            self.current[f as usize] = v;
+        }
+    }
+
+    /// Factor `f`'s cached log density at the current state.
+    pub fn value(&self, f: usize) -> f64 {
+        self.current[f]
     }
 }
 

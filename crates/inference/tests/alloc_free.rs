@@ -43,7 +43,7 @@ impl Target for Coupled {
     fn log_density(&self, x: &[f64]) -> f64 {
         Gaussian::new(2.0, 1.0).log_pdf(x[0]) + Gaussian::new(x[0], 0.25).log_pdf(x[1])
     }
-    fn log_density_delta(&self, x: &mut [f64], i: usize, new: f64) -> f64 {
+    fn log_density_delta(&mut self, x: &mut [f64], i: usize, new: f64) -> f64 {
         let old = x[i];
         let before = self.log_density(x);
         x[i] = new;
@@ -60,11 +60,23 @@ fn run_with_scratch_allocates_nothing_after_warmup() {
     let mut rng = StdRng::seed_from_u64(99);
 
     // Warm-up: buffers grow to the target dimension.
-    sampler.run_with_scratch(&Coupled, &[0.0, 0.0], &[1.0, 1.0], &mut rng, &mut scratch);
+    sampler.run_with_scratch(
+        &mut Coupled,
+        &[0.0, 0.0],
+        &[1.0, 1.0],
+        &mut rng,
+        &mut scratch,
+    );
 
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     for _ in 0..5 {
-        sampler.run_with_scratch(&Coupled, &[0.0, 0.0], &[1.0, 1.0], &mut rng, &mut scratch);
+        sampler.run_with_scratch(
+            &mut Coupled,
+            &[0.0, 0.0],
+            &[1.0, 1.0],
+            &mut rng,
+            &mut scratch,
+        );
     }
     let after = ALLOCATIONS.load(Ordering::SeqCst);
     assert_eq!(

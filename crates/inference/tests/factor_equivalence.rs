@@ -4,7 +4,9 @@
 //! deterministic seed must produce bit-identical posteriors — the sparse
 //! delta path may skip factors, but never change values.
 
-use bayesperf_inference::{EpConfig, EpSite, ExpectationPropagation, FactorSite, FnSite, Gaussian};
+use bayesperf_inference::{
+    EpConfig, EpSite, ExpectationPropagation, FactorCache, FactorSite, FnSite, Gaussian,
+};
 
 fn fn_site_model() -> ExpectationPropagation {
     let prior = vec![Gaussian::new(5.0, 100.0), Gaussian::new(5.0, 100.0)];
@@ -54,8 +56,11 @@ fn same_likelihood_same_delta() {
         );
         let mut xa = x.to_vec();
         let mut xb = x.to_vec();
-        let da = fn_site.log_likelihood_delta(&mut xa, 1, b + 0.5);
-        let db = factor_site.log_likelihood_delta(&mut xb, 1, b + 0.5);
+        let (mut ca, mut cb) = (FactorCache::new(), FactorCache::new());
+        ca.start(&fn_site, &xa);
+        cb.start(&factor_site, &xb);
+        let da = ca.delta(&fn_site, &mut xa, 1, b + 0.5);
+        let db = cb.delta(&factor_site, &mut xb, 1, b + 0.5);
         assert_eq!(da.to_bits(), db.to_bits(), "delta at ({a}, {b})");
     }
 }
