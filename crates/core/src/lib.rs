@@ -48,7 +48,7 @@ pub use model::{build_chunk_model, ChunkEngine, ChunkModel, ChunkPosterior, Mode
 pub use scheduler::{Schedule, ScheduleTransformer};
 pub use service::{
     derived_reading, GroupReading, Monitor, PosteriorUpdate, ScheduleHook, Selection, ServiceState,
-    Session, SessionBuilder, SnapshotView, SupervisorPolicy, Updates,
+    Session, SessionBuilder, SnapshotView, Supervised, SupervisorPolicy, Updates,
 };
 pub use shim::{BayesPerfShim, HpcReader, LinuxReader, Reading};
 pub use snapshot::{snapshot_cell, SnapshotGuard, SnapshotReader, SnapshotWriter};

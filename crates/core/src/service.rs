@@ -29,11 +29,13 @@
 //! programming error, "no posterior yet" means poll again, a ring overflow
 //! is backpressure, and a closed monitor is terminal.
 //!
-//! The inference thread itself runs **supervised**: the spawned thread is
-//! a small supervisor that runs the service body under `catch_unwind`,
-//! restarts it after a crash with capped-backoff restart budgets (warm: a
-//! restarted corrector chains off the last published snapshot, so only the
-//! poisoned in-flight chunk is lost), and publishes a typed
+//! The inference thread itself runs **supervised**: the spawned thread
+//! runs the service body under [`SupervisorPolicy::supervise`] — the one
+//! `catch_unwind` restart loop the workspace has, which the fleet's scrape
+//! ticker runs under too — restarting it after a crash with capped-backoff
+//! restart budgets (warm: a restarted corrector chains off the last
+//! published snapshot, so only the poisoned in-flight chunk is lost), and
+//! publishes a typed
 //! [`ServiceState`] — `Running` / `Restarting` / `Failed` — through a
 //! lock-free cell. A permanently failed service (restart budget exhausted)
 //! surfaces as [`ShimError::ServiceDown`] on every read instead of a
@@ -289,7 +291,8 @@ pub enum ServiceState {
     },
 }
 
-/// Restart policy for the supervised inference service.
+/// Restart policy for a supervised loop — the inference service, and the
+/// fleet's scrape ticker.
 ///
 /// The budget counts **consecutive** failed incarnations: an incarnation
 /// that makes progress (publishes at least one chunk) resets the count,
@@ -314,6 +317,76 @@ impl Default for SupervisorPolicy {
             backoff_base: Duration::from_millis(1),
             backoff_cap: Duration::from_millis(250),
         }
+    }
+}
+
+/// A loop run under [`SupervisorPolicy::supervise`]: its body, plus the
+/// hooks the restart loop calls around a contained crash.
+pub trait Supervised {
+    /// Runs one incarnation. Returning ends supervision (an orderly
+    /// shutdown); a panic is caught and handed to the restart policy.
+    fn run(&mut self);
+    /// A monotone progress count. A crashed incarnation that advanced it
+    /// resets the consecutive-crash budget.
+    fn progress(&self) -> u64;
+    /// Records a contained crash (`cause` is the panic message) that will
+    /// be restarted after `backoff`.
+    fn on_restart(&mut self, cause: String, backoff: Duration);
+    /// Records the crash that exhausted the budget; supervision ends.
+    fn on_give_up(&mut self, cause: String);
+    /// Waits out a restart backoff. `true` means shutdown was requested
+    /// meanwhile: supervision ends without a restart. The default sleeps
+    /// and is never interrupted.
+    fn wait(&mut self, backoff: Duration) -> bool {
+        std::thread::sleep(backoff);
+        false
+    }
+}
+
+impl SupervisorPolicy {
+    /// Runs `supervised` until it returns, containing its panics: each
+    /// incarnation runs under `catch_unwind`, a crash is restarted after
+    /// a capped exponential backoff (`backoff_base · 2^(n-1)` for the
+    /// n-th consecutive crash, at most `backoff_cap`), and the
+    /// consecutive-crash count resets whenever the crashed incarnation
+    /// made progress. The crash past `max_consecutive_restarts` gives up.
+    pub fn supervise(&self, supervised: &mut impl Supervised) {
+        let mut consecutive = 0u32;
+        loop {
+            let before = supervised.progress();
+            let Err(payload) = catch_unwind(AssertUnwindSafe(|| supervised.run())) else {
+                return;
+            };
+            let cause = panic_cause(payload);
+            if supervised.progress() > before {
+                // An occasional crash, not a crash loop.
+                consecutive = 0;
+            }
+            consecutive += 1;
+            if consecutive > self.max_consecutive_restarts {
+                supervised.on_give_up(cause);
+                return;
+            }
+            let backoff = self
+                .backoff_base
+                .saturating_mul(1u32 << (consecutive - 1).min(16))
+                .min(self.backoff_cap);
+            supervised.on_restart(cause, backoff);
+            if supervised.wait(backoff) {
+                return;
+            }
+        }
+    }
+}
+
+/// Renders a `catch_unwind` payload as a human-readable crash cause.
+fn panic_cause(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 
@@ -486,15 +559,22 @@ impl Monitor {
             tele: tele.clone(),
             hook: Mutex::new(None),
         });
-        let handle = {
-            let shared = shared.clone();
-            std::thread::Builder::new()
-                .name("bayesperf-inference".into())
-                .spawn(move || supervise(shared, writer, state_writer, config, policy))
-                .map_err(|_| ShimError::SpawnFailed {
-                    what: "inference service",
-                })?
+        let mut service = ServiceLoop {
+            spans: shared.tele.spans().recorder(),
+            shared: shared.clone(),
+            writer: Some(writer),
+            state: state_writer,
+            config,
         };
+        let handle = std::thread::Builder::new()
+            .name("bayesperf-inference".into())
+            .spawn(move || {
+                let _shutdown = ShutdownGuard(service.shared.clone());
+                policy.supervise(&mut service);
+            })
+            .map_err(|_| ShimError::SpawnFailed {
+                what: "inference service",
+            })?;
         Ok(Monitor {
             shared,
             handle: Some(handle),
@@ -1701,43 +1781,9 @@ impl InferenceService {
     }
 }
 
-/// Renders a `catch_unwind` payload as a human-readable crash cause.
-fn panic_cause(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Waits out a restart backoff on the service condvar — so
-/// [`Monitor::close`] interrupts it — returning `true` when shutdown was
-/// requested during the wait.
-fn backoff_or_shutdown(shared: &Shared, backoff: Duration) -> bool {
-    let deadline = Instant::now() + backoff;
-    let mut st = shared.state.lock().unwrap_or_else(|e| e.into_inner());
-    loop {
-        if st.shutdown {
-            return true;
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            return false;
-        }
-        let (guard, _) = shared
-            .cv
-            .wait_timeout(st, deadline - now)
-            .unwrap_or_else(|e| e.into_inner());
-        st = guard;
-    }
-}
-
-/// The supervised service loop, run on the spawned `bayesperf-inference`
-/// thread. Each [`InferenceService`] incarnation runs under
-/// `catch_unwind`; a panic is contained here instead of poisoning the
-/// process:
+/// The inference thread's loop under [`SupervisorPolicy::supervise`].
+/// Each incarnation is a fresh [`InferenceService`]; a contained panic
+/// costs only that incarnation:
 ///
 /// 1. the crashed incarnation's snapshot writer (dropped mid-unwind) is
 ///    reclaimed via [`SnapshotReader::recover_writer`] — readers kept
@@ -1746,121 +1792,137 @@ fn backoff_or_shutdown(shared: &Shared, backoff: Duration) -> bool {
 ///    poisoned in-flight chunk is cold-reset) and resumes the ring, the
 ///    queued controls, and the installed schedule hook, all of which live
 ///    on [`Shared`] rather than in the incarnation;
-/// 3. restarts are budgeted per [`SupervisorPolicy`]: capped exponential
-///    backoff between attempts, budget reset when an incarnation makes
-///    progress, and a typed [`ServiceState::Failed`] once exhausted.
-///
-/// The shutdown handshake (mark closed, error queued control acks,
-/// disconnect subscribers) runs on every *supervisor* exit — clean
-/// shutdown, terminal failure, even a supervisor bug unwinding — but NOT
-/// on a contained service crash, so sessions stay live across restarts.
-fn supervise(
+/// 3. restarts publish [`ServiceState::Restarting`], and the crash that
+///    exhausts the budget publishes a typed [`ServiceState::Failed`].
+struct ServiceLoop {
     shared: Arc<Shared>,
-    writer: SnapshotWriter<PosteriorSnapshot>,
-    mut state_writer: SnapshotWriter<ServiceState>,
+    /// The first incarnation's writer; later ones recover theirs.
+    writer: Option<SnapshotWriter<PosteriorSnapshot>>,
+    state: SnapshotWriter<ServiceState>,
     config: CorrectorConfig,
-    policy: SupervisorPolicy,
-) {
-    // The handshake guard:
-    // 1. mark closed and drop any controls that raced in, under the
-    //    state lock (dropping a control's ack sender errors its caller's
-    //    recv into SessionClosed; `enqueue_control` checks `closed` under
-    //    the same lock, so none slip in after);
-    // 2. disconnect subscribers so their iterators end (`subscribe`
-    //    re-checks `closed` under that lock, so no late registration
-    //    survives the clear).
-    // In-flight controls already dequeued by a crashing service loop
-    // unwind before `catch_unwind` returns, erroring their acks too.
-    struct ShutdownGuard(Arc<Shared>);
-    impl Drop for ShutdownGuard {
-        fn drop(&mut self) {
-            {
-                let mut st = self.0.state.lock().unwrap_or_else(|e| e.into_inner());
-                self.0.closed.store(true, Relaxed);
-                st.control.clear();
-            }
-            self.0
-                .subscribers
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .clear();
-        }
-    }
-    let _shutdown = ShutdownGuard(shared.clone());
+    /// One span ring for the inference thread, shared across incarnations
+    /// (they run serially; the clone per incarnation shares the ring).
+    spans: SpanRecorder,
+}
 
-    // One span ring for the inference thread, shared across incarnations
-    // (they run serially here; the clone per incarnation shares the ring).
-    let span_recorder = shared.tele.spans().recorder();
-    let mut writer = Some(writer);
-    let mut consecutive = 0u32;
-    state_writer.publish(ServiceState::Running);
-    loop {
-        let Some(w) = writer.take() else {
-            // Unreachable: the writer is only consumed by a crashed
-            // incarnation, and recovery failure breaks out below.
-            break;
+impl Supervised for ServiceLoop {
+    fn run(&mut self) {
+        // Reclaim publication rights on the intact snapshot cell; the
+        // crashed incarnation's writer dropped mid-unwind.
+        let writer = self
+            .writer
+            .take()
+            .or_else(|| self.shared.snapshot.recover_writer());
+        let Some(writer) = writer else {
+            self.on_give_up("snapshot writer unrecoverable".into());
+            return;
         };
-        let resume = shared
+        self.state.publish(ServiceState::Running);
+        let resume = self
+            .shared
             .snapshot
             .read()
             .map(|g| (g.window, g.posteriors.clone()));
-        let progress_before = shared.chunks_run.get();
-        let svc = InferenceService::new(
-            shared.clone(),
-            w,
-            config.clone(),
+        InferenceService::new(
+            self.shared.clone(),
+            writer,
+            self.config.clone(),
             resume,
-            span_recorder.clone(),
-        );
-        match catch_unwind(AssertUnwindSafe(move || svc.run())) {
-            // Orderly shutdown (close / drop): the guard handshakes.
-            Ok(()) => break,
-            Err(payload) => {
-                let cause = panic_cause(payload);
-                // Reclaim publication rights on the intact snapshot cell;
-                // the crashed incarnation's writer dropped mid-unwind.
-                writer = shared.snapshot.recover_writer();
-                if shared.chunks_run.get() > progress_before {
-                    // The incarnation published before dying — an
-                    // occasional crash, not a crash loop.
-                    consecutive = 0;
-                }
-                consecutive += 1;
-                if consecutive > policy.max_consecutive_restarts || writer.is_none() {
-                    shared.tele.flight().record(FlightEvent::ServiceFailed {
-                        cause: cause.clone(),
-                    });
-                    state_writer.publish(ServiceState::Failed { cause });
-                    // The automatic post-mortem: seal the flight ring at
-                    // the moment of death so the dump survives whatever
-                    // happens to the ring afterwards, and surface it on
-                    // stderr for operators not polling the recorder.
-                    let dump = shared.tele.flight().seal();
-                    eprintln!("bayesperf inference service failed; flight recorder:\n{dump}");
-                    break;
-                }
-                let restarts = shared.restarts.fetch_add(1) + 1;
-                shared.tele.flight().record(FlightEvent::ServiceRestart {
-                    restarts,
-                    cause: cause.clone(),
-                });
-                state_writer.publish(ServiceState::Restarting { restarts, cause });
-                let exp = (consecutive - 1).min(16);
-                let backoff = policy
-                    .backoff_base
-                    .saturating_mul(1u32 << exp)
-                    .min(policy.backoff_cap);
-                if !backoff.is_zero() {
-                    shared.tele.flight().record(FlightEvent::BackoffPark {
-                        millis: u64::try_from(backoff.as_millis()).unwrap_or(u64::MAX),
-                    });
-                }
-                if backoff_or_shutdown(&shared, backoff) {
-                    break;
-                }
-                state_writer.publish(ServiceState::Running);
-            }
+            self.spans.clone(),
+        )
+        .run();
+    }
+
+    fn progress(&self) -> u64 {
+        // An incarnation that published before dying made progress.
+        self.shared.chunks_run.get()
+    }
+
+    fn on_restart(&mut self, cause: String, backoff: Duration) {
+        let restarts = self.shared.restarts.fetch_add(1) + 1;
+        self.shared
+            .tele
+            .flight()
+            .record(FlightEvent::ServiceRestart {
+                restarts,
+                cause: cause.clone(),
+            });
+        self.state
+            .publish(ServiceState::Restarting { restarts, cause });
+        if !backoff.is_zero() {
+            self.shared.tele.flight().record(FlightEvent::BackoffPark {
+                millis: u64::try_from(backoff.as_millis()).unwrap_or(u64::MAX),
+            });
         }
+    }
+
+    fn on_give_up(&mut self, cause: String) {
+        self.shared
+            .tele
+            .flight()
+            .record(FlightEvent::ServiceFailed {
+                cause: cause.clone(),
+            });
+        self.state.publish(ServiceState::Failed { cause });
+        // The automatic post-mortem: seal the flight ring at the moment
+        // of death so the dump survives whatever happens to the ring
+        // afterwards, and surface it on stderr for operators not polling
+        // the recorder.
+        let dump = self.shared.tele.flight().seal();
+        eprintln!("bayesperf inference service failed; flight recorder:\n{dump}");
+    }
+
+    /// Waits on the service condvar, so [`Monitor::close`] interrupts
+    /// the backoff.
+    fn wait(&mut self, backoff: Duration) -> bool {
+        let deadline = Instant::now() + backoff;
+        let mut st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
+        loop {
+            if st.shutdown {
+                return true;
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return false;
+            }
+            let (guard, _) = self
+                .shared
+                .cv
+                .wait_timeout(st, deadline - now)
+                .unwrap_or_else(|e| e.into_inner());
+            st = guard;
+        }
+    }
+}
+
+/// The shutdown handshake, run when the supervised inference thread
+/// exits for any reason — clean shutdown, terminal failure, even a
+/// supervisor bug unwinding — but NOT on a contained service crash, so
+/// sessions stay live across restarts:
+/// 1. mark closed and drop any controls that raced in, under the state
+///    lock (dropping a control's ack sender errors its caller's recv into
+///    SessionClosed; `enqueue_control` checks `closed` under the same
+///    lock, so none slip in after);
+/// 2. disconnect subscribers so their iterators end (`subscribe`
+///    re-checks `closed` under that lock, so no late registration
+///    survives the clear).
+///
+/// In-flight controls already dequeued by a crashing service loop unwind
+/// before `catch_unwind` returns, erroring their acks too.
+struct ShutdownGuard(Arc<Shared>);
+
+impl Drop for ShutdownGuard {
+    fn drop(&mut self) {
+        {
+            let mut st = self.0.state.lock().unwrap_or_else(|e| e.into_inner());
+            self.0.closed.store(true, Relaxed);
+            st.control.clear();
+        }
+        self.0
+            .subscribers
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .clear();
     }
 }
 

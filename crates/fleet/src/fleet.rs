@@ -1,5 +1,5 @@
 //! The fleet service: sharded monitors, a lock-free ingest router, a
-//! background fusion aggregator, and fleet-scoped read sessions.
+//! scrape ticker fusing their posteriors, and fleet-scoped read sessions.
 //!
 //! ```text
 //!  producers                    Fleet                        readers
@@ -13,7 +13,8 @@
 //!                    Monitor │ Monitor │   │ Monitor        │ fused cell
 //!                       │        │            │             │
 //!                       ▼        ▼            ▼             │
-//!                    aggregator thread: scrape snapshots ───┘
+//!                    ticker thread: FleetScraper::poll_round┘
+//!                    over in-process transports → health
 //!                    → precision-weighted fusion → publish
 //! ```
 //!
@@ -25,62 +26,65 @@
 //! cell, so adding or draining machines never stalls producers on other
 //! shards.
 //!
-//! The aggregator thread periodically scrapes every live shard's
-//! posterior snapshot ([`Session::snapshot_into`]), fuses them with the
-//! precision-weighted product ([`crate::fuse`]) and publishes a
-//! [`FleetSnapshot`] through a second snapshot cell — fleet-level reads
-//! are therefore exactly as wait-free as single-session reads, no matter
-//! how many shards contribute.
+//! Aggregation is the networked scrape plane's own: the fleet's ticker
+//! thread owns a [`FleetScraper`] whose endpoints are the local shard
+//! monitors, each behind an in-process transport that answers through
+//! the shard's [`ScrapeResponder`] with no socket in between. Deltas,
+//! health ageing, transition telemetry, fusion and subscriber updates
+//! therefore exist once, in [`crate::net`]; the published
+//! [`FleetSnapshot`] lands in a snapshot cell, so fleet-level reads are
+//! exactly as wait-free as single-session reads at any shard count.
 //!
-//! The aggregator thread is **supervised** the same way each shard's
-//! inference thread is: its loop runs under `catch_unwind`, a crash
-//! recovers the fused cell's writer and restarts the scrape loop (the
-//! generation counter continues from the last published snapshot), and a
-//! crash loop gives up after a bounded number of attempts. Local shard
-//! monitors are watched through the same Healthy → Degraded → Stale →
-//! Dead state machine ([`crate::health`]) a dead *remote* shard goes
-//! through: every scrape pass probes each monitor's heartbeat and
-//! [`ServiceState`], so a hung or crashed local inference thread ages
-//! out of fusion instead of pinning its last posterior in the fleet
-//! forever.
+//! Before answering, the transport probes the shard monitor's liveness:
+//! a [`ServiceState::Failed`] monitor is a dead link, and one restarting —
+//! or stalled, its heartbeat frozen while not idle and its snapshot
+//! unmoved — misses the round. A hung or crashed local inference thread
+//! therefore ages through the same Healthy → Degraded → Stale → Dead
+//! machine ([`crate::health`]) a dead *remote* shard goes through,
+//! instead of pinning its last posterior in the fleet forever.
+//!
+//! The ticker runs under the same [`SupervisorPolicy::supervise`] loop as
+//! each shard's inference thread: a panic is contained and the ticker
+//! restarts after a short backoff, keeping its scraper — endpoint health,
+//! cached contributions and the generation counter carry over — and a
+//! crash loop gives up after a bounded number of attempts.
 
 // The ISSUE-7 robustness audit: this file's non-test code must report
 // failures as typed errors, never panic on them.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::fuse::{Aggregator, FleetSnapshot, ShardStatus};
-use crate::health::{FailureKind, HealthPolicy, HealthState, ShardHealth, ShardHealthView};
-use crate::net::{state_idx, ScrapeMetrics, ScrapeTotals};
+use crate::fuse::FleetSnapshot;
+use crate::health::HealthPolicy;
+use crate::net::{
+    FleetScraper, ScrapeConfig, ScrapeMetrics, ScrapeResponder, ScrapeTotals, ShardTransport,
+};
 use crate::topology::{ShardId, ShardLabel};
 use bayesperf_core::corrector::CorrectorConfig;
 use bayesperf_core::snapshot::{snapshot_cell, SnapshotReader, SnapshotWriter};
 use bayesperf_core::{
-    derived_reading, Monitor, Reading, Selection, ServiceState, Session, ShimError, SnapshotView,
+    derived_reading, Monitor, Reading, Selection, ServiceState, Session, ShimError, Supervised,
+    SupervisorPolicy,
 };
 use bayesperf_events::{Catalog, EventId};
 use bayesperf_inference::Gaussian;
-use bayesperf_obs::{
-    merge_metrics, Counter, FlightEvent, MetricSnapshot, SpanRecorder, Stage, Telemetry,
-};
+use bayesperf_obs::{merge_metrics, Counter, FlightEvent, MetricSnapshot, Telemetry};
 use bayesperf_simcpu::Sample;
-use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::mpsc::{
     channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError,
     TrySendError,
 };
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use std::time::Duration;
 
-/// Consecutive no-progress aggregator crashes tolerated before the
-/// scrape plane gives up (subsequent [`Fleet::refresh`] calls return
-/// [`ShimError::SessionClosed`]).
-const AGG_MAX_CONSECUTIVE_RESTARTS: u32 = 8;
-
-/// Backoff between aggregator restarts (flat — the aggregator holds no
-/// per-chunk state worth an exponential schedule).
-const AGG_RESTART_BACKOFF: Duration = Duration::from_millis(2);
+/// Restart policy of the fleet's ticker thread: a flat 2 ms backoff (the
+/// ticker keeps its scraper across restarts, so there is no per-crash
+/// state worth an exponential schedule).
+const TICKER_POLICY: SupervisorPolicy = SupervisorPolicy {
+    max_consecutive_restarts: 8,
+    backoff_base: Duration::from_millis(2),
+    backoff_cap: Duration::from_millis(2),
+};
 
 /// Fleet construction parameters.
 #[derive(Debug, Clone)]
@@ -89,12 +93,12 @@ pub struct FleetConfig {
     pub corrector: CorrectorConfig,
     /// Per-shard kernel↔shim ring capacity.
     pub ring_capacity: usize,
-    /// How often the aggregator re-scrapes shard snapshots when idle
+    /// How often the ticker re-scrapes shard snapshots when idle
     /// (scrapes also happen on every [`Fleet::sync`]/[`Fleet::flush`]).
     pub scrape_interval: Duration,
     /// Staleness thresholds for the local liveness watchdog: a hung or
     /// crashed shard monitor ages through this policy's Healthy →
-    /// Degraded → Stale → Dead machine, one round per aggregation pass.
+    /// Degraded → Stale → Dead machine, one round per scrape round.
     pub health: HealthPolicy,
 }
 
@@ -111,19 +115,105 @@ impl FleetConfig {
     }
 }
 
-/// One live shard: a monitor plus the always-all-events session the
-/// aggregator scrapes through.
+/// In-process scrape settings: each round polls every local shard once,
+/// inline on the ticker thread — no retries and no backoff cooldown, so
+/// every round ages a shard by exactly one health round.
+fn local_scrape_config(health: HealthPolicy) -> ScrapeConfig {
+    ScrapeConfig {
+        retries: 0,
+        backoff_cap_rounds: 0,
+        concurrency: 1,
+        health,
+        ..ScrapeConfig::default()
+    }
+}
+
+/// One live shard: a monitor plus the always-all-events session its
+/// scrape endpoint answers from.
 struct ShardMember {
     id: ShardId,
     label: ShardLabel,
     monitor: Monitor,
-    session: Session,
+    responder: ScrapeResponder<Session>,
 }
 
-/// The membership view the router and aggregator read: shards in
-/// insertion order. Published through a snapshot cell so lookups are
-/// lock-free and churn never blocks producers.
+impl ShardMember {
+    fn session(&self) -> &Session {
+        self.responder.source()
+    }
+}
+
+/// The membership view the router reads: shards in insertion order.
+/// Published through a snapshot cell so lookups are lock-free and churn
+/// never blocks producers.
 type Membership = Vec<Arc<ShardMember>>;
+
+/// The in-process transport behind a local shard's scrape endpoint: a
+/// liveness probe of the shard's monitor, then the member's
+/// [`ScrapeResponder`] answering the request directly. It holds the
+/// member weakly, so removing a shard still drops its monitor on the
+/// caller's thread.
+struct LocalTransport {
+    member: Weak<ShardMember>,
+    /// Heartbeat and snapshot stamp the previous probe saw.
+    last_beats: u64,
+    last_stamp: Option<(u32, u64)>,
+}
+
+impl LocalTransport {
+    fn new(member: &Arc<ShardMember>) -> LocalTransport {
+        LocalTransport {
+            member: Arc::downgrade(member),
+            last_beats: 0,
+            last_stamp: None,
+        }
+    }
+
+    /// The scrape's liveness gate: a failed monitor is a dead link; one
+    /// mid-restart — or stalled, not idle yet neither its heartbeat nor
+    /// its snapshot advanced since the previous probe — misses the round.
+    fn probe(&mut self, member: &ShardMember) -> Result<(), ShimError> {
+        let (beats, idle) = member.monitor.heartbeat();
+        let stamp = member.session().snapshot_stamp().ok();
+        // A heartbeat, or a snapshot stamp, that moved since the previous
+        // probe is liveness proof; the stamp is definitive (the service
+        // *published*). The heartbeat alone is racy here — a long tail
+        // correction holds `idle` false with `beats` frozen, and a
+        // refresh forced right after its flush ack can probe the thread
+        // in the gap before it parks, misreading a healthy monitor as
+        // stalled (and a missed round would keep its fresh snapshot out
+        // of the very round that was forced to fuse it).
+        let progressed = beats != self.last_beats || (stamp.is_some() && stamp != self.last_stamp);
+        self.last_beats = beats;
+        if stamp.is_some() {
+            self.last_stamp = stamp;
+        }
+        match member.monitor.service_state() {
+            // A permanently down service cannot refresh its snapshot
+            // again; classify it like a dead link.
+            ServiceState::Failed { .. } => Err(ShimError::LinkDown {
+                what: "shard monitor failed",
+            }),
+            ServiceState::Running if idle || progressed => Ok(()),
+            // Stalled, mid-restart (this round's snapshot is a cached
+            // copy), or a future state of the non-exhaustive enum:
+            // conservatively a missed round.
+            _ => Err(ShimError::ScrapeTimeout),
+        }
+    }
+}
+
+impl ShardTransport for LocalTransport {
+    fn exchange(&mut self, request: &[u8], _deadline: Duration) -> Result<Vec<u8>, ShimError> {
+        let member = self.member.upgrade().ok_or(ShimError::LinkDown {
+            what: "shard removed",
+        })?;
+        self.probe(&member)?;
+        let mut response = Vec::new();
+        member.responder.respond_frame(request, &mut response)?;
+        Ok(response)
+    }
+}
 
 /// Per-generation update streamed to [`FleetSession::subscribe`]rs.
 #[derive(Debug, Clone)]
@@ -159,37 +249,109 @@ pub struct FleetGroupReading {
 /// subscriber bound: lossy beyond this backlog, gap reported).
 const FLEET_QUEUE_CAP: usize = 1024;
 
-struct FleetSubscriber {
+/// One subscriber's bounded queue and the events it selected.
+pub(crate) struct FleetSubscriber {
     tx: SyncSender<FleetUpdate>,
-    selection: Arc<Selection>,
+    events: Vec<EventId>,
     last_enqueued: Option<u64>,
 }
 
-/// State shared between the [`Fleet`], its sessions/routers and the
-/// aggregator thread.
+/// The subscriber queues a scraper feeds with every generation it
+/// publishes: `None` once that scraper is gone, so a late subscription
+/// ends at once instead of waiting on a sender nobody holds.
+pub(crate) struct Subscribers(Mutex<Option<Vec<FleetSubscriber>>>);
+
+impl Subscribers {
+    pub(crate) fn new() -> Subscribers {
+        Subscribers(Mutex::new(Some(Vec::new())))
+    }
+
+    fn register(&self, sub: FleetSubscriber) {
+        if let Some(subs) = self.0.lock().unwrap_or_else(|e| e.into_inner()).as_mut() {
+            subs.push(sub);
+        }
+    }
+
+    /// Enqueues `snap` for every subscriber. A full queue loses the
+    /// update (the next delivered one reports the skip in its `gap`); a
+    /// disconnected subscriber is dropped.
+    pub(crate) fn notify(&self, snap: &FleetSnapshot) {
+        let mut guard = self.0.lock().unwrap_or_else(|e| e.into_inner());
+        let Some(subs) = guard.as_mut().filter(|subs| !subs.is_empty()) else {
+            return;
+        };
+        let max_window = snap.max_window();
+        subs.retain_mut(|sub| {
+            let posteriors = sub
+                .events
+                .iter()
+                .filter_map(|&e| snap.fused.get(e.index()).map(|&g| (e, g)))
+                .collect();
+            let gap = sub
+                .last_enqueued
+                .map_or(0, |last| snap.generation.saturating_sub(last + 1));
+            match sub.tx.try_send(FleetUpdate {
+                generation: snap.generation,
+                gap,
+                max_window,
+                shards: snap.shards.len(),
+                posteriors,
+            }) {
+                Ok(()) => {
+                    sub.last_enqueued = Some(snap.generation);
+                    true
+                }
+                Err(TrySendError::Full(_)) => true,
+                Err(TrySendError::Disconnected(_)) => false,
+            }
+        });
+    }
+
+    /// Ends every stream (drops the senders) and refuses later
+    /// registrations.
+    pub(crate) fn close(&self) {
+        *self.0.lock().unwrap_or_else(|e| e.into_inner()) = None;
+    }
+}
+
+/// State shared between a scraper's published fleet view and its
+/// sessions — and, for an in-process [`Fleet`], its routers.
 struct FleetShared {
     catalog: Arc<Catalog>,
+    /// The in-process shards; never published for scraper-backed
+    /// sessions.
     members: SnapshotReader<Membership>,
     fused: SnapshotReader<FleetSnapshot>,
-    subscribers: Mutex<Vec<FleetSubscriber>>,
+    subscribers: Arc<Subscribers>,
     closed: AtomicBool,
-    /// The fleet's telemetry plane (registry + spans + flight recorder).
-    /// Scraper-backed sessions share the scraper's bundle instead.
+    /// The scraper's telemetry plane (registry + spans + flight recorder).
     tele: Telemetry,
-    /// Crash restarts of the aggregator thread, as the registry counter
-    /// `fleet.agg_restarts` (monotonic).
-    agg_restarts: Counter,
-    /// Live scrape-plane counter handles when this shared state backs a
-    /// networked [`FleetScraper`](crate::FleetScraper) session; `None`
-    /// for in-process fleets (no scrape plane — totals read as zero).
-    scrape_metrics: Option<ScrapeMetrics>,
-    /// Last wire-scraped fleet-wide metric dump (scraper-backed
-    /// sessions); empty for in-process fleets, which merge the live
-    /// per-shard registries instead.
+    /// The scraper's live scrape-plane counter handles.
+    scrape_metrics: ScrapeMetrics,
+    /// Last wire-scraped shard metric dump (scraper-backed sessions);
+    /// stays empty for in-process fleets, which merge the live per-shard
+    /// registries instead.
     scraped: Arc<Mutex<Vec<MetricSnapshot>>>,
 }
 
 impl FleetShared {
+    fn new(
+        catalog: Arc<Catalog>,
+        members: SnapshotReader<Membership>,
+        scraper: &FleetScraper,
+    ) -> FleetShared {
+        FleetShared {
+            catalog,
+            members,
+            fused: scraper.reader(),
+            subscribers: Arc::clone(&scraper.subscribers),
+            closed: AtomicBool::new(false),
+            tele: scraper.telemetry().clone(),
+            scrape_metrics: scraper.metrics.clone(),
+            scraped: Arc::clone(&scraper.scraped),
+        }
+    }
+
     /// Resolves a shard id through the membership cell (lock-free).
     fn member(&self, shard: ShardId) -> Result<Arc<ShardMember>, ShimError> {
         if self.closed.load(Relaxed) {
@@ -204,29 +366,98 @@ impl FleetShared {
     }
 }
 
-/// Control messages to the aggregator thread.
-enum AggControl {
-    /// Scrape + fuse + publish now, then ack (the deterministic barrier
-    /// behind [`Fleet::sync`]/[`Fleet::flush`]).
+/// Messages to the ticker thread. Every one but `Panic` and `Shutdown`
+/// is followed by a scrape round.
+enum Control {
+    /// Ack once the round has run (the deterministic barrier behind
+    /// [`Fleet::sync`]/[`Fleet::flush`]/[`Fleet::refresh`]).
     Refresh(Sender<()>),
-    /// Membership churned: wake immediately and drop any idle backoff
-    /// (the next scrape must observe the new membership promptly even if
-    /// the fleet was quiescent).
-    Poke,
-    /// Fault-injection test hook: the aggregator panics when it dequeues
+    /// A shard joined: register its endpoint, so it appears in the next
+    /// fused snapshot promptly even if the fleet was idle.
+    Add(ShardId, ShardLabel, LocalTransport),
+    /// A shard left: drop its endpoint, so its contribution leaves the
+    /// fused snapshot without waiting out an idle backoff.
+    Remove(ShardId),
+    /// Fault-injection test hook: the ticker panics when it dequeues
     /// this, exercising the supervisor's crash-containment path.
     Panic,
-    /// Exit the aggregator loop.
+    /// Exit the ticker loop.
     Shutdown,
+}
+
+/// The fleet's ticker thread, run under [`TICKER_POLICY`]: owns the
+/// scraper, and polls a round after every control message and otherwise
+/// on the idle timer.
+struct Ticker {
+    scraper: FleetScraper,
+    control: Receiver<Control>,
+    interval: Duration,
+    /// Contained crashes (`fleet.agg_restarts`).
+    restarts: Counter,
+}
+
+impl Supervised for Ticker {
+    fn run(&mut self) {
+        // Consecutive rounds that published nothing. The wait grows
+        // exponentially with the streak — an idle fleet parks instead of
+        // polling at full rate — and a publishing round resets it.
+        let mut idle_streak = 0u32;
+        loop {
+            let wait = idle_backoff_interval(self.interval, idle_streak);
+            let ack = match self.control.recv_timeout(wait) {
+                Ok(Control::Refresh(ack)) => Some(ack),
+                Ok(Control::Add(shard, label, transport)) => {
+                    self.scraper.add_endpoint(shard, label, Box::new(transport));
+                    None
+                }
+                Ok(Control::Remove(shard)) => {
+                    let _ = self.scraper.remove_endpoint(shard);
+                    None
+                }
+                Ok(Control::Panic) => panic!("injected aggregator panic (test hook)"),
+                Ok(Control::Shutdown) | Err(RecvTimeoutError::Disconnected) => return,
+                Err(RecvTimeoutError::Timeout) => None,
+            };
+            if self.scraper.poll_round().published {
+                idle_streak = 0;
+            } else {
+                idle_streak = idle_streak.saturating_add(1);
+            }
+            if let Some(ack) = ack {
+                let _ = ack.send(());
+            }
+        }
+    }
+
+    fn progress(&self) -> u64 {
+        self.scraper.totals().published
+    }
+
+    fn on_restart(&mut self, cause: String, _backoff: Duration) {
+        let restarts = self.restarts.fetch_add(1) + 1;
+        self.scraper
+            .telemetry()
+            .flight()
+            .record(FlightEvent::AggRestart { restarts, cause });
+    }
+
+    fn on_give_up(&mut self, cause: String) {
+        // The control receiver drops with the thread: queued refresh acks
+        // error their callers and later sends fail with SessionClosed.
+        self.scraper
+            .telemetry()
+            .flight()
+            .record(FlightEvent::ServiceFailed { cause });
+    }
 }
 
 /// A fleet of sharded BayesPerf monitors with fused fleet-level reads.
 ///
 /// One [`Monitor`] per shard (simulated machine/socket), a lock-free
-/// sample router, and a background aggregator fusing per-shard posteriors
-/// into a fleet posterior — see the module docs for the data flow.
-/// Dropping (or [`Fleet::close`]-ing) the fleet drains every shard and
-/// stops the aggregator.
+/// sample router, and a ticker thread scraping and fusing per-shard
+/// posteriors into a fleet posterior — see the module docs for the data
+/// flow. Dropping (or [`Fleet::close`]-ing) the fleet drains every shard
+/// and stops the ticker.
 pub struct Fleet {
     shared: Arc<FleetShared>,
     members_writer: SnapshotWriter<Membership>,
@@ -234,8 +465,11 @@ pub struct Fleet {
     live: Vec<Arc<ShardMember>>,
     next_id: u32,
     config: FleetConfig,
-    control: Sender<AggControl>,
+    control: Sender<Control>,
     handle: Option<std::thread::JoinHandle<()>>,
+    /// Crash restarts of the ticker thread, as the registry counter
+    /// `fleet.agg_restarts` (monotonic).
+    agg_restarts: Counter,
 }
 
 impl std::fmt::Debug for Fleet {
@@ -249,41 +483,32 @@ impl std::fmt::Debug for Fleet {
 
 impl Fleet {
     /// Creates an empty fleet over `catalog` and starts the (supervised)
-    /// aggregator thread. Add machines with [`Fleet::add_shard`].
+    /// ticker thread. Add machines with [`Fleet::add_shard`].
     ///
     /// Returns [`ShimError::SpawnFailed`] if the OS refuses the thread.
     pub fn new(catalog: &Catalog, config: FleetConfig) -> Result<Fleet, ShimError> {
-        let catalog = Arc::new(catalog.clone());
-        let (mut members_writer, members_reader) = snapshot_cell::<Membership>();
+        let scraper = FleetScraper::new(catalog.len(), local_scrape_config(config.health));
+        let (mut members_writer, members) = snapshot_cell::<Membership>();
         members_writer.publish(Vec::new());
-        let (fused_writer, fused_reader) = snapshot_cell::<FleetSnapshot>();
+        let shared = Arc::new(FleetShared::new(
+            Arc::new(catalog.clone()),
+            members,
+            &scraper,
+        ));
+        let agg_restarts = shared.tele.registry().counter("fleet.agg_restarts");
         let (control, control_rx) = channel();
-        let tele = Telemetry::new();
-        let agg_restarts = tele.registry().counter("fleet.agg_restarts");
-        let shared = Arc::new(FleetShared {
-            catalog: catalog.clone(),
-            members: members_reader,
-            fused: fused_reader,
-            subscribers: Mutex::new(Vec::new()),
-            closed: AtomicBool::new(false),
-            tele,
-            agg_restarts,
-            scrape_metrics: None,
-            scraped: Arc::new(Mutex::new(Vec::new())),
-        });
-        let handle = {
-            let shared = shared.clone();
-            let interval = config.scrape_interval;
-            let health = config.health;
-            std::thread::Builder::new()
-                .name("bayesperf-fleet-agg".into())
-                .spawn(move || {
-                    supervise_aggregator(shared, fused_writer, interval, health, control_rx)
-                })
-                .map_err(|_| ShimError::SpawnFailed {
-                    what: "fleet aggregator",
-                })?
+        let mut ticker = Ticker {
+            scraper,
+            control: control_rx,
+            interval: config.scrape_interval,
+            restarts: agg_restarts.clone(),
         };
+        let handle = std::thread::Builder::new()
+            .name("bayesperf-fleet-agg".into())
+            .spawn(move || TICKER_POLICY.supervise(&mut ticker))
+            .map_err(|_| ShimError::SpawnFailed {
+                what: "fleet aggregator",
+            })?;
         Ok(Fleet {
             shared,
             members_writer,
@@ -292,6 +517,7 @@ impl Fleet {
             config,
             control,
             handle: Some(handle),
+            agg_restarts,
         })
     }
 
@@ -301,8 +527,9 @@ impl Fleet {
     }
 
     /// Adds a shard: spawns a dedicated [`Monitor`] (ring + supervised
-    /// inference thread) for the labelled machine/socket and publishes
-    /// the new membership. Ids are never reused across churn.
+    /// inference thread) for the labelled machine/socket, publishes the
+    /// new membership, and registers the shard's scrape endpoint. Ids are
+    /// never reused across churn.
     ///
     /// Returns [`ShimError::SpawnFailed`] if the OS refuses the shard's
     /// inference thread (the fleet itself stays usable).
@@ -315,22 +542,23 @@ impl Fleet {
             self.config.ring_capacity,
         )?;
         let session = monitor.session().open()?;
-        self.live.push(Arc::new(ShardMember {
+        let member = Arc::new(ShardMember {
             id,
-            label,
+            label: label.clone(),
             monitor,
-            session,
-        }));
+            responder: ScrapeResponder::new(id, label.clone(), session),
+        });
+        let transport = LocalTransport::new(&member);
+        self.live.push(member);
         self.members_writer.publish(self.live.clone());
-        // Wake the aggregator out of any idle backoff: the new shard
-        // must appear in the next fused snapshot promptly.
-        let _ = self.control.send(AggControl::Poke);
+        let _ = self.control.send(Control::Add(id, label, transport));
         Ok(id)
     }
 
     /// Removes a shard: unpublishes it from the membership (in-flight
-    /// routed pushes finish against the old view) and closes its monitor.
-    /// Its contribution disappears from the next fused snapshot.
+    /// routed pushes finish against the old view), closes its monitor and
+    /// drops its scrape endpoint. Its contribution disappears from the
+    /// next fused snapshot.
     pub fn remove_shard(&mut self, shard: ShardId) -> Result<(), ShimError> {
         let i = self
             .live
@@ -345,9 +573,7 @@ impl Fleet {
         // next churn event.
         self.members_writer.publish(self.live.clone());
         self.members_writer.publish(self.live.clone());
-        // Wake the aggregator: the removed shard's contribution must
-        // leave the fused snapshot without waiting out an idle backoff.
-        let _ = self.control.send(AggControl::Poke);
+        let _ = self.control.send(Control::Remove(shard));
         Ok(())
     }
 
@@ -373,7 +599,7 @@ impl Fleet {
 
     /// A direct read session on one shard (per-machine drill-down).
     pub fn shard_session(&self, shard: ShardId) -> Result<Session, ShimError> {
-        Ok(self.shared.member(shard)?.session.clone())
+        Ok(self.shared.member(shard)?.session().clone())
     }
 
     /// Runs `f` against one shard's local [`Monitor`] — supervision
@@ -407,11 +633,13 @@ impl Fleet {
         self.refresh()
     }
 
-    /// Forces an aggregation pass now and blocks until it is published.
+    /// Forces a scrape round now and blocks until it has run — one
+    /// health round for every shard, and a new fused generation if
+    /// anything changed.
     pub fn refresh(&self) -> Result<(), ShimError> {
         let (tx, rx) = channel();
         self.control
-            .send(AggControl::Refresh(tx))
+            .send(Control::Refresh(tx))
             .map_err(|_| ShimError::SessionClosed)?;
         rx.recv().map_err(|_| ShimError::SessionClosed)
     }
@@ -431,34 +659,36 @@ impl Fleet {
         read_snapshot(&self.shared)
     }
 
-    /// Crash restarts the aggregator supervisor has performed (served
-    /// from the registry counter `fleet.agg_restarts`).
+    /// Crash restarts the ticker's supervisor has performed (served from
+    /// the registry counter `fleet.agg_restarts`).
     pub fn agg_restarts(&self) -> u64 {
-        self.shared.agg_restarts.get()
+        self.agg_restarts.get()
     }
 
-    /// The fleet's telemetry plane: the `fleet.*` / `health.*` metric
-    /// namespace, the aggregator's fuse span ring, and the flight
-    /// recorder logging aggregator restarts and local-shard health
-    /// transitions. Per-shard service telemetry lives on each shard's
-    /// [`Monitor`] (reach it via [`Fleet::with_shard_monitor`]).
+    /// The fleet's telemetry plane — its scraper's: the `scrape.*` /
+    /// `health.*` / `fleet.agg_restarts` metric namespace, the scrape and
+    /// fuse span rings, and the flight recorder logging ticker restarts
+    /// and local-shard health transitions. Per-shard service telemetry
+    /// lives on each shard's [`Monitor`] (reach it via
+    /// [`Fleet::with_shard_monitor`]).
     pub fn telemetry(&self) -> &Telemetry {
         &self.shared.tele
     }
 
-    /// Fault-injection test hook: makes the aggregator thread panic on
-    /// its next control dequeue, exercising the supervisor's
+    /// Fault-injection test hook: makes the ticker thread panic on its
+    /// next control dequeue, exercising the supervisor's
     /// crash-containment path. Observe recovery via
     /// [`Fleet::agg_restarts`].
     pub fn inject_agg_panic(&self) -> Result<(), ShimError> {
         self.control
-            .send(AggControl::Panic)
+            .send(Control::Panic)
             .map_err(|_| ShimError::SessionClosed)
     }
 
-    /// Drains every shard, stops their monitors and the aggregator.
+    /// Drains every shard, stops their monitors and the ticker.
     /// Subsequent fleet reads and pushes return
-    /// [`ShimError::SessionClosed`]. Idempotent; also runs on drop.
+    /// [`ShimError::SessionClosed`], and subscriber streams end.
+    /// Idempotent; also runs on drop.
     pub fn close(&mut self) {
         let Some(handle) = self.handle.take() else {
             return;
@@ -467,17 +697,10 @@ impl Fleet {
         self.live.clear();
         self.members_writer.publish(Vec::new());
         self.members_writer.publish(Vec::new());
-        let _ = self.control.send(AggControl::Shutdown);
+        let _ = self.control.send(Control::Shutdown);
+        // The exiting ticker drops its scraper, ending subscriber streams.
         let _ = handle.join();
         self.shared.closed.store(true, Relaxed);
-        // Dropping the senders ends subscriber iterators; `subscribe`
-        // re-checks `closed` under this lock, so no late registration
-        // survives the clear.
-        self.shared
-            .subscribers
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
     }
 }
 
@@ -578,33 +801,18 @@ impl FleetSessionBuilder<'_> {
     }
 }
 
-/// Builds a [`FleetSession`] over a networked scraper's published fused
-/// snapshots (see
-/// [`FleetScraper::session`](crate::FleetScraper::session)): no local
-/// members, the scraper's telemetry bundle and live scrape counters, and
-/// the scraper's cached fleet-wide metric dump.
-pub(crate) fn scraper_session(
-    catalog: &Catalog,
-    fused: SnapshotReader<FleetSnapshot>,
-    tele: Telemetry,
-    scrape_metrics: ScrapeMetrics,
-    scraped: Arc<Mutex<Vec<MetricSnapshot>>>,
-) -> FleetSession {
-    let (mut members_writer, members_reader) = snapshot_cell::<Membership>();
-    members_writer.publish(Vec::new());
-    let agg_restarts = tele.registry().counter("fleet.agg_restarts");
+/// Builds a [`FleetSession`] over a scraper's published fused snapshots
+/// (see [`FleetScraper::session`]): no local members; the scraper's
+/// telemetry bundle, live scrape counters, cached fleet-wide metric dump
+/// and subscriber queues.
+pub(crate) fn scraper_session(catalog: &Catalog, scraper: &FleetScraper) -> FleetSession {
+    let (_, members) = snapshot_cell::<Membership>();
     FleetSession {
-        shared: Arc::new(FleetShared {
-            catalog: Arc::new(catalog.clone()),
-            members: members_reader,
-            fused,
-            subscribers: Mutex::new(Vec::new()),
-            closed: AtomicBool::new(false),
-            tele,
-            agg_restarts,
-            scrape_metrics: Some(scrape_metrics),
-            scraped,
-        }),
+        shared: Arc::new(FleetShared::new(
+            Arc::new(catalog.clone()),
+            members,
+            scraper,
+        )),
         selection: Arc::new(Selection::new(None)),
     }
 }
@@ -716,18 +924,12 @@ impl FleetSession {
 
     /// Cumulative scrape-plane totals — the running sums of every
     /// [`RoundReport`](crate::RoundReport) the backing
-    /// [`FleetScraper`](crate::FleetScraper) has produced, read live
-    /// from its counter handles so byte/failure history survives whoever
-    /// pumped `poll_round`. In-process fleets have no scrape plane:
-    /// every field reads zero.
+    /// [`FleetScraper`] has produced, read live from its counter handles
+    /// so byte/failure history survives whoever pumped `poll_round`. An
+    /// in-process fleet's totals count the rounds its ticker polled.
     pub fn scrape_totals(&self) -> Result<ScrapeTotals, ShimError> {
         self.ensure_open()?;
-        Ok(self
-            .shared
-            .scrape_metrics
-            .as_ref()
-            .map(ScrapeMetrics::totals)
-            .unwrap_or_default())
+        Ok(self.shared.scrape_metrics.totals())
     }
 
     /// The fleet-wide metric dump: the fleet's own registry merged with
@@ -741,7 +943,7 @@ impl FleetSession {
         let mut out = self.shared.tele.registry().snapshot();
         if let Some(members) = self.shared.members.read() {
             for m in members.iter() {
-                merge_metrics(&mut out, &m.session.telemetry().registry().snapshot());
+                merge_metrics(&mut out, &m.monitor.telemetry().registry().snapshot());
             }
         }
         let scraped = self
@@ -763,20 +965,11 @@ impl FleetSession {
     /// [`FleetSession::subscribe`] with an explicit queue bound.
     pub fn subscribe_with_capacity(&self, capacity: usize) -> FleetUpdates {
         let (tx, rx) = sync_channel(capacity.max(1));
-        {
-            let mut subs = self
-                .shared
-                .subscribers
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            if !self.shared.closed.load(Relaxed) {
-                subs.push(FleetSubscriber {
-                    tx,
-                    selection: self.selection.clone(),
-                    last_enqueued: None,
-                });
-            }
-        }
+        self.shared.subscribers.register(FleetSubscriber {
+            tx,
+            events: self.selection.iter(&self.shared.catalog).collect(),
+            last_enqueued: None,
+        });
         FleetUpdates { rx }
     }
 }
@@ -789,8 +982,8 @@ pub struct FleetUpdates {
 
 impl FleetUpdates {
     /// Non-blocking poll: `Ok(Some(update))`, `Ok(None)` when open but
-    /// empty, `Err(SessionClosed)` once the fleet closed and the queue
-    /// drained.
+    /// empty, `Err(SessionClosed)` once the fleet closed (or the backing
+    /// scraper was dropped) and the queue drained.
     pub fn try_next(&mut self) -> Result<Option<FleetUpdate>, ShimError> {
         match self.rx.try_recv() {
             Ok(u) => Ok(Some(u)),
@@ -808,388 +1001,19 @@ impl Iterator for FleetUpdates {
     }
 }
 
-/// Widest idle multiplier: an idle fleet's aggregator decays to polling
-/// at `interval × 2⁶ = 64×` — slow enough to stop burning a core on
-/// stamp pre-checks, bounded so a fleet that resumes without churn is
-/// still noticed promptly. Churn wakes it immediately via
-/// [`AggControl::Poke`].
+/// Widest idle multiplier: an idle fleet's ticker decays to polling at
+/// `interval × 2⁶ = 64×` — slow enough to stop burning a core on
+/// `Unchanged` rounds, bounded so a fleet that resumes without churn is
+/// still noticed promptly. Churn wakes it immediately
+/// ([`Control::Add`] / [`Control::Remove`]).
 const IDLE_BACKOFF_MAX_SHIFT: u32 = 6;
 
-/// The aggregator's wait before its next unsolicited scrape, after
-/// `idle_streak` consecutive passes in which no shard stamp moved:
+/// The ticker's wait before its next unsolicited round, after
+/// `idle_streak` consecutive rounds that published nothing:
 /// `interval × 2^min(streak, 6)`. Pure, so the schedule is testable
 /// without a thread.
 fn idle_backoff_interval(interval: Duration, idle_streak: u32) -> Duration {
     interval.saturating_mul(1 << idle_streak.min(IDLE_BACKOFF_MAX_SHIFT))
-}
-
-/// Per-shard liveness tracking the aggregator keeps for *local*
-/// monitors: the health counters plus the last heartbeat and snapshot
-/// stamp observed, so a frozen heartbeat on a non-idle service reads as
-/// a stall — unless its snapshot stamp moved, which is definitive proof
-/// the service published since the previous round.
-struct LocalProbe {
-    health: ShardHealth,
-    last_beats: u64,
-    last_stamp: Option<(u32, u64)>,
-    /// Last derived health state, for transition telemetry.
-    state: HealthState,
-}
-
-impl Default for LocalProbe {
-    fn default() -> LocalProbe {
-        LocalProbe {
-            health: ShardHealth::default(),
-            last_beats: 0,
-            last_stamp: None,
-            state: HealthState::Healthy,
-        }
-    }
-}
-
-/// The background aggregator: scrapes shard snapshots, fuses, publishes.
-struct AggregatorService {
-    shared: Arc<FleetShared>,
-    writer: SnapshotWriter<FleetSnapshot>,
-    interval: Duration,
-    /// Staleness thresholds for the local liveness watchdog.
-    policy: HealthPolicy,
-    /// Liveness state per shard, aged one round per aggregation pass —
-    /// the same machine a dead remote shard goes through in `net`.
-    probes: HashMap<ShardId, LocalProbe>,
-    agg: Aggregator,
-    scratch: SnapshotView,
-    /// `(shard, chunk, window)` triples of the last fused pass — the
-    /// change detector that keeps idle scrapes from republishing.
-    last_key: Vec<(ShardId, u64, u32)>,
-    key: Vec<(ShardId, u64, u32)>,
-    generation: u64,
-    /// Fuse-stage span ring for this incarnation.
-    spans: SpanRecorder,
-    /// `health.transitions{state=...}` counters, indexed by [`state_idx`].
-    transitions: [Counter; 4],
-}
-
-impl AggregatorService {
-    fn new(
-        shared: Arc<FleetShared>,
-        writer: SnapshotWriter<FleetSnapshot>,
-        interval: Duration,
-        policy: HealthPolicy,
-        generation: u64,
-    ) -> AggregatorService {
-        let n_events = shared.catalog.len();
-        let spans = shared.tele.spans().recorder();
-        let transitions = [
-            HealthState::Healthy,
-            HealthState::Degraded,
-            HealthState::Stale,
-            HealthState::Dead,
-        ]
-        .map(|s| {
-            shared.tele.registry().counter(&bayesperf_obs::labeled(
-                "health.transitions",
-                "state",
-                s.name(),
-            ))
-        });
-        AggregatorService {
-            shared,
-            writer,
-            interval,
-            policy,
-            probes: HashMap::new(),
-            agg: Aggregator::new(n_events),
-            scratch: SnapshotView::default(),
-            last_key: Vec::new(),
-            key: Vec::new(),
-            generation,
-            spans,
-            transitions,
-        }
-    }
-
-    fn run(mut self, control: &Receiver<AggControl>) {
-        // Consecutive idle passes (no shard stamp moved). The wait grows
-        // exponentially with the streak — an idle fleet parks instead of
-        // busy-spinning stamp pre-checks at full scrape rate — and any
-        // control message (refresh, membership poke) resets it.
-        let mut idle_streak = 0u32;
-        loop {
-            let wait = idle_backoff_interval(self.interval, idle_streak);
-            match control.recv_timeout(wait) {
-                Ok(AggControl::Refresh(ack)) => {
-                    self.scrape();
-                    idle_streak = 0;
-                    let _ = ack.send(());
-                }
-                Ok(AggControl::Poke) => {
-                    self.scrape();
-                    idle_streak = 0;
-                }
-                Ok(AggControl::Panic) => {
-                    panic!("injected aggregator panic (test hook)");
-                }
-                Ok(AggControl::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.scrape() {
-                        idle_streak = 0;
-                    } else {
-                        idle_streak = idle_streak.saturating_add(1);
-                    }
-                }
-            }
-        }
-    }
-
-    /// One aggregation pass: scrape every live shard's snapshot, fuse,
-    /// and publish — but only when some shard actually progressed (or
-    /// membership changed), so idle fleets don't spin generations.
-    /// Returns whether anything moved (`false` = idle pass, eligible for
-    /// backoff).
-    fn scrape(&mut self) -> bool {
-        let members: Membership = match self.shared.members.read() {
-            // Copy the Arcs out and drop the guard before touching any
-            // shard: scraping must never pin the membership slot.
-            Some(guard) => guard.clone(),
-            None => return false,
-        };
-        // Liveness watchdog: before any snapshot reads, probe each local
-        // monitor's supervisor state and heartbeat, and age its health
-        // one round. A hung service (heartbeat frozen while not idle),
-        // one mid-restart, or one terminally failed goes through the
-        // identical Healthy → Degraded → Stale → Dead machine a dead
-        // remote shard does in the networked scrape plane.
-        let mut any_unhealthy = false;
-        self.probes
-            .retain(|id, _| members.iter().any(|m| m.id == *id));
-        for m in &members {
-            let probe = self.probes.entry(m.id).or_default();
-            let (beats, idle) = m.monitor.heartbeat();
-            let stamp = m.session.snapshot_stamp().ok();
-            // A snapshot stamp that moved since the previous round is
-            // definitive liveness proof: the service *published*. The
-            // heartbeat alone is racy here — a long tail correction
-            // holds `idle` false with `beats` frozen, and a refresh
-            // forced right after its flush ack can probe the thread in
-            // the gap before it parks, misreading a healthy monitor as
-            // stalled (and a Dead verdict would exclude its fresh
-            // snapshot from the very pass that was forced to fuse it).
-            let advanced = stamp.is_some() && stamp != probe.last_stamp;
-            let fate = match m.monitor.service_state() {
-                // A permanently down service cannot refresh its snapshot
-                // again; classify it like a dead link.
-                ServiceState::Failed { .. } => Some(FailureKind::Link),
-                // Mid-restart: this round's snapshot is a cached copy.
-                ServiceState::Restarting { .. } => Some(FailureKind::Timeout),
-                ServiceState::Running => {
-                    if idle || beats != probe.last_beats || advanced {
-                        None
-                    } else {
-                        // Not idle, yet neither the heartbeat nor the
-                        // snapshot advanced since the previous pass: a
-                        // stalled service.
-                        Some(FailureKind::Timeout)
-                    }
-                }
-                // `ServiceState` is non-exhaustive; treat future states
-                // conservatively as a missed round.
-                _ => Some(FailureKind::Timeout),
-            };
-            probe.last_beats = beats;
-            if stamp.is_some() {
-                probe.last_stamp = stamp;
-            }
-            match fate {
-                None => probe.health.on_success(),
-                Some(kind) => probe.health.on_failure(kind),
-            }
-            if probe.health.age > 0 {
-                any_unhealthy = true;
-            }
-            let state = ShardHealthView::observe(m.id, &probe.health, &self.policy).state;
-            if state != probe.state {
-                self.transitions[state_idx(state)].incr();
-                self.shared
-                    .tele
-                    .flight()
-                    .record(FlightEvent::HealthTransition {
-                        shard: m.id.raw(),
-                        from: probe.state.name(),
-                        to: state.name(),
-                    });
-                probe.state = state;
-            }
-        }
-        // Cheap pre-pass: `(shard, chunk, window)` stamps only, no
-        // posterior copies or label clones. The idle steady state (no
-        // shard progressed between scrapes, everybody healthy) exits
-        // here; any unhealthy shard forces full passes, because its
-        // inflation grows — and its fused weight shrinks — every round
-        // even while the stamps stand still.
-        self.key.clear();
-        for m in &members {
-            if let Ok((window, chunk)) = m.session.snapshot_stamp() {
-                self.key.push((m.id, chunk, window));
-            }
-        }
-        self.key.sort_unstable();
-        if self.key == self.last_key && !any_unhealthy {
-            return false;
-        }
-        // Something moved: pay for the full scrape. A shard may have
-        // advanced again since its stamp was read — absorbing the newer
-        // snapshot is fine, the next pre-pass simply fires once more.
-        let fuse_start = self.spans.now_ns();
-        self.agg.begin();
-        self.key.clear();
-        for m in &members {
-            let view = match self.probes.get(&m.id) {
-                Some(p) => ShardHealthView::observe(m.id, &p.health, &self.policy),
-                None => ShardHealthView::healthy(m.id),
-            };
-            // A shard that has not published yet (or is mid-shutdown)
-            // simply doesn't contribute this pass — but its health row
-            // still appears in the published snapshot.
-            if m.session.snapshot_into(&mut self.scratch).is_ok() {
-                let status = ShardStatus {
-                    shard: m.id,
-                    label: m.label.clone(),
-                    window: self.scratch.window,
-                    chunk: self.scratch.chunk,
-                    late_by_source: self.scratch.late_by_source.clone(),
-                };
-                let contributed = view.state.contributes();
-                if self
-                    .agg
-                    .absorb_shard(status, view, &self.scratch.posteriors)
-                    .is_ok()
-                    && contributed
-                {
-                    self.key
-                        .push((m.id, self.scratch.chunk, self.scratch.window));
-                }
-            } else {
-                self.agg.note_health(view);
-            }
-        }
-        self.key.sort_unstable();
-        if self.agg.absorbed() == 0 {
-            // Membership changed but nobody has posteriors: the previous
-            // fused snapshot stays published (stale-but-consistent, like
-            // the per-monitor cell after its last chunk).
-            std::mem::swap(&mut self.last_key, &mut self.key);
-            return true;
-        }
-        self.generation += 1;
-        let snap = match self.agg.fuse(self.generation) {
-            Ok(snap) => snap,
-            Err(_) => return true,
-        };
-        let max_window = snap.max_window();
-        self.notify_subscribers(&snap);
-        self.writer.publish(snap);
-        self.spans.record_since(Stage::Fuse, max_window, fuse_start);
-        std::mem::swap(&mut self.last_key, &mut self.key);
-        true
-    }
-
-    fn notify_subscribers(&self, snap: &FleetSnapshot) {
-        let mut subs = self
-            .shared
-            .subscribers
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let max_window = snap.max_window();
-        subs.retain_mut(|sub| {
-            let posteriors: Vec<(EventId, Gaussian)> = sub
-                .selection
-                .iter(&self.shared.catalog)
-                .map(|e| (e, snap.fused[e.index()]))
-                .collect();
-            let gap = sub
-                .last_enqueued
-                .map_or(0, |last| snap.generation.saturating_sub(last + 1));
-            match sub.tx.try_send(FleetUpdate {
-                generation: snap.generation,
-                gap,
-                max_window,
-                shards: snap.shards.len(),
-                posteriors,
-            }) {
-                Ok(()) => {
-                    sub.last_enqueued = Some(snap.generation);
-                    true
-                }
-                Err(TrySendError::Full(_)) => true,
-                Err(TrySendError::Disconnected(_)) => false,
-            }
-        });
-    }
-}
-
-/// The supervised aggregator loop, run on the spawned
-/// `bayesperf-fleet-agg` thread: each [`AggregatorService`] incarnation
-/// runs under `catch_unwind`. A panic is contained — the fused cell's
-/// writer is reclaimed (readers kept serving the last fused snapshot
-/// throughout), the generation counter continues from that snapshot, and
-/// the scrape loop restarts after a short flat backoff. A crash loop
-/// (consecutive restarts without a newly published generation) gives up
-/// after [`AGG_MAX_CONSECUTIVE_RESTARTS`]; queued [`Fleet::refresh`]
-/// acks are dropped on supervisor exit, erroring their callers.
-fn supervise_aggregator(
-    shared: Arc<FleetShared>,
-    writer: SnapshotWriter<FleetSnapshot>,
-    interval: Duration,
-    policy: HealthPolicy,
-    control: Receiver<AggControl>,
-) {
-    let mut writer = Some(writer);
-    let mut consecutive = 0u32;
-    loop {
-        let Some(w) = writer.take() else {
-            break;
-        };
-        let gen_before = shared.fused.read().map(|g| g.generation).unwrap_or(0);
-        let svc = AggregatorService::new(shared.clone(), w, interval, policy, gen_before);
-        match catch_unwind(AssertUnwindSafe(|| svc.run(&control))) {
-            // Orderly shutdown (close / control channel dropped).
-            Ok(()) => break,
-            Err(payload) => {
-                let restarts = shared.agg_restarts.fetch_add(1) + 1;
-                shared.tele.flight().record(FlightEvent::AggRestart {
-                    restarts,
-                    cause: panic_cause(payload),
-                });
-                // Reclaim publication rights on the intact fused cell;
-                // the crashed incarnation's writer dropped mid-unwind.
-                writer = shared.fused.recover_writer();
-                let progressed =
-                    shared.fused.read().map(|g| g.generation).unwrap_or(0) > gen_before;
-                if progressed {
-                    consecutive = 0;
-                }
-                consecutive += 1;
-                if consecutive > AGG_MAX_CONSECUTIVE_RESTARTS {
-                    break;
-                }
-                std::thread::sleep(AGG_RESTART_BACKOFF);
-            }
-        }
-    }
-    // Receiver drops here: queued Refresh acks error their callers and
-    // subsequent control sends fail with SessionClosed.
-}
-
-/// Best-effort panic-payload rendering for flight-recorder causes.
-fn panic_cause(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 #[cfg(test)]

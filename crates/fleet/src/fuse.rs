@@ -190,9 +190,8 @@ impl Aggregator {
     }
 
     /// Adds one shard's posteriors to the current pass as a current
-    /// (Healthy) contribution — the in-process scrape path, where the
-    /// aggregator reads the shard's snapshot cell directly and staleness
-    /// cannot arise.
+    /// (Healthy) contribution — for callers fusing freshly read
+    /// snapshots directly, where staleness cannot arise.
     ///
     /// Fails with [`ShimError::CatalogMismatch`] when the posterior
     /// vector is not catalog-sized (a scrape from a foreign catalog).

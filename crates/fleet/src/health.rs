@@ -221,8 +221,9 @@ pub struct ShardHealthView {
 }
 
 impl ShardHealthView {
-    /// The view of a shard that is current as of this round — the
-    /// in-process fleet path, where every scrape trivially succeeds.
+    /// The view of a shard that is current as of this round (age 0, no
+    /// inflation) — what a caller fusing freshly read snapshots itself,
+    /// without a scraper's health machine, absorbs them under.
     pub fn healthy(shard: ShardId) -> ShardHealthView {
         ShardHealthView {
             shard,

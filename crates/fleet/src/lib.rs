@@ -25,9 +25,10 @@
 //!
 //! * [`Fleet`] — owns N topology-labelled shards (one [`Monitor`] each:
 //!   own ring, own inference thread), routes samples to shards through a
-//!   lock-free membership snapshot cell, and runs a background
-//!   aggregator that scrapes shard snapshots, fuses them and publishes a
-//!   [`FleetSnapshot`] through a second snapshot cell. Fleet reads are
+//!   lock-free membership snapshot cell, and runs a ticker thread that
+//!   drives a [`FleetScraper`] over in-process transports to its shards —
+//!   the one aggregation path, shared with networked fleets — publishing
+//!   a [`FleetSnapshot`] through a second snapshot cell. Fleet reads are
 //!   as wait-free as single-session reads at any shard count.
 //! * [`FleetSession`] — the fleet-scoped mirror of
 //!   [`Session`](bayesperf_core::Session):
@@ -36,7 +37,8 @@
 //!   [`read_derived`](FleetSession::read_derived) /
 //!   [`subscribe`](FleetSession::subscribe), plus per-shard drill-down
 //!   ([`shard_readings`](FleetSession::shard_readings)) and
-//!   percentile/straggler views on [`FleetSnapshot`].
+//!   percentile/straggler views on [`FleetSnapshot`]. The same session
+//!   type reads an in-process [`Fleet`] or a networked [`FleetScraper`].
 //! * [`wire`] — the versioned varint binary codec carrying shard
 //!   snapshots and fleet summaries across byte boundaries (multi-process
 //!   scrape topologies), with typed, panic-free decoding.

@@ -1,10 +1,11 @@
-//! The networked scrape plane: per-shard scrape servers, an
-//! aggregator-side concurrent scrape client, and a deterministic
-//! fault-injection transport.
+//! The scrape plane: per-shard scrape servers, an aggregator-side
+//! concurrent scrape client, and a deterministic fault-injection
+//! transport.
 //!
-//! PR 4's fleet kept shards and aggregator in one process; this module
-//! ships [`wire`] frames across real byte boundaries and — the part that
-//! matters — survives them. The pieces:
+//! This module ships [`wire`] frames across real byte boundaries and —
+//! the part that matters — survives them. It is also the only fleet
+//! aggregation path: the in-process [`Fleet`](crate::Fleet) runs a
+//! [`FleetScraper`] over an in-process transport. The pieces:
 //!
 //! * [`ScrapeResponder`] — shard-side request handler: answers a
 //!   [`ScrapeRequest`](wire::ScrapeRequest) with either a tiny
@@ -33,6 +34,7 @@
 //! old ([`HealthState::Dead`]) that keeping it
 //! would let an arbitrarily stale opinion steer the fleet posterior.
 
+use crate::fleet::Subscribers;
 use crate::fuse::{Aggregator, FleetSnapshot, ShardStatus};
 use crate::health::{FailureKind, HealthPolicy, HealthState, ShardHealth, ShardHealthView};
 use crate::topology::{ShardId, ShardLabel};
@@ -127,6 +129,11 @@ impl<S: SnapshotSource> ScrapeResponder<S> {
     /// Which shard this responder serves as.
     pub fn shard(&self) -> ShardId {
         self.shard
+    }
+
+    /// The snapshot source this responder serves.
+    pub(crate) fn source(&self) -> &S {
+        &self.source
     }
 
     /// Answers `req` into `out` (cleared first). The client's stamp being
@@ -628,8 +635,11 @@ struct Endpoint {
     /// polled by exactly one worker per round (chunks are disjoint), so
     /// a per-endpoint recorder is race-free.
     spans: SpanRecorder,
-    /// Last *derived* health state, for transition telemetry.
-    state: HealthState,
+    /// Health view and cache stamp as of the previous round: transition
+    /// telemetry, and the change detector that keeps rounds in which
+    /// nothing moved from republishing.
+    view: ShardHealthView,
+    seen: Option<(u32, u64)>,
 }
 
 /// What one [`FleetScraper::poll_round`] did — the observability and
@@ -638,9 +648,12 @@ struct Endpoint {
 pub struct RoundReport {
     /// 1-based round index.
     pub round: u64,
-    /// Whether a new fused snapshot was published this round.
+    /// Whether a new fused snapshot was published this round: some
+    /// endpoint's cached snapshot, its health view, or the endpoint set
+    /// changed, and at least one endpoint contributes.
     pub published: bool,
-    /// Endpoints whose cached posterior entered fusion.
+    /// Endpoints with a non-Dead cached posterior — the contributions
+    /// fusion uses when the round publishes.
     pub contributors: usize,
     /// Endpoints currently Dead (excluded from fusion).
     pub dead: usize,
@@ -722,7 +735,7 @@ pub(crate) struct ScrapeMetrics {
     transitions: [Counter; 4],
 }
 
-pub(crate) fn state_idx(state: HealthState) -> usize {
+fn state_idx(state: HealthState) -> usize {
     match state {
         HealthState::Healthy => 0,
         HealthState::Degraded => 1,
@@ -773,12 +786,14 @@ impl ScrapeMetrics {
 /// The aggregator-side scrape client: owns N shard endpoints, polls them
 /// concurrently once per [`poll_round`](FleetScraper::poll_round), runs
 /// the health state machine, and publishes health-aware fused
-/// [`FleetSnapshot`]s through a lock-free cell.
+/// [`FleetSnapshot`]s through a lock-free cell and to the update streams
+/// of its sessions' subscribers.
 ///
 /// The scraper is *caller-pumped*: each `poll_round` is one synchronous
 /// pass, so tests and benches drive it at virtual speed while a
-/// production loop calls it on a timer. Backoff is therefore measured in
-/// rounds, not wall time.
+/// production loop calls it on a timer (the in-process
+/// [`Fleet`](crate::Fleet) runs one on its ticker thread). Backoff is
+/// therefore measured in rounds, not wall time.
 pub struct FleetScraper {
     config: ScrapeConfig,
     /// Catalog size: the posterior count every cached contribution has.
@@ -789,13 +804,18 @@ pub struct FleetScraper {
     reader: SnapshotReader<FleetSnapshot>,
     generation: u64,
     round: u64,
+    /// Whether anything a reader would see changed since the last
+    /// published generation.
+    changed: bool,
     tele: Telemetry,
-    metrics: ScrapeMetrics,
+    pub(crate) metrics: ScrapeMetrics,
     /// Last merged shard metric dump from [`poll_telemetry`], shared with
     /// scraper-backed [`FleetSession`](crate::FleetSession)s.
     ///
     /// [`poll_telemetry`]: FleetScraper::poll_telemetry
-    scraped: Arc<Mutex<Vec<MetricSnapshot>>>,
+    pub(crate) scraped: Arc<Mutex<Vec<MetricSnapshot>>>,
+    /// Update queues of this scraper's sessions' subscribers.
+    pub(crate) subscribers: Arc<Subscribers>,
     /// Fuse-stage span ring (poll_round is caller-pumped, so this is
     /// single-threaded by construction).
     fuse_spans: SpanRecorder,
@@ -817,9 +837,11 @@ impl FleetScraper {
             reader,
             generation: 0,
             round: 0,
+            changed: false,
             tele,
             metrics,
             scraped: Arc::new(Mutex::new(Vec::new())),
+            subscribers: Arc::new(Subscribers::new()),
             fuse_spans,
         }
     }
@@ -863,26 +885,18 @@ impl FleetScraper {
     }
 
     /// Opens a fleet-scoped read session over this scraper's published
-    /// fused snapshots: the same [`FleetSession`] read surface an
-    /// in-process [`Fleet`] serves (`read` / `read_group` /
-    /// `read_derived` / `snapshot`), backed by the networked scrape
-    /// plane. The session also reads the scraper's live
-    /// [`ScrapeTotals`] and the fleet-wide metric dump cached by
-    /// [`poll_telemetry`](FleetScraper::poll_telemetry). Update
-    /// subscriptions are not available through a scraper-backed session
-    /// (poll [`FleetSession::snapshot`] instead).
+    /// fused snapshots: the same [`FleetSession`] surface an in-process
+    /// [`Fleet`] serves (`read` / `read_group` / `read_derived` /
+    /// `snapshot` / `subscribe`), backed by the networked scrape plane.
+    /// Subscribers receive one update per published generation; their
+    /// streams end when the scraper is dropped. The session also reads
+    /// the scraper's live [`ScrapeTotals`] and the fleet-wide metric dump
+    /// cached by [`poll_telemetry`](FleetScraper::poll_telemetry).
     ///
     /// [`Fleet`]: crate::Fleet
     /// [`FleetSession`]: crate::FleetSession
-    /// [`FleetSession::snapshot`]: crate::FleetSession::snapshot
     pub fn session(&self, catalog: &bayesperf_events::Catalog) -> crate::FleetSession {
-        crate::fleet::scraper_session(
-            catalog,
-            self.reader.clone(),
-            self.tele.clone(),
-            self.metrics.clone(),
-            Arc::clone(&self.scraped),
-        )
+        crate::fleet::scraper_session(catalog, self)
     }
 
     /// Registers a shard endpoint. The scraper knows the topology — a
@@ -907,8 +921,10 @@ impl FleetScraper {
             fails: 0,
             rng,
             spans: self.tele.spans().recorder(),
-            state: HealthState::Healthy,
+            view: ShardHealthView::healthy(shard),
+            seen: None,
         });
+        self.changed = true;
     }
 
     /// Removes a shard endpoint (its cached contribution leaves fusion
@@ -917,6 +933,7 @@ impl FleetScraper {
         match self.endpoints.iter().position(|e| e.shard == shard) {
             Some(i) => {
                 self.endpoints.remove(i);
+                self.changed = true;
                 Ok(())
             }
             None => Err(ShimError::UnknownShard { shard: shard.raw() }),
@@ -936,11 +953,14 @@ impl FleetScraper {
 
     /// Runs one scrape round: poll every endpoint not in cooldown
     /// (concurrently, `config.concurrency` threads), update per-shard
-    /// health, fuse the non-Dead cached contributions with staleness
-    /// inflation, and publish the fused snapshot if at least one shard
-    /// contributed. When nothing contributes (all Dead, or nothing
-    /// scraped yet) the previous published snapshot stays in place —
-    /// readers never see the fleet posterior disappear.
+    /// health, and — when some endpoint's cached snapshot, its health
+    /// view, or the endpoint set changed since the last published
+    /// generation — fuse the non-Dead cached contributions with staleness
+    /// inflation and publish the result. A round in which nothing moved
+    /// publishes nothing, so idle fleets do not spin generations. When
+    /// nothing contributes (all Dead, or nothing scraped yet) the previous
+    /// published snapshot stays in place — readers never see the fleet
+    /// posterior disappear.
     pub fn poll_round(&mut self) -> RoundReport {
         self.round += 1;
         let tally = self.poll_endpoints();
@@ -955,55 +975,31 @@ impl FleetScraper {
         self.metrics
             .round_bytes
             .record(tally.bytes_sent + tally.bytes_received);
-        // Sequential fusion pass over the per-endpoint state.
-        let fuse_start = self.fuse_spans.now_ns();
-        self.agg.begin();
         let mut dead = 0;
-        let mut top_window = 0u32;
+        let mut contributors = 0;
         for ep in &mut self.endpoints {
             let view = ShardHealthView::observe(ep.shard, &ep.health, &self.config.health);
-            if view.state != ep.state {
+            if view.state != ep.view.state {
                 self.metrics.transitions[state_idx(view.state)].incr();
                 self.tele.flight().record(FlightEvent::HealthTransition {
                     shard: ep.shard.raw(),
-                    from: ep.state.name(),
+                    from: ep.view.state.name(),
                     to: view.state.name(),
                 });
-                ep.state = view.state;
             }
             if !view.state.contributes() {
                 dead += 1;
+            } else if ep.cache.is_some() {
+                contributors += 1;
             }
-            match &ep.cache {
-                Some((status, posteriors)) if view.state.contributes() => {
-                    top_window = top_window.max(status.window);
-                    // `poll_endpoint` rejects snapshots whose posterior
-                    // count differs from the catalog, so a cached entry is
-                    // always catalog-sized.
-                    self.agg
-                        .absorb_shard(status.clone(), view, posteriors)
-                        .expect("cached contribution is catalog-sized");
-                }
-                _ => self.agg.note_health(view),
-            }
+            self.changed |= view != ep.view || ep.last != ep.seen;
+            ep.view = view;
+            ep.seen = ep.last;
         }
-        let contributors = self.agg.absorbed();
-        let published = if contributors > 0 {
-            self.generation += 1;
-            let snap = self
-                .agg
-                .fuse(self.generation)
-                .expect("at least one contributor absorbed");
-            self.writer.publish(snap);
-            self.metrics.published.incr();
-            // The fuse span is tagged with the freshest window that
-            // entered fusion, closing that window's end-to-end trace.
-            self.fuse_spans
-                .record_since(Stage::Fuse, top_window, fuse_start);
-            true
-        } else {
-            false
-        };
+        let published = contributors > 0 && self.changed;
+        if published {
+            self.publish();
+        }
         RoundReport {
             round: self.round,
             published,
@@ -1019,31 +1015,69 @@ impl FleetScraper {
         }
     }
 
+    /// Fuses every non-Dead cached contribution under this round's health
+    /// views, publishes the result as the next generation, and hands it to
+    /// subscribers.
+    fn publish(&mut self) {
+        let fuse_start = self.fuse_spans.now_ns();
+        self.agg.begin();
+        let mut top_window = 0u32;
+        for ep in &self.endpoints {
+            match &ep.cache {
+                Some((status, posteriors)) if ep.view.state.contributes() => {
+                    top_window = top_window.max(status.window);
+                    // `poll_endpoint` rejects snapshots whose posterior
+                    // count differs from the catalog, so a cached entry is
+                    // always catalog-sized.
+                    self.agg
+                        .absorb_shard(status.clone(), ep.view.clone(), posteriors)
+                        .expect("cached contribution is catalog-sized");
+                }
+                _ => self.agg.note_health(ep.view.clone()),
+            }
+        }
+        self.generation += 1;
+        let snap = self
+            .agg
+            .fuse(self.generation)
+            .expect("at least one contributor absorbed");
+        self.subscribers.notify(&snap);
+        self.writer.publish(snap);
+        self.metrics.published.incr();
+        self.changed = false;
+        // The fuse span is tagged with the freshest window that entered
+        // fusion, closing that window's end-to-end trace.
+        self.fuse_spans
+            .record_since(Stage::Fuse, top_window, fuse_start);
+    }
+
     /// The concurrent polling phase: endpoints are split into contiguous
     /// chunks, one scoped thread per chunk; all state touched is
-    /// per-endpoint, so threads never contend.
+    /// per-endpoint, so threads never contend. A single chunk is polled
+    /// inline on the calling thread.
     fn poll_endpoints(&mut self) -> Tally {
-        let config = self.config.clone();
-        let n_events = self.n_events;
-        let n = self.endpoints.len();
-        if n == 0 {
-            return Tally::default();
+        let (config, n_events) = (&self.config, self.n_events);
+        let poll = |eps: &mut [Endpoint]| {
+            let mut tally = Tally::default();
+            for ep in eps {
+                poll_endpoint(ep, config, n_events, &mut tally);
+            }
+            tally
+        };
+        let chunk = self
+            .endpoints
+            .len()
+            .div_ceil(config.concurrency.max(1))
+            .max(1);
+        if chunk >= self.endpoints.len() {
+            return poll(&mut self.endpoints);
         }
-        let chunk = n.div_ceil(config.concurrency.max(1)).max(1);
+        let poll = &poll;
         let tallies: Vec<Tally> = thread::scope(|scope| {
             let handles: Vec<_> = self
                 .endpoints
                 .chunks_mut(chunk)
-                .map(|eps| {
-                    let config = &config;
-                    scope.spawn(move || {
-                        let mut tally = Tally::default();
-                        for ep in eps {
-                            poll_endpoint(ep, config, n_events, &mut tally);
-                        }
-                        tally
-                    })
-                })
+                .map(|eps| scope.spawn(move || poll(eps)))
                 .collect();
             handles
                 .into_iter()
@@ -1061,6 +1095,13 @@ impl FleetScraper {
             total.failures += t.failures;
         }
         total
+    }
+}
+
+impl Drop for FleetScraper {
+    fn drop(&mut self) {
+        // No generation can follow: end every subscriber stream.
+        self.subscribers.close();
     }
 }
 
@@ -1281,13 +1322,18 @@ mod tests {
             .iter()
             .all(|h| h.state == crate::HealthState::Healthy));
         assert!(snap.fused.iter().all(|g| g.var.is_finite() && g.var > 0.0));
+        let first_generation = snap.generation;
         drop(snap);
         // Steady state: every endpoint acks Unchanged, stays Healthy,
-        // and the round's bytes collapse to acks.
+        // and the round's bytes collapse to acks. Nothing a reader could
+        // see changed, so the published generation holds.
         let second = scraper.poll_round();
         assert_eq!(second.unchanged, 4);
         assert_eq!(second.full_snapshots, 0);
-        assert!(second.published);
+        assert_eq!(
+            reader.read().expect("still published").generation,
+            first_generation
+        );
         assert!(second.bytes_received < first.bytes_received / 2);
     }
 

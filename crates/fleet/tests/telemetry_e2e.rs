@@ -1,6 +1,6 @@
 //! The telemetry plane end to end: a window's life reconstructed from
 //! span rings alone, registry dumps flowing over the v3 wire, and the
-//! scraper-backed session surface for fleet-wide metrics.
+//! scraper-backed session surface for fleet-wide metrics and updates.
 //!
 //! The headline acceptance test follows one window index across all six
 //! pipeline stages — ingest → assemble → EP sweep → publish on the
@@ -269,8 +269,9 @@ fn scraper_backed_session_serves_totals_and_fleet_metrics() {
 }
 
 /// The in-process fleet's session exposes the same surface: member
-/// registries merge live (no wire, no cache), and the aggregator-restart
-/// counter backs the long-standing accessor.
+/// registries merge live (no wire, no cache), the ticker-restart counter
+/// backs the long-standing accessor, and the scrape totals count the
+/// rounds the fleet's own scraper ran.
 #[test]
 fn in_process_fleet_session_merges_member_registries() {
     let cat = Catalog::new(Arch::X86SkyLake);
@@ -304,7 +305,70 @@ fn in_process_fleet_session_merges_member_registries() {
     // The fleet's own registry rides along.
     assert_eq!(counter_value(&metrics, "fleet.agg_restarts"), Some(0));
     assert_eq!(fleet.agg_restarts(), 0);
-    // No scrape plane on an in-process fleet: totals are all zero.
+    // The in-process fleet runs on the scrape plane: the flush's refresh
+    // polled a round and published the fused snapshot.
     let totals = session.scrape_totals().expect("open");
-    assert_eq!(totals, bayesperf_fleet::ScrapeTotals::default());
+    assert!(totals.rounds >= 1, "in-process rounds are counted");
+    assert!(totals.published >= 1 && totals.published <= totals.rounds);
+}
+
+/// A scraper-backed session's subscribers get exactly one update per
+/// published generation — none for rounds in which nothing changed — and
+/// their streams end once the scraper is gone.
+#[test]
+fn scraper_backed_subscribers_get_one_update_per_generation() {
+    let cat = Catalog::new(Arch::X86SkyLake);
+    let mut scraper = FleetScraper::new(cat.len(), ScrapeConfig::default());
+    let mut sources = Vec::new();
+    for shard in 0..2u32 {
+        let source = MeteredSource::new(cat.len(), "sim.polls", 0);
+        sources.push(Arc::clone(&source));
+        let label = ShardLabel::new(format!("m{shard}"), 0);
+        let responder = Arc::new(ScrapeResponder::new(
+            ShardId::from_raw(shard),
+            label.clone(),
+            source,
+        ));
+        scraper.add_endpoint(
+            ShardId::from_raw(shard),
+            label,
+            Box::new(SimTransport::new(
+                responder,
+                LinkState::new(LinkProfile::clean(u64::from(shard))),
+            )),
+        );
+    }
+    let session = scraper.session(&cat);
+    let mut updates = session.subscribe();
+    let reader = scraper.reader();
+    let mut delivered = 0;
+    for round in 0..6u64 {
+        if round % 2 == 1 {
+            sources[0].version.fetch_add(1, Ordering::Relaxed);
+        }
+        let report = scraper.poll_round();
+        if !report.published {
+            assert!(updates.try_next().expect("open").is_none(), "round {round}");
+            continue;
+        }
+        let snap = reader.read().expect("published");
+        let update = updates.try_next().expect("open").expect("one update");
+        assert_eq!(update.generation, snap.generation);
+        assert_eq!(update.gap, 0);
+        assert_eq!(update.shards, 2);
+        assert_eq!(update.max_window, snap.max_window());
+        // The session selects the whole catalog.
+        assert_eq!(update.posteriors.len(), cat.len());
+        for (i, (e, g)) in update.posteriors.iter().enumerate() {
+            assert_eq!(e.index(), i);
+            assert_eq!(*g, snap.fused[i]);
+        }
+        assert!(updates.try_next().expect("open").is_none(), "exactly one");
+        delivered += 1;
+    }
+    // The first round plus the three bumped ones; the rest acked
+    // Unchanged everywhere and published nothing.
+    assert_eq!(delivered, 4);
+    drop(scraper);
+    assert!(matches!(updates.try_next(), Err(ShimError::SessionClosed)));
 }

@@ -2,9 +2,10 @@
 //! *stalled* shard monitor (thread alive, heartbeat frozen) must walk the
 //! same Healthy → Stale → Dead health machine a dead remote shard does,
 //! its fused weight must shrink while it decays, and it must come
-//! straight back to Healthy once it resumes. The aggregator's own crash
-//! supervisor must contain injected panics without losing generations or
-//! tearing snapshots.
+//! straight back to Healthy once it resumes. A shard monitor that fails
+//! for good must age out the same way, as a dead link. The aggregator's
+//! own crash supervisor must contain injected panics without losing
+//! generations or tearing snapshots.
 //!
 //! The stall is real, not simulated: a [`ScheduleHook`] that parks the
 //! shard's inference thread inside a publish, exactly where a wedged
@@ -212,6 +213,83 @@ fn stalled_shard_decays_healthy_stale_dead_and_recovers() {
         .readings
         .iter()
         .all(|(_, r)| r.value.is_finite() && r.std_dev > 0.0));
+}
+
+#[test]
+fn failed_shard_monitor_ages_out_as_a_dead_link() {
+    let cat = Catalog::new(Arch::X86SkyLake);
+    let run = recorded_run(&cat, 12);
+    let cfg = CorrectorConfig::for_run(&run);
+    // One failed round → Stale, three → Dead.
+    let policy = HealthPolicy {
+        stale_after: 1,
+        dead_after: 3,
+        ..HealthPolicy::default()
+    };
+    let mut fleet = Fleet::new(&cat, pumped_config(cfg, policy)).expect("spawn fleet");
+    let victim = fleet
+        .add_shard(ShardLabel::new("m0", 0))
+        .expect("spawn shard");
+    let witness = fleet
+        .add_shard(ShardLabel::new("m1", 0))
+        .expect("spawn shard");
+    feed(&fleet, victim, &run, 0..12);
+    feed(&fleet, witness, &run, 0..12);
+    fleet.flush().expect("alive");
+    assert_eq!(health_of(&fleet, victim).0, HealthState::Healthy);
+
+    // Nine crashes without progress exhaust the victim's default budget
+    // of eight restarts (about 0.26 s of backoff in all). Each panic is
+    // queued only once the previous crash was restarted, so no two are
+    // dequeued by the same incarnation.
+    fleet
+        .with_shard_monitor(victim, |m| {
+            for crash in 1..=9u64 {
+                m.inject_panic().expect("service not yet failed");
+                if crash <= 8 {
+                    wait_until("victim restart", || m.restarts() >= crash);
+                }
+            }
+            wait_until("victim failed for good", || {
+                matches!(
+                    m.service_state(),
+                    bayesperf_core::service::ServiceState::Failed { .. }
+                )
+            });
+        })
+        .expect("member");
+
+    // Pump rounds with refresh: flush would error on the failed member.
+    let mut states = vec![health_of(&fleet, victim).0];
+    for _ in 0..3 {
+        fleet.refresh().expect("alive");
+        let (state, _, _) = health_of(&fleet, victim);
+        if states.last() != Some(&state) {
+            states.push(state);
+        }
+    }
+    assert_eq!(
+        states,
+        [HealthState::Healthy, HealthState::Stale, HealthState::Dead]
+    );
+    let snap = fleet.snapshot().expect("published");
+    let row = snap.shard_health(victim).expect("health row kept");
+    assert!(row.link_errors > 0, "a failed monitor reads as a dead link");
+    assert!(
+        snap.shards.iter().all(|s| s.shard != victim),
+        "dead shards are excluded from fusion"
+    );
+    assert_eq!(health_of(&fleet, witness).0, HealthState::Healthy);
+    let group = fleet
+        .session()
+        .open()
+        .expect("open")
+        .read_group()
+        .expect("fused reads");
+    assert!(group
+        .readings
+        .iter()
+        .all(|(_, r)| r.value.is_finite() && r.std_dev.is_finite() && r.std_dev > 0.0));
 }
 
 #[test]
