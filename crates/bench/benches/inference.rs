@@ -5,7 +5,7 @@
 //! * the EP engine-farm scaling study — sequential vs multi-threaded
 //!   sweeps on a 64-site model (`ep_farm_speedup_*`);
 //! * the warm-vs-cold corrector study — incremental warm-started chained
-//!   correction vs the cold rebuild-per-chunk baseline on the fig6-style
+//!   correction vs the cold per-chunk re-solve baseline on the fig6-style
 //!   workload (`corrector_warm_speedup`). With `BENCH_GATE=1` the warm
 //!   arm rides the same paired interval gate as `bench_json`'s
 //!   `cold_over_warm` entry: the one-sided 99.5% interval on the mean
@@ -14,14 +14,12 @@
 
 use bayesperf_bench::gate::GateConfig;
 use bayesperf_core::corrector::{Corrector, CorrectorConfig};
-use bayesperf_core::model::{build_chunk_model, ModelConfig};
+use bayesperf_core::model::{ChunkEngine, ModelConfig};
 use bayesperf_events::{Arch, Catalog};
 use bayesperf_inference::{EpConfig, ExpectationPropagation, FnSite, Gaussian};
 use bayesperf_simcpu::{pack_round_robin, MultiplexRun, Pmu, PmuConfig, Sample};
 use bayesperf_workloads::kmeans;
 use criterion::{criterion_group, criterion_main, Criterion};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::time::{Duration, Instant};
 
 fn chunk_fixture(cat: &Catalog) -> Vec<Vec<Sample>> {
@@ -71,9 +69,9 @@ fn bench_ep_chunk(c: &mut Criterion) {
     };
     c.bench_function("ep_chunk_inference", |b| {
         b.iter(|| {
-            let model = build_chunk_model(&cat, &windows, &cfg, None, cfg.fast_ep());
-            let mut rng = StdRng::seed_from_u64(1);
-            std::hint::black_box(model.run(&mut rng));
+            let mut engine = ChunkEngine::with_slices(&cat, &cfg, cfg.fast_ep(), windows.len());
+            engine.load_cold(&windows);
+            std::hint::black_box(engine.run_farm(1, 1));
         })
     });
 }
@@ -88,15 +86,6 @@ fn bench_corrector_run(c: &mut Criterion) {
     c.bench_function("corrector_8_windows", |b| {
         b.iter(|| {
             let mut corrector = Corrector::new(&cat, CorrectorConfig::for_run(&run));
-            std::hint::black_box(corrector.correct_run(&run));
-        })
-    });
-    c.bench_function("corrector_8_windows_independent_4t", |b| {
-        b.iter(|| {
-            let cfg = CorrectorConfig::for_run(&run)
-                .independent_chunks()
-                .with_threads(4);
-            let mut corrector = Corrector::new(&cat, cfg);
             std::hint::black_box(corrector.correct_run(&run));
         })
     });
@@ -200,8 +189,9 @@ fn bench_warm_vs_cold(c: &mut Criterion) {
 }
 
 /// Paired interleaved warm-vs-cold measurement on the shared
-/// [`GateConfig::run_paired`] harness: run the cold rebuild-per-chunk
-/// baseline and the warm-started incremental path back to back (seeded
+/// [`GateConfig::run_paired`] harness: run the cold baseline (every chunk
+/// re-solved from vacuous messages with the full budget) and the
+/// warm-started incremental path back to back (seeded
 /// coin-flip order inside each pair) on the same recorded run, and report
 /// the mean per-pair ratio with its one-sided 99.5% Student-t interval
 /// plus per-window times.

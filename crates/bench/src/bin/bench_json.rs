@@ -242,8 +242,9 @@ fn main() {
     let chunks: Vec<&[&[Sample]]> = windows.chunks(slices).collect();
 
     let mut warm_corr = Corrector::new(&cat, CorrectorConfig::for_run(&run));
-    // One cold corrector reused across samples (cold mode is stateless),
-    // so engine construction stays outside the timed region of both arms.
+    // One cold corrector reused across samples: `correct_run` restarts its
+    // stream and every cold chunk discards the engine's messages, so
+    // engine construction stays outside the timed region of both arms.
     let mut cold_corr = Corrector::new(&cat, CorrectorConfig::for_run(&run).cold_start());
     let cold_once = |corr: &mut Corrector| -> (f64, CorrectionStats) {
         let t = Instant::now();
@@ -267,8 +268,9 @@ fn main() {
     let _ = warm_once(&mut warm_corr);
 
     // Gate 1 — warm-vs-cold speedup. Arm A streams warm chunks through the
-    // persistent corrector (steady state), arm B is the cold
-    // rebuild-per-chunk baseline. The arms run as back-to-back pairs in
+    // persistent corrector (steady state), arm B is the cold baseline:
+    // the same engine, every chunk re-solved from vacuous messages with
+    // the full sweep/MCMC budget. The arms run as back-to-back pairs in
     // coin-flip order (a paired gate: machine drift divides out inside
     // each pair), and the gate requires the speedup's *lower* confidence
     // bound to clear 1/0.9.

@@ -1,32 +1,27 @@
-//! Batch correction of a recorded PMU run.
+//! Chained correction of PMU sample windows, chunk by chunk.
 //!
-//! Two execution strategies, selected by [`CorrectorConfig`]:
+//! Chunks run sequentially, each chunk's slice-0 prior seeded from the
+//! previous chunk's final-slice posterior (the paper's temporal coupling),
+//! and every chunk runs on the corrector's **one** persistent
+//! [`ChunkEngine`]: the factor-graph topology, sweep schedule and all
+//! MCMC/analytic scratch are built once, in [`Corrector::new`].
 //!
-//! * **chained** (the paper's default): chunks run sequentially, each
-//!   chunk's slice-0 prior seeded from the previous chunk's final-slice
-//!   posterior. With [`CorrectorConfig::warm_start`] (the default) the
-//!   corrector keeps **one** [`ChunkEngine`] alive across the whole run:
-//!   the factor-graph topology, sweep schedule, EP site messages and all
-//!   MCMC/analytic scratch survive from window to window, and each chunk
-//!   only swaps observations and warm-starts — the steady-state loop
-//!   (chunk 2+) performs **zero heap allocations** at `threads = 1` and
-//!   converges in 1–2 sweeps with shrunken MCMC budgets instead of the
-//!   full cold budget. Disabling `warm_start` restores the paper-faithful
-//!   cold rebuild per chunk (the benchmark baseline).
-//! * **independent**: prior chaining disabled, which removes the only
-//!   cross-chunk data dependency — chunks then run concurrently on
-//!   `std::thread::scope` workers, each chunk on its own deterministic
-//!   seed. Each worker still reuses one engine *structurally*
-//!   ([`ChunkEngine::load_cold`] keeps the schedule and buffers but resets
-//!   all statistical state), so results are a pure function of
-//!   `(windows, config)` at any thread count.
+//! * **warm** ([`CorrectorConfig::warm_start`], the default): each chunk
+//!   only swaps observations and keeps the EP site messages, so the
+//!   steady-state loop (chunk 2+) performs **zero heap allocations** at
+//!   `threads = 1` and converges in 1–2 sweeps with shrunken MCMC budgets
+//!   instead of the full cold budget.
+//! * **cold** ([`CorrectorConfig::cold_start`], the benchmark baseline):
+//!   each chunk discards the messages and pays the full sweep/MCMC budget
+//!   on the same engine.
 //!
-//! Both paths borrow sample windows as slices end-to-end (no per-window
-//! clone on either the [`Corrector::correct_run`] or
-//! [`Corrector::correct_windows`] path).
+//! [`Corrector::try_push_chunk`] corrects one full chunk and
+//! [`Corrector::push_tail`] a ragged final chunk. The batch
+//! [`Corrector::correct_run`] is those two calls over a recorded run,
+//! borrowing its sample windows in place.
 
 use crate::error::ShimError;
-use crate::model::{build_chunk_model, ChunkEngine, ChunkPosterior, ModelConfig};
+use crate::model::{ChunkEngine, ChunkPosterior, ModelConfig};
 use bayesperf_events::{Catalog, EventId};
 use bayesperf_inference::{derive_stream_seed, EpConfig, EpRunStats, Gaussian};
 use bayesperf_simcpu::{MultiplexRun, Sample};
@@ -40,35 +35,15 @@ pub struct CorrectorConfig {
     pub ep: EpConfig,
     /// RNG seed for the MCMC chains.
     pub seed: u64,
-    /// Chain each chunk's slice-0 prior from the previous chunk's
-    /// posterior (the paper's temporal coupling). Disabling it makes
-    /// chunks independent, unlocking chunk-level parallelism.
-    pub chain_chunks: bool,
-    /// Worker threads: within-chunk EP engine farm workers in chained
-    /// mode, concurrent chunks in independent mode. `1` means fully
-    /// sequential.
+    /// EP engine farm workers per chunk. `1` means fully sequential.
     pub threads: usize,
-    /// Carry the EP approximation across chained chunks (incremental
-    /// correction). Ignored in independent mode, where statistical state
-    /// never crosses chunks by construction.
+    /// Carry the EP approximation across chunks (incremental correction).
     pub warm_start: bool,
-    /// Selective change-point reset threshold: a window (slice) at least
-    /// this fraction of whose observations moved by more than `jump_ratio`
-    /// since each event was last seen has its EP sites reset to vacuous
-    /// before the warm run ([`ChunkEngine::load_warm_adaptive`]) — a data
-    /// phase change re-solves the affected slices from scratch instead of
-    /// dragging a confidently-wrong approximation along, while unaffected
-    /// slices keep the cheap warm path. Set above 1.0 to never reset.
-    pub jump_frac: f64,
-    /// Multiplicative threshold an observation must move by (vs the same
-    /// event's previous observation) to count as jumped in the
-    /// change-point detector.
-    pub jump_ratio: f64,
 }
 
 impl CorrectorConfig {
-    /// Default configuration for a recorded run: chained chunks,
-    /// sequential execution, warm-started engine reuse.
+    /// Default configuration for a recorded run: sequential execution,
+    /// warm-started engine reuse.
     pub fn for_run(run: &MultiplexRun) -> Self {
         let model = ModelConfig::for_run(run);
         let ep = model.fast_ep();
@@ -76,11 +51,8 @@ impl CorrectorConfig {
             model,
             ep,
             seed: 0,
-            chain_chunks: true,
             threads: 1,
             warm_start: true,
-            jump_frac: 0.45,
-            jump_ratio: 2.0,
         }
     }
 
@@ -90,15 +62,9 @@ impl CorrectorConfig {
         self
     }
 
-    /// Disables prior chaining so chunks can be corrected concurrently.
-    pub fn independent_chunks(mut self) -> Self {
-        self.chain_chunks = false;
-        self
-    }
-
-    /// Disables warm-start: every chained chunk rebuilds and runs cold
-    /// EP from scratch (the pre-incremental baseline the warm-vs-cold
-    /// benchmark pairs against).
+    /// Disables warm-start: every chunk runs cold EP from the vacuous
+    /// approximation with the full budget (the pre-incremental baseline
+    /// the warm-vs-cold benchmark pairs against).
     pub fn cold_start(mut self) -> Self {
         self.warm_start = false;
         self
@@ -223,18 +189,18 @@ impl PosteriorSeries {
     }
 }
 
-/// Runs BayesPerf inference over a recorded run, chunk by chunk.
+/// Runs BayesPerf inference over a sample stream, chunk by chunk.
 ///
 /// The corrector owns one persistent [`ChunkEngine`] — built in
 /// [`Corrector::new`] because the factor-graph topology is a pure function
-/// of the catalog — and reuses it across every
-/// [`Corrector::correct_run`]/[`Corrector::correct_windows`] call in
-/// chained mode. Correction therefore takes `&mut self`.
+/// of the catalog — and runs every full chunk on it, whether streamed
+/// through [`Corrector::push_chunk`] or batched by
+/// [`Corrector::correct_run`]. Correction therefore takes `&mut self`.
 #[derive(Debug)]
 pub struct Corrector<'a> {
     catalog: &'a Catalog,
     config: CorrectorConfig,
-    /// The chained-mode engine (slice count = `config.model.slices`).
+    /// The full-chunk engine (slice count = `config.model.slices`).
     engine: ChunkEngine,
     /// Chunks pushed through the streaming API since the last reset.
     stream_count: u64,
@@ -267,8 +233,7 @@ impl<'a> Corrector<'a> {
     /// cold (the crashed engine's in-flight messages are discarded — only
     /// the poisoned chunk is lost) but chains off the recovered posterior,
     /// so steady-state accuracy survives the restart. Non-finite entries
-    /// of `posteriors` fall back to the base prior; in unchained mode this
-    /// is a no-op (chunks are independent anyway). Returns how many events
+    /// of `posteriors` fall back to the base prior. Returns how many events
     /// were seeded.
     pub fn resume_from(&mut self, posteriors: &[Gaussian]) -> Result<usize, ShimError> {
         if posteriors.len() != self.engine.n_events() {
@@ -276,9 +241,6 @@ impl<'a> Corrector<'a> {
                 expected: self.engine.n_events(),
                 got: posteriors.len(),
             });
-        }
-        if !self.config.chain_chunks {
-            return Ok(0);
         }
         let seeded = self.engine.set_chain_prior_counts(posteriors);
         self.resume_pending = true;
@@ -298,15 +260,12 @@ impl<'a> Corrector<'a> {
     }
 
     /// Streaming correction: corrects exactly one chunk of
-    /// `config.model.slices` windows, chaining the prior and warm-starting
-    /// the engine from the previous [`Corrector::push_chunk`] call (the
-    /// first chunk after a reset runs cold). This is the shim's online
-    /// path; after warm-up (chunk 2+) a push performs **zero heap
-    /// allocations** at `threads = 1`. Read results back through
-    /// [`Corrector::posterior`].
-    ///
-    /// With `chain_chunks` disabled each push is independent (cold, base
-    /// prior), matching the batch independent mode chunk for chunk.
+    /// `config.model.slices` windows, chaining the prior and (with
+    /// `warm_start`) warm-starting the engine from the previous
+    /// [`Corrector::push_chunk`] call (the first chunk after a reset runs
+    /// cold). This is the shim's online path; after warm-up (chunk 2+) a
+    /// warm push performs **zero heap allocations** at `threads = 1`. Read
+    /// results back through [`Corrector::posterior`].
     ///
     /// # Panics
     ///
@@ -334,23 +293,18 @@ impl<'a> Corrector<'a> {
             });
         }
         let c = self.stream_count;
-        let chained = self.config.chain_chunks;
         // A pending resume prior survives the first-chunk clear: the push
         // runs cold (no stale messages) but composes the recovered chain
         // prior, making the restart warm in the statistical sense.
-        if (c == 0 && !self.resume_pending) || !chained {
+        if c == 0 && !self.resume_pending {
             self.engine.clear_chain_prior();
         }
         self.resume_pending = false;
-        if c > 0 && chained && self.config.warm_start {
+        if c > 0 && self.config.warm_start {
             // Warm load with selective change-point resets: slices whose
             // data jumped re-solve from vacuous messages, the rest stay
             // warm.
-            self.jump_resets = self.engine.load_warm_adaptive(
-                windows,
-                self.config.jump_ratio,
-                self.config.jump_frac,
-            ) as u64;
+            self.jump_resets = self.engine.load_warm_adaptive(windows) as u64;
         } else {
             self.jump_resets = 0;
             self.engine.load_cold(windows);
@@ -359,24 +313,22 @@ impl<'a> Corrector<'a> {
             derive_stream_seed(self.config.seed, c as usize),
             self.config.threads,
         );
-        if chained {
-            self.engine.capture_chain_prior();
-        }
+        self.engine.capture_chain_prior();
         self.stream_count += 1;
         Ok(stats)
     }
 
     /// Corrects a **partial** final chunk (fewer than `config.model.slices`
     /// windows) — the stream's ragged tail that [`Corrector::push_chunk`]
-    /// cannot accept. Runs a one-shot cold model chained off the last full
-    /// chunk's posterior (the batch [`Corrector::correct_slices`] warm
-    /// path calls this too, so a streamed run followed by `push_tail`
-    /// reproduces the batch series bit for bit). The persistent engine's
-    /// chain state and stream count are untouched: the tail is terminal,
-    /// and a later [`Corrector::push_chunk`] continues chained from the
-    /// last *full* chunk — the tail therefore derives its seed from a
-    /// disjoint domain (`seed ^ TAIL_SEED_TAG`) so it never shares an RNG
-    /// stream with that next chunk.
+    /// cannot accept. Builds a one-shot engine of `windows.len()` slices,
+    /// chained off the last full chunk's posterior, and runs it cold
+    /// ([`Corrector::correct_run`] calls this too, so a streamed run
+    /// followed by `push_tail` reproduces the batch series bit for bit).
+    /// The persistent engine's chain state and stream count are untouched:
+    /// the tail is terminal, and a later [`Corrector::push_chunk`]
+    /// continues chained from the last *full* chunk — the tail therefore
+    /// derives its seed from a disjoint domain (`seed ^ TAIL_SEED_TAG`) so
+    /// it never shares an RNG stream with that next chunk.
     pub fn push_tail(
         &mut self,
         windows: &[&[Sample]],
@@ -393,23 +345,24 @@ impl<'a> Corrector<'a> {
                 got: windows.len(),
             });
         }
-        let chained = self.config.chain_chunks && (self.stream_count > 0 || self.resume_pending);
-        let prior = chained.then(|| self.engine.chain_prior().to_vec());
-        let model = build_chunk_model(
+        let mut tail = ChunkEngine::with_slices(
             self.catalog,
-            windows,
             &self.config.model,
-            prior.as_deref(),
             self.config.ep,
+            windows.len(),
         );
-        let (post, stats) = model.run_parallel_with_stats(
+        if self.stream_count > 0 || self.resume_pending {
+            tail.set_chain_prior(self.engine.chain_prior());
+        }
+        tail.load_cold(windows);
+        let stats = tail.run_farm(
             derive_stream_seed(
                 self.config.seed ^ Self::TAIL_SEED_TAG,
                 self.stream_count as usize,
             ),
             self.config.threads,
         );
-        Ok((post, stats))
+        Ok((tail.to_posterior(stats.converged), stats))
     }
 
     /// Seed-domain separator for ragged tails: `push_tail` does not
@@ -461,26 +414,37 @@ impl<'a> Corrector<'a> {
         self.correct_slices(&windows)
     }
 
-    /// Corrects a sequence of owned sample windows (the shim path).
-    pub fn correct_windows(&mut self, windows: &[Vec<Sample>]) -> PosteriorSeries {
-        let refs: Vec<&[Sample]> = windows.iter().map(Vec::as_slice).collect();
-        self.correct_slices(&refs)
-    }
-
-    /// Corrects borrowed sample windows.
+    /// Corrects borrowed sample windows as a fresh stream: every full
+    /// chunk goes through [`Corrector::push_chunk`] and a ragged final
+    /// chunk through [`Corrector::push_tail`], so the series equals
+    /// streaming the same windows after a [`Corrector::reset_stream`].
+    ///
+    /// Every chunk runs on the deterministic engine farm with its own
+    /// derived seed, so thread count is purely a throughput knob —
+    /// `threads = 1` and `threads = 8` produce bit-identical series.
     pub fn correct_slices(&mut self, windows: &[&[Sample]]) -> PosteriorSeries {
+        let k = self.config.model.slices.max(1);
         let ne = self.catalog.len();
         let mut data: Vec<Gaussian> = Vec::with_capacity(windows.len() * ne);
         let mut stats = CorrectionStats::default();
-
-        if self.config.chain_chunks {
-            if self.config.warm_start {
-                self.run_chained_warm(windows, &mut data, &mut stats);
+        self.reset_stream();
+        for (c, chunk) in windows.chunks(k).enumerate() {
+            if chunk.len() == k {
+                let s = self.push_chunk(chunk);
+                stats.absorb_run(&s, c > 0 && self.config.warm_start);
+                stats.jump_site_resets += self.jump_resets;
+                for t in 0..k {
+                    data.extend(self.catalog.iter().map(|e| self.engine.posterior(t, e.id)));
+                }
             } else {
-                self.run_chained_cold(windows, &mut data, &mut stats);
+                let (post, s) = self
+                    .push_tail(chunk)
+                    .expect("chunks() yields a non-empty tail shorter than k");
+                stats.absorb_run(&s, false);
+                for t in 0..post.slices() {
+                    data.extend(self.catalog.iter().map(|e| post.posterior(t, e.id)));
+                }
             }
-        } else {
-            self.run_independent(windows, &mut data, &mut stats);
         }
 
         PosteriorSeries {
@@ -494,163 +458,15 @@ impl<'a> Corrector<'a> {
             stats,
         }
     }
-
-    /// Appends one chunk's denormalized posteriors from the engine.
-    fn push_engine_posteriors(
-        catalog: &Catalog,
-        engine: &ChunkEngine,
-        slices: usize,
-        data: &mut Vec<Gaussian>,
-    ) {
-        for t in 0..slices {
-            for e in catalog.iter() {
-                data.push(engine.posterior(t, e.id));
-            }
-        }
-    }
-
-    /// Appends one chunk's posteriors from an owned [`ChunkPosterior`].
-    fn push_chunk_posteriors(catalog: &Catalog, post: &ChunkPosterior, data: &mut Vec<Gaussian>) {
-        for t in 0..post.slices() {
-            for e in catalog.iter() {
-                data.push(post.posterior(t, e.id));
-            }
-        }
-    }
-
-    /// The incremental chained loop: one persistent engine; chunk 0 cold,
-    /// every later full chunk warm-started with observations swapped in
-    /// place. A ragged tail chunk (fewer windows than `slices`) falls back
-    /// to a one-shot cold model chained off the engine's captured prior.
-    /// Steady state (chunk 2+) is allocation-free at `threads = 1`.
-    ///
-    /// Every chunk runs on the deterministic engine farm with its own
-    /// derived seed, so thread count is purely a throughput knob —
-    /// `threads = 1` and `threads = 8` produce bit-identical series.
-    fn run_chained_warm(
-        &mut self,
-        windows: &[&[Sample]],
-        data: &mut Vec<Gaussian>,
-        stats: &mut CorrectionStats,
-    ) {
-        let k = self.config.model.slices.max(1);
-        self.reset_stream();
-        for (c, chunk) in windows.chunks(k).enumerate() {
-            if chunk.len() == k {
-                let s = self.push_chunk(chunk);
-                let warm = c > 0;
-                stats.jump_site_resets += self.jump_resets;
-                Self::push_engine_posteriors(self.catalog, &self.engine, k, data);
-                stats.absorb_run(&s, warm);
-            } else {
-                // Ragged tail: topology differs (fewer slices) — the same
-                // one-shot chained model the streaming flush path runs,
-                // so batch and streamed series stay bit-identical.
-                let (post, s) = self
-                    .push_tail(chunk)
-                    .expect("chunks() yields a non-empty tail shorter than k");
-                Self::push_chunk_posteriors(self.catalog, &post, data);
-                stats.absorb_run(&s, false);
-            }
-        }
-    }
-
-    /// The pre-incremental chained loop (the `cold_start` baseline): every
-    /// chunk rebuilds its model and runs cold EP with the full budget.
-    fn run_chained_cold(
-        &mut self,
-        windows: &[&[Sample]],
-        data: &mut Vec<Gaussian>,
-        stats: &mut CorrectionStats,
-    ) {
-        let k = self.config.model.slices.max(1);
-        let mut prior: Option<Vec<Gaussian>> = None;
-        for (c, chunk) in windows.chunks(k).enumerate() {
-            let model = build_chunk_model(
-                self.catalog,
-                chunk,
-                &self.config.model,
-                prior.as_deref(),
-                self.config.ep,
-            );
-            let (post, s) = model.run_parallel_with_stats(
-                derive_stream_seed(self.config.seed, c),
-                self.config.threads,
-            );
-            prior = Some(post.last_slice_normalized());
-            Self::push_chunk_posteriors(self.catalog, &post, data);
-            stats.absorb_run(&s, false);
-        }
-    }
-
-    /// Concurrent chunk execution (requires `chain_chunks == false`):
-    /// chunks are data-independent, so workers process disjoint contiguous
-    /// ranges and results are reassembled in chunk order. Each worker
-    /// builds one engine and cold-resets it per chunk (structural reuse:
-    /// schedule and buffers survive, statistical state does not), so
-    /// per-chunk seeds make the output identical to the sequential
-    /// un-chained run at any thread count.
-    fn run_independent(
-        &mut self,
-        windows: &[&[Sample]],
-        data: &mut Vec<Gaussian>,
-        stats: &mut CorrectionStats,
-    ) {
-        let k = self.config.model.slices.max(1);
-        let chunks: Vec<&[&[Sample]]> = windows.chunks(k).collect();
-        let workers = self.config.threads.clamp(1, chunks.len().max(1));
-        let per = chunks.len().div_ceil(workers).max(1);
-        // Threads left over when there are fewer chunks than workers go to
-        // each chunk's inner EP farm (bit-identical at any count, so this
-        // only affects speed).
-        let inner_threads = (self.config.threads / workers).max(1);
-        let mut results: Vec<Option<(ChunkPosterior, EpRunStats)>> = vec![None; chunks.len()];
-        let catalog = self.catalog;
-        let config = &self.config;
-        std::thread::scope(|scope| {
-            for (w, (chunk_range, out_range)) in
-                chunks.chunks(per).zip(results.chunks_mut(per)).enumerate()
-            {
-                let base = w * per;
-                scope.spawn(move || {
-                    // One engine per worker, cold-reset per chunk.
-                    let mut engine: Option<ChunkEngine> = None;
-                    for (i, (chunk, slot)) in
-                        chunk_range.iter().zip(out_range.iter_mut()).enumerate()
-                    {
-                        let seed = derive_stream_seed(config.seed, base + i);
-                        if chunk.len() == k {
-                            let eng = engine.get_or_insert_with(|| {
-                                ChunkEngine::new(catalog, &config.model, config.ep)
-                            });
-                            eng.clear_chain_prior();
-                            eng.load_cold(chunk);
-                            let s = eng.run_farm(seed, inner_threads);
-                            *slot = Some((eng.to_posterior(s.converged), s));
-                        } else {
-                            let model =
-                                build_chunk_model(catalog, chunk, &config.model, None, config.ep);
-                            let (post, s) = model.run_parallel_with_stats(seed, inner_threads);
-                            *slot = Some((post, s));
-                        }
-                    }
-                });
-            }
-        });
-        for result in results {
-            let (post, s) = result.expect("every chunk processed");
-            Self::push_chunk_posteriors(self.catalog, &post, data);
-            stats.absorb_run(&s, false);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::ScheduleTransformer;
     use bayesperf_events::{Arch, Semantic};
     use bayesperf_simcpu::{pack_round_robin, NoiseModel, Pmu, PmuConfig};
-    use bayesperf_workloads::kmeans;
+    use bayesperf_workloads::{by_name, kmeans};
 
     #[test]
     fn corrector_beats_linux_scaling_on_phased_workload() {
@@ -758,39 +574,12 @@ mod tests {
     }
 
     #[test]
-    fn independent_chunks_identical_at_any_thread_count() {
-        let cat = Catalog::new(Arch::X86SkyLake);
-        let prog = kmeans();
-        let mut truth = prog.instantiate(&cat, 0);
-        let pmu = Pmu::new(&cat, PmuConfig::for_catalog(&cat));
-        let events = vec![
-            cat.require(Semantic::L1dMisses),
-            cat.require(Semantic::LlcMisses),
-        ];
-        let schedule = pack_round_robin(&cat, &events).unwrap();
-        let run = pmu.run_multiplexed(&mut truth, &schedule, 12);
-
-        let series_for = |threads: usize| {
-            let cfg = CorrectorConfig::for_run(&run)
-                .independent_chunks()
-                .with_threads(threads);
-            Corrector::new(&cat, cfg).correct_run(&run)
-        };
-        let a = series_for(1);
-        let b = series_for(4);
-        assert_eq!(a.windows(), b.windows());
-        let ev = cat.require(Semantic::L1dMisses);
-        assert_eq!(a.mle_series(ev), b.mle_series(ev), "bit-identical MLE");
-        assert_eq!(a.sd_series(ev), b.sd_series(ev), "bit-identical SD");
-        assert_eq!(a.convergence_rate, b.convergence_rate);
-    }
-
-    #[test]
     fn chained_mode_identical_at_any_thread_count() {
         // Chained chunks serialize on the prior, but each chunk's EP farm
-        // is bit-identical at any thread count — so the whole warm-started
-        // series is, including the adaptive-budget decisions (derived from
-        // deterministically merged cavity history).
+        // is bit-identical at any thread count — so the whole series is,
+        // warm or cold, including the warm adaptive-budget decisions
+        // (derived from deterministically merged cavity history) and the
+        // ragged tail.
         let cat = Catalog::new(Arch::X86SkyLake);
         let prog = kmeans();
         let mut truth = prog.instantiate(&cat, 0);
@@ -798,17 +587,67 @@ mod tests {
         let events = vec![cat.require(Semantic::L1dMisses)];
         let schedule = pack_round_robin(&cat, &events).unwrap();
         let run = pmu.run_multiplexed(&mut truth, &schedule, 8);
-        let series_for = |threads: usize| {
-            let cfg = CorrectorConfig::for_run(&run).with_threads(threads);
-            Corrector::new(&cat, cfg).correct_run(&run)
-        };
-        let a = series_for(1);
-        let b = series_for(2);
-        assert_eq!(a.windows(), 8);
-        let ev = cat.require(Semantic::L1dMisses);
-        assert_eq!(a.mle_series(ev), b.mle_series(ev), "bit-identical MLE");
-        assert_eq!(a.sd_series(ev), b.sd_series(ev), "bit-identical SD");
-        assert_eq!(a.stats, b.stats, "identical work accounting");
+        let warm = CorrectorConfig::for_run(&run);
+        for base in [warm.clone(), warm.cold_start()] {
+            let series_for = |threads: usize| {
+                let cfg = base.clone().with_threads(threads);
+                Corrector::new(&cat, cfg).correct_run(&run)
+            };
+            let a = series_for(1);
+            let b = series_for(2);
+            assert_eq!(a.windows(), 8);
+            let ev = cat.require(Semantic::L1dMisses);
+            assert_eq!(a.mle_series(ev), b.mle_series(ev), "bit-identical MLE");
+            assert_eq!(a.sd_series(ev), b.sd_series(ev), "bit-identical SD");
+            assert_eq!(a.stats, b.stats, "identical work accounting");
+        }
+    }
+
+    #[test]
+    fn cold_correct_run_matches_a_fresh_engine_per_chunk() {
+        // Cold mode runs every chunk on the corrector's one engine:
+        // `load_cold` discards all messages and restarts the sweep count,
+        // so each chunk must equal, bit for bit, a freshly built engine
+        // chained off the previous chunk's final-slice posterior.
+        for arch in Arch::all() {
+            let cat = Catalog::new(arch);
+            let events: Vec<EventId> = cat.programmable_events().into_iter().take(16).collect();
+            let schedule = ScheduleTransformer::new(&cat).plan(&events);
+            for name in ["TeraSort", "ALS", "Join"] {
+                let mut truth = by_name(name).expect("in suite").instantiate(&cat, 0);
+                let pmu = Pmu::new(&cat, PmuConfig::for_catalog(&cat));
+                let run = pmu.run_multiplexed(&mut truth, &schedule.configs, 18);
+                let cfg = CorrectorConfig::for_run(&run).cold_start();
+                let k = cfg.model.slices;
+                let series = Corrector::new(&cat, cfg.clone()).correct_run(&run);
+
+                let mut prev: Option<ChunkEngine> = None;
+                for (c, chunk) in run.windows.chunks(k).enumerate() {
+                    let windows: Vec<&[Sample]> =
+                        chunk.iter().map(|w| w.samples.as_slice()).collect();
+                    let mut engine = ChunkEngine::new(&cat, &cfg.model, cfg.ep);
+                    if let Some(prev) = &mut prev {
+                        prev.capture_chain_prior();
+                        engine.set_chain_prior(prev.chain_prior());
+                    }
+                    engine.load_cold(&windows);
+                    engine.run_farm(derive_stream_seed(cfg.seed, c), cfg.threads);
+                    for t in 0..k {
+                        for e in cat.iter() {
+                            let got = series.posterior(c * k + t, e.id);
+                            let want = engine.posterior(t, e.id);
+                            assert_eq!(
+                                (got.mean.to_bits(), got.var.to_bits()),
+                                (want.mean.to_bits(), want.var.to_bits()),
+                                "{arch} {name}: chunk {c} slice {t} event {}",
+                                e.name
+                            );
+                        }
+                    }
+                    prev = Some(engine);
+                }
+            }
+        }
     }
 
     #[test]
@@ -876,15 +715,12 @@ mod tests {
             assert!(g.mean.is_finite() && g.var.is_finite() && g.var > 0.0);
         }
 
-        // Wrong-length snapshots are a typed error; unchained correctors
-        // ignore the resume (chunks are independent anyway).
-        let mut c = Corrector::new(&cat, cfg.clone());
+        // Wrong-length snapshots are a typed error.
+        let mut c = Corrector::new(&cat, cfg);
         assert!(matches!(
             c.resume_from(&published[..1]),
             Err(ShimError::CatalogMismatch { .. })
         ));
-        let mut ind = Corrector::new(&cat, cfg.independent_chunks());
-        assert_eq!(ind.resume_from(&published).unwrap(), 0);
     }
 
     #[test]

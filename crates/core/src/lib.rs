@@ -15,7 +15,8 @@
 //! * [`model`] — builds the unified factor graph over `k` time slices
 //!   (observation + invariant + temporal factors) as Expectation-Propagation
 //!   sites;
-//! * [`corrector`] — batch correction of a recorded PMU run into posterior
+//! * [`corrector`] — chained correction of PMU sample windows, streamed
+//!   chunk by chunk or batched over a recorded run, into posterior
 //!   distributions per event per window;
 //! * [`service`] — the session-oriented shim service: a shared [`Monitor`]
 //!   with a background inference thread, `perf_event_open`-style
@@ -44,7 +45,7 @@ pub use corrector::{CorrectionStats, Corrector, CorrectorConfig, PosteriorSeries
 pub use error::ShimError;
 pub use error_model::{extrapolated_observation, gauge_observation, observation};
 pub use metrics::{adjusted_error, dtw_align, dtw_relative_error};
-pub use model::{build_chunk_model, ChunkEngine, ChunkModel, ChunkPosterior, ModelConfig};
+pub use model::{ChunkEngine, ChunkPosterior, ModelConfig};
 pub use scheduler::{Schedule, ScheduleTransformer};
 pub use service::{
     derived_reading, GroupReading, Monitor, PosteriorUpdate, ScheduleHook, Selection, ServiceState,

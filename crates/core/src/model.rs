@@ -24,10 +24,11 @@
 //! window to window. [`ChunkEngine`] therefore builds the sites, the CSR
 //! factor adjacency and the EP engine (with its cached sweep schedule)
 //! **once**, and per window merely swaps the observation slots and either
-//! [`ChunkEngine::load_warm`]s (keep EP messages — the incremental
-//! corrector path) or [`ChunkEngine::load_cold`]s (reset messages — the
-//! independent-chunks path). [`build_chunk_model`] wraps a single-shot
-//! cold engine for the legacy build-per-chunk API.
+//! [`ChunkEngine::load_warm_adaptive`]s (keep EP messages, except on the
+//! slices of a detected change point — the warm corrector path) or
+//! [`ChunkEngine::load_cold`]s (reset messages — the cold corrector path).
+//! A ragged final chunk gets a one-shot engine of its own slice count
+//! ([`ChunkEngine::with_slices`]), loaded cold.
 //!
 //! Everything `x`-independent is also computed once, never per MCMC
 //! proposal: each invariant's `lhs` and `rhs` are compiled at build into
@@ -95,22 +96,17 @@ impl ModelConfig {
             warm_max_sweeps: 2,
             damping: 0.7,
             tol: 0.05,
-            min_var: 1e-10,
             max_precision_ratio: 1e6,
             mcmc: McmcConfig {
                 burn_in: 70,
                 samples: 150,
-                initial_step: 1.0,
-                target_acceptance: 0.44,
             },
-            adaptive: Some(AdaptiveBudget {
+            adaptive: AdaptiveBudget {
                 move_tol: 2.5,
                 jump_tol: 40.0,
                 burn_in: 18,
                 samples: 40,
-            }),
-            warm_decay: 1.0,
-            warm_escalation: 0.25,
+            },
         }
     }
 }
@@ -378,6 +374,19 @@ impl EpSite for SliceSite {
     }
 }
 
+/// Multiplicative threshold an observation must move by (vs the same
+/// event's previous observation) to count as jumped in the change-point
+/// detector ([`ChunkEngine::load_warm_adaptive`]).
+const JUMP_RATIO: f64 = 2.0;
+
+/// Selective change-point reset threshold: a window (slice) more than this
+/// fraction of whose observations moved by more than [`JUMP_RATIO`] since
+/// each event was last seen has its EP sites reset to vacuous before the
+/// warm run — a data phase change re-solves the affected slices from
+/// scratch instead of dragging a confidently-wrong approximation along,
+/// while unaffected slices keep the cheap warm path.
+const JUMP_FRAC: f64 = 0.45;
+
 /// A persistent per-catalog inference engine: the factor-graph topology,
 /// EP sites, sweep schedule and all scratch buffers, reused across
 /// windows. See the module docs for the warm/cold lifecycle.
@@ -425,7 +434,8 @@ impl ChunkEngine {
     }
 
     /// Builds the engine for an explicit slice count (used by
-    /// [`build_chunk_model`] for ragged tail chunks).
+    /// [`Corrector::push_tail`](crate::corrector::Corrector::push_tail) for
+    /// ragged tail chunks).
     ///
     /// # Panics
     ///
@@ -653,47 +663,20 @@ impl ChunkEngine {
         }
     }
 
-    /// Change-point score of a window chunk: the fraction of its
-    /// observations whose value moved by more than a factor of `ratio`
-    /// (up or down) since the *same event* was last observed — a purely
-    /// data-driven detector. Near zero in steady state (measurement noise
-    /// and within-phase modulation are well under 2×); jumps toward 1 at
-    /// a workload phase change, where warm-starting would carry a
-    /// confidently-wrong approximation forward. Observations are compared
-    /// chronologically (intra-chunk jumps count too) against history
-    /// recorded by previous loads. Allocation-free after the first call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ratio <= 1`.
-    pub fn jump_score<W: AsRef<[Sample]>>(&mut self, windows: &[W], ratio: f64) -> f64 {
-        self.scan_jumps(windows, ratio);
-        let (total, jumped) = self
-            .jump_counts
-            .iter()
-            .fold((0u32, 0u32), |(t, j), &(wt, wj)| (t + wt, j + wj));
-        if total == 0 {
-            0.0
-        } else {
-            jumped as f64 / total as f64
-        }
-    }
-
-    /// The chronological jump scan shared by [`ChunkEngine::jump_score`]
-    /// and [`ChunkEngine::load_warm_adaptive`]: walks every observation of
+    /// The chronological jump scan behind
+    /// [`ChunkEngine::load_warm_adaptive`]: walks every observation of
     /// `windows` in order, compares it against the same event's previous
     /// observation (seeded from the engine's recorded history, rolled
     /// forward within the scan), and records per window how many
     /// comparisons were made and how many moved by more than a factor of
-    /// `ratio` up or down (into the reusable `jump_counts` buffer). The
-    /// engine's recorded history itself is *not* modified — that happens
-    /// when the windows are actually loaded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ratio <= 1`.
-    fn scan_jumps<W: AsRef<[Sample]>>(&mut self, windows: &[W], ratio: f64) {
-        assert!(ratio > 1.0, "jump ratio must exceed 1, got {ratio}");
+    /// [`JUMP_RATIO`] up or down (into the reusable `jump_counts` buffer) —
+    /// a purely data-driven change-point detector. Near zero in steady
+    /// state (measurement noise and within-phase modulation are well under
+    /// 2×); jumps toward 1 at a workload phase change, where warm-starting
+    /// would carry a confidently-wrong approximation forward. The engine's
+    /// recorded history itself is *not* modified — that happens when the
+    /// windows are actually loaded. Allocation-free after the first call.
+    fn scan_jumps<W: AsRef<[Sample]>>(&mut self, windows: &[W]) {
         self.score_buf.clear();
         self.score_buf.extend_from_slice(&self.last_obs);
         self.jump_counts.clear();
@@ -710,7 +693,7 @@ impl ChunkEngine {
                 if prev.is_finite() {
                     total += 1;
                     let r = loc / prev.max(1e-9);
-                    if r > ratio || r < 1.0 / ratio {
+                    if !(1.0 / JUMP_RATIO..=JUMP_RATIO).contains(&r) {
                         jumped += 1;
                     }
                 }
@@ -733,36 +716,23 @@ impl ChunkEngine {
     /// Loads a window chunk warm: observations swapped, EP messages
     /// **kept** as the starting approximation, prior re-seated. The next
     /// run converges in 1–2 sweeps with adaptive MCMC budgets — the
-    /// incremental sliding-window path.
-    pub fn load_warm<W: AsRef<[Sample]>>(&mut self, windows: &[W]) {
-        self.swap_observations(windows);
-        self.compose_prior();
-        let ChunkEngine { ep, prior_buf, .. } = self;
-        ep.warm_start(prior_buf);
-    }
-
-    /// [`ChunkEngine::load_warm`] with selective change-point resets: any
-    /// slice whose window moved more than a factor of `jump_ratio` on at
-    /// least `jump_frac` of its observations (vs each event's previous
-    /// observation, scanned chronologically) has the sites touching its
-    /// variables reset to the vacuous approximation. Those sites then run
-    /// with the full cold budget and vote to extend the warm run, while
-    /// unaffected slices keep the cheap warm path — a data phase change
-    /// costs a partial re-solve instead of a whole-model cold start.
-    /// Returns the number of sites reset. Allocation-free after warm-up.
+    /// incremental sliding-window path. Any slice whose window moved more
+    /// than a factor of `JUMP_RATIO` (2) on more than `JUMP_FRAC` (45%) of
+    /// its observations (vs each event's previous observation, scanned
+    /// chronologically) has the sites touching its variables reset to the
+    /// vacuous approximation. Those sites then run with the full cold
+    /// budget and vote to extend the warm run, while unaffected slices keep
+    /// the cheap warm path — a data phase change costs a partial re-solve
+    /// instead of a whole-model cold start. Returns the number of sites
+    /// reset. Allocation-free after warm-up.
     ///
     /// # Panics
     ///
-    /// Panics if `jump_ratio <= 1` or the window count mismatches.
-    pub fn load_warm_adaptive<W: AsRef<[Sample]>>(
-        &mut self,
-        windows: &[W],
-        jump_ratio: f64,
-        jump_frac: f64,
-    ) -> usize {
+    /// Panics if the window count mismatches.
+    pub fn load_warm_adaptive<W: AsRef<[Sample]>>(&mut self, windows: &[W]) -> usize {
         // Per-slice jump flags, scanned chronologically against the last
         // observation of each event (before this chunk updates them).
-        self.scan_jumps(windows, jump_ratio);
+        self.scan_jumps(windows);
         let ChunkEngine {
             jump_counts,
             jump_flags,
@@ -770,7 +740,7 @@ impl ChunkEngine {
         } = self;
         jump_flags.clear();
         for &(total, jumped) in jump_counts.iter() {
-            jump_flags.push(total > 0 && jumped as f64 > jump_frac * total as f64);
+            jump_flags.push(total > 0 && jumped as f64 > JUMP_FRAC * total as f64);
         }
 
         self.swap_observations(windows);
@@ -823,51 +793,6 @@ impl ChunkEngine {
     }
 }
 
-/// A built chunk model, ready to run — the legacy single-shot wrapper over
-/// a cold [`ChunkEngine`].
-pub struct ChunkModel {
-    engine: ChunkEngine,
-}
-
-impl std::fmt::Debug for ChunkModel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChunkModel")
-            .field("n_events", &self.engine.n_events)
-            .field("slices", &self.engine.slices)
-            .finish()
-    }
-}
-
-impl ChunkModel {
-    /// Runs EP sequentially with a caller-supplied RNG and returns the
-    /// posterior chunk.
-    pub fn run<R: rand::Rng + ?Sized>(mut self, rng: &mut R) -> ChunkPosterior {
-        let result = self.engine.ep.run(rng);
-        self.engine.to_posterior(result.converged)
-    }
-
-    /// Runs EP on the parallel engine farm (bit-identical for any
-    /// `threads ≥ 1` given the same `seed`).
-    pub fn run_parallel(self, seed: u64, threads: usize) -> ChunkPosterior {
-        self.run_parallel_with_stats(seed, threads).0
-    }
-
-    /// [`ChunkModel::run_parallel`] plus the run's work counters.
-    pub fn run_parallel_with_stats(
-        mut self,
-        seed: u64,
-        threads: usize,
-    ) -> (ChunkPosterior, EpRunStats) {
-        let stats = self.engine.run_farm(seed, threads);
-        (self.engine.to_posterior(stats.converged), stats)
-    }
-
-    /// Number of time slices modelled.
-    pub fn slices(&self) -> usize {
-        self.engine.slices()
-    }
-}
-
 /// Posterior marginals of one chunk.
 #[derive(Debug, Clone)]
 pub struct ChunkPosterior {
@@ -896,42 +821,6 @@ impl ChunkPosterior {
         let s = self.scales[event.index()];
         Gaussian::new(g.mean * s, g.var * s * s)
     }
-
-    /// Normalized (internal-unit) marginals of the final slice — used to
-    /// chain chunks.
-    pub fn last_slice_normalized(&self) -> Vec<Gaussian> {
-        let base = (self.slices - 1) * self.n_events;
-        self.marginals[base..base + self.n_events].to_vec()
-    }
-}
-
-/// Builds the EP problem for `windows` (a chunk of consecutive multiplexing
-/// windows, each a set of delivered samples).
-///
-/// `prior0`, when given, is the normalized per-event posterior of the
-/// previous chunk's final slice; it becomes the (widened) prior of slice 0,
-/// chaining inference across chunks.
-///
-/// # Panics
-///
-/// Panics if `windows` is empty.
-pub fn build_chunk_model<W: AsRef<[Sample]>>(
-    catalog: &Catalog,
-    windows: &[W],
-    cfg: &ModelConfig,
-    prior0: Option<&[Gaussian]>,
-    ep_config: EpConfig,
-) -> ChunkModel {
-    assert!(
-        !windows.is_empty(),
-        "chunk must contain at least one window"
-    );
-    let mut engine = ChunkEngine::with_slices(catalog, cfg, ep_config, windows.len());
-    if let Some(p) = prior0 {
-        engine.set_chain_prior(p);
-    }
-    engine.load_cold(windows);
-    ChunkModel { engine }
 }
 
 #[cfg(test)]
@@ -973,13 +862,28 @@ mod tests {
         (cat, run)
     }
 
+    /// A cold engine over `windows`, run on the farm with `seed` — one
+    /// chunk of the cold corrector path.
+    fn run_cold<W: AsRef<[Sample]>>(
+        cat: &Catalog,
+        windows: &[W],
+        cfg: &ModelConfig,
+        seed: u64,
+    ) -> ChunkEngine {
+        let mut engine = ChunkEngine::with_slices(cat, cfg, cfg.fast_ep(), windows.len());
+        engine.load_cold(windows);
+        engine.run_farm(seed, 1);
+        engine
+    }
+
     #[test]
     fn model_builds_with_expected_shape() {
         let (cat, run) = run_fixture();
         let cfg = ModelConfig::for_run(&run);
         let windows: Vec<Vec<Sample>> = run.windows.iter().map(|w| w.samples.clone()).collect();
-        let model = build_chunk_model(&cat, &windows, &cfg, None, cfg.fast_ep());
-        assert_eq!(model.slices(), 4);
+        let mut engine = ChunkEngine::with_slices(&cat, &cfg, cfg.fast_ep(), windows.len());
+        engine.load_cold(&windows);
+        assert_eq!(engine.slices(), 4);
     }
 
     #[test]
@@ -987,9 +891,7 @@ mod tests {
         let (cat, run) = run_fixture();
         let cfg = ModelConfig::for_run(&run);
         let windows: Vec<Vec<Sample>> = run.windows.iter().map(|w| w.samples.clone()).collect();
-        let model = build_chunk_model(&cat, &windows, &cfg, None, cfg.fast_ep());
-        let mut rng = StdRng::seed_from_u64(5);
-        let post = model.run(&mut rng);
+        let post = run_cold(&cat, &windows, &cfg, 5);
 
         let ev = cat.require(Semantic::L1dMisses);
         // L1dMisses is observed in window 0 (first config).
@@ -1009,9 +911,7 @@ mod tests {
         let (cat, run) = run_fixture();
         let cfg = ModelConfig::for_run(&run);
         let windows: Vec<Vec<Sample>> = run.windows.iter().map(|w| w.samples.clone()).collect();
-        let model = build_chunk_model(&cat, &windows, &cfg, None, cfg.fast_ep());
-        let mut rng = StdRng::seed_from_u64(6);
-        let post = model.run(&mut rng);
+        let post = run_cold(&cat, &windows, &cfg, 6);
 
         // LlcReferences is never scheduled, but llc_split (refs = hits +
         // misses) ties it to two observed events.
@@ -1032,9 +932,7 @@ mod tests {
         let (cat, run) = run_fixture();
         let cfg = ModelConfig::for_run(&run);
         let windows: Vec<Vec<Sample>> = run.windows.iter().map(|w| w.samples.clone()).collect();
-        let model = build_chunk_model(&cat, &windows, &cfg, None, cfg.fast_ep());
-        let mut rng = StdRng::seed_from_u64(7);
-        let post = model.run(&mut rng);
+        let post = run_cold(&cat, &windows, &cfg, 7);
 
         let observed = cat.require(Semantic::Cycles); // fixed, every window
         let unobserved = cat.require(Semantic::DtlbMisses); // no invariant to observed set
@@ -1093,11 +991,7 @@ mod tests {
 
         let cfg = ModelConfig::for_run(&run);
         let windows: Vec<Vec<Sample>> = run.windows.iter().map(|w| w.samples.clone()).collect();
-        let posterior = |wins: &[Vec<Sample>]| {
-            let model = build_chunk_model(&cat, wins, &cfg, None, cfg.fast_ep());
-            let mut rng = StdRng::seed_from_u64(21);
-            model.run(&mut rng)
-        };
+        let posterior = |wins: &[Vec<Sample>]| run_cold(&cat, wins, &cfg, 21);
         let honest = posterior(&windows);
 
         // The regression this feature prevents: relabel the carry-forwards
@@ -1130,16 +1024,12 @@ mod tests {
         let (cat, run) = run_fixture();
         let cfg = ModelConfig::for_run(&run);
         let windows: Vec<Vec<Sample>> = run.windows.iter().map(|w| w.samples.clone()).collect();
-        let mut rng = StdRng::seed_from_u64(8);
-        let first = build_chunk_model(&cat, &windows[..2], &cfg, None, cfg.fast_ep()).run(&mut rng);
-        let chained = build_chunk_model(
-            &cat,
-            &windows[2..],
-            &cfg,
-            Some(&first.last_slice_normalized()),
-            cfg.fast_ep(),
-        );
-        let post = chained.run(&mut rng);
+        let mut first = run_cold(&cat, &windows[..2], &cfg, 8);
+        first.capture_chain_prior();
+        let mut post = ChunkEngine::with_slices(&cat, &cfg, cfg.fast_ep(), 2);
+        post.set_chain_prior(first.chain_prior());
+        post.load_cold(&windows[2..]);
+        post.run_farm(8, 1);
         // An event only measured in chunk 1's windows still has a
         // non-prior posterior in chunk 2 thanks to chaining + temporal.
         let ev = cat.require(Semantic::L1dMisses);
@@ -1163,7 +1053,8 @@ mod tests {
         let ev = cat.require(Semantic::L1dMisses);
         let cold = engine.posterior(0, ev);
 
-        engine.load_warm(&windows);
+        let reset = engine.load_warm_adaptive(&windows);
+        assert_eq!(reset, 0, "same data: no change point");
         let stats = engine.run_farm(4, 1);
         let warm = engine.posterior(0, ev);
         assert!(stats.sweeps_run <= 2, "warm run capped at 2 sweeps");
@@ -1186,7 +1077,7 @@ mod tests {
         engine.run_farm(3, 1);
 
         // Same data again: steady state, no slice should reset.
-        let reset = engine.load_warm_adaptive(&windows, 2.0, 0.25);
+        let reset = engine.load_warm_adaptive(&windows);
         assert_eq!(reset, 0, "steady-state reload must not reset sites");
         engine.run_farm(4, 1);
 
@@ -1199,18 +1090,19 @@ mod tests {
             s.value *= 4.0;
             s.sub_mean *= 4.0;
         }
-        let reset = engine.load_warm_adaptive(&jumped, 2.0, 0.25);
+        let reset = engine.load_warm_adaptive(&jumped);
         assert_eq!(reset, 1, "exactly the jumped slice resets");
     }
 
     #[test]
-    fn jump_score_is_zero_in_steady_state_and_high_on_jump() {
+    fn adaptive_load_is_quiet_in_steady_state_and_resets_on_uniform_jump() {
         let (cat, run) = run_fixture();
         let cfg = ModelConfig::for_run(&run);
         let windows: Vec<Vec<Sample>> = run.windows.iter().map(|w| w.samples.clone()).collect();
         let mut engine = ChunkEngine::with_slices(&cat, &cfg, cfg.fast_ep(), windows.len());
         engine.load_cold(&windows);
-        assert_eq!(engine.jump_score(&windows, 2.0), 0.0, "same data: no jumps");
+        let reset = engine.load_warm_adaptive(&windows);
+        assert_eq!(reset, 0, "same data: no jumps");
         let mut jumped = windows.clone();
         for w in &mut jumped {
             for s in w {
@@ -1219,9 +1111,9 @@ mod tests {
         }
         // The scan is chronological: each event registers the 5x move the
         // first time it is re-observed (later windows match the new
-        // level), so the score is the first-occurrence fraction.
-        let score = engine.jump_score(&jumped, 2.0);
-        assert!(score > 0.2, "uniform 5x move must read as a jump ({score})");
+        // level), so at least the first slice reads as a jump.
+        let reset = engine.load_warm_adaptive(&jumped);
+        assert!(reset >= 1, "uniform 5x move must reset a site ({reset})");
     }
 
     #[test]
@@ -1238,7 +1130,7 @@ mod tests {
             inv_sigma_floor: 0.02,
             cycles_per_window: 1e7,
         };
-        build_chunk_model::<Vec<Sample>>(&cat, &[], &cfg, None, cfg.fast_ep());
+        ChunkEngine::with_slices(&cat, &cfg, cfg.fast_ep(), 0);
     }
 
     /// A normalized state that reaches every branch of an invariant:

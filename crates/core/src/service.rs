@@ -705,7 +705,13 @@ impl Monitor {
     /// the highest source that has dropped a sample (empty while nothing
     /// was late); missing entries are zero.
     pub fn late_samples_by_source(&self) -> Vec<u64> {
-        late_by_source_of(&self.shared)
+        self.shared
+            .late_by_source
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .iter()
+            .map(|c| c.get())
+            .collect()
     }
 
     /// Inference runs executed (full chunks plus flushed tails).
@@ -945,19 +951,6 @@ fn service_state_of(shared: &Shared) -> ServiceState {
         .unwrap_or(ServiceState::Running)
 }
 
-/// Copies the per-source late-drop counters out as plain counts (the
-/// pre-telemetry accessor shape [`Monitor::late_samples_by_source`] and
-/// [`Session::late_samples_by_source`] keep serving).
-fn late_by_source_of(shared: &Shared) -> Vec<u64> {
-    shared
-        .late_by_source
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .iter()
-        .map(|c| c.get())
-        .collect()
-}
-
 /// Distinguishes "down" from "closed" for read paths: `Some(cause)` when
 /// the service is terminally failed or its supervisor died without the
 /// shutdown handshake — cases where a read must *not* be answered from
@@ -1158,38 +1151,6 @@ impl Session {
             }
         }
         Updates { rx }
-    }
-
-    /// Samples dropped at the ring (backpressure) — the ring's own
-    /// `PERF_RECORD_LOST`-style count.
-    pub fn dropped(&self) -> u64 {
-        self.shared
-            .state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .ring
-            .dropped()
-    }
-
-    /// Samples dropped for arriving after their window completed.
-    pub fn late_samples(&self) -> u64 {
-        self.shared.late_samples.get()
-    }
-
-    /// Per-source breakdown of [`Session::late_samples`], indexed by raw
-    /// [`bayesperf_events::SourceId`]; missing entries are zero.
-    pub fn late_samples_by_source(&self) -> Vec<u64> {
-        late_by_source_of(&self.shared)
-    }
-
-    /// Inference runs executed so far.
-    pub fn chunks_run(&self) -> u64 {
-        self.shared.chunks_run.get()
-    }
-
-    /// Windows whose posteriors have been published.
-    pub fn windows_published(&self) -> u64 {
-        self.shared.windows_published.get()
     }
 
     /// The backing monitor's telemetry plane — see [`Monitor::telemetry`].

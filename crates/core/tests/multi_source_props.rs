@@ -5,7 +5,7 @@
 //! one PMU variable `x` with a Student-t observation, one gauge variable
 //! `y` observed through [`gauge_observation`], and the coupled invariant
 //! `y = c·x` as a Gaussian factor on the residual — exactly the shape
-//! `build_chunk_model` emits for `disk_dma_bytes` / `power_activity`.
+//! `ChunkEngine` builds for `disk_dma_bytes` / `power_activity`.
 //! Over random truths, couplings, and noise draws:
 //!
 //! * the invariant only **tightens or preserves** the fused posterior on
@@ -27,8 +27,6 @@ use bayesperf_events::{EventId, SourceId};
 use bayesperf_inference::{EpConfig, ExpectationPropagation, FactorSite, Gaussian, StudentT};
 use bayesperf_simcpu::Sample;
 use proptest::Strategy;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// A window-total sample in normalized units (scale 1).
 fn sample(value: f64, sub_sd: f64, sub_n: u32, source: u16) -> Sample {
@@ -65,7 +63,6 @@ fn fused(
         mcmc: bayesperf_inference::McmcConfig {
             burn_in: 500,
             samples: 4000,
-            ..Default::default()
         },
         ..EpConfig::default()
     };
@@ -98,8 +95,7 @@ fn fused(
                 .build(),
         );
     }
-    let mut rng = StdRng::seed_from_u64(seed);
-    ep.run(&mut rng);
+    ep.run_farm(seed, 1);
     (ep.marginal(0), ep.marginal(1))
 }
 

@@ -98,8 +98,9 @@
 //!   barely moved since its previous update (measured by
 //!   [`GaussianMessage::moments_shift`]); cold starts and post-swap jumps
 //!   keep the full configured budget. Sites whose cavity *jumped* past
-//!   [`AdaptiveBudget::jump_tol`] vote to extend the warm run by an extra
-//!   sweep ([`EpConfig::warm_escalation`]).
+//!   [`AdaptiveBudget::jump_tol`] vote to extend the warm run by one extra
+//!   sweep, which runs when at least a quarter of a sweep's MCMC site
+//!   updates voted.
 //! * [`ExpectationPropagation::reset_site`] selectively discards one
 //!   site's messages — the warm-started corrector applies it to the
 //!   slices of a detected data phase change, re-solving just those from
@@ -107,7 +108,7 @@
 //! * [`ExpectationPropagation::cold_reset`] discards all messages (vacuous
 //!   approximation, global = prior) while **keeping** the cached sweep
 //!   schedule, site-update records and per-worker workspaces — the
-//!   structural reuse the independent-chunks corrector mode relies on.
+//!   structural reuse the cold corrector mode relies on.
 //! * Sites whose tilted distribution is exactly Gaussian
 //!   ([`MomentStrategy::Analytic`], e.g. [`FactorSite`](crate::FactorSite)s
 //!   made of linear-Gaussian / high-count-Poisson factors) bypass MCMC
@@ -117,11 +118,6 @@
 //! per-worker [`SiteWorkspace`] buffers (cavity state, factor cache, MCMC
 //! scratch, analytic scratch) and per-site [`SiteUpdate`] records are
 //! cached inside the engine and reused across sweeps *and* across windows.
-//!
-//! The legacy [`ExpectationPropagation::run`] keeps the original
-//! caller-supplied-RNG sequential path (site updates in registration
-//! order, one shared stream); its results depend on the RNG stream, not on
-//! any scheduling choice.
 
 use crate::analytic::AnalyticScratch;
 use crate::dist::{Gaussian, GaussianLogPdf};
@@ -129,7 +125,20 @@ use crate::mcmc::{McmcConfig, McmcSampler, Target};
 use crate::message::GaussianMessage;
 use crate::parallel::{FactorCache, SiteUpdate, SiteWorkspace, SweepSchedule};
 use crate::rng::SiteRng;
-use rand::Rng;
+
+/// Variance floor applied to tilted moments (guards MCMC degeneracy).
+const MIN_VAR: f64 = 1e-10;
+
+/// Sweep-escalation threshold for warm runs, as a fraction of the sweep's
+/// MCMC site updates that cast a "hot" vote (some variable's cavity jumped
+/// past `AdaptiveBudget::jump_tol`, or the site was selectively reset).
+/// When a warm run reaches `warm_max_sweeps` and at least this fraction of
+/// the last sweep's sites were hot, it runs **one** extra polishing sweep
+/// (never beyond `max_sweeps`) — reset sites re-fit in their first
+/// full-budget update, so a single extra sweep recovers most of the cold
+/// refinement at a fraction of its cost, while quiet windows keep the 1–2
+/// sweep fast path.
+const WARM_ESCALATION: f64 = 0.25;
 
 /// How a site's tilted moments are computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -293,8 +302,8 @@ pub struct AdaptiveBudget {
     /// Single-variable jump threshold: if *any* of the site's variables
     /// moved past this (far above the churn tail), the site takes the full
     /// budget regardless of the diluted mean, and casts a "hot" vote
-    /// toward sweep escalation ([`EpConfig::warm_escalation`]). This is
-    /// what catches a data phase change that only touches a few observed
+    /// toward one extra warm sweep past [`EpConfig::warm_max_sweeps`]. This
+    /// is what catches a data phase change that only touches a few observed
     /// variables of a wide site.
     pub jump_tol: f64,
     /// Floor burn-in sweeps.
@@ -321,14 +330,15 @@ pub struct EpConfig {
     pub max_sweeps: usize,
     /// Maximum outer sweeps for warm-started runs (after
     /// [`ExpectationPropagation::warm_start`]) — warm runs start near the
-    /// fixed point, so 1–2 sweeps usually suffice.
+    /// fixed point, so 1–2 sweeps usually suffice. A warm run whose last
+    /// sweep was "hot" (a quarter or more of its MCMC site updates saw a
+    /// cavity jump past [`AdaptiveBudget::jump_tol`] or were selectively
+    /// reset) runs one extra sweep, never beyond `max_sweeps`.
     pub warm_max_sweeps: usize,
     /// Damping factor η ∈ (0, 1] for site/global updates.
     pub damping: f64,
     /// Convergence tolerance: maximum |Δmean|/σ across variables per sweep.
     pub tol: f64,
-    /// Variance floor applied to tilted moments (guards MCMC degeneracy).
-    pub min_var: f64,
     /// Per-variable site-message precision ceiling, as a multiple of the
     /// variable's prior precision. Noisy tilted-variance estimates can
     /// otherwise ratchet site precisions toward infinity across sweeps
@@ -342,32 +352,8 @@ pub struct EpConfig {
     pub mcmc: McmcConfig,
     /// Adaptive MCMC budget for warm-started runs: sites whose cavity
     /// barely moved since their previous update shrink to the floor
-    /// budget. `None` disables adaptation; cold runs always use the full
-    /// budget either way.
-    pub adaptive: Option<AdaptiveBudget>,
-    /// Exponential forgetting applied by
-    /// [`ExpectationPropagation::warm_start`]: every site message's
-    /// natural parameters are scaled by this factor (`1.0` = keep all
-    /// information, smaller = wider starting approximation). A sliding
-    /// window *replaces* its observations, so the messages fitted to the
-    /// previous window are partially stale — decaying them lets the new
-    /// window's data dominate within the short warm sweep budget instead
-    /// of fighting an overconfident carried-over posterior at data phase
-    /// changes. The decay only moves the starting point, not the fixed
-    /// point: run to convergence, warm still matches cold.
-    pub warm_decay: f64,
-    /// Sweep-escalation threshold for warm runs, as a fraction of the
-    /// sweep's MCMC site updates that cast a "hot" vote (some variable's
-    /// cavity jumped past [`AdaptiveBudget::jump_tol`], or the site was
-    /// selectively reset). When a warm run reaches `warm_max_sweeps` and
-    /// at least this fraction of the last sweep's sites were hot, it runs
-    /// **one** extra polishing sweep (never beyond `max_sweeps`) — reset
-    /// sites re-fit in their first full-budget update, so a single extra
-    /// sweep recovers most of the cold refinement at a fraction of its
-    /// cost, while quiet windows keep the 1–2 sweep fast path. Values
-    /// above 1.0 disable escalation; escalation is also inert when
-    /// [`EpConfig::adaptive`] is `None` (no votes are cast).
-    pub warm_escalation: f64,
+    /// budget. Cold runs always use the full budget.
+    pub adaptive: AdaptiveBudget,
 }
 
 impl Default for EpConfig {
@@ -377,12 +363,9 @@ impl Default for EpConfig {
             warm_max_sweeps: 6,
             damping: 0.6,
             tol: 0.02,
-            min_var: 1e-10,
             max_precision_ratio: 1e6,
             mcmc: McmcConfig::default(),
-            adaptive: Some(AdaptiveBudget::default()),
-            warm_decay: 1.0,
-            warm_escalation: 0.25,
+            adaptive: AdaptiveBudget::default(),
         }
     }
 }
@@ -521,11 +504,11 @@ impl SweepVotes {
         }
     }
 
-    /// Whether at least `frac` of the sweep's MCMC site updates (and at
-    /// least one) voted for the full budget.
-    fn hot(&self, frac: f64) -> bool {
+    /// Whether at least [`WARM_ESCALATION`] of the sweep's MCMC site
+    /// updates (and at least one) voted for the full budget.
+    fn hot(&self) -> bool {
         self.full_budget_votes > 0
-            && self.full_budget_votes as f64 >= frac * self.mcmc_updates as f64
+            && self.full_budget_votes as f64 >= WARM_ESCALATION * self.mcmc_updates as f64
     }
 }
 
@@ -652,18 +635,6 @@ impl ExpectationPropagation {
     pub fn warm_start(&mut self, prior: &[Gaussian]) {
         assert_eq!(prior.len(), self.prior.len(), "prior length mismatch");
         self.prior.copy_from_slice(prior);
-        // Exponential forgetting: scale every site message's natural
-        // parameters so stale observation information fades (see
-        // [`EpConfig::warm_decay`]). A no-op at the default 1.0.
-        let decay = self.config.warm_decay;
-        if decay < 1.0 {
-            for msgs in &mut self.site_approx {
-                for m in msgs {
-                    m.precision *= decay;
-                    m.mean_times_precision *= decay;
-                }
-            }
-        }
         self.rebuild_global();
         self.warm = true;
     }
@@ -694,7 +665,7 @@ impl ExpectationPropagation {
     /// the sweep counter reset — while keeping the cached sweep schedule
     /// and buffers. The next run is cold (full budgets), but pays no
     /// topology or allocation cost: this is the structural-reuse path the
-    /// independent-chunks corrector mode uses.
+    /// cold corrector mode uses.
     ///
     /// # Panics
     ///
@@ -727,59 +698,6 @@ impl ExpectationPropagation {
                 self.global[v] = self.global[v].mul(m);
             }
         }
-    }
-
-    /// Runs EP sequentially with a caller-supplied RNG (the legacy path):
-    /// sites update in registration order, Gauss-Seidel style, all drawing
-    /// from `rng`'s single stream.
-    ///
-    /// Results depend on `rng`'s stream; for scheduling-independent,
-    /// thread-scalable inference use
-    /// [`ExpectationPropagation::run_parallel`].
-    pub fn run<R: Rng + ?Sized>(&mut self, rng: &mut R) -> EpResult {
-        let sampler = McmcSampler::new(self.config.mcmc);
-        let mut ws = SiteWorkspace::new();
-        let mut out = SiteUpdate::default();
-        let mut sweeps = 0;
-        let mut converged = false;
-        let mut accum = RunAccum::default();
-        let mut hot = false;
-
-        while self.keep_sweeping(sweeps, hot) {
-            sweeps += 1;
-            let mut max_shift = 0.0f64;
-            let mut votes = SweepVotes::default();
-            for k in 0..self.sites.len() {
-                out.prepare(self.sites[k].as_ref());
-                compute_site_update(
-                    self.sites[k].as_ref(),
-                    &self.site_approx[k],
-                    &self.site_prev_cavity[k],
-                    &self.global,
-                    &self.prior,
-                    &self.config,
-                    self.warm,
-                    hot,
-                    &sampler,
-                    rng,
-                    &mut ws,
-                    &mut out,
-                );
-                let shift = self.apply_site_update(k, &out);
-                max_shift = max_shift.max(shift);
-                accum.absorb(&out);
-                votes.absorb(&out);
-            }
-            hot = votes.hot(self.config.warm_escalation);
-            if max_shift <= self.config.tol {
-                converged = true;
-                break;
-            }
-        }
-        self.total_sweeps += sweeps;
-
-        let stats = self.stats(sweeps, converged, &accum);
-        EpResult::from_stats(self.collect_marginals(), stats)
     }
 
     /// Runs EP on the engine farm: conflict-free batches of site updates
@@ -891,7 +809,7 @@ impl ExpectationPropagation {
                     votes.absorb(out);
                 }
             }
-            hot = votes.hot(self.config.warm_escalation);
+            hot = votes.hot();
             if max_shift <= self.config.tol {
                 converged = true;
                 break;
@@ -1062,7 +980,7 @@ fn farm_worker(
 /// touching shared state — the pure-compute half the engine farm runs in
 /// parallel. `out` must already be [`SiteUpdate::prepare`]d for `site`.
 #[allow(clippy::too_many_arguments)]
-fn compute_site_update<R: Rng + ?Sized>(
+fn compute_site_update(
     site: &dyn EpSite,
     approx_k: &[GaussianMessage],
     prev_cavity_k: &[GaussianMessage],
@@ -1072,7 +990,7 @@ fn compute_site_update<R: Rng + ?Sized>(
     warm: bool,
     hot_prev: bool,
     sampler: &McmcSampler,
-    rng: &mut R,
+    rng: &mut SiteRng,
     ws: &mut SiteWorkspace,
     out: &mut SiteUpdate,
 ) {
@@ -1133,8 +1051,9 @@ fn compute_site_update<R: Rng + ?Sized>(
         // sweep following a "hot" one (data jump in flight) runs every
         // site at the full budget — cold-level refinement for the
         // transient.
-        let (burn_in, samples) = match (warm, config.adaptive) {
-            (true, Some(ab)) if !prev_cavity_k.is_empty() => {
+        let ab = &config.adaptive;
+        let (burn_in, samples) = match (warm, prev_cavity_k.is_empty()) {
+            (true, false) => {
                 // Two movement statistics over the site's variables:
                 // * the mean — EP-with-MCMC churns individual weak
                 //   variables by ~1 unit per sweep even at a fixed point,
@@ -1168,14 +1087,14 @@ fn compute_site_update<R: Rng + ?Sized>(
                     (ab.burn_in, ab.samples)
                 }
             }
-            (true, Some(_)) => {
+            (true, true) => {
                 // A site with no cavity history inside a warm run was
                 // selectively reset (a detected data jump): full budget,
                 // and a vote toward extending the run.
                 out.full_budget_vote = true;
                 (config.mcmc.burn_in, config.mcmc.samples)
             }
-            _ => (config.mcmc.burn_in, config.mcmc.samples),
+            (false, _) => (config.mcmc.burn_in, config.mcmc.samples),
         };
         cavity_pdf.clear();
         cavity_pdf.extend(cavity.iter().map(GaussianLogPdf::new));
@@ -1200,7 +1119,7 @@ fn compute_site_update<R: Rng + ?Sized>(
     };
 
     // Divergence guard: a poisoned observation or a diverged MCMC chain
-    // yields NaN/Inf tilted moments. `vars[j].max(min_var)` would silently
+    // yields NaN/Inf tilted moments. `vars[j].max(MIN_VAR)` would silently
     // floor a NaN variance (f64::max ignores NaN) and a NaN *mean* passes
     // every variance check — either way the poison would enter the global
     // approximation and spread through every overlapping site on the next
@@ -1221,7 +1140,7 @@ fn compute_site_update<R: Rng + ?Sized>(
     // Lines 5–7: local moment match, damped site update, staged global
     // update.
     for (j, &v) in scope.iter().enumerate() {
-        let tilted = GaussianMessage::from_moments(means[j], vars[j].max(config.min_var));
+        let tilted = GaussianMessage::from_moments(means[j], vars[j].max(MIN_VAR));
         let prec_cap = config.max_precision_ratio / prior[v].var;
         let new_site = tilted.div(&cavity_msgs[j]).capped_precision(prec_cap);
         let damped = approx_k[j].damped_toward(&new_site, config.damping);
@@ -1288,10 +1207,13 @@ mod tests {
     use super::*;
     use crate::factor::FactorSite;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Default seed for the tests below.
+    const SEED: u64 = 12345;
 
     fn rng() -> StdRng {
-        StdRng::seed_from_u64(12345)
+        StdRng::seed_from_u64(SEED)
     }
 
     #[test]
@@ -1302,7 +1224,7 @@ mod tests {
         ep.add_site(FnSite::new(vec![0], |x: &[f64]| {
             Gaussian::new(6.0, 1.0).log_pdf(x[0])
         }));
-        let r = ep.run(&mut rng());
+        let r = ep.run_parallel(SEED, 1);
         assert!(
             (r.marginals[0].mean - 4.8).abs() < 0.25,
             "mean {}",
@@ -1349,7 +1271,7 @@ mod tests {
     }
 
     #[test]
-    fn quarantined_site_recovers_on_sequential_path_too() {
+    fn lone_quarantined_site_leaves_the_prior() {
         let mut ep =
             ExpectationPropagation::new(vec![Gaussian::new(0.0, 4.0)], EpConfig::default());
         let mut poisoned = FactorSite::builder(vec![0])
@@ -1357,7 +1279,7 @@ mod tests {
             .build();
         poisoned.set_linear_obs(0, f64::INFINITY);
         ep.add_site(poisoned);
-        let r = ep.run(&mut rng());
+        let r = ep.run_parallel(SEED, 1);
         assert!(r.sites_quarantined > 0);
         // With its only site quarantined, the posterior is the prior.
         assert!((r.marginals[0].mean - 0.0).abs() < 1e-9);
@@ -1376,7 +1298,7 @@ mod tests {
         ep.add_site(FnSite::new(vec![0], |x: &[f64]| {
             Gaussian::new(10.0, 1.0).log_pdf(x[0])
         }));
-        let r = ep.run(&mut rng());
+        let r = ep.run_parallel(SEED, 1);
         assert!(
             (r.marginals[0].mean - 5.0).abs() < 0.4,
             "mean {}",
@@ -1389,33 +1311,7 @@ mod tests {
     #[test]
     fn linear_constraint_transfers_information() {
         // x0 + x1 ≈ 10 (tight), x0 observed near 3 -> x1 ≈ 7 with
-        // uncertainty larger than x0's.
-        let mut ep = ExpectationPropagation::new(
-            vec![Gaussian::new(5.0, 100.0), Gaussian::new(5.0, 100.0)],
-            EpConfig::default(),
-        );
-        ep.add_site(FnSite::new(vec![0], |x: &[f64]| {
-            Gaussian::new(3.0, 0.01).log_pdf(x[0])
-        }));
-        ep.add_site(FnSite::new(vec![0, 1], |x: &[f64]| {
-            Gaussian::new(0.0, 0.01).log_pdf(x[0] + x[1] - 10.0)
-        }));
-        let r = ep.run(&mut rng());
-        assert!(
-            (r.marginals[0].mean - 3.0).abs() < 0.3,
-            "x0 {}",
-            r.marginals[0].mean
-        );
-        assert!(
-            (r.marginals[1].mean - 7.0).abs() < 0.5,
-            "x1 {}",
-            r.marginals[1].mean
-        );
-    }
-
-    #[test]
-    fn parallel_run_matches_sequential_quality() {
-        // Same model as above, through the engine farm path.
+        // uncertainty larger than x0's, through the engine farm.
         let mut ep = ExpectationPropagation::new(
             vec![Gaussian::new(5.0, 100.0), Gaussian::new(5.0, 100.0)],
             EpConfig::default(),
@@ -1465,7 +1361,7 @@ mod tests {
         ep.add_site(FnSite::new(vec![1, 2], |x: &[f64]| {
             Gaussian::new(0.0, 0.02).log_pdf(x[0] + x[1] - 12.0)
         }));
-        let r = ep.run(&mut rng());
+        let r = ep.run_parallel(SEED, 1);
         assert!(
             (r.marginals[2].mean - 6.0).abs() < 0.7,
             "x2 {}",
@@ -1482,7 +1378,7 @@ mod tests {
         ep.add_site(FnSite::new(vec![0], |x: &[f64]| {
             Gaussian::new(1.0, 1.0).log_pdf(x[0])
         }));
-        let r = ep.run(&mut rng());
+        let r = ep.run_parallel(SEED, 1);
         assert_eq!(r.marginals[1].mean, 9.0);
         assert_eq!(r.marginals[1].var, 3.0);
     }
@@ -1506,7 +1402,7 @@ mod tests {
         ep.add_site(FnSite::new(vec![0], |x: &[f64]| {
             Gaussian::new(2.0, 0.5).log_pdf(x[0])
         }));
-        let r = ep.run(&mut rng());
+        let r = ep.run_parallel(SEED, 1);
         assert!(r.converged, "should converge in 30 sweeps");
         assert!(r.sweeps_run < 30);
         assert_eq!(

@@ -30,9 +30,7 @@
 //! ep.add_site(FnSite::new(vec![0, 1], |x: &[f64]| {
 //!     Gaussian::new(0.0, 0.01).log_pdf(x[0] + x[1] - 10.0)
 //! }));
-//! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-//! # use rand::SeedableRng;
-//! let result = ep.run(&mut rng);
+//! let result = ep.run_parallel(7, 1);
 //! assert!((result.marginals[1].mean - 7.0).abs() < 0.5);
 //! ```
 

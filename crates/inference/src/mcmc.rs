@@ -26,6 +26,14 @@
 use crate::standard_normal;
 use rand::Rng;
 
+/// Initial proposal standard deviation, per component, as a multiple of
+/// the caller-provided component scale.
+const INITIAL_STEP: f64 = 1.0;
+
+/// Acceptance rate the burn-in step adaptation steers each component
+/// toward (~0.44 is optimal for component-wise random walks).
+const TARGET_ACCEPTANCE: f64 = 0.44;
+
 /// A log-density target for MCMC.
 pub trait Target {
     /// Dimension of the state vector.
@@ -73,12 +81,6 @@ pub struct McmcConfig {
     pub burn_in: usize,
     /// Sweeps collected for moment estimation.
     pub samples: usize,
-    /// Initial proposal standard deviation (per component, scaled by the
-    /// caller-provided component scales).
-    pub initial_step: f64,
-    /// Target acceptance rate for step adaptation (~0.44 is optimal for
-    /// component-wise random walks).
-    pub target_acceptance: f64,
 }
 
 impl Default for McmcConfig {
@@ -86,8 +88,6 @@ impl Default for McmcConfig {
         McmcConfig {
             burn_in: 150,
             samples: 300,
-            initial_step: 1.0,
-            target_acceptance: 0.44,
         }
     }
 }
@@ -165,12 +165,12 @@ impl McmcScratch {
 
     /// Resets buffers for a `d`-dimensional run (no allocation once
     /// capacity suffices).
-    fn prepare(&mut self, init: &[f64], scales: &[f64], initial_step: f64) {
+    fn prepare(&mut self, init: &[f64], scales: &[f64]) {
         self.x.clear();
         self.x.extend_from_slice(init);
         self.steps.clear();
         self.steps
-            .extend(scales.iter().map(|s| initial_step * s.abs().max(1e-9)));
+            .extend(scales.iter().map(|s| INITIAL_STEP * s.abs().max(1e-9)));
         let d = init.len();
         self.mean.clear();
         self.mean.resize(d, 0.0);
@@ -313,7 +313,7 @@ impl McmcSampler {
         let d = target.dim();
         assert_eq!(init.len(), d, "init length mismatch");
         assert_eq!(scales.len(), d, "scales length mismatch");
-        scratch.prepare(init, scales, self.config.initial_step);
+        scratch.prepare(init, scales);
         target.start(&scratch.x);
 
         let mut accepted = 0usize;
@@ -337,7 +337,7 @@ impl McmcSampler {
                 }
                 if burning && scratch.prop_window[i] >= ADAPT_EVERY {
                     let rate = scratch.acc_window[i] as f64 / scratch.prop_window[i] as f64;
-                    if rate > self.config.target_acceptance {
+                    if rate > TARGET_ACCEPTANCE {
                         scratch.steps[i] *= 1.15;
                     } else {
                         scratch.steps[i] *= 0.85;
@@ -405,7 +405,6 @@ mod tests {
         let sampler = McmcSampler::new(McmcConfig {
             burn_in: 300,
             samples: 3000,
-            ..McmcConfig::default()
         });
         let mut rng = StdRng::seed_from_u64(42);
         let stats = sampler.run(&mut target, &[0.0, 0.0], &[1.0, 2.0], &mut rng);
@@ -430,7 +429,6 @@ mod tests {
         let sampler = McmcSampler::new(McmcConfig {
             burn_in: 500,
             samples: 8000,
-            ..McmcConfig::default()
         });
         let mut rng = StdRng::seed_from_u64(44);
         let stats = sampler.run(&mut target, &[1.0e9], &[2.0], &mut rng);
@@ -492,7 +490,6 @@ mod tests {
         let sampler = McmcSampler::new(McmcConfig {
             burn_in: 1000,
             samples: 40_000,
-            ..McmcConfig::default()
         });
         let mut rng = StdRng::seed_from_u64(43);
         let stats = sampler.run(&mut CorrelatedTarget, &[1.0, -1.0], &[1.0, 1.0], &mut rng);

@@ -204,7 +204,7 @@ pub struct SiteUpdate {
     pub(crate) quarantined: bool,
     /// Whether a warm adaptive-budget decision voted for the *full* MCMC
     /// budget (the site's cavity jumped) — the sweep-escalation signal.
-    /// Always false for cold runs, analytic sites, or `adaptive: None`.
+    /// Always false for cold runs and analytic sites.
     pub(crate) full_budget_vote: bool,
     /// MCMC samples collected (0 on the analytic path).
     pub(crate) mcmc_samples: u32,
