@@ -16,7 +16,7 @@ use bayesperf_bench::gate::GateConfig;
 use bayesperf_core::corrector::{Corrector, CorrectorConfig};
 use bayesperf_core::model::{ChunkEngine, ModelConfig};
 use bayesperf_events::{Arch, Catalog};
-use bayesperf_inference::{EpConfig, ExpectationPropagation, FnSite, Gaussian};
+use bayesperf_inference::{EpConfig, ExpectationPropagation, FactorSite, Gaussian};
 use bayesperf_simcpu::{pack_round_robin, MultiplexRun, Pmu, PmuConfig, Sample};
 use bayesperf_workloads::kmeans;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -37,20 +37,24 @@ fn farm_model() -> ExpectationPropagation {
     let n = 32;
     let prior = vec![Gaussian::new(5.0, 50.0); n];
     let mut ep = ExpectationPropagation::new(prior, EpConfig::default());
+    let site = |vars: Vec<usize>, coeffs: &[f64], obs: f64, var: f64| {
+        let locals: Vec<usize> = (0..vars.len()).collect();
+        FactorSite::builder(vars)
+            .gaussian_linear(&locals, coeffs, obs, var)
+            .build()
+    };
     for v in 0..n {
-        let center = 2.0 + v as f64 * 0.25;
-        ep.add_site(FnSite::new(vec![v], move |x: &[f64]| {
-            Gaussian::new(center, 0.5).log_pdf(x[0])
-        }));
+        ep.add_site(site(vec![v], &[1.0], 2.0 + v as f64 * 0.25, 0.5));
     }
     for v in 0..n - 1 {
-        ep.add_site(FnSite::new(vec![v, v + 1], |x: &[f64]| {
-            Gaussian::new(0.25, 0.1).log_pdf(x[1] - x[0])
-        }));
+        ep.add_site(site(vec![v, v + 1], &[-1.0, 1.0], 0.25, 0.1));
     }
-    ep.add_site(FnSite::new(vec![0, n - 1], move |x: &[f64]| {
-        Gaussian::new((n - 1) as f64 * 0.25, 1.0).log_pdf(x[1] - x[0])
-    }));
+    ep.add_site(site(
+        vec![0, n - 1],
+        &[-1.0, 1.0],
+        (n - 1) as f64 * 0.25,
+        1.0,
+    ));
     ep
 }
 
@@ -71,7 +75,7 @@ fn bench_ep_chunk(c: &mut Criterion) {
         b.iter(|| {
             let mut engine = ChunkEngine::with_slices(&cat, &cfg, cfg.fast_ep(), windows.len());
             engine.load_cold(&windows);
-            std::hint::black_box(engine.run_farm(1, 1));
+            std::hint::black_box(engine.run_farm(1));
         })
     });
 }
@@ -93,14 +97,14 @@ fn bench_corrector_run(c: &mut Criterion) {
 
 fn bench_engine_farm(c: &mut Criterion) {
     c.bench_function("ep_farm_64sites_sequential", |b| {
-        b.iter(|| std::hint::black_box(farm_model().run_parallel(1, 1)))
+        b.iter(|| std::hint::black_box(farm_model().run_farm(1)))
     });
     let hw = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     let threads = hw.clamp(2, 8);
     c.bench_function("ep_farm_64sites_parallel", |b| {
-        b.iter(|| std::hint::black_box(farm_model().run_parallel(1, threads)))
+        b.iter(|| std::hint::black_box(farm_model().run_farm(threads)))
     });
     // Honor the same CLI name filter bench_function applies, so e.g.
     // `cargo bench ... ep_chunk_inference` doesn't pay for ~32 unrequested
@@ -124,26 +128,14 @@ fn report_paired_speedup(threads: usize, hw: usize) {
         15
     };
     // One warm-up pair, discarded.
-    let _ = time(|| farm_model().run_parallel(0, 1));
-    let _ = time(|| farm_model().run_parallel(0, threads));
-    // Per-arm pair counters: each arm runs once per pair, so both see the
-    // same sweep seed within a pair (matched workloads, like the old loop).
-    let mut p_seq = 0u64;
-    let mut p_par = 0u64;
+    let _ = time(|| farm_model().run_farm(1));
+    let _ = time(|| farm_model().run_farm(threads));
     let verdict = GateConfig::at_least("ep_farm_speedup", 0.0)
         .samples(pairs, pairs)
         .seed(0xFA12)
         .run_paired(
-            || {
-                let t = time(|| farm_model().run_parallel(p_par, threads));
-                p_par += 1;
-                t
-            },
-            || {
-                let t = time(|| farm_model().run_parallel(p_seq, 1));
-                p_seq += 1;
-                t
-            },
+            || time(|| farm_model().run_farm(threads)),
+            || time(|| farm_model().run_farm(1)),
         );
     println!(
         "ep_farm_speedup_{threads}threads            ratio: [{:.2}x {:.2}x {:.2}x] \
@@ -190,7 +182,7 @@ fn bench_warm_vs_cold(c: &mut Criterion) {
 
 /// Paired interleaved warm-vs-cold measurement on the shared
 /// [`GateConfig::run_paired`] harness: run the cold baseline (every chunk
-/// re-solved from vacuous messages with the full budget) and the
+/// re-solved from vacuous messages with the cold sweep count) and the
 /// warm-started incremental path back to back (seeded
 /// coin-flip order inside each pair) on the same recorded run, and report
 /// the mean per-pair ratio with its one-sided 99.5% Student-t interval

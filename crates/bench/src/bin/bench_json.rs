@@ -27,11 +27,9 @@
 //!   "chunk_slices": 6,
 //!   "alpha": 0.005,
 //!   "cold": { "ns_per_window": 0.0, "sweeps_per_chunk": 0.0,
-//!             "mcmc_samples_per_site_update": 0.0, "mcmc_samples_total": 0,
-//!             "n": 0 },
+//!             "site_updates_total": 0, "n": 0 },
 //!   "warm": { "ns_per_window": 0.0, "sweeps_per_chunk": 0.0,
-//!             "mcmc_samples_per_site_update": 0.0, "mcmc_samples_total": 0,
-//!             "jump_site_resets": 0, "n": 0 },
+//!             "site_updates_total": 0, "jump_site_resets": 0, "n": 0 },
 //!   "speedup": { "mean": 0.0, "gate": { "stat": 0.0, "lo": 0.0, "hi": 0.0,
 //!                "n_a": 0, "n_b": 0, "rel": ">=", "bound": 1.111111,
 //!                "alpha": 0.005, "verdict": "pass" } },
@@ -270,7 +268,7 @@ fn main() {
     // Gate 1 — warm-vs-cold speedup. Arm A streams warm chunks through the
     // persistent corrector (steady state), arm B is the cold baseline:
     // the same engine, every chunk re-solved from vacuous messages with
-    // the full sweep/MCMC budget. The arms run as back-to-back pairs in
+    // the cold sweep count. The arms run as back-to-back pairs in
     // coin-flip order (a paired gate: machine drift divides out inside
     // each pair), and the gate requires the speedup's *lower* confidence
     // bound to clear 1/0.9.
@@ -879,11 +877,9 @@ fn main() {
   "chunk_slices": {slices},
   "alpha": 0.005,
   "cold": {{ "ns_per_window": {:.0}, "sweeps_per_chunk": {:.3},
-            "mcmc_samples_per_site_update": {:.1}, "mcmc_samples_total": {},
-            "n": {} }},
+            "site_updates_total": {}, "n": {} }},
   "warm": {{ "ns_per_window": {:.0}, "sweeps_per_chunk": {:.3},
-            "mcmc_samples_per_site_update": {:.1}, "mcmc_samples_total": {},
-            "jump_site_resets": {}, "n": {} }},
+            "site_updates_total": {}, "jump_site_resets": {}, "n": {} }},
   "speedup": {{ "mean": {:.3},
                "gate": {} }},
   "shim_read": {{ "reads": {reads}, "p50_ns": {:.0}, "p99_ns": {:.0},
@@ -925,13 +921,11 @@ fn main() {
 "#,
         cold_ns_per_window,
         cold_stats.sweeps_per_chunk(),
-        cold_stats.samples_per_site_update(),
-        cold_stats.mcmc_samples,
+        cold_stats.analytic_site_updates,
         speedup.n_b,
         warm_ns_per_window,
         warm_stats.sweeps_per_chunk(),
-        warm_stats.samples_per_site_update(),
-        warm_stats.mcmc_samples,
+        warm_stats.analytic_site_updates,
         warm_stats.jump_site_resets,
         speedup.n_a,
         speedup.stat,

@@ -4,16 +4,16 @@
 //! previous chunk's final-slice posterior (the paper's temporal coupling),
 //! and every chunk runs on the corrector's **one** persistent
 //! [`ChunkEngine`]: the factor-graph topology, sweep schedule and all
-//! MCMC/analytic scratch are built once, in [`Corrector::new`].
+//! moment-solver scratch are built once, in [`Corrector::new`].
 //!
 //! * **warm** ([`CorrectorConfig::warm_start`], the default): each chunk
 //!   only swaps observations and keeps the EP site messages, so the
 //!   steady-state loop (chunk 2+) performs **zero heap allocations** at
-//!   `threads = 1` and converges in 1–2 sweeps with shrunken MCMC budgets
-//!   instead of the full cold budget.
+//!   `threads = 1` and is capped at the warm sweep count instead of the
+//!   cold one.
 //! * **cold** ([`CorrectorConfig::cold_start`], the benchmark baseline):
-//!   each chunk discards the messages and pays the full sweep/MCMC budget
-//!   on the same engine.
+//!   each chunk discards the messages and runs the cold sweep count on the
+//!   same engine.
 //!
 //! [`Corrector::try_push_chunk`] corrects one full chunk and
 //! [`Corrector::push_tail`] a ragged final chunk. The batch
@@ -23,7 +23,7 @@
 use crate::error::ShimError;
 use crate::model::{ChunkEngine, ChunkPosterior, ModelConfig};
 use bayesperf_events::{Catalog, EventId};
-use bayesperf_inference::{derive_stream_seed, EpConfig, EpRunStats, Gaussian};
+use bayesperf_inference::{EpConfig, EpRunStats, Gaussian};
 use bayesperf_simcpu::{MultiplexRun, Sample};
 
 /// Configuration of the [`Corrector`].
@@ -33,8 +33,6 @@ pub struct CorrectorConfig {
     pub model: ModelConfig,
     /// EP settings.
     pub ep: EpConfig,
-    /// RNG seed for the MCMC chains.
-    pub seed: u64,
     /// EP engine farm workers per chunk. `1` means fully sequential.
     pub threads: usize,
     /// Carry the EP approximation across chunks (incremental correction).
@@ -50,7 +48,6 @@ impl CorrectorConfig {
         CorrectorConfig {
             model,
             ep,
-            seed: 0,
             threads: 1,
             warm_start: true,
         }
@@ -63,8 +60,8 @@ impl CorrectorConfig {
     }
 
     /// Disables warm-start: every chunk runs cold EP from the vacuous
-    /// approximation with the full budget (the pre-incremental baseline
-    /// the warm-vs-cold benchmark pairs against).
+    /// approximation with the cold sweep count (the pre-incremental
+    /// baseline the warm-vs-cold benchmark pairs against).
     pub fn cold_start(mut self) -> Self {
         self.warm_start = false;
         self
@@ -86,12 +83,8 @@ pub struct CorrectionStats {
     pub jump_site_resets: u64,
     /// EP sweeps executed across all chunks.
     pub sweeps: u64,
-    /// Site updates that estimated moments by MCMC.
-    pub mcmc_site_updates: u64,
-    /// Site updates that computed moments analytically.
+    /// Site updates merged across all chunks.
     pub analytic_site_updates: u64,
-    /// Total MCMC samples collected.
-    pub mcmc_samples: u64,
 }
 
 impl CorrectionStats {
@@ -108,18 +101,7 @@ impl CorrectionStats {
             self.warm_chunks += 1;
         }
         self.sweeps += s.sweeps_run as u64;
-        self.mcmc_site_updates += s.mcmc_site_updates;
         self.analytic_site_updates += s.analytic_site_updates;
-        self.mcmc_samples += s.mcmc_samples;
-    }
-
-    /// Mean MCMC samples per MCMC-path site update (0 when none ran).
-    pub fn samples_per_site_update(&self) -> f64 {
-        if self.mcmc_site_updates == 0 {
-            0.0
-        } else {
-            self.mcmc_samples as f64 / self.mcmc_site_updates as f64
-        }
     }
 
     /// Mean EP sweeps per chunk (0 when no chunks ran).
@@ -309,10 +291,7 @@ impl<'a> Corrector<'a> {
             self.jump_resets = 0;
             self.engine.load_cold(windows);
         }
-        let stats = self.engine.run_farm(
-            derive_stream_seed(self.config.seed, c as usize),
-            self.config.threads,
-        );
+        let stats = self.engine.run_farm(self.config.threads);
         self.engine.capture_chain_prior();
         self.stream_count += 1;
         Ok(stats)
@@ -326,9 +305,7 @@ impl<'a> Corrector<'a> {
     /// followed by `push_tail` reproduces the batch series bit for bit).
     /// The persistent engine's chain state and stream count are untouched:
     /// the tail is terminal, and a later [`Corrector::push_chunk`]
-    /// continues chained from the last *full* chunk — the tail therefore
-    /// derives its seed from a disjoint domain (`seed ^ TAIL_SEED_TAG`) so
-    /// it never shares an RNG stream with that next chunk.
+    /// continues chained from the last *full* chunk.
     pub fn push_tail(
         &mut self,
         windows: &[&[Sample]],
@@ -355,21 +332,9 @@ impl<'a> Corrector<'a> {
             tail.set_chain_prior(self.engine.chain_prior());
         }
         tail.load_cold(windows);
-        let stats = tail.run_farm(
-            derive_stream_seed(
-                self.config.seed ^ Self::TAIL_SEED_TAG,
-                self.stream_count as usize,
-            ),
-            self.config.threads,
-        );
+        let stats = tail.run_farm(self.config.threads);
         Ok((tail.to_posterior(stats.converged), stats))
     }
-
-    /// Seed-domain separator for ragged tails: `push_tail` does not
-    /// advance `stream_count`, so without the tag the tail and the *next*
-    /// full chunk would derive the same per-chunk seed and share an MCMC
-    /// RNG stream.
-    const TAIL_SEED_TAG: u64 = 0x7A11_5EED_7A11_5EED;
 
     /// How many sites the most recent [`Corrector::push_chunk`] selectively
     /// reset on a change-point.
@@ -419,9 +384,9 @@ impl<'a> Corrector<'a> {
     /// chunk through [`Corrector::push_tail`], so the series equals
     /// streaming the same windows after a [`Corrector::reset_stream`].
     ///
-    /// Every chunk runs on the deterministic engine farm with its own
-    /// derived seed, so thread count is purely a throughput knob —
-    /// `threads = 1` and `threads = 8` produce bit-identical series.
+    /// Every chunk runs on the deterministic engine farm, so thread count
+    /// is purely a throughput knob — `threads = 1` and `threads = 8`
+    /// produce bit-identical series.
     pub fn correct_slices(&mut self, windows: &[&[Sample]]) -> PosteriorSeries {
         let k = self.config.model.slices.max(1);
         let ne = self.catalog.len();
@@ -570,16 +535,14 @@ mod tests {
         assert_eq!(series.sd_series(ev).len(), 6);
         assert!(series.convergence_rate >= 0.0 && series.convergence_rate <= 1.0);
         assert!(series.stats.chunks > 0);
-        assert!(series.stats.mcmc_site_updates > 0);
+        assert!(series.stats.analytic_site_updates > 0);
     }
 
     #[test]
     fn chained_mode_identical_at_any_thread_count() {
         // Chained chunks serialize on the prior, but each chunk's EP farm
         // is bit-identical at any thread count — so the whole series is,
-        // warm or cold, including the warm adaptive-budget decisions
-        // (derived from deterministically merged cavity history) and the
-        // ragged tail.
+        // warm or cold, including the ragged tail.
         let cat = Catalog::new(Arch::X86SkyLake);
         let prog = kmeans();
         let mut truth = prog.instantiate(&cat, 0);
@@ -631,7 +594,7 @@ mod tests {
                         engine.set_chain_prior(prev.chain_prior());
                     }
                     engine.load_cold(&windows);
-                    engine.run_farm(derive_stream_seed(cfg.seed, c), cfg.threads);
+                    engine.run_farm(cfg.threads);
                     for t in 0..k {
                         for e in cat.iter() {
                             let got = series.posterior(c * k + t, e.id);
@@ -742,22 +705,33 @@ mod tests {
         assert_eq!(warm.windows(), cold.windows());
         assert!(warm.stats.warm_chunks > 0);
         assert_eq!(cold.stats.warm_chunks, 0);
-        // The algorithmic win: warm chunks run fewer sweeps and far fewer
-        // MCMC samples.
-        assert!(
-            warm.stats.mcmc_samples * 2 < cold.stats.mcmc_samples,
-            "warm {} samples vs cold {}",
-            warm.stats.mcmc_samples,
-            cold.stats.mcmc_samples
-        );
         assert!(warm.stats.sweeps < cold.stats.sweeps);
+        // The algorithmic win: a warm chunk does at most half the site
+        // updates of the same chunk solved cold. Chunk 0 is cold on both
+        // paths, so compare the chunks after it.
+        let k = CorrectorConfig::for_run(&run).model.slices;
+        let windows: Vec<&[Sample]> = run.windows.iter().map(|w| w.samples.as_slice()).collect();
+        let mut warm = Corrector::new(&cat, CorrectorConfig::for_run(&run));
+        let mut cold = Corrector::new(&cat, CorrectorConfig::for_run(&run).cold_start());
+        let (mut warm_updates, mut cold_updates) = (0, 0);
+        for (c, chunk) in windows.chunks(k).enumerate() {
+            let (w, cs) = (warm.push_chunk(chunk), cold.push_chunk(chunk));
+            if c > 0 {
+                warm_updates += w.analytic_site_updates;
+                cold_updates += cs.analytic_site_updates;
+            }
+        }
+        assert!(
+            warm_updates * 2 <= cold_updates,
+            "warm {warm_updates} site updates vs cold {cold_updates}"
+        );
     }
 
     #[test]
     fn warm_marginals_stay_close_to_cold_marginals() {
         // Warm-start is an approximation accelerator, not a model change:
         // posterior means must stay within a few percent of the cold path
-        // (MCMC noise dominates the difference).
+        // (the warm sweep cap dominates the difference).
         let cat = Catalog::new(Arch::X86SkyLake);
         let prog = kmeans();
         let mut truth = prog.instantiate(&cat, 0);
@@ -782,8 +756,8 @@ mod tests {
         let mean_rel = rels.iter().sum::<f64>() / rels.len() as f64;
         let max_rel = rels.iter().fold(0.0f64, |a, &b| a.max(b));
         // Tight on average; a single phase-boundary window may deviate
-        // further (both paths carry MCMC noise and settle the transient
-        // on different trajectories).
+        // further (the two paths settle the transient on different
+        // trajectories).
         assert!(mean_rel < 0.12, "mean relative deviation {mean_rel:.3}");
         assert!(max_rel < 0.6, "max relative deviation {max_rel:.3}");
     }

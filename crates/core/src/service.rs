@@ -428,8 +428,10 @@ struct Shared {
     /// is false is looking at a stalled (hung) service, not an idle one.
     /// (`service.beats` on the registry.)
     beats: Counter,
-    /// True while the service thread is parked waiting for work — an idle
-    /// thread's heartbeat is legitimately frozen.
+    /// True while the service holds no work — before its first wait,
+    /// parked waiting for work, or caught up between acking a sync or
+    /// flush and parking. An idle thread's heartbeat is legitimately
+    /// frozen.
     idle: AtomicBool,
     /// Crash restarts performed by the supervisor (monotonic;
     /// `supervisor.restarts`).
@@ -551,7 +553,7 @@ impl Monitor {
             chunks_run: registry.counter("service.chunks_run"),
             windows_published: registry.counter("service.windows_published"),
             beats: registry.counter("service.beats"),
-            idle: AtomicBool::new(false),
+            idle: AtomicBool::new(true),
             restarts: registry.counter("supervisor.restarts"),
             divergences: registry.counter("service.divergences"),
             ep_sweep_ns: registry.histogram("ep.sweep_ns"),
@@ -758,7 +760,8 @@ impl Monitor {
 
     /// Liveness probe: `(beats, idle)`. `beats` advances once per service
     /// loop iteration and per corrected chunk; `idle` is true while the
-    /// thread is parked waiting for work. A watchdog sampling this twice
+    /// service holds no work (parked, or caught up after acking a
+    /// [`Monitor::sync`]/[`Monitor::flush`]). A watchdog sampling this twice
     /// sees a *stalled* service as frozen `beats` with `idle == false` —
     /// distinct from an idle one (`idle == true`) and from a crashed one
     /// ([`Monitor::service_state`]).
@@ -1324,21 +1327,23 @@ impl InferenceService {
             let _ = corrector.resume_from(&post);
         }
         loop {
-            let (controls, shutdown) = self.wait_for_work();
+            let (mut controls, shutdown) = self.wait_for_work();
             self.shared.beats.incr();
             if !self.paused {
                 self.drain_and_correct(&mut corrector);
             }
-            for ctrl in controls {
+            while let Some(ctrl) = controls.pop_front() {
                 match ctrl {
                     Control::Sync(ack) => {
                         if !self.paused {
                             self.drain_and_correct(&mut corrector);
                         }
+                        self.mark_idle_if_caught_up(controls.is_empty());
                         let _ = ack.send(());
                     }
                     Control::Flush(ack) => {
                         self.flush(&mut corrector);
+                        self.mark_idle_if_caught_up(controls.is_empty());
                         let _ = ack.send(());
                     }
                     Control::Pause(ack) => {
@@ -1402,15 +1407,34 @@ impl InferenceService {
     /// shutdown flag.
     fn wait_for_work(&mut self) -> (VecDeque<Control>, bool) {
         let mut st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-        while (self.paused || st.ring.is_empty()) && st.control.is_empty() && !st.shutdown {
+        while self.has_no_work(&st) {
             // While parked here the heartbeat is legitimately frozen;
             // `idle` tells watchdogs this is a sleeping service, not a
             // stalled one.
             self.shared.idle.store(true, Relaxed);
             st = self.shared.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-            self.shared.idle.store(false, Relaxed);
         }
+        self.shared.idle.store(false, Relaxed);
         (std::mem::take(&mut st.control), st.shutdown)
+    }
+
+    /// Whether `st` leaves the service nothing to do: the ring empty (or
+    /// draining paused), no control queued, no shutdown requested.
+    fn has_no_work(&self, st: &InboundState) -> bool {
+        (self.paused || st.ring.is_empty()) && st.control.is_empty() && !st.shutdown
+    }
+
+    /// Marks the service idle before a sync or flush ack that leaves it
+    /// caught up: no control left in this batch (`batch_done`) and nothing
+    /// queued. Otherwise the thread would report busy from the ack until
+    /// it parks, and a watchdog probing right after the ack — a fleet's
+    /// refresh after its flush barrier — would read a caught-up service
+    /// with a frozen heartbeat as stalled.
+    fn mark_idle_if_caught_up(&self, batch_done: bool) {
+        let st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
+        if batch_done && self.has_no_work(&st) {
+            self.shared.idle.store(true, Relaxed);
+        }
     }
 
     /// Drains the ring, assembles windows (dropping late samples), and
@@ -1824,6 +1848,13 @@ impl Supervised for ServiceLoop {
             .record(FlightEvent::ServiceFailed {
                 cause: cause.clone(),
             });
+        // Refuse new work before announcing the failure, so whoever sees
+        // `Failed` also sees pushes refused. The shutdown guard would do
+        // it only once the thread exits, after the dump below.
+        {
+            let _st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
+            self.shared.closed.store(true, Relaxed);
+        }
         self.state.publish(ServiceState::Failed { cause });
         // The automatic post-mortem: seal the flight ring at the moment
         // of death so the dump survives whatever happens to the ring

@@ -16,11 +16,10 @@
 //!   never produces non-finite moments — the same
 //!   `assert_never_oversharpened` contract the fleet's net-fault harness
 //!   enforces one layer up. Mean *accuracy* under corruption is not part
-//!   of the factor-level contract: EP re-initialises a site's MCMC chain
-//!   at its observation hint every sweep with steps capped at the cavity
-//!   scale, so a bogus-magnitude read costs accuracy until quarantine or
-//!   later windows correct it — what it must never do is manufacture
-//!   confidence.
+//!   of the factor-level contract: EP starts a site's IRLS solve at its
+//!   observation's location every sweep, so a bogus-magnitude read costs
+//!   accuracy until quarantine or later windows correct it — what it must
+//!   never do is manufacture confidence.
 
 use bayesperf_core::{gauge_observation, observation};
 use bayesperf_events::{EventId, SourceId};
@@ -49,43 +48,12 @@ fn sample(value: f64, sub_sd: f64, sub_n: u32, source: u16) -> Sample {
 /// gauge's; `invariant` optionally adds the coupled factor
 /// `y - c·x ~ N(0, (0.01·max(c,1))²)` (the catalog's exact-invariant
 /// width on the relative residual).
-fn fused(
-    obs_x: StudentT,
-    obs_y: Option<StudentT>,
-    invariant: Option<f64>,
-    seed: u64,
-) -> (Gaussian, Gaussian) {
+fn fused(obs_x: StudentT, obs_y: Option<StudentT>, invariant: Option<f64>) -> (Gaussian, Gaussian) {
     let prior = vec![Gaussian::new(1.0, 25.0), Gaussian::new(1.0, 25.0)];
-    // Long chains: variance comparisons at a few-percent tolerance need
-    // MCMC moment noise well below that (the sites are tiny, so this
-    // stays cheap).
-    let config = EpConfig {
-        mcmc: bayesperf_inference::McmcConfig {
-            burn_in: 500,
-            samples: 4000,
-        },
-        ..EpConfig::default()
-    };
-    let mut ep = ExpectationPropagation::new(prior, config);
-    // Hints mirror SliceSite::set_window: init at the observation's
-    // location, propose at 3× its scale.
-    let (hint_x, scale_x) = (obs_x.loc, obs_x.scale * 3.0);
-    ep.add_site(
-        FactorSite::builder(vec![0])
-            .factor(&[0], move |v| obs_x.log_pdf(v[0]))
-            .init_hint(0, hint_x)
-            .scale_hint(0, scale_x)
-            .build(),
-    );
+    let mut ep = ExpectationPropagation::new(prior, EpConfig::default());
+    ep.add_site(FactorSite::builder(vec![0]).student_t(0, obs_x).build());
     if let Some(t) = obs_y {
-        let (hint_y, scale_y) = (t.loc, t.scale * 3.0);
-        ep.add_site(
-            FactorSite::builder(vec![1])
-                .factor(&[0], move |v| t.log_pdf(v[0]))
-                .init_hint(0, hint_y)
-                .scale_hint(0, scale_y)
-                .build(),
-        );
+        ep.add_site(FactorSite::builder(vec![1]).student_t(0, t).build());
     }
     if let Some(c) = invariant {
         let width = 0.01 * c.max(1.0);
@@ -95,14 +63,14 @@ fn fused(
                 .build(),
         );
     }
-    ep.run_farm(seed, 1);
+    ep.run_farm(1);
     (ep.marginal(0), ep.marginal(1))
 }
 
 /// The fleet net-fault harness's contract, at factor level: relative to
 /// the all-consistent posterior, a degraded input may only widen — both
 /// marginals stay finite with positive variance and neither comes out
-/// sharper (beyond MCMC moment noise).
+/// sharper (beyond a 20% margin).
 fn assert_never_oversharpened(degraded: (Gaussian, Gaussian), consistent: (Gaussian, Gaussian)) {
     for (d, c) in [(degraded.0, consistent.0), (degraded.1, consistent.1)] {
         assert!(
@@ -125,7 +93,9 @@ fn coupled_invariants_tighten_on_consistent_sources_and_widen_under_faults() {
         let c = (0.5f64..4.0).sample(rng);
         let pmu_eps = (-0.02f64..0.02).sample(rng);
         let gauge_eps = (-0.015f64..0.015).sample(rng);
-        let seed = (0u64..u64::MAX - 1).sample(rng);
+        // The fourth draw seeded the sampler this property once ran on;
+        // consuming it keeps the 24 generated cases unchanged.
+        let _ = (0u64..u64::MAX - 1).sample(rng);
         let y_true = c * x_true;
 
         let sx = sample(x_true * (1.0 + pmu_eps), 0.01 * x_true, 4, 0);
@@ -139,8 +109,8 @@ fn coupled_invariants_tighten_on_consistent_sources_and_widen_under_faults() {
         // Unobserved gauge slice: the invariant is the only y evidence.
         // It must tighten y massively versus the prior-only marginal and
         // must not degrade x.
-        let (x_solo, y_solo) = fused(obs_x, None, None, seed);
-        let (x_inv, y_inv) = fused(obs_x, None, Some(c), seed);
+        let (x_solo, y_solo) = fused(obs_x, None, None);
+        let (x_inv, y_inv) = fused(obs_x, None, Some(c));
         assert!(
             y_inv.var <= y_solo.var * (1.0 + 1e-9),
             "invariant widened an unobserved gauge: {} vs {}",
@@ -161,9 +131,9 @@ fn coupled_invariants_tighten_on_consistent_sources_and_widen_under_faults() {
         );
 
         // Consistent gauge observation: more evidence, so the fused
-        // posterior tightens (or at worst preserves, modulo MCMC moment
-        // noise) relative to the invariant-only marginal.
-        let consistent = fused(obs_x, Some(obs_y), Some(c), seed);
+        // posterior tightens (or at worst preserves, within 10%) relative
+        // to the invariant-only marginal.
+        let consistent = fused(obs_x, Some(obs_y), Some(c));
         assert!(
             consistent.1.var <= y_inv.var * 1.1,
             "consistent gauge evidence widened the fused posterior: {} vs {}",
@@ -179,11 +149,11 @@ fn coupled_invariants_tighten_on_consistent_sources_and_widen_under_faults() {
 
         // Corrupted gauge read: the value-proportional factor scale makes
         // the bogus observation weak evidence. The fused posterior may
-        // lose mean accuracy (the site chain re-inits at the bogus hint
+        // lose mean accuracy (the site's solve starts at the bogus read
         // each sweep), but it must stay finite and must never come out
         // *sharper* than the consistent run — corruption can cost
         // information, never fabricate it.
-        let faulted = fused(obs_x, Some(obs_y_bad), Some(c), seed);
+        let faulted = fused(obs_x, Some(obs_y_bad), Some(c));
         assert_never_oversharpened(faulted, consistent);
     });
 }

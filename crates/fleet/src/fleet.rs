@@ -177,12 +177,10 @@ impl LocalTransport {
         let stamp = member.session().snapshot_stamp().ok();
         // A heartbeat, or a snapshot stamp, that moved since the previous
         // probe is liveness proof; the stamp is definitive (the service
-        // *published*). The heartbeat alone is racy here — a long tail
-        // correction holds `idle` false with `beats` frozen, and a
-        // refresh forced right after its flush ack can probe the thread
-        // in the gap before it parks, misreading a healthy monitor as
-        // stalled (and a missed round would keep its fresh snapshot out
-        // of the very round that was forced to fuse it).
+        // *published*) even when a long tail correction held `idle`
+        // false with `beats` frozen. A monitor caught up by a sync or
+        // flush reads idle from its ack on, so the round a barrier forces
+        // always reaches it.
         let progressed = beats != self.last_beats || (stamp.is_some() && stamp != self.last_stamp);
         self.last_beats = beats;
         if stamp.is_some() {

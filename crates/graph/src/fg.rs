@@ -274,24 +274,6 @@ impl<V, F> FactorGraph<V, F> {
         dist
     }
 
-    /// The variable→factor adjacency flattened into CSR form.
-    ///
-    /// The per-variable factor lists become one contiguous `targets` array
-    /// indexed by an `offsets` array — the cache-friendly layout the EP
-    /// engine farm's delta evaluation walks on every MCMC proposal (one
-    /// pointer chase instead of a `Vec<Vec<_>>` double indirection).
-    pub fn var_factor_csr(&self) -> CsrAdjacency {
-        CsrAdjacency::from_lists(
-            self.vars.len(),
-            |v| self.vars[v].factors.len(),
-            |v, out| {
-                for f in &self.vars[v].factors {
-                    out.push(f.index() as u32);
-                }
-            },
-        )
-    }
-
     /// Greedy conflict coloring of factors: factors sharing a variable get
     /// distinct colors, so all factors of one color form an independent set.
     ///
@@ -364,81 +346,6 @@ impl<V, F> FactorGraph<V, F> {
             next += 1;
         }
         comp
-    }
-}
-
-/// A compressed-sparse-row adjacency index: for each of `n` source nodes, a
-/// contiguous slice of target indices.
-///
-/// This is the flat layout backing hot-path locality queries (variable →
-/// adjacent factors): `row(v)` is a single slice borrow with no nested
-/// allocation, so MCMC delta evaluations touch one contiguous region per
-/// proposal.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CsrAdjacency {
-    offsets: Vec<u32>,
-    targets: Vec<u32>,
-}
-
-impl CsrAdjacency {
-    /// Builds from per-row callbacks: `row_len(i)` sizes row `i`,
-    /// `fill(i, out)` appends its targets.
-    pub fn from_lists(
-        rows: usize,
-        row_len: impl Fn(usize) -> usize,
-        fill: impl Fn(usize, &mut Vec<u32>),
-    ) -> Self {
-        let mut offsets = Vec::with_capacity(rows + 1);
-        offsets.push(0u32);
-        let total: usize = (0..rows).map(&row_len).sum();
-        let mut targets = Vec::with_capacity(total);
-        for i in 0..rows {
-            fill(i, &mut targets);
-            offsets.push(targets.len() as u32);
-        }
-        CsrAdjacency { offsets, targets }
-    }
-
-    /// Builds from `(source, target)` pairs (need not be sorted).
-    pub fn from_edges(rows: usize, edges: impl IntoIterator<Item = (usize, u32)> + Clone) -> Self {
-        let mut counts = vec![0u32; rows];
-        for (s, _) in edges.clone() {
-            counts[s] += 1;
-        }
-        let mut offsets = Vec::with_capacity(rows + 1);
-        let mut acc = 0u32;
-        offsets.push(0);
-        for c in &counts {
-            acc += c;
-            offsets.push(acc);
-        }
-        let mut cursor: Vec<u32> = offsets[..rows].to_vec();
-        let mut targets = vec![0u32; acc as usize];
-        for (s, t) in edges {
-            targets[cursor[s] as usize] = t;
-            cursor[s] += 1;
-        }
-        CsrAdjacency { offsets, targets }
-    }
-
-    /// Number of source rows.
-    pub fn rows(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Total number of stored edges.
-    pub fn num_edges(&self) -> usize {
-        self.targets.len()
-    }
-
-    /// The targets adjacent to source `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[inline]
-    pub fn row(&self, i: usize) -> &[u32] {
-        &self.targets[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 }
 
@@ -610,28 +517,6 @@ mod tests {
         let comp = g.components();
         assert_eq!(comp[a.index()], comp[b.index()]);
         assert_ne!(comp[a.index()], comp[c.index()]);
-    }
-
-    #[test]
-    fn csr_matches_factor_lists() {
-        let (mut g, v) = chain(5);
-        g.add_factor((), &[v[0], v[2], v[4]]);
-        let csr = g.var_factor_csr();
-        assert_eq!(csr.rows(), g.num_vars());
-        for var in g.var_ids() {
-            let expect: Vec<u32> = g.factors_of(var).iter().map(|f| f.index() as u32).collect();
-            assert_eq!(csr.row(var.index()), expect.as_slice(), "row {var}");
-        }
-        assert_eq!(csr.num_edges(), 4 * 2 + 3);
-    }
-
-    #[test]
-    fn csr_from_edges_handles_empty_rows() {
-        let csr = CsrAdjacency::from_edges(4, [(0usize, 7u32), (2, 1), (2, 9)]);
-        assert_eq!(csr.row(0), &[7]);
-        assert_eq!(csr.row(1), &[] as &[u32]);
-        assert_eq!(csr.row(2), &[1, 9]);
-        assert_eq!(csr.row(3), &[] as &[u32]);
     }
 
     #[test]

@@ -20,16 +20,12 @@
 //! schedule-planning graph (variables = events) and the inference graph
 //! (variables = event × time slice).
 //!
-//! For the software EP engine farm the crate additionally provides the two
-//! structural queries parallel inference is built on:
-//!
-//! * **CSR adjacency** ([`CsrAdjacency`], [`FactorGraph::var_factor_csr`]) —
-//!   the variable→factor index flattened into one contiguous array, the
-//!   cache-friendly layout MCMC delta evaluation walks on every proposal;
-//! * **conflict coloring** ([`FactorGraph::greedy_factor_coloring`]) — a
-//!   deterministic greedy partition of factors into independent sets, which
-//!   the parallel EP sweep uses to batch sites that share no variable.
+//! For the software EP engine farm the crate additionally provides the
+//! structural query parallel inference is built on: **conflict coloring**
+//! ([`FactorGraph::greedy_factor_coloring`]) — a deterministic greedy
+//! partition of factors into independent sets, which the parallel EP sweep
+//! uses to batch sites that share no variable.
 
 mod fg;
 
-pub use fg::{ColorBatches, CsrAdjacency, FactorGraph, FactorId, VarId};
+pub use fg::{ColorBatches, FactorGraph, FactorId, VarId};

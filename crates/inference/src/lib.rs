@@ -7,56 +7,53 @@
 //!   external distribution crate is needed;
 //! * natural-parameter [`GaussianMessage`] algebra — the multiply/divide
 //!   operations Expectation Propagation's cavity computation is built on;
-//! * a component-wise random-walk Metropolis-Hastings [`McmcSampler`] with
-//!   step-size adaptation, matching the AcMC²-style samplers the
-//!   accelerator parallelizes;
 //! * the [`ExpectationPropagation`] driver (Alg. 1): sites are partitions of
 //!   the data (one per scheduled HPC configuration / time slice); each site
-//!   update forms a cavity distribution, estimates tilted moments by MCMC,
-//!   and applies a damped global update under a Gaussian mean-field
-//!   approximation.
+//!   update forms a cavity distribution, solves its tilted moments
+//!   deterministically ([`AnalyticScratch`]: a Gaussian-linear solve,
+//!   reweighted for Student-t observations), and applies a damped global
+//!   update under a Gaussian mean-field approximation;
+//! * a component-wise random-walk Metropolis-Hastings sampler
+//!   ([`mcmc`]), the reference the solved moments are tested against.
 //!
 //! # Example: inferring an unmeasured counter through an invariant
 //!
 //! ```
-//! use bayesperf_inference::{EpConfig, ExpectationPropagation, FnSite, Gaussian};
+//! use bayesperf_inference::{EpConfig, ExpectationPropagation, FactorSite, Gaussian};
 //!
 //! // Two events with invariant x0 + x1 = 10; only x0 is observed (≈ 3).
 //! let prior = vec![Gaussian::new(5.0, 100.0), Gaussian::new(5.0, 100.0)];
 //! let mut ep = ExpectationPropagation::new(prior, EpConfig::default());
-//! ep.add_site(FnSite::new(vec![0], |x: &[f64]| {
-//!     Gaussian::new(3.0, 0.01).log_pdf(x[0])
-//! }));
-//! ep.add_site(FnSite::new(vec![0, 1], |x: &[f64]| {
-//!     Gaussian::new(0.0, 0.01).log_pdf(x[0] + x[1] - 10.0)
-//! }));
-//! let result = ep.run_parallel(7, 1);
-//! assert!((result.marginals[1].mean - 7.0).abs() < 0.5);
+//! ep.add_site(
+//!     FactorSite::builder(vec![0])
+//!         .gaussian_linear(&[0], &[1.0], 3.0, 0.01)
+//!         .build(),
+//! );
+//! ep.add_site(
+//!     FactorSite::builder(vec![0, 1])
+//!         .gaussian_linear(&[0, 1], &[1.0, 1.0], 10.0, 0.01)
+//!         .build(),
+//! );
+//! ep.run_farm(1);
+//! assert!((ep.marginal(1).mean - 7.0).abs() < 0.5);
 //! ```
 
 mod analytic;
 mod dist;
 mod ep;
 mod factor;
-mod mcmc;
+pub mod mcmc;
 mod message;
 mod parallel;
 mod rng;
 mod special;
 
 pub use analytic::AnalyticScratch;
-pub use dist::{Gaussian, GaussianLogPdf, Gumbel, StudentT, StudentTLogPdf};
-pub use ep::{
-    AdaptiveBudget, EpConfig, EpResult, EpRunStats, EpSite, ExpectationPropagation, FnSite,
-    MomentStrategy,
-};
-pub use factor::{
-    FactorSite, FactorSiteBuilder, LinearGaussianFactor, LocalFactor, PoissonFactor,
-    POISSON_GAUSSIAN_COUNT,
-};
-pub use mcmc::{McmcConfig, McmcSampler, McmcScratch, McmcStats, Target};
+pub use dist::{Gaussian, Gumbel, StudentT};
+pub use ep::{EpConfig, EpRunStats, EpSite, ExpectationPropagation};
+pub use factor::{FactorSite, FactorSiteBuilder, LinearGaussianFactor};
 pub use message::GaussianMessage;
-pub use parallel::{FactorCache, SiteWorkspace, SweepSchedule};
+pub use parallel::{SiteWorkspace, SweepSchedule};
 pub use rng::{derive_stream_seed, SiteRng};
 pub use special::ln_gamma;
 

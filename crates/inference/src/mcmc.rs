@@ -2,26 +2,13 @@
 //!
 //! This is the software model of the AcMC²-generated sampler IPs of §5: a
 //! random-walk MCMC kernel whose per-variable proposals only need the log
-//! density change of the factors adjacent to that variable. The accelerator
-//! runs many of these in parallel; in software the EP engine farm runs one
-//! chain per site update across worker threads, so the kernel is built to be
-//! allocation-free after warm-up: all chain state, step sizes, and moment
-//! accumulators live in a caller-owned [`McmcScratch`] that is reused across
-//! site updates ([`McmcSampler::run_with_scratch`]). Moments are accumulated
-//! with Welford's online algorithm, which is numerically stable for counter
-//! magnitudes like 1e9 cycles where the naive `Σx²/n − mean²` form loses all
-//! significant digits to catastrophic cancellation.
-//!
-//! # The target contract
-//!
-//! The sampler tells its [`Target`] where the chain is: [`Target::start`]
-//! once with the initial state, [`Target::log_density_delta`] per proposal,
-//! and [`Target::accept`] after each accepted move. A target with factor
-//! structure can therefore keep every factor's log density at the chain's
-//! *current* state, evaluate only the proposed side of each proposal, and
-//! commit those values on acceptance — the EP engine's tilted target does
-//! exactly that. A rejected proposal needs no undo: the next proposal
-//! overwrites whatever it staged.
+//! density change of the factors adjacent to that variable. The EP engine
+//! computes its tilted moments deterministically; the sampler remains as
+//! the reference those moments are tested against, since a long chain's
+//! moments converge to the exact ones whatever the likelihood. Moments are
+//! accumulated with Welford's online algorithm, which is numerically stable
+//! for counter magnitudes like 1e9 cycles where the naive `Σx²/n − mean²`
+//! form loses all significant digits to catastrophic cancellation.
 
 use crate::standard_normal;
 use rand::Rng;
@@ -42,16 +29,8 @@ pub trait Target {
     /// Log density (up to an additive constant) of the full state.
     fn log_density(&self, x: &[f64]) -> f64;
 
-    /// Starts a chain at `x`, before its first proposal. Targets that cache
-    /// values at the chain's current state fill the cache here; the
-    /// default caches nothing.
-    fn start(&mut self, x: &[f64]) {
-        let _ = x;
-    }
-
     /// Change in log density when component `i` moves from `x[i]` to `new`;
-    /// must leave `x` unchanged. A caching target may stage the proposed
-    /// side here for [`Target::accept`] to commit.
+    /// must leave `x` unchanged.
     ///
     /// The default recomputes the full density twice; targets with factor
     /// structure should override with the local (adjacent-factors-only)
@@ -64,13 +43,6 @@ pub trait Target {
         let after = self.log_density(x);
         x[i] = old;
         after - before
-    }
-
-    /// The sampler accepted the proposal last passed to
-    /// [`Target::log_density_delta`] (`x[i]` now holds it). The default
-    /// does nothing.
-    fn accept(&mut self, i: usize) {
-        let _ = i;
     }
 }
 
@@ -103,133 +75,6 @@ pub struct McmcStats {
     pub acceptance: f64,
 }
 
-/// Reusable chain state and moment accumulators — the allocation-free MCMC
-/// hot path.
-///
-/// Allocate one per worker (or one per sequential driver), call
-/// [`McmcSampler::run_with_scratch`] repeatedly, and read the results
-/// through [`McmcScratch::mean`]/[`McmcScratch::var`]. Once every buffer has
-/// grown to the largest site dimension encountered, subsequent runs perform
-/// **zero** heap allocation (asserted by the `alloc_free` integration
-/// test).
-#[derive(Debug, Clone, Default)]
-pub struct McmcScratch {
-    /// Chain state.
-    x: Vec<f64>,
-    /// Per-component proposal step sizes.
-    steps: Vec<f64>,
-    /// Welford running means.
-    mean: Vec<f64>,
-    /// Welford sum of squared deviations (M₂).
-    m2: Vec<f64>,
-    /// Finalized biased variances.
-    var: Vec<f64>,
-    /// Burn-in adaptation windows.
-    acc_window: Vec<u32>,
-    prop_window: Vec<u32>,
-    /// Acceptance rate of the last run.
-    acceptance: f64,
-    /// Post-burn-in sweeps collected by the last run.
-    samples_run: u32,
-    /// Proposals made / accepted by the last run (across all components and
-    /// sweeps, burn-in included) — the raw counts behind `acceptance`,
-    /// exposed so EP can aggregate a proposal-weighted mean over MCMC sites.
-    proposed: u64,
-    accepted: u64,
-}
-
-impl McmcScratch {
-    /// Creates an empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a scratch pre-sized for `dim`-dimensional targets, so even
-    /// the first run allocates nothing.
-    pub fn with_dim(dim: usize) -> Self {
-        let mut s = Self::default();
-        s.reserve(dim);
-        s
-    }
-
-    /// Grows every buffer to hold `dim` components.
-    pub fn reserve(&mut self, dim: usize) {
-        self.x.reserve(dim);
-        self.steps.reserve(dim);
-        self.mean.reserve(dim);
-        self.m2.reserve(dim);
-        self.var.reserve(dim);
-        self.acc_window.reserve(dim);
-        self.prop_window.reserve(dim);
-    }
-
-    /// Resets buffers for a `d`-dimensional run (no allocation once
-    /// capacity suffices).
-    fn prepare(&mut self, init: &[f64], scales: &[f64]) {
-        self.x.clear();
-        self.x.extend_from_slice(init);
-        self.steps.clear();
-        self.steps
-            .extend(scales.iter().map(|s| INITIAL_STEP * s.abs().max(1e-9)));
-        let d = init.len();
-        self.mean.clear();
-        self.mean.resize(d, 0.0);
-        self.m2.clear();
-        self.m2.resize(d, 0.0);
-        self.var.clear();
-        self.var.resize(d, 0.0);
-        self.acc_window.clear();
-        self.acc_window.resize(d, 0);
-        self.prop_window.clear();
-        self.prop_window.resize(d, 0);
-        self.acceptance = 0.0;
-        self.samples_run = 0;
-        self.proposed = 0;
-        self.accepted = 0;
-    }
-
-    /// Per-component posterior mean estimates of the last run.
-    pub fn mean(&self) -> &[f64] {
-        &self.mean
-    }
-
-    /// Per-component posterior variance estimates of the last run (biased,
-    /// ≥ 0).
-    pub fn var(&self) -> &[f64] {
-        &self.var
-    }
-
-    /// Acceptance rate of the last run.
-    pub fn acceptance(&self) -> f64 {
-        self.acceptance
-    }
-
-    /// Post-burn-in sweeps collected by the last run (the per-site MCMC
-    /// sample count the adaptive budget varies).
-    pub fn samples_run(&self) -> u32 {
-        self.samples_run
-    }
-
-    /// Proposals made by the last run (all components, burn-in included).
-    pub fn proposed(&self) -> u64 {
-        self.proposed
-    }
-
-    /// Proposals accepted by the last run.
-    pub fn accepted(&self) -> u64 {
-        self.accepted
-    }
-
-    /// Owned snapshot of the last run's statistics.
-    pub fn to_stats(&self) -> McmcStats {
-        McmcStats {
-            mean: self.mean.clone(),
-            var: self.var.clone(),
-            acceptance: self.acceptance,
-        }
-    }
-}
-
 /// Component-wise random-walk Metropolis-Hastings sampler with per-component
 /// step-size adaptation during burn-in.
 #[derive(Debug, Clone)]
@@ -243,9 +88,9 @@ impl McmcSampler {
         McmcSampler { config }
     }
 
-    /// Runs the chain, returning owned statistics. Convenience wrapper over
-    /// [`McmcSampler::run_with_scratch`] that allocates a fresh scratch —
-    /// use the scratch API on hot paths.
+    /// Runs the chain on `target`, starting from `init`, with per-component
+    /// proposal scales `scales` (e.g. cavity standard deviations), and
+    /// returns the visited states' moments.
     ///
     /// # Panics
     ///
@@ -257,93 +102,49 @@ impl McmcSampler {
         scales: &[f64],
         rng: &mut R,
     ) -> McmcStats {
-        let mut scratch = McmcScratch::new();
-        self.run_with_scratch(target, init, scales, rng, &mut scratch);
-        scratch.to_stats()
-    }
-
-    /// Runs the chain on `target`, starting from `init`, with per-component
-    /// proposal scales `scales` (e.g. cavity standard deviations), storing
-    /// all state and results in `scratch`.
-    ///
-    /// This is the engine-farm hot path: after `scratch`'s buffers have
-    /// grown to the site dimension, the call performs no heap allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `init` or `scales` length differs from `target.dim()`.
-    pub fn run_with_scratch<T: Target, R: Rng + ?Sized>(
-        &self,
-        target: &mut T,
-        init: &[f64],
-        scales: &[f64],
-        rng: &mut R,
-        scratch: &mut McmcScratch,
-    ) {
-        self.run_budgeted(
-            target,
-            init,
-            scales,
-            rng,
-            scratch,
-            self.config.burn_in,
-            self.config.samples,
-        );
-    }
-
-    /// [`McmcSampler::run_with_scratch`] with an explicit per-run budget
-    /// overriding the configured `burn_in`/`samples` — the hook EP's
-    /// adaptive budget uses to shrink warm-started site updates without
-    /// rebuilding the sampler.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `init` or `scales` length differs from `target.dim()`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_budgeted<T: Target, R: Rng + ?Sized>(
-        &self,
-        target: &mut T,
-        init: &[f64],
-        scales: &[f64],
-        rng: &mut R,
-        scratch: &mut McmcScratch,
-        burn_in: usize,
-        samples: usize,
-    ) {
         let d = target.dim();
         assert_eq!(init.len(), d, "init length mismatch");
         assert_eq!(scales.len(), d, "scales length mismatch");
-        scratch.prepare(init, scales);
-        target.start(&scratch.x);
+        let mut x = init.to_vec();
+        let mut steps: Vec<f64> = scales
+            .iter()
+            .map(|s| INITIAL_STEP * s.abs().max(1e-9))
+            .collect();
+        // Welford running means and sums of squared deviations (M₂).
+        let mut mean = vec![0.0; d];
+        let mut m2 = vec![0.0; d];
+        // Burn-in adaptation windows.
+        let mut acc_window = vec![0u32; d];
+        let mut prop_window = vec![0u32; d];
 
         let mut accepted = 0usize;
         let mut proposed = 0usize;
         const ADAPT_EVERY: u32 = 20;
 
-        let total = burn_in + samples;
+        let burn_in = self.config.burn_in;
+        let total = burn_in + self.config.samples;
         let mut n = 0u64; // Welford sample counter
         for sweep in 0..total {
             let burning = sweep < burn_in;
             for i in 0..d {
-                let new = scratch.x[i] + scratch.steps[i] * standard_normal(rng);
-                let delta = target.log_density_delta(&mut scratch.x, i, new);
+                let new = x[i] + steps[i] * standard_normal(rng);
+                let delta = target.log_density_delta(&mut x, i, new);
                 proposed += 1;
-                scratch.prop_window[i] += 1;
+                prop_window[i] += 1;
                 if delta >= 0.0 || rng.gen::<f64>() < delta.exp() {
-                    scratch.x[i] = new;
-                    target.accept(i);
+                    x[i] = new;
                     accepted += 1;
-                    scratch.acc_window[i] += 1;
+                    acc_window[i] += 1;
                 }
-                if burning && scratch.prop_window[i] >= ADAPT_EVERY {
-                    let rate = scratch.acc_window[i] as f64 / scratch.prop_window[i] as f64;
+                if burning && prop_window[i] >= ADAPT_EVERY {
+                    let rate = acc_window[i] as f64 / prop_window[i] as f64;
                     if rate > TARGET_ACCEPTANCE {
-                        scratch.steps[i] *= 1.15;
+                        steps[i] *= 1.15;
                     } else {
-                        scratch.steps[i] *= 0.85;
+                        steps[i] *= 0.85;
                     }
-                    scratch.acc_window[i] = 0;
-                    scratch.prop_window[i] = 0;
+                    acc_window[i] = 0;
+                    prop_window[i] = 0;
                 }
             }
             if !burning {
@@ -353,21 +154,19 @@ impl McmcSampler {
                 n += 1;
                 let inv_n = 1.0 / n as f64;
                 for i in 0..d {
-                    let delta = scratch.x[i] - scratch.mean[i];
-                    scratch.mean[i] += delta * inv_n;
-                    scratch.m2[i] += delta * (scratch.x[i] - scratch.mean[i]);
+                    let delta = x[i] - mean[i];
+                    mean[i] += delta * inv_n;
+                    m2[i] += delta * (x[i] - mean[i]);
                 }
             }
         }
 
-        scratch.samples_run = n as u32;
-        let n = (n.max(1)) as f64;
-        for i in 0..d {
-            scratch.var[i] = (scratch.m2[i] / n).max(0.0);
+        let n = n.max(1) as f64;
+        McmcStats {
+            mean,
+            var: m2.iter().map(|m| (m / n).max(0.0)).collect(),
+            acceptance: accepted as f64 / proposed.max(1) as f64,
         }
-        scratch.acceptance = accepted as f64 / proposed.max(1) as f64;
-        scratch.proposed = proposed as u64;
-        scratch.accepted = accepted as u64;
     }
 }
 
@@ -441,38 +240,6 @@ mod tests {
         assert!(rel < 0.4, "var {} (rel err {rel})", stats.var[0]);
     }
 
-    #[test]
-    fn scratch_reuse_matches_fresh_run() {
-        let mut target = GaussTarget {
-            components: vec![Gaussian::new(1.0, 2.0), Gaussian::new(-2.0, 0.5)],
-        };
-        let sampler = McmcSampler::new(McmcConfig::default());
-        let fresh = {
-            let mut rng = StdRng::seed_from_u64(9);
-            sampler.run(&mut target, &[0.0, 0.0], &[1.0, 1.0], &mut rng)
-        };
-        // Dirty the scratch with a different-dimension run first.
-        let mut scratch = McmcScratch::new();
-        let mut other = GaussTarget {
-            components: vec![Gaussian::new(0.0, 1.0); 5],
-        };
-        let mut rng = StdRng::seed_from_u64(1);
-        sampler.run_with_scratch(&mut other, &[0.0; 5], &[1.0; 5], &mut rng, &mut scratch);
-        let mut rng = StdRng::seed_from_u64(9);
-        sampler.run_with_scratch(
-            &mut target,
-            &[0.0, 0.0],
-            &[1.0, 1.0],
-            &mut rng,
-            &mut scratch,
-        );
-        assert_eq!(
-            scratch.to_stats(),
-            fresh,
-            "scratch reuse must not leak state"
-        );
-    }
-
     struct CorrelatedTarget;
 
     impl Target for CorrelatedTarget {
@@ -520,33 +287,6 @@ mod tests {
         let mut y = x.clone();
         y[0] = 1.5;
         assert!((delta - (t.log_density(&y) - before)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn budget_override_shrinks_the_run_and_is_accounted() {
-        let mut target = GaussTarget {
-            components: vec![Gaussian::new(0.0, 1.0), Gaussian::new(0.0, 1.0)],
-        };
-        let sampler = McmcSampler::new(McmcConfig::default());
-        let mut scratch = McmcScratch::new();
-        let mut rng = StdRng::seed_from_u64(21);
-        sampler.run_budgeted(
-            &mut target,
-            &[0.0, 0.0],
-            &[1.0, 1.0],
-            &mut rng,
-            &mut scratch,
-            10,
-            40,
-        );
-        assert_eq!(scratch.samples_run(), 40);
-        // (10 + 40) sweeps × 2 components proposals.
-        assert_eq!(scratch.proposed(), 100);
-        assert!(scratch.accepted() <= scratch.proposed());
-        assert!(
-            (scratch.acceptance() - scratch.accepted() as f64 / scratch.proposed() as f64).abs()
-                < 1e-12
-        );
     }
 
     #[test]

@@ -86,34 +86,13 @@ impl GaussianMessage {
         }
     }
 
-    /// Normalized movement between two messages viewed as Gaussians: the
-    /// mean shift in units of the *wider* standard deviation plus the
-    /// variance change relative to the *larger* variance (so the variance
-    /// term is bounded by 1 — a transient widened-cavity fallback reads as
-    /// "moved", not as a numerical explosion). Returns `f64::INFINITY`
-    /// when either message is improper — an improper cavity always counts
-    /// as "moved", so adaptive budgets fall back to the full MCMC budget
-    /// there.
-    pub fn moments_shift(&self, other: &GaussianMessage) -> f64 {
-        match (self.to_gaussian(), other.to_gaussian()) {
-            (Some(a), Some(b)) => {
-                let var = a.var.max(b.var).max(1e-12);
-                (b.mean - a.mean).abs() / var.sqrt() + (b.var - a.var).abs() / var
-            }
-            _ => f64::INFINITY,
-        }
-    }
-
     /// Caps the precision at `cap`, preserving the mean: messages more
     /// precise than `cap` are flattened to exactly `cap`. Improper and
     /// below-cap messages pass through unchanged.
     ///
-    /// EP site messages estimated from noisy (MCMC) tilted moments can
-    /// ratchet toward infinite precision when a chain under-measures an
-    /// already-tight tilted variance — each sweep then tightens the cavity
-    /// further, amplifying the next under-measurement. A per-variable
-    /// precision ceiling bounds that feedback loop (see
-    /// `EpConfig::max_precision_ratio`).
+    /// The EP driver caps every site message at a fixed multiple of the
+    /// variable's prior precision, so no single site can pin a variable
+    /// arbitrarily tightly.
     pub fn capped_precision(&self, cap: f64) -> GaussianMessage {
         if self.precision > cap {
             GaussianMessage {
@@ -174,25 +153,6 @@ mod tests {
         let q = wide.div(&narrow);
         assert!(!q.is_proper());
         assert!(q.to_gaussian().is_none());
-    }
-
-    #[test]
-    fn moments_shift_measures_normalized_movement() {
-        let a = GaussianMessage::from_moments(0.0, 4.0);
-        let same = GaussianMessage::from_moments(0.0, 4.0);
-        assert_eq!(a.moments_shift(&same), 0.0);
-        // Mean moved by one sd, variance unchanged -> shift 1.
-        let moved = GaussianMessage::from_moments(2.0, 4.0);
-        assert!((a.moments_shift(&moved) - 1.0).abs() < 1e-12);
-        // Symmetric, and the variance term is bounded by 1 even for a
-        // collapsed-vs-widened pair (the EP fallback transient).
-        assert_eq!(a.moments_shift(&moved), moved.moments_shift(&a));
-        let tight = GaussianMessage::from_moments(1.0, 1e-9);
-        let wide = GaussianMessage::from_moments(1.0, 900.0);
-        assert!(tight.moments_shift(&wide) <= 1.0 + 1e-12);
-        // Improper comparand counts as infinite movement.
-        assert_eq!(a.moments_shift(&GaussianMessage::uniform()), f64::INFINITY);
-        assert_eq!(GaussianMessage::uniform().moments_shift(&a), f64::INFINITY);
     }
 
     #[test]

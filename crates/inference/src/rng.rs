@@ -1,14 +1,14 @@
-//! Counter-based RNG streams for deterministic parallel inference.
+//! Counter-based RNG streams for deterministic parallel randomness.
 //!
-//! The EP engine farm updates many sites concurrently. If all sites drew
-//! from one shared sequential generator, the stream each site sees would
-//! depend on execution interleaving — results would vary with thread count
-//! and scheduling. Instead, every `(seed, site, sweep)` triple names its own
+//! When many independent workers each need randomness, one shared
+//! sequential generator would make the stream each worker sees depend on
+//! execution interleaving — results would vary with thread count and
+//! scheduling. Instead, every `(seed, stream, step)` triple names its own
 //! independent stream: a [`SiteRng`] derived by mixing the triple through
-//! SplitMix64-style finalizers into a xoshiro256++ state. Site updates are
-//! then pure functions of `(global approximation, site data, seed, site id,
-//! sweep)` — bit-identical no matter how many workers run them or in what
-//! order, which is the determinism guarantee `run_parallel` advertises.
+//! SplitMix64-style finalizers into a xoshiro256++ state, so each worker's
+//! draws are a pure function of its coordinates. The perf gates use these
+//! streams for their seeded arm order, and [`derive_stream_seed`] for
+//! per-measurement sub-seeds.
 //!
 //! This is the software analogue of the per-engine hardware RNGs in the
 //! accelerator's AcMC² sampler IPs (§5): each engine owns its stream; no

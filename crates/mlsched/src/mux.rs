@@ -241,14 +241,16 @@ pub fn hetero_demo_events(catalog: &Catalog) -> Vec<EventId> {
     .collect()
 }
 
-/// Posterior relative variance of one event: `var / mean²` with the mean
-/// floored at one count — scale-free, so groups of large-count and
-/// small-count events score comparably. The single definition behind the
-/// scheduler's live view ([`VarianceEstimates`]) and the closed-loop
-/// metric ([`ClosedLoopReport::mean_rel_var`]).
+/// Posterior relative variance of one event: `var / max(mean² + var, 1)`
+/// — scale-free, so groups of large-count and small-count events score
+/// comparably. It rises monotonically with `var / mean²` and is bounded by
+/// 1, so an event whose truth sits near zero counts (mean a few counts,
+/// variance far above mean²) scores at most 1 instead of swamping every
+/// other event. The single definition behind the scheduler's live view
+/// ([`VarianceEstimates`]) and the closed-loop metric
+/// ([`ClosedLoopReport::mean_rel_var`]).
 pub fn relative_variance(g: &Gaussian) -> f64 {
-    let m = g.mean.abs().max(1.0);
-    g.var / (m * m)
+    g.var / (g.mean * g.mean + g.var).max(1.0)
 }
 
 /// Catalog-indexed posterior **relative** variances
@@ -894,6 +896,21 @@ mod tests {
             cat.require(Semantic::UopsRetired),
         ];
         GroupSchedule::from_events(cat, &events, bound).expect("valid schedule")
+    }
+
+    #[test]
+    fn relative_variance_is_bounded_for_a_near_zero_mean() {
+        // A posterior of an event whose truth is zero counts in this
+        // phase: mean 4.8, variance 2.09e8. var/mean² would read ~9e6.
+        let wide = relative_variance(&Gaussian::new(4.8, 2.09e8));
+        assert!(wide <= 1.0 && wide > 0.99, "{wide}");
+        // Away from zero it tracks var/mean², and it stays monotone in it.
+        let tight = relative_variance(&Gaussian::new(1.0e6, 1.0e8));
+        assert!((tight - 1.0e-4).abs() < 2.0e-8, "{tight}");
+        let wider = relative_variance(&Gaussian::new(1.0e6, 4.0e8));
+        assert!(wider > tight);
+        // Sub-count posteriors keep the old one-count floor.
+        assert_eq!(relative_variance(&Gaussian::new(0.0, 0.25)), 0.25);
     }
 
     #[test]
