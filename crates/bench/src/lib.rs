@@ -79,7 +79,7 @@ pub fn event_pool(catalog: &Catalog, k: usize) -> Vec<EventId> {
     catalog.programmable_events().into_iter().take(k).collect()
 }
 
-/// The fig6-style warm-vs-cold benchmark fixture: kmeans through the
+/// The fig6-style benchmark fixture: kmeans through the
 /// derived-event HPC set, multiplexed across rotating configurations —
 /// shared by the criterion bench and the `bench_json` baseline emitter so
 /// the two measure the same workload.
@@ -154,14 +154,7 @@ fn evaluate_once(
     let linux = LinuxScaling::new();
     let cm = CounterMiner::new();
     let wm = WmPin::new(catalog);
-    // Quality-first: cold EP per chunk with more sweeps than the
-    // corrector's fast default — the §6.2 comparison measures the model,
-    // so it forgoes the warm-start throughput path (which trades a little
-    // accuracy for a multi-x per-window speedup; the warm-vs-cold benches
-    // quantify that trade separately).
-    let mut bp_cfg = CorrectorConfig::for_run(&bp_run).cold_start();
-    bp_cfg.ep.max_sweeps = 6;
-    let mut corrector = Corrector::new(catalog, bp_cfg);
+    let mut corrector = Corrector::new(catalog, CorrectorConfig::for_run(&bp_run));
     let posterior = corrector.correct_run(&bp_run);
 
     let mut errors = MethodErrors::default();
@@ -213,8 +206,8 @@ mod tests {
     fn evaluation_reproduces_the_headline_ordering() {
         // One workload, one run, small windows. Robust claims: both
         // correctors clearly beat Linux scaling; BayesPerf at least halves
-        // the error. (CM-vs-BayesPerf ordering under the DTW metric is
-        // budget-dependent — see EXPERIMENTS.md.)
+        // the error. (One short run does not order CM against BayesPerf;
+        // the `fig6_hibench_error` binary compares them over the suite.)
         let cat = Catalog::new(Arch::X86SkyLake);
         let events = derived_event_hpcs(&cat);
         let cfg = EvalConfig {

@@ -3,17 +3,11 @@
 //! Chunks run sequentially, each chunk's slice-0 prior seeded from the
 //! previous chunk's final-slice posterior (the paper's temporal coupling),
 //! and every chunk runs on the corrector's **one** persistent
-//! [`ChunkEngine`]: the factor-graph topology, sweep schedule and all
-//! moment-solver scratch are built once, in [`Corrector::new`].
-//!
-//! * **warm** ([`CorrectorConfig::warm_start`], the default): each chunk
-//!   only swaps observations and keeps the EP site messages, so the
-//!   steady-state loop (chunk 2+) performs **zero heap allocations** at
-//!   `threads = 1` and is capped at the warm sweep count instead of the
-//!   cold one.
-//! * **cold** ([`CorrectorConfig::cold_start`], the benchmark baseline):
-//!   each chunk discards the messages and runs the cold sweep count on the
-//!   same engine.
+//! [`ChunkEngine`]: the model topology, its components and all solver
+//! buffers are built once, in [`Corrector::new`]. Each chunk is one joint
+//! solve ([`ChunkEngine::solve`]): observations swapped in, the chunk
+//! solved, the final slice captured as the next chunk's prior — with
+//! **zero heap allocations** after construction.
 //!
 //! [`Corrector::try_push_chunk`] corrects one full chunk and
 //! [`Corrector::push_tail`] a ragged final chunk. The batch
@@ -23,7 +17,7 @@
 use crate::error::ShimError;
 use crate::model::{ChunkEngine, ChunkPosterior, ModelConfig};
 use bayesperf_events::{Catalog, EventId};
-use bayesperf_inference::{EpConfig, EpRunStats, Gaussian};
+use bayesperf_inference::{EpRunStats, Gaussian};
 use bayesperf_simcpu::{MultiplexRun, Sample};
 
 /// Configuration of the [`Corrector`].
@@ -31,80 +25,41 @@ use bayesperf_simcpu::{MultiplexRun, Sample};
 pub struct CorrectorConfig {
     /// Model hyperparameters (chunk size, priors, factor widths).
     pub model: ModelConfig,
-    /// EP settings.
-    pub ep: EpConfig,
-    /// EP engine farm workers per chunk. `1` means fully sequential.
-    pub threads: usize,
-    /// Carry the EP approximation across chunks (incremental correction).
-    pub warm_start: bool,
 }
 
 impl CorrectorConfig {
-    /// Default configuration for a recorded run: sequential execution,
-    /// warm-started engine reuse.
+    /// Default configuration for a recorded run.
     pub fn for_run(run: &MultiplexRun) -> Self {
-        let model = ModelConfig::for_run(run);
-        let ep = model.fast_ep();
         CorrectorConfig {
-            model,
-            ep,
-            threads: 1,
-            warm_start: true,
+            model: ModelConfig::for_run(run),
         }
-    }
-
-    /// Sets the worker-thread budget.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Disables warm-start: every chunk runs cold EP from the vacuous
-    /// approximation with the cold sweep count (the pre-incremental
-    /// baseline the warm-vs-cold benchmark pairs against).
-    pub fn cold_start(mut self) -> Self {
-        self.warm_start = false;
-        self
     }
 }
 
 /// Aggregate work counters of one correction run — the observability
-/// behind `BENCH_inference.json` and the warm-vs-cold comparison.
+/// behind `BENCH_inference.json`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CorrectionStats {
     /// Chunks processed.
     pub chunks: u64,
-    /// Chunks whose EP run met its tolerance.
-    pub converged_chunks: u64,
-    /// Chunks that ran warm-started.
-    pub warm_chunks: u64,
-    /// EP sites selectively reset because the change-point detector
-    /// flagged their slice's data as jumped.
-    pub jump_site_resets: u64,
-    /// EP sweeps executed across all chunks.
+    /// Solves executed across all chunks (one per chunk).
     pub sweeps: u64,
-    /// Site updates merged across all chunks.
+    /// (slice, component) pairs solved with their data, across all chunks.
     pub analytic_site_updates: u64,
 }
 
 impl CorrectionStats {
-    /// Folds one EP run's counters into the aggregate (`warm` marks the
-    /// chunk as warm-started). Public so external harnesses (e.g. the
-    /// `bench_json` baseline emitter) accumulate the same fields the
-    /// corrector does instead of re-implementing the bookkeeping.
-    pub fn absorb_run(&mut self, s: &EpRunStats, warm: bool) {
+    /// Folds one chunk solve's counters into the aggregate. Public so
+    /// external harnesses (e.g. the `bench_json` baseline emitter)
+    /// accumulate the same fields the corrector does instead of
+    /// re-implementing the bookkeeping.
+    pub fn absorb_run(&mut self, s: &EpRunStats) {
         self.chunks += 1;
-        if s.converged {
-            self.converged_chunks += 1;
-        }
-        if warm {
-            self.warm_chunks += 1;
-        }
         self.sweeps += s.sweeps_run as u64;
         self.analytic_site_updates += s.analytic_site_updates;
     }
 
-    /// Mean EP sweeps per chunk (0 when no chunks ran).
+    /// Mean solves per chunk (0 when no chunks ran).
     pub fn sweeps_per_chunk(&self) -> f64 {
         if self.chunks == 0 {
             0.0
@@ -120,8 +75,6 @@ impl CorrectionStats {
 pub struct PosteriorSeries {
     n_events: usize,
     data: Vec<Gaussian>,
-    /// Fraction of chunks whose EP run converged within tolerance.
-    pub convergence_rate: f64,
     /// Work counters of the correction run.
     pub stats: CorrectionStats,
 }
@@ -174,8 +127,8 @@ impl PosteriorSeries {
 /// Runs BayesPerf inference over a sample stream, chunk by chunk.
 ///
 /// The corrector owns one persistent [`ChunkEngine`] — built in
-/// [`Corrector::new`] because the factor-graph topology is a pure function
-/// of the catalog — and runs every full chunk on it, whether streamed
+/// [`Corrector::new`] because the model topology is a pure function of
+/// the catalog — and runs every full chunk on it, whether streamed
 /// through [`Corrector::push_chunk`] or batched by
 /// [`Corrector::correct_run`]. Correction therefore takes `&mut self`.
 #[derive(Debug)]
@@ -186,35 +139,30 @@ pub struct Corrector<'a> {
     engine: ChunkEngine,
     /// Chunks pushed through the streaming API since the last reset.
     stream_count: u64,
-    /// Sites reset by the last push's change-point detector.
-    jump_resets: u64,
     /// Whether a [`Corrector::resume_from`] prior is pending: the next
-    /// push solves cold (the poisoned chunk's messages are gone) but
-    /// composes the recovered chain prior — a *statistically* warm
-    /// restart.
+    /// push, although first after a reset, chains off the recovered
+    /// prior instead of the base prior.
     resume_pending: bool,
 }
 
 impl<'a> Corrector<'a> {
     /// Creates a corrector; builds the per-catalog inference engine once.
     pub fn new(catalog: &'a Catalog, config: CorrectorConfig) -> Self {
-        let engine = ChunkEngine::new(catalog, &config.model, config.ep);
+        let engine = ChunkEngine::new(catalog, &config.model);
         Corrector {
             catalog,
             config,
             engine,
             stream_count: 0,
-            jump_resets: 0,
             resume_pending: false,
         }
     }
 
     /// Seeds a freshly built (or reset) corrector from **count-unit**
     /// posterior marginals — the last published snapshot a supervisor
-    /// recovered after a crash. The next [`Corrector::push_chunk`] solves
-    /// cold (the crashed engine's in-flight messages are discarded — only
-    /// the poisoned chunk is lost) but chains off the recovered posterior,
-    /// so steady-state accuracy survives the restart. Non-finite entries
+    /// recovered after a crash. The next [`Corrector::push_chunk`] chains
+    /// off the recovered posterior (only the poisoned chunk is lost), so
+    /// steady-state accuracy survives the restart. Non-finite entries
     /// of `posteriors` fall back to the base prior. Returns how many events
     /// were seeded.
     pub fn resume_from(&mut self, posteriors: &[Gaussian]) -> Result<usize, ShimError> {
@@ -234,20 +182,12 @@ impl<'a> Corrector<'a> {
         &self.config
     }
 
-    /// Retunes the worker-thread budget mid-stream. Purely a throughput
-    /// knob: the engine farm is bit-identical at any thread count, so this
-    /// never changes results.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.config.threads = threads.max(1);
-    }
-
     /// Streaming correction: corrects exactly one chunk of
-    /// `config.model.slices` windows, chaining the prior and (with
-    /// `warm_start`) warm-starting the engine from the previous
-    /// [`Corrector::push_chunk`] call (the first chunk after a reset runs
-    /// cold). This is the shim's online path; after warm-up (chunk 2+) a
-    /// warm push performs **zero heap allocations** at `threads = 1`. Read
-    /// results back through [`Corrector::posterior`].
+    /// `config.model.slices` windows, chaining the prior from the previous
+    /// [`Corrector::push_chunk`] call (the first chunk after a reset
+    /// starts from the base prior). This is the shim's online path; a push
+    /// performs **zero heap allocations**. Read results back through
+    /// [`Corrector::posterior`].
     ///
     /// # Panics
     ///
@@ -274,24 +214,14 @@ impl<'a> Corrector<'a> {
                 got: windows.len(),
             });
         }
-        let c = self.stream_count;
-        // A pending resume prior survives the first-chunk clear: the push
-        // runs cold (no stale messages) but composes the recovered chain
-        // prior, making the restart warm in the statistical sense.
-        if c == 0 && !self.resume_pending {
+        // A pending resume prior survives the first-chunk clear, making
+        // the restart warm in the statistical sense.
+        if self.stream_count == 0 && !self.resume_pending {
             self.engine.clear_chain_prior();
         }
         self.resume_pending = false;
-        if c > 0 && self.config.warm_start {
-            // Warm load with selective change-point resets: slices whose
-            // data jumped re-solve from vacuous messages, the rest stay
-            // warm.
-            self.jump_resets = self.engine.load_warm_adaptive(windows) as u64;
-        } else {
-            self.jump_resets = 0;
-            self.engine.load_cold(windows);
-        }
-        let stats = self.engine.run_farm(self.config.threads);
+        self.engine.load(windows);
+        let stats = self.engine.solve();
         self.engine.capture_chain_prior();
         self.stream_count += 1;
         Ok(stats)
@@ -300,7 +230,7 @@ impl<'a> Corrector<'a> {
     /// Corrects a **partial** final chunk (fewer than `config.model.slices`
     /// windows) — the stream's ragged tail that [`Corrector::push_chunk`]
     /// cannot accept. Builds a one-shot engine of `windows.len()` slices,
-    /// chained off the last full chunk's posterior, and runs it cold
+    /// chained off the last full chunk's posterior, and solves it
     /// ([`Corrector::correct_run`] calls this too, so a streamed run
     /// followed by `push_tail` reproduces the batch series bit for bit).
     /// The persistent engine's chain state and stream count are untouched:
@@ -322,24 +252,20 @@ impl<'a> Corrector<'a> {
                 got: windows.len(),
             });
         }
-        let mut tail = ChunkEngine::with_slices(
-            self.catalog,
-            &self.config.model,
-            self.config.ep,
-            windows.len(),
-        );
+        let mut tail = ChunkEngine::with_slices(self.catalog, &self.config.model, windows.len());
         if self.stream_count > 0 || self.resume_pending {
             tail.set_chain_prior(self.engine.chain_prior());
         }
-        tail.load_cold(windows);
-        let stats = tail.run_farm(self.config.threads);
-        Ok((tail.to_posterior(stats.converged), stats))
+        tail.load(windows);
+        let stats = tail.solve();
+        Ok((tail.to_posterior(), stats))
     }
 
-    /// How many sites the most recent [`Corrector::push_chunk`] selectively
-    /// reset on a change-point.
+    /// Sites the most recent [`Corrector::push_chunk`] reset on a change
+    /// point. Always 0: every chunk is solved whole, so there is no
+    /// approximation to carry over or reset.
     pub fn last_push_jump_resets(&self) -> u64 {
-        self.jump_resets
+        0
     }
 
     /// Posterior of `event` at `slice` of the most recent
@@ -365,8 +291,8 @@ impl<'a> Corrector<'a> {
         Ok(self.engine.posterior(slice, event))
     }
 
-    /// Resets the streaming state: the next [`Corrector::push_chunk`] runs
-    /// cold from the base prior (any pending resume prior is discarded).
+    /// Resets the streaming state: the next [`Corrector::push_chunk`]
+    /// starts from the base prior (any pending resume prior is discarded).
     pub fn reset_stream(&mut self) {
         self.stream_count = 0;
         self.resume_pending = false;
@@ -383,21 +309,16 @@ impl<'a> Corrector<'a> {
     /// chunk goes through [`Corrector::push_chunk`] and a ragged final
     /// chunk through [`Corrector::push_tail`], so the series equals
     /// streaming the same windows after a [`Corrector::reset_stream`].
-    ///
-    /// Every chunk runs on the deterministic engine farm, so thread count
-    /// is purely a throughput knob — `threads = 1` and `threads = 8`
-    /// produce bit-identical series.
     pub fn correct_slices(&mut self, windows: &[&[Sample]]) -> PosteriorSeries {
         let k = self.config.model.slices.max(1);
         let ne = self.catalog.len();
         let mut data: Vec<Gaussian> = Vec::with_capacity(windows.len() * ne);
         let mut stats = CorrectionStats::default();
         self.reset_stream();
-        for (c, chunk) in windows.chunks(k).enumerate() {
+        for chunk in windows.chunks(k) {
             if chunk.len() == k {
                 let s = self.push_chunk(chunk);
-                stats.absorb_run(&s, c > 0 && self.config.warm_start);
-                stats.jump_site_resets += self.jump_resets;
+                stats.absorb_run(&s);
                 for t in 0..k {
                     data.extend(self.catalog.iter().map(|e| self.engine.posterior(t, e.id)));
                 }
@@ -405,7 +326,7 @@ impl<'a> Corrector<'a> {
                 let (post, s) = self
                     .push_tail(chunk)
                     .expect("chunks() yields a non-empty tail shorter than k");
-                stats.absorb_run(&s, false);
+                stats.absorb_run(&s);
                 for t in 0..post.slices() {
                     data.extend(self.catalog.iter().map(|e| post.posterior(t, e.id)));
                 }
@@ -415,11 +336,6 @@ impl<'a> Corrector<'a> {
         PosteriorSeries {
             n_events: ne,
             data,
-            convergence_rate: if stats.chunks == 0 {
-                1.0
-            } else {
-                stats.converged_chunks as f64 / stats.chunks as f64
-            },
             stats,
         }
     }
@@ -533,45 +449,16 @@ mod tests {
         let ev = cat.require(Semantic::Cycles);
         assert_eq!(series.mle_series(ev).len(), 6);
         assert_eq!(series.sd_series(ev).len(), 6);
-        assert!(series.convergence_rate >= 0.0 && series.convergence_rate <= 1.0);
         assert!(series.stats.chunks > 0);
         assert!(series.stats.analytic_site_updates > 0);
     }
 
     #[test]
-    fn chained_mode_identical_at_any_thread_count() {
-        // Chained chunks serialize on the prior, but each chunk's EP farm
-        // is bit-identical at any thread count — so the whole series is,
-        // warm or cold, including the ragged tail.
-        let cat = Catalog::new(Arch::X86SkyLake);
-        let prog = kmeans();
-        let mut truth = prog.instantiate(&cat, 0);
-        let pmu = Pmu::new(&cat, PmuConfig::for_catalog(&cat));
-        let events = vec![cat.require(Semantic::L1dMisses)];
-        let schedule = pack_round_robin(&cat, &events).unwrap();
-        let run = pmu.run_multiplexed(&mut truth, &schedule, 8);
-        let warm = CorrectorConfig::for_run(&run);
-        for base in [warm.clone(), warm.cold_start()] {
-            let series_for = |threads: usize| {
-                let cfg = base.clone().with_threads(threads);
-                Corrector::new(&cat, cfg).correct_run(&run)
-            };
-            let a = series_for(1);
-            let b = series_for(2);
-            assert_eq!(a.windows(), 8);
-            let ev = cat.require(Semantic::L1dMisses);
-            assert_eq!(a.mle_series(ev), b.mle_series(ev), "bit-identical MLE");
-            assert_eq!(a.sd_series(ev), b.sd_series(ev), "bit-identical SD");
-            assert_eq!(a.stats, b.stats, "identical work accounting");
-        }
-    }
-
-    #[test]
     fn cold_correct_run_matches_a_fresh_engine_per_chunk() {
-        // Cold mode runs every chunk on the corrector's one engine:
-        // `load_cold` discards all messages and restarts the sweep count,
-        // so each chunk must equal, bit for bit, a freshly built engine
-        // chained off the previous chunk's final-slice posterior.
+        // The corrector runs every chunk on its one engine, which keeps
+        // nothing between chunks but the chained prior, so each chunk must
+        // equal, bit for bit, a freshly built engine chained off the
+        // previous chunk's final-slice posterior.
         for arch in Arch::all() {
             let cat = Catalog::new(arch);
             let events: Vec<EventId> = cat.programmable_events().into_iter().take(16).collect();
@@ -580,7 +467,7 @@ mod tests {
                 let mut truth = by_name(name).expect("in suite").instantiate(&cat, 0);
                 let pmu = Pmu::new(&cat, PmuConfig::for_catalog(&cat));
                 let run = pmu.run_multiplexed(&mut truth, &schedule.configs, 18);
-                let cfg = CorrectorConfig::for_run(&run).cold_start();
+                let cfg = CorrectorConfig::for_run(&run);
                 let k = cfg.model.slices;
                 let series = Corrector::new(&cat, cfg.clone()).correct_run(&run);
 
@@ -588,13 +475,13 @@ mod tests {
                 for (c, chunk) in run.windows.chunks(k).enumerate() {
                     let windows: Vec<&[Sample]> =
                         chunk.iter().map(|w| w.samples.as_slice()).collect();
-                    let mut engine = ChunkEngine::new(&cat, &cfg.model, cfg.ep);
+                    let mut engine = ChunkEngine::new(&cat, &cfg.model);
                     if let Some(prev) = &mut prev {
                         prev.capture_chain_prior();
                         engine.set_chain_prior(prev.chain_prior());
                     }
-                    engine.load_cold(&windows);
-                    engine.run_farm(cfg.threads);
+                    engine.load(&windows);
+                    engine.solve();
                     for t in 0..k {
                         for e in cat.iter() {
                             let got = series.posterior(c * k + t, e.id);
@@ -684,81 +571,5 @@ mod tests {
             c.resume_from(&published[..1]),
             Err(ShimError::CatalogMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn warm_start_does_much_less_work_than_cold() {
-        let cat = Catalog::new(Arch::X86SkyLake);
-        let prog = kmeans();
-        let mut truth = prog.instantiate(&cat, 0);
-        let pmu = Pmu::new(&cat, PmuConfig::for_catalog(&cat));
-        let events = vec![
-            cat.require(Semantic::L1dMisses),
-            cat.require(Semantic::LlcMisses),
-        ];
-        let schedule = pack_round_robin(&cat, &events).unwrap();
-        let run = pmu.run_multiplexed(&mut truth, &schedule, 24);
-
-        let warm = Corrector::new(&cat, CorrectorConfig::for_run(&run)).correct_run(&run);
-        let cold =
-            Corrector::new(&cat, CorrectorConfig::for_run(&run).cold_start()).correct_run(&run);
-        assert_eq!(warm.windows(), cold.windows());
-        assert!(warm.stats.warm_chunks > 0);
-        assert_eq!(cold.stats.warm_chunks, 0);
-        assert!(warm.stats.sweeps < cold.stats.sweeps);
-        // The algorithmic win: a warm chunk does at most half the site
-        // updates of the same chunk solved cold. Chunk 0 is cold on both
-        // paths, so compare the chunks after it.
-        let k = CorrectorConfig::for_run(&run).model.slices;
-        let windows: Vec<&[Sample]> = run.windows.iter().map(|w| w.samples.as_slice()).collect();
-        let mut warm = Corrector::new(&cat, CorrectorConfig::for_run(&run));
-        let mut cold = Corrector::new(&cat, CorrectorConfig::for_run(&run).cold_start());
-        let (mut warm_updates, mut cold_updates) = (0, 0);
-        for (c, chunk) in windows.chunks(k).enumerate() {
-            let (w, cs) = (warm.push_chunk(chunk), cold.push_chunk(chunk));
-            if c > 0 {
-                warm_updates += w.analytic_site_updates;
-                cold_updates += cs.analytic_site_updates;
-            }
-        }
-        assert!(
-            warm_updates * 2 <= cold_updates,
-            "warm {warm_updates} site updates vs cold {cold_updates}"
-        );
-    }
-
-    #[test]
-    fn warm_marginals_stay_close_to_cold_marginals() {
-        // Warm-start is an approximation accelerator, not a model change:
-        // posterior means must stay within a few percent of the cold path
-        // (the warm sweep cap dominates the difference).
-        let cat = Catalog::new(Arch::X86SkyLake);
-        let prog = kmeans();
-        let mut truth = prog.instantiate(&cat, 0);
-        let pmu = Pmu::new(&cat, PmuConfig::for_catalog(&cat));
-        let events = vec![
-            cat.require(Semantic::L1dMisses),
-            cat.require(Semantic::LlcMisses),
-        ];
-        let schedule = pack_round_robin(&cat, &events).unwrap();
-        let run = pmu.run_multiplexed(&mut truth, &schedule, 12);
-
-        let warm = Corrector::new(&cat, CorrectorConfig::for_run(&run)).correct_run(&run);
-        let cold =
-            Corrector::new(&cat, CorrectorConfig::for_run(&run).cold_start()).correct_run(&run);
-        let ev = cat.require(Semantic::L1dMisses);
-        let (w, c) = (warm.mle_series(ev), cold.mle_series(ev));
-        let rels: Vec<f64> = w
-            .iter()
-            .zip(&c)
-            .map(|(a, b)| (a - b).abs() / b.abs().max(1.0))
-            .collect();
-        let mean_rel = rels.iter().sum::<f64>() / rels.len() as f64;
-        let max_rel = rels.iter().fold(0.0f64, |a, &b| a.max(b));
-        // Tight on average; a single phase-boundary window may deviate
-        // further (the two paths settle the transient on different
-        // trajectories).
-        assert!(mean_rel < 0.12, "mean relative deviation {mean_rel:.3}");
-        assert!(max_rel < 0.6, "max relative deviation {max_rel:.3}");
     }
 }

@@ -13,8 +13,8 @@
 //!   shortest paths in the event factor graph and applying the paper's two
 //!   pruning optimizations;
 //! * [`model`] — builds the unified factor graph over `k` time slices
-//!   (observation + invariant + temporal factors) as Expectation-Propagation
-//!   sites;
+//!   (observation + invariant + temporal factors) and solves each chunk
+//!   with one banded IRLS solve per component of the invariant graph;
 //! * [`corrector`] — chained correction of PMU sample windows, streamed
 //!   chunk by chunk or batched over a recorded run, into posterior
 //!   distributions per event per window;

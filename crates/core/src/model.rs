@@ -1,26 +1,27 @@
-//! Building the unified factor graph over `k` time slices as EP sites.
+//! Building the unified factor graph over `k` time slices, and solving it.
 //!
 //! The model's variables are *(event, slice)* pairs in normalized units
 //! (window counts divided by a per-event scale derived from the catalog's
-//! nominal magnitudes). Each time slice becomes one EP site — the paper's
-//! data partition — containing three kinds of factors:
+//! nominal magnitudes). A chunk of `k` slices carries three kinds of
+//! factors:
 //!
 //! * **observation** factors (§4.2): a scaled/shifted Student-t per sample
-//!   delivered in that slice;
-//! * **invariant** factors: for every microarchitectural invariant, a
-//!   Gaussian on the *relative* residual `((lhs − rhs)/max(|lhs|,|rhs|,1))`
-//!   of the denormalized slice state;
+//!   delivered in a slice;
+//! * **invariant** factors: for every microarchitectural invariant and
+//!   every slice, a Gaussian on the *relative* residual
+//!   `((lhs − rhs)/max(|lhs|,|rhs|,1))` of the denormalized slice state;
 //! * **temporal** factors: a Gaussian random walk coupling each event's
 //!   value to its value in the preceding slice — this is what lets samples
 //!   of overlapping events in adjacent configurations inform unscheduled
 //!   events (Fig. 2's `⇝` edges).
 //!
-//! # Tilted moments
+//! # One solve per chunk
 //!
-//! A slice site solves its tilted moments by IRLS
-//! ([`bayesperf_inference::AnalyticScratch::irls`]), starting from the
-//! observed locations (the cavity mean for unobserved events). Each pass
-//! turns every factor into a Gaussian-linear term:
+//! [`ChunkEngine::solve`] computes the chunk's marginals by IRLS
+//! ([`bayesperf_inference::AnalyticScratch::irls`], starting from the
+//! observed locations and the prior mean of unobserved events). Each pass
+//! turns every factor into a Gaussian-linear term at the current estimate
+//! and solves the whole chunk at once:
 //!
 //! * a Student-t observation becomes the Gaussian
 //!   [`StudentT::irls_variance`] fits at the current estimate;
@@ -29,33 +30,52 @@
 //!   built once at engine build from [`Expr::linear_form`]. Only the
 //!   normalizer `N = max(|lhs|, |rhs|, 1)` is evaluated at the current
 //!   estimate, and the term's variance is `σ²·N²`;
-//! * a temporal factor is already Gaussian-linear. A previous-slice
-//!   variable touches only its cavity and that one factor, so it is
-//!   integrated out exactly before the solve: it enters its current-slice
-//!   partner as the pseudo-observation `N(μₚ, τ² + σₚ²)`, the solve has
-//!   `n_events` variables instead of `2·n_events`, and the previous
-//!   slice's marginals are recovered from their partners' afterwards.
+//! * a temporal factor is already Gaussian-linear: `x[t] − x[t−1]` with
+//!   variance `τ²`.
+//!
+//! The chunk's precision matrix splits exactly into the connected
+//! components of the catalog's invariant graph
+//! ([`FactorGraph::components`], events as variables and invariants as
+//! factors — the graph the schedule transformer plans on), as events of
+//! different components share no factor. Each component is
+//! solved on its own, its variable `(t, p)` at index `t·n_c + p`: the
+//! invariants couple indices less than `n_c` apart and the random walk
+//! couples indices exactly `n_c` apart, so the system is banded with
+//! bandwidth `n_c`, and its banded Cholesky and band-limited variances
+//! cost `O(k·n_c³)`.
+//!
+//! This is the paper's Alg. 1 with one site per chunk. The paper
+//! partitions a chunk into per-slice EP sites to feed its accelerator's
+//! parallel engines (modelled on their own in `bayesperf_accel`); solved
+//! whole, the chunk's Laplace approximation is exact for its reweighted
+//! Gaussian-linear system and needs no sweeps, cavities or damping.
+//!
+//! # Quarantine
+//!
+//! Before each IRLS pass, the variance of every data term — read or
+//! invariant — that slice `t` has in component `c` is computed at the
+//! current estimate. If one is not finite and positive (a NaN read, an
+//! overflowing normalizer), none of that slice's reads or invariants enter
+//! component `c` again in this solve; its prior and random-walk terms
+//! stay. A component whose factorization fails, or that returns a
+//! non-finite marginal, is re-solved from its prior and random-walk terms
+//! alone, a system that is always positive definite.
 //!
 //! # Engine reuse across windows
 //!
-//! The factor-graph *topology* is a pure function of the catalog: every
-//! slice has one observation slot per event (inactive slots contribute
-//! zero likelihood), the invariant set is fixed, and the temporal chain
-//! depends only on the slice count. Only the observed counts change from
-//! window to window. [`ChunkEngine`] therefore builds the sites, the
-//! invariant rows and the EP engine (with its cached sweep schedule)
-//! **once**, and per window merely swaps the observation slots and either
-//! [`ChunkEngine::load_warm_adaptive`]s (keep EP messages, except on the
-//! slices of a detected change point — the warm corrector path) or
-//! [`ChunkEngine::load_cold`]s (reset messages — the cold corrector path).
-//! A ragged final chunk gets a one-shot engine of its own slice count
-//! ([`ChunkEngine::with_slices`]), loaded cold.
+//! The model's *topology* is a pure function of the catalog: every slice
+//! has one observation slot per event, the invariant rows and components
+//! are fixed, and the temporal chain depends only on the slice count.
+//! [`ChunkEngine`] therefore builds all of it, and sizes every buffer,
+//! **once**; per chunk it swaps the observation slots
+//! ([`ChunkEngine::load`]) and solves, allocation-free. A ragged final
+//! chunk gets a one-shot engine of its own slice count
+//! ([`ChunkEngine::with_slices`]).
 
 use crate::error_model::{extrapolated_observation, gauge_observation, observation};
 use bayesperf_events::{Catalog, EventId, Expr, Invariant, SourceNoise};
-use bayesperf_inference::{
-    AnalyticScratch, EpConfig, EpRunStats, EpSite, ExpectationPropagation, Gaussian, StudentT,
-};
+use bayesperf_graph::{FactorGraph, VarId};
+use bayesperf_inference::{AnalyticScratch, EpRunStats, Gaussian, StudentT};
 use bayesperf_simcpu::{MultiplexRun, Sample};
 
 /// Model hyperparameters.
@@ -98,17 +118,6 @@ impl ModelConfig {
             cycles_per_window: run.cycles_per_window,
         }
     }
-
-    /// Fast EP settings matched to this model (used by the corrector):
-    /// 4 cold sweeps, 2 warm sweeps.
-    pub fn fast_ep(&self) -> EpConfig {
-        EpConfig {
-            max_sweeps: 4,
-            warm_max_sweeps: 2,
-            damping: 0.7,
-            tol: 0.05,
-        }
-    }
 }
 
 /// Per-event normalization scales (expected window counts at nominal load).
@@ -117,6 +126,11 @@ fn event_scales(catalog: &Catalog, cycles_per_window: f64) -> Vec<f64> {
         .iter()
         .map(|e| (catalog.nominal_scale(e.id) * cycles_per_window / 1.0e6).max(1.0))
         .collect()
+}
+
+/// `var` is usable as a term variance.
+fn valid_variance(var: f64) -> bool {
+    var.is_finite() && var > 0.0
 }
 
 /// One side of an invariant, affine in the normalized slice state:
@@ -150,6 +164,7 @@ impl LinearRow {
 /// relative residual `(lhs − rhs) / max(|lhs|, |rhs|, 1)` of the
 /// denormalized slice state. Built once per engine and shared by every
 /// slice.
+#[derive(Debug)]
 struct InvariantFactor {
     lhs: LinearRow,
     rhs: LinearRow,
@@ -164,6 +179,8 @@ struct InvariantFactor {
 }
 
 impl InvariantFactor {
+    /// The factor over the catalog-indexed slice state.
+    ///
     /// # Panics
     ///
     /// Panics, naming the invariant, if either side is not affine in the
@@ -186,194 +203,98 @@ impl InvariantFactor {
         }
     }
 
-    /// Adds the factor as `lhs − rhs ~ N(0, σ²·N²)`, its normalizer `N`
-    /// held at the current estimate `ws.mean()`. Declines on a variance
-    /// that is not finite and positive.
-    fn add_term(&self, ws: &mut AnalyticScratch) -> bool {
-        let x = ws.mean();
+    /// The term's variance `σ²·N²`, its normalizer `N` evaluated at the
+    /// slice state `x`.
+    fn variance(&self, x: &[f64]) -> f64 {
         let n = self.lhs.eval(x).abs().max(self.rhs.eval(x).abs()).max(1.0);
-        let var = self.var * n * n;
-        if !(var.is_finite() && var > 0.0) {
-            return false;
-        }
-        ws.add_term(&self.locals, &self.coeffs, self.obs, var);
-        true
-    }
-}
-
-/// An EP site for one time slice (plus the previous slice's variables,
-/// which its temporal factors touch).
-struct SliceSite {
-    /// Global variable indices: `0..n_events` → this slice,
-    /// `n_events..2·n_events` → previous slice (absent for slice 0).
-    vars: Vec<usize>,
-    /// Per-event observation slot (indexed by local variable `0..n_events`;
-    /// `None` = the event was not sampled in this window).
-    obs: Vec<Option<StudentT>>,
-    /// Variance `τ²` of the temporal random walk.
-    drift: f64,
-    /// Denormalization scales, catalog-indexed (local i ↔ catalog event i).
-    scales: std::sync::Arc<Vec<f64>>,
-    /// Per-source error models, indexed by raw [`bayesperf_events::SourceId`]
-    /// (base catalogs: just the PMU's `StudentT`).
-    source_noise: std::sync::Arc<Vec<SourceNoise>>,
-    /// The catalog's invariants, catalog-ordered.
-    invariants: std::sync::Arc<[InvariantFactor]>,
-}
-
-impl SliceSite {
-    /// Swaps this slice's observations to `window` (allocation-free): all
-    /// slots reset, then sampled events re-filled.
-    ///
-    /// A real read ([`observation`]) and a scheduler extrapolation
-    /// ([`extrapolated_observation`], `sub_n == 0`) land in the same slot
-    /// but with very different widths: the extrapolated factor carries
-    /// `extrap_sigma` relative noise and minimal degrees of freedom, so an
-    /// unscheduled slice is anchored without being mistaken for data.
-    ///
-    /// One observation slot per event: a window is expected to carry at
-    /// most one sample per event (the PMU delivers one merged reading per
-    /// window — `Sample` already aggregates the PMI sub-samples). If a
-    /// caller passes duplicates anyway, the last one wins; callers that
-    /// need multiple readings per event per window should merge them into
-    /// one `Sample` (sub-sample statistics combined) first.
-    fn set_window(&mut self, window: &[Sample], sigma_floor: f64, extrap_sigma: f64) {
-        for o in &mut self.obs {
-            *o = None;
-        }
-        for s in window {
-            self.obs[s.event.index()] = Some(self.observation_dist(s, sigma_floor, extrap_sigma));
-        }
+        self.var * n * n
     }
 
-    /// The observation factor `s` contributes. Per-source dispatch: the
-    /// sample's source tag picks the error model the factor is built from.
-    /// Extrapolations always take the wide carry-forward factor, whatever
-    /// the source; an unknown source id (newer producer than catalog)
-    /// degrades to the PMU model rather than panicking the inference
-    /// thread.
-    fn observation_dist(&self, s: &Sample, sigma_floor: f64, extrap_sigma: f64) -> StudentT {
-        let scale = self.scales[s.event.index()];
-        let noise = self
-            .source_noise
-            .get(s.source.index())
-            .copied()
-            .unwrap_or(SourceNoise::StudentT);
-        if s.is_extrapolated() {
-            return extrapolated_observation(s, scale, extrap_sigma);
-        }
-        match noise {
-            SourceNoise::StudentT => observation(s, scale, sigma_floor),
-            SourceNoise::Gaussian { .. } => {
-                gauge_observation(s, scale, noise.rel_scale(), sigma_floor)
-            }
-            // Low-trust source: same wide heavy-tailed factor an
-            // extrapolation gets, at the source's scale.
-            SourceNoise::HeavyTail { rel_sigma } => extrapolated_observation(s, scale, rel_sigma),
-        }
-    }
-
-    /// Adds every observation as the Gaussian its Student-t fits at the
-    /// current estimate. Declines on a weight that is not finite and
-    /// positive (e.g. a NaN read), so it never reaches `add_term`.
-    fn add_observations(&self, ws: &mut AnalyticScratch) -> bool {
-        for (e, o) in self.obs.iter().enumerate() {
-            if let Some(t) = o {
-                let var = t.irls_variance(ws.mean()[e]);
-                if !(var.is_finite() && var > 0.0) {
-                    return false;
-                }
-                ws.add_term(&[e], &[1.0], t.loc, var);
-            }
-        }
-        true
-    }
-
-    fn add_invariants(&self, ws: &mut AnalyticScratch) -> bool {
-        self.invariants.iter().all(|inv| inv.add_term(ws))
-    }
-}
-
-impl EpSite for SliceSite {
-    fn vars(&self) -> &[usize] {
-        &self.vars
-    }
-
-    /// IRLS over this slice's `n_events` variables, the previous slice's
-    /// integrated out (see the module docs).
-    fn analytic_moments(&self, cavity: &[Gaussian], ws: &mut AnalyticScratch) -> bool {
-        let (cur, prev) = cavity.split_at(self.obs.len());
-        let start = cur
+    /// Every variable either side reads (repeats included).
+    fn vars(&self) -> impl Iterator<Item = usize> + '_ {
+        self.lhs
+            .terms
             .iter()
-            .zip(&self.obs)
-            .map(|(c, o)| o.map_or(c.mean, |t| t.loc));
-        let solved = ws.irls(cur, start, |ws| {
-            for (e, p) in prev.iter().enumerate() {
-                ws.add_term(&[e], &[1.0], p.mean, self.drift + p.var);
-            }
-            self.add_observations(ws) && self.add_invariants(ws)
-        });
-        if !solved {
-            return false;
+            .chain(&self.rhs.terms)
+            .map(|&(v, _)| v)
+    }
+
+    /// Moves the factor onto another state layout: variable `v` becomes
+    /// `local_of[v]`.
+    fn relabel(&mut self, local_of: &[usize]) {
+        for (v, _) in self.lhs.terms.iter_mut().chain(&mut self.rhs.terms) {
+            *v = local_of[*v];
         }
-        // A previous-slice variable given its partner x: precision
-        // 1/σₚ² + w, mean (μₚ/σₚ² + w·x)/(1/σₚ² + w), with w = 1/τ².
-        // Averaging over x ~ N(m, V) adds (w/(1/σₚ² + w))²·V.
-        let w = 1.0 / self.drift;
-        for (e, p) in prev.iter().enumerate() {
-            let (m, v) = (ws.mean()[e], ws.var()[e]);
-            let prec = 1.0 / p.var + w;
-            let gain = w / prec;
-            ws.push_marginal(
-                (p.mean / p.var + w * m) / prec,
-                1.0 / prec + gain * gain * v,
-            );
+        for v in &mut self.locals {
+            *v = local_of[*v];
         }
-        true
     }
 }
 
-/// Multiplicative threshold an observation must move by (vs the same
-/// event's previous observation) to count as jumped in the change-point
-/// detector ([`ChunkEngine::load_warm_adaptive`]).
-const JUMP_RATIO: f64 = 2.0;
+/// One connected component of the catalog's invariant graph, solved on
+/// its own.
+#[derive(Debug, Default)]
+struct Component {
+    /// Catalog indices of its events, ascending: event `events[p]` is the
+    /// component's local variable `p` of every slice.
+    events: Vec<usize>,
+    /// Its invariants, as rows over local variables.
+    invariants: Vec<InvariantFactor>,
+}
 
-/// Selective change-point reset threshold: a window (slice) more than this
-/// fraction of whose observations moved by more than [`JUMP_RATIO`] since
-/// each event was last seen has its EP sites reset to vacuous before the
-/// warm run — a data phase change re-solves the affected slices from
-/// scratch instead of dragging a confidently-wrong approximation along,
-/// while unaffected slices keep the cheap warm path.
-const JUMP_FRAC: f64 = 0.45;
+impl Component {
+    /// Whether every data term a slice has in this component — each read
+    /// in `reads` (catalog-indexed) and each invariant — has a usable
+    /// variance at the slice state `x` (local variables).
+    fn data_usable(&self, reads: &[Option<StudentT>], x: &[f64]) -> bool {
+        self.events
+            .iter()
+            .zip(x)
+            .all(|(&e, &xp)| reads[e].is_none_or(|s| valid_variance(s.irls_variance(xp))))
+            && self
+                .invariants
+                .iter()
+                .all(|inv| valid_variance(inv.variance(x)))
+    }
+}
 
-/// A persistent per-catalog inference engine: the factor-graph topology,
-/// EP sites, sweep schedule and all scratch buffers, reused across
-/// windows. See the module docs for the warm/cold lifecycle.
+/// A persistent per-catalog inference engine: the model topology, its
+/// components and all solver buffers, reused across windows. See the
+/// module docs for the solve and its lifecycle.
 pub struct ChunkEngine {
-    ep: ExpectationPropagation,
     n_events: usize,
     slices: usize,
-    scales: std::sync::Arc<Vec<f64>>,
-    /// Reused per-load prior buffer (`slices · n_events`).
-    prior_buf: Vec<Gaussian>,
+    /// Denormalization scales, catalog-indexed.
+    scales: Vec<f64>,
+    /// Per-source error models, indexed by raw [`bayesperf_events::SourceId`]
+    /// (base catalogs: just the PMU's `StudentT`).
+    source_noise: Vec<SourceNoise>,
+    components: Vec<Component>,
+    /// Observation slot per (slice, event), at `t·n_events + e`; `None` =
+    /// the event was not sampled in that window.
+    obs: Vec<Option<StudentT>>,
+    /// Marginals of the last solve (normalized), at `t·n_events + e`.
+    marginals: Vec<Gaussian>,
     /// Chained slice-0 prior (normalized, `n_events`); active when
     /// `has_chain`.
-    chain_buf: Vec<Gaussian>,
+    chain: Vec<Gaussian>,
     has_chain: bool,
     base_prior: Gaussian,
+    /// Variance `τ²` of the temporal random walk.
     drift: f64,
     obs_sigma_floor: f64,
     extrap_sigma: f64,
-    /// Last observed (normalized) value per event across all loads
-    /// (`NAN` = never observed) — the change-point detector's history.
-    last_obs: Vec<f64>,
-    /// Scratch copy of `last_obs` for chronological scoring.
-    score_buf: Vec<f64>,
-    /// Per-slice jump flags of the last adaptive load (reused buffer).
-    jump_flags: Vec<bool>,
-    /// Per-window (total, jumped) observation counts of the last jump
-    /// scan (reused buffer).
-    jump_counts: Vec<(u32, u32)>,
+    /// Solver scratch, sized at build for the largest component.
+    ws: AnalyticScratch,
+    /// The component being solved: its prior, at `t·n_c + p`.
+    prior: Vec<Gaussian>,
+    /// The estimate an IRLS pass weights its terms at (a copy of the
+    /// scratch's, at `t·n_c + p`).
+    estimate: Vec<f64>,
+    /// One invariant term's locals, shifted to its slice.
+    locals: Vec<usize>,
+    /// Per slice: whether the component being solved quarantined its data.
+    quarantined: Vec<bool>,
 }
 
 impl std::fmt::Debug for ChunkEngine {
@@ -381,15 +302,15 @@ impl std::fmt::Debug for ChunkEngine {
         f.debug_struct("ChunkEngine")
             .field("n_events", &self.n_events)
             .field("slices", &self.slices)
-            .field("warm", &self.ep.is_warm())
+            .field("components", &self.components.len())
             .finish()
     }
 }
 
 impl ChunkEngine {
     /// Builds the engine for `cfg.slices` time slices.
-    pub fn new(catalog: &Catalog, cfg: &ModelConfig, ep_config: EpConfig) -> Self {
-        Self::with_slices(catalog, cfg, ep_config, cfg.slices.max(1))
+    pub fn new(catalog: &Catalog, cfg: &ModelConfig) -> Self {
+        Self::with_slices(catalog, cfg, cfg.slices.max(1))
     }
 
     /// Builds the engine for an explicit slice count (used by
@@ -399,59 +320,81 @@ impl ChunkEngine {
     /// # Panics
     ///
     /// Panics if `slices` is zero.
-    pub fn with_slices(
-        catalog: &Catalog,
-        cfg: &ModelConfig,
-        ep_config: EpConfig,
-        slices: usize,
-    ) -> Self {
+    pub fn with_slices(catalog: &Catalog, cfg: &ModelConfig, slices: usize) -> Self {
         assert!(slices > 0, "chunk must contain at least one window");
-        let ne = catalog.len();
-        let scales = std::sync::Arc::new(event_scales(catalog, cfg.cycles_per_window));
-        let source_noise: std::sync::Arc<Vec<SourceNoise>> =
-            std::sync::Arc::new(catalog.sources().iter().map(|s| s.noise).collect());
-        let base_prior = Gaussian::new(cfg.prior_mean, cfg.prior_sd * cfg.prior_sd);
-        let prior = vec![base_prior; slices * ne];
-        let mut ep = ExpectationPropagation::new(prior.clone(), ep_config);
-        let drift = cfg.temporal_tau * cfg.temporal_tau;
-        let invariants: std::sync::Arc<[InvariantFactor]> = catalog
+        let scales = event_scales(catalog, cfg.cycles_per_window);
+        // The invariant graph: event `e` is variable `e`, and each
+        // invariant a factor over the events its two sides read.
+        let mut graph: FactorGraph<(), ()> = FactorGraph::new();
+        let vars: Vec<VarId> = catalog.iter().map(|_| graph.add_var(())).collect();
+        let invariants: Vec<InvariantFactor> = catalog
             .invariants()
             .iter()
-            .map(|inv| InvariantFactor::new(inv, &scales, inv.rel_noise.max(cfg.inv_sigma_floor)))
+            .map(|inv| {
+                let factor =
+                    InvariantFactor::new(inv, &scales, inv.rel_noise.max(cfg.inv_sigma_floor));
+                let reads: Vec<VarId> = factor.vars().map(|e| vars[e]).collect();
+                graph.add_factor((), &reads);
+                factor
+            })
             .collect();
-
-        for t in 0..slices {
-            // Site variables: slice t first, then slice t-1 (if any).
-            let mut vars: Vec<usize> = (0..ne).map(|e| t * ne + e).collect();
-            if t > 0 {
-                vars.extend((0..ne).map(|e| (t - 1) * ne + e));
-            }
-            ep.add_site(SliceSite {
-                vars,
-                obs: vec![None; ne],
-                drift,
-                scales: scales.clone(),
-                source_noise: source_noise.clone(),
-                invariants: invariants.clone(),
-            });
+        let comp_of = graph.components();
+        let n_comp = comp_of.iter().max().map_or(0, |&c| c + 1);
+        let mut components: Vec<Component> = (0..n_comp).map(|_| Component::default()).collect();
+        let mut local_of = vec![0; catalog.len()];
+        for (e, &c) in comp_of.iter().enumerate() {
+            local_of[e] = components[c].events.len();
+            components[c].events.push(e);
         }
+        for mut factor in invariants {
+            // All of a factor's events lie in one component; a factor
+            // that reads no event constrains nothing.
+            let first = factor.vars().next();
+            if let Some(e) = first {
+                factor.relabel(&local_of);
+                components[comp_of[e]].invariants.push(factor);
+            }
+        }
+        let source_noise = catalog.sources().iter().map(|s| s.noise).collect();
+        Self::from_components(components, scales, source_noise, cfg, slices)
+    }
 
+    /// The engine over prebuilt components, with every buffer sized.
+    fn from_components(
+        components: Vec<Component>,
+        scales: Vec<f64>,
+        source_noise: Vec<SourceNoise>,
+        cfg: &ModelConfig,
+        slices: usize,
+    ) -> Self {
+        let ne = scales.len();
+        let widest = components.iter().map(|c| c.events.len()).max().unwrap_or(0);
+        let arity = components
+            .iter()
+            .flat_map(|c| &c.invariants)
+            .map(|inv| inv.locals.len())
+            .max()
+            .unwrap_or(0);
+        let base_prior = Gaussian::new(cfg.prior_mean, cfg.prior_sd * cfg.prior_sd);
         ChunkEngine {
-            ep,
             n_events: ne,
             slices,
             scales,
-            prior_buf: prior,
-            chain_buf: vec![base_prior; ne],
+            source_noise,
+            components,
+            obs: vec![None; slices * ne],
+            marginals: vec![base_prior; slices * ne],
+            chain: vec![base_prior; ne],
             has_chain: false,
-            last_obs: vec![f64::NAN; ne],
-            score_buf: Vec::with_capacity(ne),
-            jump_flags: Vec::with_capacity(slices),
-            jump_counts: Vec::with_capacity(slices),
             base_prior,
-            drift,
+            drift: cfg.temporal_tau * cfg.temporal_tau,
             obs_sigma_floor: cfg.obs_sigma_floor,
             extrap_sigma: cfg.extrap_sigma,
+            ws: AnalyticScratch::with_capacity(slices * widest, widest),
+            prior: Vec::with_capacity(slices * widest),
+            estimate: Vec::with_capacity(slices * widest),
+            locals: Vec::with_capacity(arity),
+            quarantined: Vec::with_capacity(slices),
         }
     }
 
@@ -466,14 +409,14 @@ impl ChunkEngine {
     }
 
     /// Sets the chained slice-0 prior (normalized units; length
-    /// `n_events`). The random-walk drift is added at load time.
+    /// `n_events`). The random-walk drift is added at solve time.
     ///
     /// # Panics
     ///
     /// Panics if `prior.len() != n_events`.
     pub fn set_chain_prior(&mut self, prior: &[Gaussian]) {
         assert_eq!(prior.len(), self.n_events, "chain prior length mismatch");
-        self.chain_buf.copy_from_slice(prior);
+        self.chain.copy_from_slice(prior);
         self.has_chain = true;
     }
 
@@ -495,7 +438,7 @@ impl ChunkEngine {
             let s = self.scales[e];
             let mean = g.mean / s;
             let var = g.var / (s * s);
-            self.chain_buf[e] = if mean.is_finite() && var.is_finite() && var > 0.0 {
+            self.chain[e] = if mean.is_finite() && valid_variance(var) {
                 seeded += 1;
                 Gaussian::new(mean, var)
             } else {
@@ -507,12 +450,11 @@ impl ChunkEngine {
     }
 
     /// Captures the current posterior of the final slice as the next
-    /// load's chained slice-0 prior (allocation-free).
+    /// solve's chained slice-0 prior (allocation-free).
     pub fn capture_chain_prior(&mut self) {
-        let base = (self.slices - 1) * self.n_events;
-        for e in 0..self.n_events {
-            self.chain_buf[e] = self.ep.marginal(base + e);
-        }
+        let last = (self.slices - 1) * self.n_events;
+        self.chain
+            .copy_from_slice(&self.marginals[last..last + self.n_events]);
         self.has_chain = true;
     }
 
@@ -520,30 +462,34 @@ impl ChunkEngine {
     /// [`ChunkEngine::capture_chain_prior`]/[`ChunkEngine::set_chain_prior`]
     /// (normalized units).
     pub fn chain_prior(&self) -> &[Gaussian] {
-        &self.chain_buf
+        &self.chain
     }
 
-    /// Forgets the chained prior: the next load starts from the base prior.
+    /// Forgets the chained prior: the next solve starts from the base prior.
     pub fn clear_chain_prior(&mut self) {
         self.has_chain = false;
     }
 
-    /// Composes the per-variable prior for the next load into `prior_buf`.
-    fn compose_prior(&mut self) {
-        for t in 0..self.slices {
-            for e in 0..self.n_events {
-                self.prior_buf[t * self.n_events + e] = if t == 0 && self.has_chain {
-                    let p = self.chain_buf[e];
-                    Gaussian::new(p.mean, p.var + self.drift)
-                } else {
-                    self.base_prior
-                };
-            }
-        }
-    }
-
-    /// Swaps each slice's observations to the corresponding window.
-    fn swap_observations<W: AsRef<[Sample]>>(&mut self, windows: &[W]) {
+    /// Loads a window chunk: each slice's observation slots swapped to the
+    /// corresponding window (allocation-free).
+    ///
+    /// A real read ([`observation`]) and a scheduler extrapolation
+    /// ([`extrapolated_observation`], `sub_n == 0`) land in the same slot
+    /// but with very different widths: the extrapolated factor carries
+    /// `extrap_sigma` relative noise and minimal degrees of freedom, so an
+    /// unscheduled slice is anchored without being mistaken for data.
+    ///
+    /// One observation slot per event: a window is expected to carry at
+    /// most one sample per event (the PMU delivers one merged reading per
+    /// window — `Sample` already aggregates the PMI sub-samples). If a
+    /// caller passes duplicates anyway, the last one wins; callers that
+    /// need multiple readings per event per window should merge them into
+    /// one `Sample` (sub-sample statistics combined) first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window count mismatches the slice count.
+    pub fn load<W: AsRef<[Sample]>>(&mut self, windows: &[W]) {
         assert_eq!(
             windows.len(),
             self.slices,
@@ -551,129 +497,142 @@ impl ChunkEngine {
             self.slices,
             windows.len()
         );
-        let floor = self.obs_sigma_floor;
-        // The documented invariant, enforced rather than trusted: an
-        // extrapolation is never tighter than a real read's noise floor.
-        let extrap = self.extrap_sigma.max(self.obs_sigma_floor);
+        self.obs.fill(None);
         for (t, w) in windows.iter().enumerate() {
             for s in w.as_ref() {
-                // Extrapolations are estimates, not reads: they must not
-                // enter the change-point history, or a carry-forward of a
-                // stale level would mask the very jump it smeared over.
-                if s.is_extrapolated() {
-                    continue;
-                }
-                let e = s.event.index();
-                self.last_obs[e] = (s.value / self.scales[e]).max(1e-9);
+                self.obs[t * self.n_events + s.event.index()] = Some(self.observation_dist(s));
             }
-            let site = self
-                .ep
-                .site_mut::<SliceSite>(t)
-                .expect("slice sites are SliceSite");
-            site.set_window(w.as_ref(), floor, extrap);
         }
     }
 
-    /// The chronological jump scan behind
-    /// [`ChunkEngine::load_warm_adaptive`]: walks every observation of
-    /// `windows` in order, compares it against the same event's previous
-    /// observation (seeded from the engine's recorded history, rolled
-    /// forward within the scan), and records per window how many
-    /// comparisons were made and how many moved by more than a factor of
-    /// [`JUMP_RATIO`] up or down (into the reusable `jump_counts` buffer) —
-    /// a purely data-driven change-point detector. Near zero in steady
-    /// state (measurement noise and within-phase modulation are well under
-    /// 2×); jumps toward 1 at a workload phase change, where warm-starting
-    /// would carry a confidently-wrong approximation forward. The engine's
-    /// recorded history itself is *not* modified — that happens when the
-    /// windows are actually loaded. Allocation-free after the first call.
-    fn scan_jumps<W: AsRef<[Sample]>>(&mut self, windows: &[W]) {
-        self.score_buf.clear();
-        self.score_buf.extend_from_slice(&self.last_obs);
-        self.jump_counts.clear();
-        for w in windows {
-            let mut total = 0u32;
-            let mut jumped = 0u32;
-            for s in w.as_ref() {
-                if s.is_extrapolated() {
-                    continue; // carry-forwards say nothing about jumps
-                }
-                let e = s.event.index();
-                let loc = (s.value / self.scales[e]).max(1e-9);
-                let prev = self.score_buf[e];
-                if prev.is_finite() {
-                    total += 1;
-                    let r = loc / prev.max(1e-9);
-                    if !(1.0 / JUMP_RATIO..=JUMP_RATIO).contains(&r) {
-                        jumped += 1;
-                    }
-                }
-                self.score_buf[e] = loc;
-            }
-            self.jump_counts.push((total, jumped));
+    /// The observation factor `s` contributes. Per-source dispatch: the
+    /// sample's source tag picks the error model the factor is built from.
+    /// Extrapolations always take the wide carry-forward factor, whatever
+    /// the source; an unknown source id (newer producer than catalog)
+    /// degrades to the PMU model rather than panicking the inference
+    /// thread.
+    fn observation_dist(&self, s: &Sample) -> StudentT {
+        let scale = self.scales[s.event.index()];
+        let floor = self.obs_sigma_floor;
+        if s.is_extrapolated() {
+            // The documented invariant, enforced rather than trusted: an
+            // extrapolation is never tighter than a real read's noise floor.
+            return extrapolated_observation(s, scale, self.extrap_sigma.max(floor));
+        }
+        let noise = self
+            .source_noise
+            .get(s.source.index())
+            .copied()
+            .unwrap_or(SourceNoise::StudentT);
+        match noise {
+            SourceNoise::StudentT => observation(s, scale, floor),
+            SourceNoise::Gaussian { .. } => gauge_observation(s, scale, noise.rel_scale(), floor),
+            // Low-trust source: same wide heavy-tailed factor an
+            // extrapolation gets, at the source's scale.
+            SourceNoise::HeavyTail { rel_sigma } => extrapolated_observation(s, scale, rel_sigma),
         }
     }
 
-    /// Loads a window chunk cold: observations swapped, EP messages
-    /// discarded, prior re-seated (chained slice 0 when a chain prior is
-    /// set). The next run is capped at the cold sweep count.
-    pub fn load_cold<W: AsRef<[Sample]>>(&mut self, windows: &[W]) {
-        self.swap_observations(windows);
-        self.compose_prior();
-        let ChunkEngine { ep, prior_buf, .. } = self;
-        ep.cold_reset(prior_buf);
+    /// Solves the loaded chunk: one IRLS solve per component, one after
+    /// another on the calling thread (allocation-free).
+    pub fn solve(&mut self) -> EpRunStats {
+        let mut stats = EpRunStats {
+            sweeps_total: 1,
+            sweeps_run: 1,
+            converged: true,
+            ..EpRunStats::default()
+        };
+        for c in 0..self.components.len() {
+            let quarantined = self.solve_component(c) as u64;
+            stats.analytic_site_updates += self.slices as u64 - quarantined;
+            stats.sites_quarantined += quarantined;
+        }
+        stats
     }
 
-    /// Loads a window chunk warm: observations swapped, EP messages
-    /// **kept** as the starting approximation, prior re-seated. The next
-    /// run is capped at the warm sweep count — the incremental
-    /// sliding-window path. Any slice whose window moved more than a factor
-    /// of `JUMP_RATIO` (2) on more than `JUMP_FRAC` (45%) of its
-    /// observations (vs each event's previous observation, scanned
-    /// chronologically) has the sites touching its variables reset to the
-    /// vacuous approximation, while unaffected slices keep their messages —
-    /// a data phase change costs a partial re-solve instead of a
-    /// whole-model cold start. Returns the number of sites reset.
-    /// Allocation-free after warm-up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window count mismatches.
-    pub fn load_warm_adaptive<W: AsRef<[Sample]>>(&mut self, windows: &[W]) -> usize {
-        // Per-slice jump flags, scanned chronologically against the last
-        // observation of each event (before this chunk updates them).
-        self.scan_jumps(windows);
+    /// Solves component `c` into the marginals; returns how many of its
+    /// slices were solved without their data.
+    fn solve_component(&mut self, c: usize) -> usize {
         let ChunkEngine {
-            jump_counts,
-            jump_flags,
+            n_events: ne,
+            slices: k,
+            components,
+            obs,
+            marginals,
+            chain,
+            has_chain,
+            base_prior,
+            drift,
+            ws,
+            prior,
+            estimate,
+            locals,
+            quarantined,
             ..
         } = self;
-        jump_flags.clear();
-        for &(total, jumped) in jump_counts.iter() {
-            jump_flags.push(total > 0 && jumped as f64 > JUMP_FRAC * total as f64);
+        let (ne, k, drift) = (*ne, *k, *drift);
+        let comp = &components[c];
+        let nc = comp.events.len();
+        prior.clear();
+        for t in 0..k {
+            prior.extend(comp.events.iter().map(|&e| {
+                if t == 0 && *has_chain {
+                    Gaussian::new(chain[e].mean, chain[e].var + drift)
+                } else {
+                    *base_prior
+                }
+            }));
         }
-
-        self.swap_observations(windows);
-        self.compose_prior();
-        // A jumped slice t invalidates every site whose scope contains its
-        // variables: site t (its own observations and backward temporal
-        // factors) and site t+1 (the forward temporal factors).
-        let mut reset = 0;
-        for k in 0..self.slices {
-            let flagged = self.jump_flags[k] || (k > 0 && self.jump_flags[k - 1]);
-            if flagged {
-                self.ep.reset_site(k);
-                reset += 1;
+        quarantined.clear();
+        quarantined.resize(k, false);
+        let add_walk = |ws: &mut AnalyticScratch| {
+            for i in nc..k * nc {
+                ws.add_term(&[i - nc, i], &[-1.0, 1.0], 0.0, drift);
             }
+        };
+        let start = (0..k * nc)
+            .map(|i| obs[i / nc * ne + comp.events[i % nc]].map_or(prior[i].mean, |s| s.loc));
+        let solved = ws.irls(prior, nc, start, |ws| {
+            estimate.clear();
+            estimate.extend_from_slice(ws.mean());
+            for (t, q) in quarantined.iter_mut().enumerate() {
+                let x = &estimate[t * nc..(t + 1) * nc];
+                let reads = &obs[t * ne..(t + 1) * ne];
+                *q = *q || !comp.data_usable(reads, x);
+                if *q {
+                    continue;
+                }
+                for (p, &e) in comp.events.iter().enumerate() {
+                    if let Some(s) = reads[e] {
+                        ws.add_term(&[t * nc + p], &[1.0], s.loc, s.irls_variance(x[p]));
+                    }
+                }
+                for inv in &comp.invariants {
+                    locals.clear();
+                    locals.extend(inv.locals.iter().map(|&l| t * nc + l));
+                    ws.add_term(locals, &inv.coeffs, inv.obs, inv.variance(x));
+                }
+            }
+            add_walk(ws);
+            true
+        }) && ws.mean().iter().all(|m| m.is_finite())
+            && ws.var().iter().all(|&v| valid_variance(v));
+        // When the data broke the solve: the prior and the random walk
+        // alone, always positive definite.
+        let solved = solved || {
+            quarantined.fill(true);
+            ws.begin(prior, nc);
+            add_walk(ws);
+            ws.solve()
+        };
+        for (i, p) in prior.iter().enumerate() {
+            marginals[i / nc * ne + comp.events[i % nc]] = if solved {
+                Gaussian::new(ws.mean()[i], ws.var()[i])
+            } else {
+                *p
+            };
         }
-        let ChunkEngine { ep, prior_buf, .. } = self;
-        ep.warm_start(prior_buf);
-        reset
-    }
-
-    /// Runs EP on the engine farm (allocation-free after the first run).
-    pub fn run_farm(&mut self, threads: usize) -> EpRunStats {
-        self.ep.run_farm(threads)
+        quarantined.iter().filter(|&&q| q).count()
     }
 
     /// Posterior of `event` at `slice`, in *count* units (denormalized).
@@ -683,7 +642,7 @@ impl ChunkEngine {
     /// Panics if `slice` is out of range.
     pub fn posterior(&self, slice: usize, event: EventId) -> Gaussian {
         assert!(slice < self.slices, "slice {slice} out of range");
-        let g = self.ep.marginal(slice * self.n_events + event.index());
+        let g = self.marginals[slice * self.n_events + event.index()];
         let s = self.scales[event.index()];
         Gaussian::new(g.mean * s, g.var * s * s)
     }
@@ -691,14 +650,12 @@ impl ChunkEngine {
     /// Snapshot of the current posterior as an owned [`ChunkPosterior`]
     /// (allocates; the streaming corrector reads
     /// [`ChunkEngine::posterior`] instead).
-    pub fn to_posterior(&self, converged: bool) -> ChunkPosterior {
-        let n = self.slices * self.n_events;
+    pub fn to_posterior(&self) -> ChunkPosterior {
         ChunkPosterior {
-            marginals: (0..n).map(|v| self.ep.marginal(v)).collect(),
+            marginals: self.marginals.clone(),
             n_events: self.n_events,
             slices: self.slices,
-            scales: self.scales.as_ref().clone(),
-            converged,
+            scales: self.scales.clone(),
         }
     }
 }
@@ -710,8 +667,6 @@ pub struct ChunkPosterior {
     n_events: usize,
     slices: usize,
     scales: Vec<f64>,
-    /// Whether EP reached its tolerance.
-    pub converged: bool,
 }
 
 impl ChunkPosterior {
@@ -771,16 +726,16 @@ mod tests {
         (cat, run)
     }
 
-    /// A cold engine over `windows`, run on the farm — one chunk of the
-    /// cold corrector path.
+    /// An engine over `windows`, loaded and solved — one chunk of the
+    /// corrector.
     fn run_cold<W: AsRef<[Sample]>>(
         cat: &Catalog,
         windows: &[W],
         cfg: &ModelConfig,
     ) -> ChunkEngine {
-        let mut engine = ChunkEngine::with_slices(cat, cfg, cfg.fast_ep(), windows.len());
-        engine.load_cold(windows);
-        engine.run_farm(1);
+        let mut engine = ChunkEngine::with_slices(cat, cfg, windows.len());
+        engine.load(windows);
+        engine.solve();
         engine
     }
 
@@ -789,8 +744,8 @@ mod tests {
         let (cat, run) = run_fixture();
         let cfg = ModelConfig::for_run(&run);
         let windows: Vec<Vec<Sample>> = run.windows.iter().map(|w| w.samples.clone()).collect();
-        let mut engine = ChunkEngine::with_slices(&cat, &cfg, cfg.fast_ep(), windows.len());
-        engine.load_cold(&windows);
+        let mut engine = ChunkEngine::with_slices(&cat, &cfg, windows.len());
+        engine.load(&windows);
         assert_eq!(engine.slices(), 4);
     }
 
@@ -934,10 +889,10 @@ mod tests {
         let windows: Vec<Vec<Sample>> = run.windows.iter().map(|w| w.samples.clone()).collect();
         let mut first = run_cold(&cat, &windows[..2], &cfg);
         first.capture_chain_prior();
-        let mut post = ChunkEngine::with_slices(&cat, &cfg, cfg.fast_ep(), 2);
+        let mut post = ChunkEngine::with_slices(&cat, &cfg, 2);
         post.set_chain_prior(first.chain_prior());
-        post.load_cold(&windows[2..]);
-        post.run_farm(1);
+        post.load(&windows[2..]);
+        post.solve();
         // An event only measured in chunk 1's windows still has a
         // non-prior posterior in chunk 2 thanks to chaining + temporal.
         let ev = cat.require(Semantic::L1dMisses);
@@ -945,83 +900,6 @@ mod tests {
         let g = post.posterior(0, ev);
         let rel = (g.mean - truth).abs() / truth;
         assert!(rel < 0.5, "chained posterior {} vs {truth}", g.mean);
-    }
-
-    #[test]
-    fn warm_reload_tracks_a_new_window() {
-        // Engine correctness: a warm reload with the *same* windows and no
-        // chain prior must reproduce posteriors close to the cold run —
-        // the EP fixed point does not move when the data does not.
-        let (cat, run) = run_fixture();
-        let cfg = ModelConfig::for_run(&run);
-        let windows: Vec<Vec<Sample>> = run.windows.iter().map(|w| w.samples.clone()).collect();
-        let mut engine = ChunkEngine::with_slices(&cat, &cfg, cfg.fast_ep(), windows.len());
-        engine.load_cold(&windows);
-        engine.run_farm(1);
-        let ev = cat.require(Semantic::L1dMisses);
-        let cold = engine.posterior(0, ev);
-
-        let reset = engine.load_warm_adaptive(&windows);
-        assert_eq!(reset, 0, "same data: no change point");
-        let stats = engine.run_farm(1);
-        let warm = engine.posterior(0, ev);
-        assert!(stats.sweeps_run <= 2, "warm run capped at 2 sweeps");
-        let rel = (warm.mean - cold.mean).abs() / cold.mean.abs().max(1.0);
-        assert!(
-            rel < 0.05,
-            "warm {} vs cold {} ({rel})",
-            warm.mean,
-            cold.mean
-        );
-    }
-
-    #[test]
-    fn adaptive_load_resets_only_jumped_slices() {
-        let (cat, run) = run_fixture();
-        let cfg = ModelConfig::for_run(&run);
-        let windows: Vec<Vec<Sample>> = run.windows.iter().map(|w| w.samples.clone()).collect();
-        let mut engine = ChunkEngine::with_slices(&cat, &cfg, cfg.fast_ep(), windows.len());
-        engine.load_cold(&windows);
-        engine.run_farm(1);
-
-        // Same data again: steady state, no slice should reset.
-        let reset = engine.load_warm_adaptive(&windows);
-        assert_eq!(reset, 0, "steady-state reload must not reset sites");
-        engine.run_farm(1);
-
-        // Scale every sample of the last window by 4x: a clear phase jump
-        // confined to one slice — that slice's site resets (there is no
-        // following slice here), the rest stay warm.
-        let mut jumped = windows.clone();
-        let last = jumped.len() - 1;
-        for s in &mut jumped[last] {
-            s.value *= 4.0;
-            s.sub_mean *= 4.0;
-        }
-        let reset = engine.load_warm_adaptive(&jumped);
-        assert_eq!(reset, 1, "exactly the jumped slice resets");
-    }
-
-    #[test]
-    fn adaptive_load_is_quiet_in_steady_state_and_resets_on_uniform_jump() {
-        let (cat, run) = run_fixture();
-        let cfg = ModelConfig::for_run(&run);
-        let windows: Vec<Vec<Sample>> = run.windows.iter().map(|w| w.samples.clone()).collect();
-        let mut engine = ChunkEngine::with_slices(&cat, &cfg, cfg.fast_ep(), windows.len());
-        engine.load_cold(&windows);
-        let reset = engine.load_warm_adaptive(&windows);
-        assert_eq!(reset, 0, "same data: no jumps");
-        let mut jumped = windows.clone();
-        for w in &mut jumped {
-            for s in w {
-                s.value *= 5.0;
-            }
-        }
-        // The scan is chronological: each event registers the 5x move the
-        // first time it is re-observed (later windows match the new
-        // level), so at least the first slice reads as a jump.
-        let reset = engine.load_warm_adaptive(&jumped);
-        assert!(reset >= 1, "uniform 5x move must reset a site ({reset})");
     }
 
     #[test]
@@ -1038,18 +916,16 @@ mod tests {
             inv_sigma_floor: 0.02,
             cycles_per_window: 1e7,
         };
-        ChunkEngine::with_slices(&cat, &cfg, cfg.fast_ep(), 0);
+        ChunkEngine::with_slices(&cat, &cfg, 0);
     }
 
-    fn pmu_fixture(arch: Arch) -> (Catalog, MultiplexRun) {
-        let cat = Catalog::new(arch);
-        let rates = bayesperf_events::synthesize(&cat, &bayesperf_events::FreeParams::default());
+    fn pmu_fixture(cat: &Catalog) -> MultiplexRun {
+        let rates = bayesperf_events::synthesize(cat, &bayesperf_events::FreeParams::default());
         let mut truth = ConstantTruth::new(rates);
-        let pmu = Pmu::new(&cat, PmuConfig::for_catalog(&cat));
+        let pmu = Pmu::new(cat, PmuConfig::for_catalog(cat));
         let events: Vec<EventId> = cat.programmable_events().into_iter().take(12).collect();
-        let schedule = pack_round_robin(&cat, &events).unwrap();
-        let run = pmu.run_multiplexed(&mut truth, &schedule, 3);
-        (cat, run)
+        let schedule = pack_round_robin(cat, &events).unwrap();
+        pmu.run_multiplexed(&mut truth, &schedule, 3)
     }
 
     #[test]
@@ -1096,51 +972,73 @@ mod tests {
     }
 
     #[test]
-    fn eliminated_solve_matches_the_dense_solve() {
+    fn chunk_solve_matches_the_dense_solve() {
+        // The component split and the banded solve are exact: the chunk's
+        // marginals equal one dense IRLS over all slices·n_events
+        // variables, catalog-ordered, with every term of the model.
         for arch in [Arch::X86SkyLake, Arch::Ppc64Power9] {
-            let (cat, run) = pmu_fixture(arch);
-            let cfg = ModelConfig::for_run(&run);
-            let windows: Vec<Vec<Sample>> = run.windows.iter().map(|w| w.samples.clone()).collect();
-            let ne = cat.len();
-            let mut engine = run_cold(&cat, &windows, &cfg);
-            // A realistic cavity for slice 1's site: the posterior after a
-            // cold run, widened.
-            let vars = engine.ep.site_mut::<SliceSite>(1).unwrap().vars.clone();
-            let cavity: Vec<Gaussian> = vars
-                .iter()
-                .map(|&v| {
-                    let g = engine.ep.marginal(v);
-                    Gaussian::new(g.mean, 2.0 * g.var)
-                })
-                .collect();
-            let site: &SliceSite = engine.ep.site_mut::<SliceSite>(1).unwrap();
-            let mut eliminated = AnalyticScratch::new();
-            assert!(site.analytic_moments(&cavity, &mut eliminated));
+            for cat in [Catalog::new(arch), Catalog::with_observation_plane(arch)] {
+                let run = pmu_fixture(&cat);
+                let cfg = ModelConfig::for_run(&run);
+                let windows: Vec<Vec<Sample>> =
+                    run.windows.iter().map(|w| w.samples.clone()).collect();
+                let (ne, k) = (cat.len(), windows.len());
+                // Solve twice, so the second solve starts from a chained
+                // slice-0 prior.
+                let mut engine = run_cold(&cat, &windows, &cfg);
+                engine.capture_chain_prior();
+                let stats = engine.solve();
+                assert_eq!(stats.sites_quarantined, 0);
 
-            // Both slices in one 2·n_events solve, the temporal factors as
-            // terms.
-            let mut dense = AnalyticScratch::new();
-            let start = cavity
-                .iter()
-                .enumerate()
-                .map(|(j, c)| site.obs.get(j).copied().flatten().map_or(c.mean, |t| t.loc));
-            assert!(dense.irls(&cavity, start, |ws| {
-                for e in 0..ne {
-                    ws.add_term(&[e, ne + e], &[1.0, -1.0], 0.0, site.drift);
+                let scales = event_scales(&cat, cfg.cycles_per_window);
+                let invariants: Vec<InvariantFactor> = cat
+                    .invariants()
+                    .iter()
+                    .map(|inv| {
+                        InvariantFactor::new(inv, &scales, inv.rel_noise.max(cfg.inv_sigma_floor))
+                    })
+                    .collect();
+                let prior: Vec<Gaussian> = (0..k * ne)
+                    .map(|i| match engine.chain.get(i) {
+                        Some(g) => Gaussian::new(g.mean, g.var + engine.drift),
+                        None => engine.base_prior,
+                    })
+                    .collect();
+                let start = (0..k * ne).map(|i| engine.obs[i].map_or(prior[i].mean, |s| s.loc));
+                let mut dense = AnalyticScratch::new();
+                assert!(dense.irls(&prior, k * ne - 1, start, |ws| {
+                    let x = ws.mean().to_vec();
+                    for (i, &xi) in x.iter().enumerate() {
+                        if let Some(s) = engine.obs[i] {
+                            ws.add_term(&[i], &[1.0], s.loc, s.irls_variance(xi));
+                        }
+                        if i >= ne {
+                            ws.add_term(&[i - ne, i], &[-1.0, 1.0], 0.0, engine.drift);
+                        }
+                    }
+                    for (t, xs) in x.chunks(ne).enumerate() {
+                        for inv in &invariants {
+                            let locals: Vec<usize> =
+                                inv.locals.iter().map(|l| t * ne + l).collect();
+                            ws.add_term(&locals, &inv.coeffs, inv.obs, inv.variance(xs));
+                        }
+                    }
+                    true
+                }));
+                for i in 0..k * ne {
+                    let g = engine.marginals[i];
+                    let (dm, dv) = (dense.mean()[i], dense.var()[i]);
+                    assert!(
+                        (g.mean - dm).abs() <= 1e-9 * dm.abs(),
+                        "{arch:?} variable {i}: mean {} vs dense {dm}",
+                        g.mean
+                    );
+                    assert!(
+                        (g.var - dv).abs() <= 1e-9 * dv,
+                        "{arch:?} variable {i}: var {} vs dense {dv}",
+                        g.var
+                    );
                 }
-                site.add_observations(ws) && site.add_invariants(ws)
-            }));
-            for j in 0..2 * ne {
-                let (m, v) = (eliminated.mean()[j], eliminated.var()[j]);
-                let (dm, dv) = (dense.mean()[j], dense.var()[j]);
-                assert!(
-                    (m - dm).abs() <= 1e-9 * dm.abs(),
-                    "{arch:?} local {j}: mean {m} vs dense {dm}"
-                );
-                assert!(
-                    (v - dv).abs() <= 1e-9 * dv,
-                    "{arch:?} local {j}: var {v} vs dense {dv}"
-                );
             }
         }
     }
@@ -1152,9 +1050,9 @@ mod tests {
         let mut windows: Vec<Vec<Sample>> = run.windows.iter().map(|w| w.samples.clone()).collect();
         // A read whose Student-t gets a NaN location.
         windows[1][0].value = f64::NAN;
-        let mut engine = ChunkEngine::with_slices(&cat, &cfg, cfg.fast_ep(), windows.len());
-        engine.load_cold(&windows);
-        let stats = engine.run_farm(1);
+        let mut engine = ChunkEngine::with_slices(&cat, &cfg, windows.len());
+        engine.load(&windows);
+        let stats = engine.solve();
         assert!(
             stats.sites_quarantined > 0,
             "the poisoned slice quarantines"
@@ -1167,34 +1065,89 @@ mod tests {
         }
     }
 
-    /// The exact tilted density of a [`SliceSite`] over its local state:
-    /// cavity, Student-t observations, invariants on the relative residual
-    /// with the normalizer evaluated at the state itself, and the temporal
-    /// random walk.
-    struct Tilted<'a> {
-        site: &'a SliceSite,
-        cavity: &'a [Gaussian],
+    #[test]
+    fn nan_read_quarantines_only_its_own_slice_and_component() {
+        let (cat, run) = run_fixture();
+        let cfg = ModelConfig::for_run(&run);
+        let clean: Vec<Vec<Sample>> = run.windows.iter().map(|w| w.samples.clone()).collect();
+        let mut poisoned = clean.clone();
+        poisoned[1][0].value = f64::NAN;
+        let bad = poisoned[1][0].event;
+        let clean_engine = run_cold(&cat, &clean, &cfg);
+        let mut engine = ChunkEngine::with_slices(&cat, &cfg, poisoned.len());
+        engine.load(&poisoned);
+        let stats = engine.solve();
+
+        let pairs = (poisoned.len() * engine.components.len()) as u64;
+        assert_eq!(stats.sites_quarantined, 1, "one (slice, component) pair");
+        assert_eq!(stats.analytic_site_updates, pairs - 1);
+        let home = engine
+            .components
+            .iter()
+            .find(|c| c.events.contains(&bad.index()))
+            .expect("every event has a component");
+        for t in 0..poisoned.len() {
+            for e in cat.iter() {
+                let (g, want) = (engine.posterior(t, e.id), clean_engine.posterior(t, e.id));
+                assert!(
+                    g.mean.is_finite() && valid_variance(g.var),
+                    "slice {t} {}",
+                    e.name
+                );
+                if !home.events.contains(&e.id.index()) {
+                    // Other components never see the poisoned read.
+                    assert_eq!(g, want, "slice {t} {}", e.name);
+                }
+            }
+        }
+        // The poisoned slice loses its data; the others keep their reads.
+        let (g, want) = (engine.posterior(1, bad), clean_engine.posterior(1, bad));
+        assert!(g.var > want.var, "slice 1 keeps no read of {bad:?}");
+        for t in [0, 2, 3] {
+            let read = clean[t]
+                .iter()
+                .find(|s| s.event == bad)
+                .expect("read every window");
+            let g = engine.posterior(t, bad);
+            assert!(
+                (g.mean - read.value).abs() < 0.05 * read.value,
+                "slice {t}: posterior {} vs read {}",
+                g.mean,
+                read.value
+            );
+        }
     }
 
-    impl Target for Tilted<'_> {
+    /// The exact log density of a chunk over its normalized state,
+    /// catalog-ordered: priors, Student-t reads, every invariant on its
+    /// relative residual with the normalizer evaluated at the state
+    /// itself, and the temporal random walk.
+    struct Exact<'a> {
+        engine: &'a ChunkEngine,
+    }
+
+    impl Target for Exact<'_> {
         fn dim(&self) -> usize {
-            self.cavity.len()
+            self.engine.obs.len()
         }
 
         fn log_density(&self, x: &[f64]) -> f64 {
-            let ne = self.site.obs.len();
-            let mut lp: f64 = x.iter().zip(self.cavity).map(|(x, c)| c.log_pdf(*x)).sum();
-            for (e, o) in self.site.obs.iter().enumerate() {
-                lp += o.map_or(0.0, |t| t.log_pdf(x[e]));
+            let e = self.engine;
+            let ne = e.n_events;
+            let mut lp = 0.0;
+            for (i, &xi) in x.iter().enumerate() {
+                lp += e.base_prior.log_pdf(xi);
+                lp += e.obs[i].map_or(0.0, |t| t.log_pdf(xi));
+                if i >= ne {
+                    lp += Gaussian::new(0.0, e.drift).log_pdf(xi - x[i - ne]);
+                }
             }
-            for inv in self.site.invariants.iter() {
-                let (l, r) = (inv.lhs.eval(x), inv.rhs.eval(x));
-                let rel = (l - r) / l.abs().max(r.abs()).max(1.0);
-                lp += Gaussian::new(0.0, inv.var).log_pdf(rel);
-            }
-            let walk = Gaussian::new(0.0, self.site.drift);
-            for e in 0..x.len() - ne {
-                lp += walk.log_pdf(x[e] - x[ne + e]);
+            for slice in x.chunks(ne) {
+                for inv in e.components.iter().flat_map(|c| &c.invariants) {
+                    let (l, r) = (inv.lhs.eval(slice), inv.rhs.eval(slice));
+                    let rel = (l - r) / l.abs().max(r.abs()).max(1.0);
+                    lp += Gaussian::new(0.0, inv.var).log_pdf(rel);
+                }
             }
             lp
         }
@@ -1202,9 +1155,10 @@ mod tests {
 
     #[test]
     fn irls_moments_match_a_long_mcmc_chain() {
-        // x0 = x1 + x2 in counts, with scales 2, 1, 1: one linear
-        // invariant, Student-t reads of x1 (ν = 3) and x2 (ν = 30), and
-        // the previous slice's three variables through the temporal pair.
+        // A 2-slice chunk of three events: x0 = x1 + x2 in counts, with
+        // scales 2, 1, 1 — one linear invariant per slice — Student-t
+        // reads of x1 (ν = 3) and x2 (ν = 30) in slice 0, and the random
+        // walk between the slices.
         let (e0, e1, e2) = (
             EventId::from_raw(0),
             EventId::from_raw(1),
@@ -1217,22 +1171,34 @@ mod tests {
             Expr::event(e1) + Expr::event(e2),
             0.05,
         );
-        let site = SliceSite {
-            vars: (0..6).collect(),
-            obs: vec![
-                None,
-                Some(StudentT::new(1.1, 0.15, 3.0)),
-                Some(StudentT::new(0.95, 0.1, 30.0)),
-            ],
-            drift: 0.35 * 0.35,
-            invariants: vec![InvariantFactor::new(&inv, &scales, 0.05)].into(),
-            scales: std::sync::Arc::new(scales),
-            source_noise: std::sync::Arc::new(vec![SourceNoise::StudentT]),
+        let component = Component {
+            events: vec![0, 1, 2],
+            invariants: vec![InvariantFactor::new(&inv, &scales, 0.05)],
         };
-        let mut cavity = vec![Gaussian::new(1.0, 0.3 * 0.3); 3];
-        cavity.extend([Gaussian::new(1.0, 0.2 * 0.2); 3]);
-        let mut ws = AnalyticScratch::new();
-        assert!(site.analytic_moments(&cavity, &mut ws));
+        let cfg = ModelConfig {
+            slices: 2,
+            prior_mean: 1.0,
+            prior_sd: 0.3,
+            temporal_tau: 0.35,
+            obs_sigma_floor: 0.02,
+            extrap_sigma: 0.5,
+            inv_sigma_floor: 0.02,
+            cycles_per_window: 1.0e6,
+        };
+        let mut engine = ChunkEngine::from_components(
+            vec![component],
+            scales,
+            vec![SourceNoise::StudentT],
+            &cfg,
+            2,
+        );
+        engine.obs[1] = Some(StudentT::new(1.1, 0.15, 3.0));
+        engine.obs[2] = Some(StudentT::new(0.95, 0.1, 30.0));
+        let stats = engine.solve();
+        assert_eq!(
+            (stats.analytic_site_updates, stats.sites_quarantined),
+            (2, 0)
+        );
 
         // The oracle: independent chains of 500 burn-in and 2000 collected
         // sweeps; the spread of their means and variances is the Monte
@@ -1242,20 +1208,12 @@ mod tests {
             burn_in: 500,
             samples: 2000,
         });
-        let init: Vec<f64> = cavity.iter().map(|c| c.mean).collect();
-        let scales: Vec<f64> = cavity.iter().map(Gaussian::std_dev).collect();
+        let init = vec![cfg.prior_mean; 6];
+        let step = vec![cfg.prior_sd; 6];
         let chains: Vec<_> = (0..CHAINS as u64)
             .map(|seed| {
-                let mut target = Tilted {
-                    site: &site,
-                    cavity: &cavity,
-                };
-                sampler.run(
-                    &mut target,
-                    &init,
-                    &scales,
-                    &mut StdRng::seed_from_u64(seed),
-                )
+                let mut target = Exact { engine: &engine };
+                sampler.run(&mut target, &init, &step, &mut StdRng::seed_from_u64(seed))
             })
             .collect();
         let pooled = |f: &dyn Fn(usize) -> f64| -> (f64, f64) {
@@ -1265,21 +1223,23 @@ mod tests {
             (mean, (var / CHAINS as f64).sqrt())
         };
         // Tolerances: a mean within 0.1 posterior sd, a variance within
-        // 10% — or 35% for x0 and x1, which carry the ν = 3 read: a
-        // Gaussian fitted at the mode under-covers a heavy tail — each
-        // widened by four of the oracle's standard errors.
+        // 10% — or 35% for slice 0's x0 and x1, which carry the ν = 3
+        // read: a Gaussian fitted at the mode under-covers a heavy tail —
+        // each widened by four of the oracle's standard errors.
         for j in 0..6 {
             let (mean, mean_se) = pooled(&|c| chains[c].mean[j]);
             let (var, var_se) = pooled(&|c| chains[c].var[j]);
-            let (m, v) = (ws.mean()[j], ws.var()[j]);
+            let g = engine.marginals[j];
             assert!(
-                (m - mean).abs() <= 0.1 * var.sqrt() + 4.0 * mean_se,
-                "local {j}: IRLS mean {m} vs chain {mean} (se {mean_se})"
+                (g.mean - mean).abs() <= 0.1 * var.sqrt() + 4.0 * mean_se,
+                "variable {j}: IRLS mean {} vs chain {mean} (se {mean_se})",
+                g.mean
             );
             let rel = if j < 2 { 0.35 } else { 0.1 };
             assert!(
-                (v - var).abs() <= rel * var + 4.0 * var_se,
-                "local {j}: IRLS var {v} vs chain {var} (se {var_se})"
+                (g.var - var).abs() <= rel * var + 4.0 * var_se,
+                "variable {j}: IRLS var {} vs chain {var} (se {var_se})",
+                g.var
             );
         }
     }

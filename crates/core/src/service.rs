@@ -3,7 +3,7 @@
 //! This is the shim's `perf_event_open`-shaped API (§5 of the paper): a
 //! shared [`Monitor`] owns the event catalog, the kernel↔userspace sample
 //! ring, and a dedicated **background inference thread** that drives the
-//! warm-start streaming [`Corrector`]. Monitoring applications open
+//! chained streaming [`Corrector`]. Monitoring applications open
 //! [`Session`] handles ([`Monitor::session`] → [`SessionBuilder`] →
 //! [`SessionBuilder::open`]) that are `Clone + Send + Sync` and read
 //! posteriors without ever running — or waiting on — inference:
@@ -13,7 +13,7 @@
 //!  ─────────                 ───────────────                   ───────
 //!  push_sample ─▶ ring ─▶ inference thread:                Session::read
 //!                          assemble windows,    lock-free  Session::read_group
-//!                          push_chunk (warm EP) ─────────▶ Session::subscribe
+//!                          push_chunk (solve)  ─────────▶ Session::subscribe
 //!                          publish snapshot      snapshot
 //!                                                  cell
 //! ```
@@ -21,7 +21,7 @@
 //! The inference thread publishes immutable `(window, event → Gaussian)`
 //! snapshots through the in-tree lock-free publication cell
 //! ([`crate::snapshot`]); N reader threads observe internally-consistent
-//! snapshots while EP is mid-chunk, and a read costs two atomic RMWs plus
+//! snapshots while a chunk solve is running, and a read costs two atomic RMWs plus
 //! a copy — the software analogue of the paper's accelerator serving reads
 //! from already-computed posteriors in host memory (Fig. 3).
 //!
@@ -74,7 +74,7 @@ struct PosteriorSnapshot {
     window: u32,
     /// 1-based count of inference runs published so far.
     chunk: u64,
-    /// Run statistics of the EP run that produced this snapshot.
+    /// Statistics of the chunk solve that produced this snapshot.
     stats: EpRunStats,
     /// Catalog-indexed posteriors (count units).
     posteriors: Vec<Gaussian>,
@@ -91,7 +91,7 @@ pub struct SnapshotView {
     pub window: u32,
     /// 1-based count of inference runs published so far.
     pub chunk: u64,
-    /// Run statistics of the EP run that produced this snapshot.
+    /// Statistics of the chunk solve that produced this snapshot.
     pub stats: EpRunStats,
     /// Catalog-indexed posteriors (count units).
     pub posteriors: Vec<Gaussian>,
@@ -239,10 +239,9 @@ enum Control {
     Pause(Sender<()>),
     /// Resume draining, process the backlog, then ack.
     Resume(Sender<()>),
-    /// Re-apply chunking / thread-budget settings at a chunk boundary.
+    /// Re-apply the chunking setting at a chunk boundary.
     Reconfigure {
         chunk_windows: Option<usize>,
-        threads: Option<usize>,
         ack: Sender<()>,
     },
     /// Install (or, with `None`, remove) the schedule feedback hook.
@@ -437,10 +436,11 @@ struct Shared {
     /// `supervisor.restarts`).
     restarts: Counter,
     /// Divergences contained: non-finite samples dropped at ingest,
-    /// non-finite posteriors caught at the publish boundary, and EP sites
-    /// quarantined back to their prior (`service.divergences`).
+    /// non-finite posteriors caught at the publish boundary, and (slice,
+    /// component) pairs whose data the chunk solve quarantined
+    /// (`service.divergences`).
     divergences: Counter,
-    /// EP chunk-correction wall time (`ep.sweep_ns`).
+    /// Chunk-solve wall time (`ep.sweep_ns`).
     ep_sweep_ns: Histogram,
     /// Snapshot publication wall time (`service.publish_ns`).
     publish_ns: Histogram,
@@ -626,7 +626,6 @@ impl Monitor {
             monitor: self,
             events: None,
             chunk_windows: None,
-            threads: None,
             hook: None,
             err: None,
         }
@@ -753,7 +752,8 @@ impl Monitor {
 
     /// Divergences contained so far: non-finite samples dropped at
     /// ingest, non-finite posteriors replaced at the publish boundary,
-    /// and EP sites quarantined back to their prior.
+    /// and (slice, component) pairs whose data the chunk solve
+    /// quarantined.
     pub fn divergences(&self) -> u64 {
         self.shared.divergences.get()
     }
@@ -803,16 +803,15 @@ impl Drop for Monitor {
 }
 
 /// Configures and opens a [`Session`]. Event selection defaults to the
-/// whole catalog; [`SessionBuilder::chunk_windows`] and
-/// [`SessionBuilder::threads`] retune the shared inference service (they
-/// apply at the next chunk boundary and affect every session), and
+/// whole catalog; [`SessionBuilder::chunk_windows`] retunes the shared
+/// inference service (it applies at the next chunk boundary and affects
+/// every session), and
 /// [`SessionBuilder::schedule_hook`] installs the service's schedule
 /// feedback hook.
 pub struct SessionBuilder<'m> {
     monitor: &'m Monitor,
     events: Option<Vec<EventId>>,
     chunk_windows: Option<usize>,
-    threads: Option<usize>,
     hook: Option<Box<dyn ScheduleHook>>,
     err: Option<ShimError>,
 }
@@ -822,7 +821,6 @@ impl std::fmt::Debug for SessionBuilder<'_> {
         f.debug_struct("SessionBuilder")
             .field("events", &self.events)
             .field("chunk_windows", &self.chunk_windows)
-            .field("threads", &self.threads)
             .field("hook", &self.hook.is_some())
             .field("err", &self.err)
             .finish()
@@ -882,13 +880,6 @@ impl SessionBuilder<'_> {
         self
     }
 
-    /// Requests a different worker-thread budget for the inference farm
-    /// (a pure throughput knob: results are bit-identical at any count).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
-        self
-    }
-
     /// Installs `hook` as the monitor's schedule feedback hook when the
     /// session opens — the builder-flow equivalent of
     /// [`Monitor::set_schedule_hook`] for sessions that exist to drive a
@@ -908,12 +899,11 @@ impl SessionBuilder<'_> {
         if self.monitor.shared.closed.load(Relaxed) {
             return Err(ShimError::SessionClosed);
         }
-        if self.chunk_windows.is_some() || self.threads.is_some() {
+        if self.chunk_windows.is_some() {
             self.monitor
                 .shared
                 .control_roundtrip(|ack| Control::Reconfigure {
                     chunk_windows: self.chunk_windows,
-                    threads: self.threads,
                     ack,
                 })?;
         }
@@ -1279,7 +1269,7 @@ struct InferenceService {
     resume: Option<Vec<Gaussian>>,
     /// The last finite posterior published per catalog event — the
     /// substitute handed to readers when a diverged (non-finite) marginal
-    /// reaches the publish boundary despite the EP-level quarantine.
+    /// reaches the publish boundary despite the solve-level quarantine.
     last_good: Vec<Gaussian>,
 }
 
@@ -1357,15 +1347,7 @@ impl InferenceService {
                         self.drain_and_correct(&mut corrector);
                         let _ = ack.send(());
                     }
-                    Control::Reconfigure {
-                        chunk_windows,
-                        threads,
-                        ack,
-                    } => {
-                        if let Some(t) = threads {
-                            self.config.threads = t;
-                            corrector.set_threads(t);
-                        }
+                    Control::Reconfigure { chunk_windows, ack } => {
                         if let Some(k) = chunk_windows {
                             if k != self.config.model.slices {
                                 self.config.model.slices = k;
@@ -1563,7 +1545,7 @@ impl InferenceService {
         }
     }
 
-    /// Closes the `assemble` spans of the windows entering an EP run and
+    /// Closes the `assemble` spans of the windows entering a chunk solve and
     /// records the run itself as their `ep_sweep` span (plus the
     /// `ep.sweep_ns` histogram entry).
     fn record_sweep_spans(&mut self, windows: &[u32], sweep_start: u64) {
@@ -1651,7 +1633,7 @@ impl InferenceService {
             .collect();
 
         // Divergence containment at the publish boundary — the last line
-        // of defense behind the EP-level site quarantine. A non-finite or
+        // of defense behind the chunk solve's quarantine. A non-finite or
         // non-positive-variance marginal is replaced with the event's
         // last finite published posterior; if the event has never had
         // one, the whole publish is dropped rather than handing readers
@@ -2215,12 +2197,7 @@ mod tests {
         let run = recorded_run(&cat, 9);
         let monitor =
             Monitor::new(&cat, CorrectorConfig::for_run(&run), 1 << 14).expect("spawn monitor");
-        let session = monitor
-            .session()
-            .chunk_windows(4)
-            .threads(1)
-            .open()
-            .expect("open");
+        let session = monitor.session().chunk_windows(4).open().expect("open");
         feed(&monitor, &run);
         monitor.sync().expect("sync");
         // 9 windows, window 8 still assembling: 8 complete -> two chunks

@@ -1,9 +1,8 @@
-//! Proof that the steady-state warm-started corrector loop is
-//! allocation-free: after the first chunk has grown every buffer (engine
-//! caches, workspaces, cavity history), pushing further chunks through the
-//! streaming API at `threads = 1` must not change the global allocation
-//! counter — observation swap, prior re-seat, EP sweeps, MCMC chains,
-//! chain-prior capture and posterior reads included.
+//! Proof that the steady-state corrector loop is allocation-free: after
+//! the first chunk, pushing further chunks through the streaming API must
+//! not change the global allocation counter — observation swap, prior
+//! composition, the chunk solve, chain-prior capture and posterior reads
+//! included.
 //!
 //! This file holds exactly one test so no concurrent test can pollute the
 //! global counter.
@@ -51,7 +50,6 @@ fn steady_state_corrector_loop_allocates_nothing() {
 
     let mut config = CorrectorConfig::for_run(&run);
     config.model.slices = 2;
-    config.threads = 1; // thread spawns allocate; the sequential farm must not
     let mut corrector = Corrector::new(&cat, config);
 
     // Pre-build all chunk slices outside the measured region.

@@ -16,14 +16,14 @@
 //!   never produces non-finite moments — the same
 //!   `assert_never_oversharpened` contract the fleet's net-fault harness
 //!   enforces one layer up. Mean *accuracy* under corruption is not part
-//!   of the factor-level contract: EP starts a site's IRLS solve at its
-//!   observation's location every sweep, so a bogus-magnitude read costs
-//!   accuracy until quarantine or later windows correct it — what it must
-//!   never do is manufacture confidence.
+//!   of the factor-level contract: the IRLS solve starts at each
+//!   observation's location, so a bogus-magnitude read costs accuracy
+//!   until quarantine or later windows correct it — what it must never do
+//!   is manufacture confidence.
 
 use bayesperf_core::{gauge_observation, observation};
 use bayesperf_events::{EventId, SourceId};
-use bayesperf_inference::{EpConfig, ExpectationPropagation, FactorSite, Gaussian, StudentT};
+use bayesperf_inference::{AnalyticScratch, Gaussian, StudentT};
 use bayesperf_simcpu::Sample;
 use proptest::Strategy;
 
@@ -47,24 +47,27 @@ fn sample(value: f64, sub_sd: f64, sub_n: u32, source: u16) -> Sample {
 /// `x` always carries its PMU observation; `obs_y` optionally adds the
 /// gauge's; `invariant` optionally adds the coupled factor
 /// `y - c·x ~ N(0, (0.01·max(c,1))²)` (the catalog's exact-invariant
-/// width on the relative residual).
+/// width on the relative residual). One IRLS solve over both variables:
+/// the priors, each read as the Gaussian its Student-t fits at the
+/// current estimate, and the invariant term.
 fn fused(obs_x: StudentT, obs_y: Option<StudentT>, invariant: Option<f64>) -> (Gaussian, Gaussian) {
-    let prior = vec![Gaussian::new(1.0, 25.0), Gaussian::new(1.0, 25.0)];
-    let mut ep = ExpectationPropagation::new(prior, EpConfig::default());
-    ep.add_site(FactorSite::builder(vec![0]).student_t(0, obs_x).build());
-    if let Some(t) = obs_y {
-        ep.add_site(FactorSite::builder(vec![1]).student_t(0, t).build());
-    }
-    if let Some(c) = invariant {
-        let width = 0.01 * c.max(1.0);
-        ep.add_site(
-            FactorSite::builder(vec![0, 1])
-                .gaussian_linear(&[0, 1], &[-c, 1.0], 0.0, width * width)
-                .build(),
-        );
-    }
-    ep.run_farm(1);
-    (ep.marginal(0), ep.marginal(1))
+    let prior = [Gaussian::new(1.0, 25.0), Gaussian::new(1.0, 25.0)];
+    let start = [obs_x.loc, obs_y.map_or(prior[1].mean, |t| t.loc)];
+    let mut ws = AnalyticScratch::new();
+    assert!(ws.irls(&prior, 1, start, |ws| {
+        let (x, y) = (ws.mean()[0], ws.mean()[1]);
+        ws.add_term(&[0], &[1.0], obs_x.loc, obs_x.irls_variance(x));
+        if let Some(t) = obs_y {
+            ws.add_term(&[1], &[1.0], t.loc, t.irls_variance(y));
+        }
+        if let Some(c) = invariant {
+            let width = 0.01 * c.max(1.0);
+            ws.add_term(&[0, 1], &[-c, 1.0], 0.0, width * width);
+        }
+        true
+    }));
+    let marginal = |i: usize| Gaussian::new(ws.mean()[i], ws.var()[i]);
+    (marginal(0), marginal(1))
 }
 
 /// The fleet net-fault harness's contract, at factor level: relative to
@@ -149,10 +152,10 @@ fn coupled_invariants_tighten_on_consistent_sources_and_widen_under_faults() {
 
         // Corrupted gauge read: the value-proportional factor scale makes
         // the bogus observation weak evidence. The fused posterior may
-        // lose mean accuracy (the site's solve starts at the bogus read
-        // each sweep), but it must stay finite and must never come out
-        // *sharper* than the consistent run — corruption can cost
-        // information, never fabricate it.
+        // lose mean accuracy (the solve starts at the bogus read), but it
+        // must stay finite and must never come out *sharper* than the
+        // consistent run — corruption can cost information, never
+        // fabricate it.
         let faulted = fused(obs_x, Some(obs_y_bad), Some(c));
         assert_never_oversharpened(faulted, consistent);
     });

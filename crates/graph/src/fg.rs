@@ -274,53 +274,6 @@ impl<V, F> FactorGraph<V, F> {
         dist
     }
 
-    /// Greedy conflict coloring of factors: factors sharing a variable get
-    /// distinct colors, so all factors of one color form an independent set.
-    ///
-    /// Colors are assigned in factor-id order (first-fit), which makes the
-    /// result deterministic — the property the parallel EP sweep schedule
-    /// relies on to stay bit-identical at any thread count. Returns the
-    /// color of every factor and the number of colors used.
-    pub fn greedy_factor_coloring(&self) -> (Vec<u32>, u32) {
-        let nf = self.factors.len();
-        let mut color = vec![u32::MAX; nf];
-        // Per variable, the highest-colored incident factor seen so far is
-        // not enough (colors are not nested), so track full neighbor color
-        // sets via a scratch bitmap over colors.
-        let mut used = Vec::new();
-        let mut num_colors = 0u32;
-        for f in 0..nf {
-            used.clear();
-            used.resize(num_colors as usize, false);
-            for &v in &self.factors[f].vars {
-                for &g in &self.vars[v.index()].factors {
-                    let c = color[g.index()];
-                    if c != u32::MAX {
-                        used[c as usize] = true;
-                    }
-                }
-            }
-            let c = used
-                .iter()
-                .position(|&u| !u)
-                .map(|c| c as u32)
-                .unwrap_or(num_colors);
-            if c == num_colors {
-                num_colors += 1;
-            }
-            color[f] = c;
-        }
-        (color, num_colors)
-    }
-
-    /// The greedy factor coloring grouped into conflict-free batches — the
-    /// cacheable sweep-schedule value ([`ColorBatches`]) the EP engine farm
-    /// replays across sliding windows.
-    pub fn conflict_batches(&self) -> ColorBatches {
-        let (colors, num_colors) = self.greedy_factor_coloring();
-        ColorBatches::from_coloring(&colors, num_colors)
-    }
-
     /// Connected components over variables (two variables connect when they
     /// share a factor). Returns a component index per variable.
     pub fn components(&self) -> Vec<usize> {
@@ -346,76 +299,6 @@ impl<V, F> FactorGraph<V, F> {
             next += 1;
         }
         comp
-    }
-}
-
-/// A cached conflict-coloring schedule: factors grouped by color into
-/// conflict-free batches, CSR-flattened into two arrays.
-///
-/// This is the value type behind the EP engine farm's sweep schedule. The
-/// coloring is a pure function of the graph topology, not of the per-window
-/// data, so a corrector that keeps its factor-graph topology fixed across
-/// sliding windows computes it **once** and replays it every window — the
-/// warm-start path stores one of these per catalog instead of re-coloring
-/// per chunk.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ColorBatches {
-    /// `offsets[c]..offsets[c + 1]` bounds batch `c` in `members`.
-    offsets: Vec<u32>,
-    /// Factor indices, grouped by color, ascending within a batch.
-    members: Vec<u32>,
-}
-
-impl ColorBatches {
-    /// Groups `colors[f]` (one entry per factor, colors `< num_colors`)
-    /// into per-color batches. Factor order within a batch is ascending.
-    pub fn from_coloring(colors: &[u32], num_colors: u32) -> Self {
-        let mut counts = vec![0u32; num_colors as usize];
-        for &c in colors {
-            counts[c as usize] += 1;
-        }
-        let mut offsets = Vec::with_capacity(num_colors as usize + 1);
-        let mut acc = 0u32;
-        offsets.push(0);
-        for &c in &counts {
-            acc += c;
-            offsets.push(acc);
-        }
-        let mut cursor: Vec<u32> = offsets[..num_colors as usize].to_vec();
-        let mut members = vec![0u32; colors.len()];
-        for (f, &c) in colors.iter().enumerate() {
-            members[cursor[c as usize] as usize] = f as u32;
-            cursor[c as usize] += 1;
-        }
-        ColorBatches { offsets, members }
-    }
-
-    /// Number of batches (colors).
-    pub fn num_batches(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// The factor indices of batch `c`, ascending.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` is out of range.
-    #[inline]
-    pub fn batch(&self, c: usize) -> &[u32] {
-        &self.members[self.offsets[c] as usize..self.offsets[c + 1] as usize]
-    }
-
-    /// Size of the largest batch — the available factor-level parallelism.
-    pub fn max_batch_len(&self) -> usize {
-        (0..self.num_batches())
-            .map(|c| self.batch(c).len())
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Iterates over the batches in color order.
-    pub fn iter(&self) -> impl Iterator<Item = &[u32]> + '_ {
-        (0..self.num_batches()).map(move |c| self.batch(c))
     }
 }
 
@@ -519,65 +402,7 @@ mod tests {
         assert_ne!(comp[a.index()], comp[c.index()]);
     }
 
-    #[test]
-    fn coloring_on_chain_uses_two_colors() {
-        // Pairwise chain factors: adjacent factors share a variable, so the
-        // chain of factors 2-colors.
-        let (g, _) = chain(6);
-        let (colors, n) = g.greedy_factor_coloring();
-        assert_eq!(n, 2);
-        assert_eq!(colors, vec![0, 1, 0, 1, 0]);
-    }
-
-    #[test]
-    fn coloring_is_conflict_free() {
-        let (mut g, v) = chain(6);
-        g.add_factor((), &[v[0], v[3]]);
-        g.add_factor((), &[v[1], v[4], v[5]]);
-        let (colors, n) = g.greedy_factor_coloring();
-        assert!(n >= 2);
-        for var in g.var_ids() {
-            let fs = g.factors_of(var);
-            for (i, &a) in fs.iter().enumerate() {
-                for &b in &fs[i + 1..] {
-                    assert_ne!(
-                        colors[a.index()],
-                        colors[b.index()],
-                        "factors {a} and {b} share {var} but share a color"
-                    );
-                }
-            }
-        }
-    }
-
     proptest! {
-        /// Coloring never assigns one color to two factors sharing a
-        /// variable, on random bipartite graphs.
-        #[test]
-        fn random_coloring_is_conflict_free(
-            n in 2usize..12,
-            edges in proptest::collection::vec((0usize..12, 0usize..12), 1..30)
-        ) {
-            let mut g: FactorGraph<usize, ()> = FactorGraph::new();
-            let vars: Vec<_> = (0..n).map(|i| g.add_var(i)).collect();
-            for (a, b) in edges {
-                g.add_factor((), &[vars[a % n], vars[b % n]]);
-            }
-            let (colors, num) = g.greedy_factor_coloring();
-            prop_assert!(colors.iter().all(|&c| c < num));
-            for v in g.var_ids() {
-                let fs = g.factors_of(v);
-                for (i, &a) in fs.iter().enumerate() {
-                    for &b in &fs[i + 1..] {
-                        prop_assert!(
-                            colors[a.index()] != colors[b.index()] || a == b,
-                            "conflict at {v}"
-                        );
-                    }
-                }
-            }
-        }
-
         /// Path endpoints and adjacency are always consistent.
         #[test]
         fn random_graph_paths_are_valid(

@@ -20,12 +20,11 @@
 //! schedule-planning graph (variables = events) and the inference graph
 //! (variables = event × time slice).
 //!
-//! For the software EP engine farm the crate additionally provides the
-//! structural query parallel inference is built on: **conflict coloring**
-//! ([`FactorGraph::greedy_factor_coloring`]) — a deterministic greedy
-//! partition of factors into independent sets, which the parallel EP sweep
-//! uses to batch sites that share no variable.
+//! The core crate's chunk solve asks one more question of the schedule
+//! graph: its **connected components** ([`FactorGraph::components`]).
+//! Events in different components share no invariant, so each component's
+//! precision matrix is solved on its own.
 
 mod fg;
 
-pub use fg::{ColorBatches, FactorGraph, FactorId, VarId};
+pub use fg::{FactorGraph, FactorId, VarId};

@@ -1,59 +1,44 @@
 //! Bayesian inference engines for BayesPerf.
 //!
-//! Implements the machinery of §4.2–§4.3 of the paper:
+//! Implements the machinery behind §4.2–§4.3 of the paper:
 //!
 //! * probability distributions ([`Gaussian`], [`StudentT`], [`Gumbel`]) with
 //!   sampling implemented from scratch (Box-Muller, Marsaglia-Tsang) so no
 //!   external distribution crate is needed;
-//! * natural-parameter [`GaussianMessage`] algebra — the multiply/divide
-//!   operations Expectation Propagation's cavity computation is built on;
-//! * the [`ExpectationPropagation`] driver (Alg. 1): sites are partitions of
-//!   the data (one per scheduled HPC configuration / time slice); each site
-//!   update forms a cavity distribution, solves its tilted moments
-//!   deterministically ([`AnalyticScratch`]: a Gaussian-linear solve,
-//!   reweighted for Student-t observations), and applies a damped global
-//!   update under a Gaussian mean-field approximation;
+//! * the banded Gaussian-linear solver ([`AnalyticScratch`]): a banded
+//!   Cholesky factorization for the means and the band-limited Takahashi
+//!   recursion for the marginal variances, made iterative (IRLS) for
+//!   Student-t observations and state-normalized invariants. The core
+//!   crate solves each inference chunk with one such solve per connected
+//!   component of the invariant graph, and reports its work in
+//!   [`EpRunStats`];
 //! * a component-wise random-walk Metropolis-Hastings sampler
-//!   ([`mcmc`]), the reference the solved moments are tested against.
+//!   ([`mcmc`]), the reference the solved marginals are tested against.
 //!
 //! # Example: inferring an unmeasured counter through an invariant
 //!
 //! ```
-//! use bayesperf_inference::{EpConfig, ExpectationPropagation, FactorSite, Gaussian};
+//! use bayesperf_inference::{AnalyticScratch, Gaussian};
 //!
 //! // Two events with invariant x0 + x1 = 10; only x0 is observed (≈ 3).
-//! let prior = vec![Gaussian::new(5.0, 100.0), Gaussian::new(5.0, 100.0)];
-//! let mut ep = ExpectationPropagation::new(prior, EpConfig::default());
-//! ep.add_site(
-//!     FactorSite::builder(vec![0])
-//!         .gaussian_linear(&[0], &[1.0], 3.0, 0.01)
-//!         .build(),
-//! );
-//! ep.add_site(
-//!     FactorSite::builder(vec![0, 1])
-//!         .gaussian_linear(&[0, 1], &[1.0, 1.0], 10.0, 0.01)
-//!         .build(),
-//! );
-//! ep.run_farm(1);
-//! assert!((ep.marginal(1).mean - 7.0).abs() < 0.5);
+//! let prior = [Gaussian::new(5.0, 100.0), Gaussian::new(5.0, 100.0)];
+//! let mut ws = AnalyticScratch::new();
+//! // Every term couples variables at most one index apart.
+//! ws.begin(&prior, 1);
+//! ws.add_term(&[0], &[1.0], 3.0, 0.01);
+//! ws.add_term(&[0, 1], &[1.0, 1.0], 10.0, 0.01);
+//! assert!(ws.solve());
+//! assert!((ws.mean()[1] - 7.0).abs() < 0.5);
 //! ```
 
 mod analytic;
 mod dist;
-mod ep;
-mod factor;
 pub mod mcmc;
-mod message;
-mod parallel;
 mod rng;
 mod special;
 
-pub use analytic::AnalyticScratch;
+pub use analytic::{AnalyticScratch, EpRunStats};
 pub use dist::{Gaussian, Gumbel, StudentT};
-pub use ep::{EpConfig, EpRunStats, EpSite, ExpectationPropagation};
-pub use factor::{FactorSite, FactorSiteBuilder, LinearGaussianFactor};
-pub use message::GaussianMessage;
-pub use parallel::{SiteWorkspace, SweepSchedule};
 pub use rng::{derive_stream_seed, SiteRng};
 pub use special::ln_gamma;
 

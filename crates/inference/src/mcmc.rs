@@ -2,9 +2,9 @@
 //!
 //! This is the software model of the AcMC²-generated sampler IPs of §5: a
 //! random-walk MCMC kernel whose per-variable proposals only need the log
-//! density change of the factors adjacent to that variable. The EP engine
-//! computes its tilted moments deterministically; the sampler remains as
-//! the reference those moments are tested against, since a long chain's
+//! density change of the factors adjacent to that variable. The chunk
+//! solve computes its marginals deterministically; the sampler remains as
+//! the reference those marginals are tested against, since a long chain's
 //! moments converge to the exact ones whatever the likelihood. Moments are
 //! accumulated with Welford's online algorithm, which is numerically stable
 //! for counter magnitudes like 1e9 cycles where the naive `Σx²/n − mean²`

@@ -46,7 +46,7 @@
 //! urgent groups: its inter-run gap never exceeds
 //! `(K − G + 1) + (G − 1) = K`. Every window of `K` consecutive quanta
 //! therefore measures every group at least once — the proptested
-//! guarantee that keeps the EP corrector's extrapolated slices from
+//! guarantee that keeps the corrector's extrapolated slices from
 //! drifting unboundedly.
 
 use bayesperf_core::corrector::{Corrector, CorrectorConfig};
@@ -761,7 +761,7 @@ impl VarAccum {
 /// simulated PMU measures one group per window
 /// ([`Pmu::run_driven`] with [`Extrapolate::LinuxScaled`], so unscheduled
 /// windows carry the paper's scaling error), completed windows stream
-/// through the warm-start [`Corrector`], and each corrected chunk's final
+/// through the chained [`Corrector`], and each corrected chunk's final
 /// posteriors feed the scheduler's variance view for subsequent picks.
 ///
 /// Both policies run the same number of windows with one group per

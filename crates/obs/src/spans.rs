@@ -27,7 +27,7 @@ pub enum Stage {
     Ingest = 0,
     /// The window sitting assembled, waiting to fill a chunk.
     Assemble = 1,
-    /// The EP corrector sweeping the chunk containing the window.
+    /// The corrector solving the chunk containing the window.
     EpSweep = 2,
     /// The posterior snapshot for the window being published.
     Publish = 3,

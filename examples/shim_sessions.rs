@@ -88,7 +88,7 @@ fn main() {
     });
 
     // The subscriber sees every corrected window exactly once, in order,
-    // with the EP run stats that produced it.
+    // with the stats of the chunk solve that produced it.
     println!("\nwindow  chunk  sweeps  llc-misses posterior");
     let mut n = 0;
     while let Ok(Some(u)) = updates.try_next() {

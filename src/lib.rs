@@ -11,7 +11,7 @@
 //! * [`simcpu`] — PMU + multiplexing + sampling simulator
 //! * [`workloads`] — HiBench-like phase-structured workload generators
 //! * [`graph`] — factor graphs and Markov blankets
-//! * [`inference`] — distributions, MCMC, Expectation Propagation
+//! * [`inference`] — distributions, the banded Gaussian-linear/IRLS solver, the MCMC test oracle
 //! * [`core`] — scheduling, model building, the corrector, the perf-like shim
 //! * [`fleet`] — sharded monitors, precision-weighted posterior fusion,
 //!   the snapshot wire codec
