@@ -58,18 +58,6 @@
 //! so the interval width tracks the within-pair noise — typically orders
 //! of magnitude tighter.
 //!
-//! # The Bayesian variant
-//!
-//! [`Method::Bayesian`] reuses the repo's own measurement-correction
-//! machinery instead of frequentist coverage: each arm's unknown mean gets
-//! the Student-t marginal [`StudentT::posterior_of_mean`] (the same §4.2
-//! posterior the corrector assigns to a noisy HPC), the two posteriors are
-//! moment-matched to [`Gaussian`]s, and the ratio's posterior follows by
-//! the first-order delta method. The reported `[lo, hi]` is then a
-//! *credible* interval; with vague priors it agrees with Welch's-t to
-//! first order, which is exactly why it is offered — the gate eats the
-//! dog food without changing the menu.
-//!
 //! # Example
 //!
 //! ```
@@ -87,7 +75,7 @@
 //! assert!(verdict.hi <= 1.10, "{}", verdict.summary());
 //! ```
 
-use bayesperf_inference::{derive_stream_seed, ln_gamma, Gaussian, StudentT};
+use bayesperf_inference::{derive_stream_seed, ln_gamma};
 use std::time::{Duration, Instant};
 
 /// Which side of the bound the gated statistic must stay on.
@@ -97,19 +85,6 @@ pub enum Rel {
     AtMost,
     /// The statistic must stay `>=` the bound (a speedup/margin floor).
     AtLeast,
-}
-
-/// Interval construction method.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Method {
-    /// Welch's t confidence interval (Behrens–Fisher; no equal-variance
-    /// assumption, Welch–Satterthwaite degrees of freedom).
-    WelchT,
-    /// Bayesian credible interval: per-arm [`StudentT::posterior_of_mean`]
-    /// moment-matched to [`Gaussian`]s, ratio by the delta method. Falls
-    /// back to [`Method::WelchT`] while either arm has fewer than four
-    /// samples (the Student-t moments need ν > 2).
-    Bayesian,
 }
 
 /// What an inconclusive (budget-exhausted, interval straddles the bound)
@@ -175,16 +150,13 @@ impl Decision {
 /// an absolute bound).
 ///
 /// ```
-/// use bayesperf_bench::gate::{GateConfig, Method, Rel};
+/// use bayesperf_bench::gate::{GateConfig, Rel};
 /// use std::time::Duration;
 ///
 /// let cfg = GateConfig::at_least("warm_speedup", 1.2)
 ///     .samples(5, 30)
-///     .alpha(0.01)
-///     .max_wall(Duration::from_secs(30))
-///     .bayesian();
+///     .max_wall(Duration::from_secs(30));
 /// assert_eq!(cfg.rel, Rel::AtLeast);
-/// assert_eq!(cfg.method, Method::Bayesian);
 /// assert_eq!(cfg.min_samples, 5);
 /// ```
 #[derive(Debug, Clone)]
@@ -209,8 +181,6 @@ pub struct GateConfig {
     pub max_wall: Duration,
     /// Seed of the deterministic coin-flip interleaving schedule.
     pub seed: u64,
-    /// Interval construction method.
-    pub method: Method,
     /// Policy for budget-exhausted, undecided runs.
     pub on_inconclusive: OnInconclusive,
 }
@@ -227,7 +197,6 @@ impl GateConfig {
             max_samples: 40,
             max_wall: Duration::from_secs(60),
             seed: 0x5EED,
-            method: Method::WelchT,
             on_inconclusive: OnInconclusive::PointEstimate,
         }
     }
@@ -256,20 +225,6 @@ impl GateConfig {
         self
     }
 
-    /// Sets the one-sided error rate α of each interval bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < alpha < 0.5`.
-    pub fn alpha(mut self, alpha: f64) -> Self {
-        assert!(
-            alpha > 0.0 && alpha < 0.5,
-            "alpha must be in (0, 0.5), got {alpha}"
-        );
-        self.alpha = alpha;
-        self
-    }
-
     /// Sets the wall-clock budget.
     pub fn max_wall(mut self, wall: Duration) -> Self {
         self.max_wall = wall;
@@ -279,12 +234,6 @@ impl GateConfig {
     /// Sets the interleaving-schedule seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Switches to the Bayesian credible interval (see [`Method::Bayesian`]).
-    pub fn bayesian(mut self) -> Self {
-        self.method = Method::Bayesian;
         self
     }
 
@@ -436,9 +385,7 @@ impl GateConfig {
     }
 
     /// Runs a one-arm gate on the **mean** of a statistic against an
-    /// absolute bound (a Student-t interval on the mean; the Bayesian
-    /// method uses the same Student-t as the §4.2 posterior of the mean,
-    /// so the two coincide here by construction).
+    /// absolute bound (a one-sample Student-t interval on the mean).
     ///
     /// For quantities with a natural baseline arm prefer
     /// [`GateConfig::run_ratio`] — a level gate cannot cancel machine
@@ -490,31 +437,17 @@ impl GateConfig {
         let (mb, vb, nb) = moments(ys);
         let denom = ma.max(f64::MIN_POSITIVE);
         let stat = mb / denom;
-        let (lo, hi) = match self.method {
-            Method::Bayesian if na >= 4 && nb >= 4 => {
-                // Moment-match each arm's Student-t mean posterior to a
-                // Gaussian, then the ratio posterior by the delta method —
-                // the same Gaussian fusion the corrector runs on HPCs.
-                let ga = gaussian_of_mean(ma, va, na);
-                let gb = gaussian_of_mean(mb, vb, nb);
-                let var = (gb.var + stat * stat * ga.var) / (denom * denom);
-                Gaussian::new(stat, var.max(f64::MIN_POSITIVE))
-                    .interval(normal_quantile(1.0 - self.alpha))
-            }
-            _ => {
-                // Welch's t on the difference of means, normalized by the
-                // baseline mean (the cbdr percentage construction).
-                let (sea, seb) = (va / na as f64, vb / nb as f64);
-                let se = (sea + seb).sqrt();
-                if se == 0.0 {
-                    (stat, stat)
-                } else {
-                    let dof = (sea + seb) * (sea + seb)
-                        / (sea * sea / (na as f64 - 1.0) + seb * seb / (nb as f64 - 1.0));
-                    let h = t_quantile(1.0 - self.alpha, dof) * se / denom;
-                    (stat - h, stat + h)
-                }
-            }
+        // Welch's t on the difference of means, normalized by the baseline
+        // mean (the cbdr percentage construction).
+        let (sea, seb) = (va / na as f64, vb / nb as f64);
+        let se = (sea + seb).sqrt();
+        let (lo, hi) = if se == 0.0 {
+            (stat, stat)
+        } else {
+            let dof = (sea + seb) * (sea + seb)
+                / (sea * sea / (na as f64 - 1.0) + seb * seb / (nb as f64 - 1.0));
+            let h = t_quantile(1.0 - self.alpha, dof) * se / denom;
+            (stat - h, stat + h)
         };
         Estimate {
             stat,
@@ -531,11 +464,10 @@ impl GateConfig {
         let (lo, hi) = if se == 0.0 {
             (m, m)
         } else {
-            // One-sample Student-t interval — identical to the credible
-            // interval of `StudentT::posterior_of_mean` under the
-            // reference prior, so Welch-T and Bayesian agree exactly.
-            let t = StudentT::posterior_of_mean(m, v.sqrt(), n);
-            let h = t_quantile(1.0 - self.alpha, t.dof) * t.scale;
+            // One-sample Student-t interval: scale sd/√n (floored so a
+            // near-constant arm keeps a proper interval), n − 1 dof.
+            let scale = (v.sqrt() / (n as f64).sqrt()).max(1e-12);
+            let h = t_quantile(1.0 - self.alpha, (n - 1) as f64) * scale;
             (m - h, m + h)
         };
         Estimate {
@@ -726,14 +658,6 @@ fn moments(xs: &[f64]) -> (f64, f64, usize) {
     (mean, var, n)
 }
 
-/// The Student-t mean posterior moment-matched to a Gaussian (needs
-/// `n >= 4` so ν > 2 and the variance exists).
-fn gaussian_of_mean(mean: f64, var: f64, n: usize) -> Gaussian {
-    let t = StudentT::posterior_of_mean(mean, var.sqrt(), n);
-    let v = t.variance().expect("n >= 4 implies dof > 2");
-    Gaussian::new(t.mean(), v.max(f64::MIN_POSITIVE))
-}
-
 /// Regularized incomplete beta function `I_x(a, b)` (continued fraction,
 /// Lentz's method — Numerical Recipes §6.4).
 fn reg_inc_beta(a: f64, b: f64, x: f64) -> f64 {
@@ -840,54 +764,6 @@ fn t_quantile(p: f64, dof: f64) -> f64 {
     0.5 * (lo + hi)
 }
 
-/// Inverse standard-normal CDF (Acklam's rational approximation,
-/// |relative error| < 1.15e-9 — far below gate resolution).
-fn normal_quantile(p: f64) -> f64 {
-    assert!(p > 0.0 && p < 1.0, "p must be in (0, 1), got {p}");
-    const A: [f64; 6] = [
-        -3.969683028665376e+01,
-        2.209460984245205e+02,
-        -2.759285104469687e+02,
-        1.38357751867269e+02,
-        -3.066479806614716e+01,
-        2.506628277459239e+00,
-    ];
-    const B: [f64; 5] = [
-        -5.447609879822406e+01,
-        1.615858368580409e+02,
-        -1.556989798598866e+02,
-        6.680131188771972e+01,
-        -1.328068155288572e+01,
-    ];
-    const C: [f64; 6] = [
-        -7.784894002430293e-03,
-        -3.223964580411365e-01,
-        -2.400758277161838e+00,
-        -2.549732539343734e+00,
-        4.374664141464968e+00,
-        2.938163982698783e+00,
-    ];
-    const D: [f64; 4] = [
-        7.784695709041462e-03,
-        3.224671290700398e-01,
-        2.445134137142996e+00,
-        3.754408661907416e+00,
-    ];
-    const P_LOW: f64 = 0.02425;
-    if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - P_LOW {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        -normal_quantile(1.0 - p)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -977,14 +853,6 @@ mod tests {
     }
 
     #[test]
-    fn normal_quantile_matches_tables() {
-        for (p, expect) in [(0.975, 1.959964), (0.995, 2.575829), (0.5, 0.0)] {
-            assert!((normal_quantile(p) - expect).abs() < 1e-6);
-        }
-        assert!((normal_quantile(0.025) + 1.959964).abs() < 1e-6);
-    }
-
-    #[test]
     fn reg_inc_beta_uniform_case() {
         // I_x(1, 1) is the identity.
         for x in [0.1, 0.25, 0.5, 0.9] {
@@ -1031,33 +899,6 @@ mod tests {
         assert_eq!(v.decision, Decision::Pass);
         assert_eq!(v.lo, v.hi);
         assert!((v.stat - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bayesian_and_welch_agree_to_first_order() {
-        let data_a = [100.0, 102.0, 98.0, 101.0, 99.0, 100.5, 99.5, 101.5];
-        let data_b = [110.0, 112.0, 108.0, 111.0, 109.0, 110.5, 109.5, 111.5];
-        let mut a = data_a.iter().cycle();
-        let mut b = data_b.iter().cycle();
-        let w = GateConfig::at_most("w", 1.5)
-            .samples(8, 8)
-            .run_ratio(|| *a.next().unwrap(), || *b.next().unwrap());
-        let mut a = data_a.iter().cycle();
-        let mut b = data_b.iter().cycle();
-        let bay = GateConfig::at_most("b", 1.5)
-            .samples(8, 8)
-            .bayesian()
-            .run_ratio(|| *a.next().unwrap(), || *b.next().unwrap());
-        assert!((w.stat - bay.stat).abs() < 1e-9);
-        // Same ballpark of uncertainty (the t quantile is larger but the
-        // Student-t moment matching inflates the Gaussian variance, so
-        // neither construction dominates; they agree to first order).
-        let ww = w.hi - w.lo;
-        let bw = bay.hi - bay.lo;
-        assert!(
-            bw > 0.0 && bw > 0.5 * ww && bw < 2.0 * ww,
-            "welch {ww} bayes {bw}"
-        );
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! [`Corrector::try_push_chunk`] corrects one full chunk and
 //! [`Corrector::push_tail`] a ragged final chunk. The batch
 //! [`Corrector::correct_run`] is those two calls over a recorded run,
-//! borrowing its sample windows in place.
+//! borrowing its sample windows in place. Every path loads its windows
+//! through [`ChunkEngine::load`], which skips and counts malformed
+//! samples, so no sample content can make a correction panic.
 
 use crate::error::ShimError;
 use crate::model::{ChunkEngine, ChunkPosterior, ModelConfig};
@@ -42,8 +44,6 @@ impl CorrectorConfig {
 pub struct CorrectionStats {
     /// Chunks processed.
     pub chunks: u64,
-    /// Solves executed across all chunks (one per chunk).
-    pub sweeps: u64,
     /// (slice, component) pairs solved with their data, across all chunks.
     pub analytic_site_updates: u64,
 }
@@ -55,17 +55,7 @@ impl CorrectionStats {
     /// re-implementing the bookkeeping.
     pub fn absorb_run(&mut self, s: &EpRunStats) {
         self.chunks += 1;
-        self.sweeps += s.sweeps_run as u64;
         self.analytic_site_updates += s.analytic_site_updates;
-    }
-
-    /// Mean solves per chunk (0 when no chunks ran).
-    pub fn sweeps_per_chunk(&self) -> f64 {
-        if self.chunks == 0 {
-            0.0
-        } else {
-            self.sweeps as f64 / self.chunks as f64
-        }
     }
 }
 
@@ -89,23 +79,10 @@ impl PosteriorSeries {
     ///
     /// # Panics
     ///
-    /// Panics if `w` is out of range; [`PosteriorSeries::try_posterior`] is
-    /// the fallible variant.
+    /// Panics if `w` is out of range.
     pub fn posterior(&self, w: usize, event: EventId) -> Gaussian {
         assert!(w < self.windows(), "window {w} out of range");
         self.data[w * self.n_events + event.index()]
-    }
-
-    /// The posterior of `event` at window `w`, or
-    /// [`ShimError::SliceOutOfRange`] when `w` is outside the series.
-    pub fn try_posterior(&self, w: usize, event: EventId) -> Result<Gaussian, ShimError> {
-        if w >= self.windows() {
-            return Err(ShimError::SliceOutOfRange {
-                slice: w,
-                slices: self.windows(),
-            });
-        }
-        Ok(self.data[w * self.n_events + event.index()])
     }
 
     /// The maximum-likelihood (posterior-mean) series of an event — what
@@ -273,22 +250,9 @@ impl<'a> Corrector<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `slice` is out of range; [`Corrector::try_posterior`] is
-    /// the fallible variant.
+    /// Panics if `slice` is out of range.
     pub fn posterior(&self, slice: usize, event: EventId) -> Gaussian {
         self.engine.posterior(slice, event)
-    }
-
-    /// Posterior of `event` at `slice` of the most recent
-    /// [`Corrector::push_chunk`], or [`ShimError::SliceOutOfRange`].
-    pub fn try_posterior(&self, slice: usize, event: EventId) -> Result<Gaussian, ShimError> {
-        if slice >= self.engine.slices() {
-            return Err(ShimError::SliceOutOfRange {
-                slice,
-                slices: self.engine.slices(),
-            });
-        }
-        Ok(self.engine.posterior(slice, event))
     }
 
     /// Resets the streaming state: the next [`Corrector::push_chunk`]
@@ -498,6 +462,84 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every kind of malformed sample is skipped by the engine's load, on
+    /// the full-chunk and the tail path alike: nothing panics, the sample
+    /// is counted as rejected (not quarantined), and every posterior
+    /// equals, bit for bit, the same chunk's with that sample removed.
+    #[test]
+    fn malformed_samples_are_rejected_at_load_on_every_path() {
+        let cat = Catalog::new(Arch::X86SkyLake);
+        let mut truth = kmeans().instantiate(&cat, 0);
+        let pmu = Pmu::new(&cat, PmuConfig::for_catalog(&cat));
+        let events: Vec<EventId> = [Semantic::L1dMisses, Semantic::LlcHits, Semantic::LlcMisses]
+            .iter()
+            .map(|&s| cat.require(s))
+            .collect();
+        let schedule = pack_round_robin(&cat, &events).unwrap();
+        let run = pmu.run_multiplexed(&mut truth, &schedule, 6);
+        let cfg = CorrectorConfig::for_run(&run);
+        let k = cfg.model.slices;
+        assert_eq!(run.windows.len(), k, "one full chunk");
+        let clean: Vec<Vec<Sample>> = run.windows.iter().map(|w| w.samples.clone()).collect();
+        let mut removed = clean.clone();
+        removed[2].remove(0);
+
+        // Corrects `windows` as one full chunk, then its first `k - 2`
+        // windows as a tail: the stats and every posterior of each.
+        let correct = |windows: &[Vec<Sample>]| {
+            let refs: Vec<&[Sample]> = windows.iter().map(Vec::as_slice).collect();
+            let bits = |g: Gaussian| (g.mean.to_bits(), g.var.to_bits());
+            let mut corrector = Corrector::new(&cat, cfg.clone());
+            let full = corrector.try_push_chunk(&refs).expect("full chunk");
+            let full_post: Vec<_> = (0..k)
+                .flat_map(|t| cat.iter().map(move |e| (t, e.id)))
+                .map(|(t, e)| bits(corrector.posterior(t, e)))
+                .collect();
+            let (post, tail) = Corrector::new(&cat, cfg.clone())
+                .push_tail(&refs[..k - 2])
+                .expect("tail");
+            let tail_post: Vec<_> = (0..k - 2)
+                .flat_map(|t| cat.iter().map(move |e| (t, e.id)))
+                .map(|(t, e)| bits(post.posterior(t, e)))
+                .collect();
+            ([full, tail], [full_post, tail_post])
+        };
+        let (_, want) = correct(&removed);
+
+        let malformed: [fn(&mut Sample); 8] = [
+            |s| s.value = f64::NAN,
+            |s| s.value = f64::INFINITY,
+            |s| s.value = f64::NEG_INFINITY,
+            |s| s.sub_sd = f64::NAN,
+            |s| s.sub_sd = f64::INFINITY,
+            |s| s.sub_sd = -1.0,
+            |s| s.sub_mean = f64::NAN,
+            |s| s.event = EventId::from_raw(u16::MAX),
+        ];
+        for (kind, corrupt) in malformed.iter().enumerate() {
+            let mut windows = clean.clone();
+            corrupt(&mut windows[2][0]);
+            let (stats, got) = correct(&windows);
+            for (path, s) in ["try_push_chunk", "push_tail"].iter().zip(stats) {
+                assert_eq!(
+                    (s.samples_rejected, s.sites_quarantined),
+                    (1, 0),
+                    "kind {kind} via {path}"
+                );
+            }
+            assert!(got == want, "kind {kind}: posteriors differ from removal");
+        }
+
+        // A malformed duplicate leaves the well-formed read in its slot.
+        let mut duplicated = clean.clone();
+        let mut bad = duplicated[2][0];
+        bad.value = f64::NAN;
+        duplicated[2].push(bad);
+        let (stats, got) = correct(&duplicated);
+        assert!(stats.iter().all(|s| s.samples_rejected == 1));
+        assert!(got == correct(&clean).1, "the well-formed read still lands");
     }
 
     #[test]

@@ -45,13 +45,6 @@ pub enum ShimError {
         /// Windows actually supplied.
         got: usize,
     },
-    /// A posterior was requested for a slice index outside the chunk.
-    SliceOutOfRange {
-        /// Requested slice.
-        slice: usize,
-        /// Slices in the chunk.
-        slices: usize,
-    },
     /// An empty window chunk was handed to the corrector.
     EmptyChunk,
     /// A fleet operation named a shard that is not (or no longer) a
@@ -132,9 +125,6 @@ impl fmt::Display for ShimError {
             ShimError::NoPosteriorYet => write!(f, "no posterior published yet"),
             ShimError::WindowMismatch { expected, got } => {
                 write!(f, "chunk of {got} windows, engine built for {expected}")
-            }
-            ShimError::SliceOutOfRange { slice, slices } => {
-                write!(f, "slice {slice} out of range (chunk has {slices})")
             }
             ShimError::EmptyChunk => write!(f, "chunk must contain at least one window"),
             ShimError::UnknownShard { shard } => write!(f, "unknown fleet shard {shard}"),

@@ -29,7 +29,7 @@ pub fn observation(sample: &Sample, scale: f64, sigma_floor: f64) -> StudentT {
     let total_sd = sample.sub_sd * n.sqrt();
     let loc = sample.value / scale;
     let t_scale = (total_sd / scale).max(sigma_floor * loc.abs().max(1e-3));
-    StudentT::new(loc, t_scale, n - 1.0)
+    StudentT::new(loc, finite_scale(t_scale), n - 1.0)
 }
 
 /// Builds the observation factor for an **extrapolated** sample
@@ -60,7 +60,7 @@ pub fn extrapolated_observation(sample: &Sample, scale: f64, extrap_sigma: f64) 
     assert!(scale > 0.0, "scale must be positive, got {scale}");
     let loc = sample.value / scale;
     let t_scale = extrap_sigma.max(1e-6) * loc.abs().max(1e-3);
-    StudentT::new(loc, t_scale, 2.5)
+    StudentT::new(loc, finite_scale(t_scale), 2.5)
 }
 
 /// Builds the observation factor for a **soft gauge** reading
@@ -93,7 +93,15 @@ pub fn gauge_observation(
     let loc = sample.value / scale;
     let rel = rel_scale.max(1e-6).max(sigma_floor);
     let t_scale = rel * loc.abs().max(1e-3);
-    StudentT::new(loc, t_scale, 60.0)
+    StudentT::new(loc, finite_scale(t_scale), 60.0)
+}
+
+/// Caps a factor scale at `f64::MAX`: a finite but huge read can overflow
+/// its scale to infinity, which no Student-t accepts. The capped factor's
+/// IRLS weight still overflows, so the solve quarantines the read instead
+/// of the inference thread panicking on it.
+fn finite_scale(t_scale: f64) -> f64 {
+    t_scale.min(f64::MAX)
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 //! The BayesPerf system: scheduling, modelling, inference orchestration, and
-//! the perf-compatible shim.
+//! the perf-like shim service.
 //!
 //! This crate assembles the paper's primary contribution out of the
 //! substrate crates:
@@ -17,14 +17,13 @@
 //!   with one banded IRLS solve per component of the invariant graph;
 //! * [`corrector`] — chained correction of PMU sample windows, streamed
 //!   chunk by chunk or batched over a recorded run, into posterior
-//!   distributions per event per window;
-//! * [`service`] — the session-oriented shim service: a shared [`Monitor`]
-//!   with a background inference thread, `perf_event_open`-style
-//!   [`Session`] handles, and lock-free posterior snapshot publication
+//!   distributions per event per window; every path shares the chunk
+//!   engine's malformed-sample guard ([`ChunkEngine::load`]);
+//! * [`service`] — the shim (§5, Fig. 3): a shared [`Monitor`] with a
+//!   background inference thread, `perf_event_open`-style [`Session`]
+//!   handles whose reads return a [`Reading`] with quantified
+//!   uncertainty, and lock-free posterior snapshot publication
 //!   ([`snapshot`]);
-//! * [`shim`] — the perf-like single-client reader surface
-//!   ([`HpcReader`], [`LinuxReader`], and the [`BayesPerfShim`] compat
-//!   adapter over a single-session monitor);
 //! * [`error`] — the workspace-level [`ShimError`] type every fallible
 //!   shim/corrector operation reports through;
 //! * [`metrics`] — dynamic-time-warping alignment and the paper's error
@@ -37,7 +36,6 @@ pub mod metrics;
 pub mod model;
 pub mod scheduler;
 pub mod service;
-pub mod shim;
 pub mod snapshot;
 pub mod source;
 
@@ -48,10 +46,9 @@ pub use metrics::{adjusted_error, dtw_align, dtw_relative_error};
 pub use model::{ChunkEngine, ChunkPosterior, ModelConfig};
 pub use scheduler::{Schedule, ScheduleTransformer};
 pub use service::{
-    derived_reading, GroupReading, Monitor, PosteriorUpdate, ScheduleHook, Selection, ServiceState,
-    Session, SessionBuilder, SnapshotView, Supervised, SupervisorPolicy, Updates,
+    derived_reading, GroupReading, Monitor, PosteriorUpdate, Reading, ScheduleHook, Selection,
+    ServiceState, Session, SessionBuilder, SnapshotView, Supervised, SupervisorPolicy, Updates,
 };
-pub use shim::{BayesPerfShim, HpcReader, LinuxReader, Reading};
 pub use snapshot::{snapshot_cell, SnapshotGuard, SnapshotReader, SnapshotWriter};
 pub use source::pump_sources;
 #[cfg(feature = "proc-source")]

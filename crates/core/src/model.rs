@@ -52,12 +52,13 @@
 //!
 //! # Quarantine
 //!
-//! Before each IRLS pass, the variance of every data term — read or
-//! invariant — that slice `t` has in component `c` is computed at the
-//! current estimate. If one is not finite and positive (a NaN read, an
-//! overflowing normalizer), none of that slice's reads or invariants enter
-//! component `c` again in this solve; its prior and random-walk terms
-//! stay. A component whose factorization fails, or that returns a
+//! A malformed sample never reaches the solve: [`ChunkEngine::load`]
+//! skips and counts it. Before each IRLS pass, the variance of every data
+//! term — read or invariant — that slice `t` has in component `c` is
+//! computed at the current estimate. If one is not finite and positive (a
+//! huge read whose weight overflows, an overflowing normalizer), none of
+//! that slice's reads or invariants enter component `c` again in this
+//! solve; its prior and random-walk terms stay. A component whose factorization fails, or that returns a
 //! non-finite marginal, is re-solved from its prior and random-walk terms
 //! alone, a system that is always positive definite.
 //!
@@ -295,6 +296,8 @@ pub struct ChunkEngine {
     locals: Vec<usize>,
     /// Per slice: whether the component being solved quarantined its data.
     quarantined: Vec<bool>,
+    /// Malformed samples the last [`ChunkEngine::load`] skipped.
+    rejected: u64,
 }
 
 impl std::fmt::Debug for ChunkEngine {
@@ -395,6 +398,7 @@ impl ChunkEngine {
             estimate: Vec::with_capacity(slices * widest),
             locals: Vec::with_capacity(arity),
             quarantined: Vec::with_capacity(slices),
+            rejected: 0,
         }
     }
 
@@ -486,6 +490,14 @@ impl ChunkEngine {
     /// need multiple readings per event per window should merge them into
     /// one `Sample` (sub-sample statistics combined) first.
     ///
+    /// This is the pipeline's one malformed-sample guard, shared by every
+    /// caller of the engine: a sample that is not
+    /// [`Sample::is_well_formed`], or names an event outside the catalog,
+    /// is skipped and counted — the next [`ChunkEngine::solve`] reports
+    /// the count as [`EpRunStats::samples_rejected`]. A skipped sample
+    /// leaves its slot as it is, so a well-formed duplicate of the same
+    /// event in that window still lands.
+    ///
     /// # Panics
     ///
     /// Panics if the window count mismatches the slice count.
@@ -498,8 +510,13 @@ impl ChunkEngine {
             windows.len()
         );
         self.obs.fill(None);
+        self.rejected = 0;
         for (t, w) in windows.iter().enumerate() {
             for s in w.as_ref() {
+                if !s.is_well_formed() || s.event.index() >= self.n_events {
+                    self.rejected += 1;
+                    continue;
+                }
                 self.obs[t * self.n_events + s.event.index()] = Some(self.observation_dist(s));
             }
         }
@@ -540,6 +557,7 @@ impl ChunkEngine {
             sweeps_total: 1,
             sweeps_run: 1,
             converged: true,
+            samples_rejected: self.rejected,
             ..EpRunStats::default()
         };
         for c in 0..self.components.len() {
@@ -1044,34 +1062,45 @@ mod tests {
     }
 
     #[test]
-    fn nan_observation_is_quarantined_not_panicked_on() {
+    fn overflowing_read_is_quarantined_not_panicked_on() {
         let (cat, run) = run_fixture();
         let cfg = ModelConfig::for_run(&run);
-        let mut windows: Vec<Vec<Sample>> = run.windows.iter().map(|w| w.samples.clone()).collect();
-        // A read whose Student-t gets a NaN location.
-        windows[1][0].value = f64::NAN;
-        let mut engine = ChunkEngine::with_slices(&cat, &cfg, windows.len());
-        engine.load(&windows);
-        let stats = engine.solve();
-        assert!(
-            stats.sites_quarantined > 0,
-            "the poisoned slice quarantines"
-        );
-        for t in 0..windows.len() {
-            for e in cat.iter() {
-                let g = engine.posterior(t, e.id);
-                assert!(g.mean.is_finite(), "slice {t} {}: {g:?}", e.name);
+        let clean: Vec<Vec<Sample>> = run.windows.iter().map(|w| w.samples.clone()).collect();
+        // Finite reads that pass the load guard but whose IRLS weight
+        // overflows: a huge value, and a spread whose factor scale
+        // overflows to infinity before it is capped.
+        let overflowing: [fn(&mut Sample); 3] = [
+            |s| s.value = 1e300,
+            |s| s.value = f64::MAX,
+            |s| s.sub_sd = f64::MAX,
+        ];
+        for overflow in overflowing {
+            let mut windows = clean.clone();
+            overflow(&mut windows[1][0]);
+            let mut engine = ChunkEngine::with_slices(&cat, &cfg, windows.len());
+            engine.load(&windows);
+            let stats = engine.solve();
+            assert_eq!(stats.samples_rejected, 0, "finite reads pass the guard");
+            assert!(
+                stats.sites_quarantined > 0,
+                "the poisoned slice quarantines"
+            );
+            for t in 0..windows.len() {
+                for e in cat.iter() {
+                    let g = engine.posterior(t, e.id);
+                    assert!(g.mean.is_finite(), "slice {t} {}: {g:?}", e.name);
+                }
             }
         }
     }
 
     #[test]
-    fn nan_read_quarantines_only_its_own_slice_and_component() {
+    fn overflowing_read_quarantines_only_its_own_slice_and_component() {
         let (cat, run) = run_fixture();
         let cfg = ModelConfig::for_run(&run);
         let clean: Vec<Vec<Sample>> = run.windows.iter().map(|w| w.samples.clone()).collect();
         let mut poisoned = clean.clone();
-        poisoned[1][0].value = f64::NAN;
+        poisoned[1][0].value = 1e300;
         let bad = poisoned[1][0].event;
         let clean_engine = run_cold(&cat, &clean, &cfg);
         let mut engine = ChunkEngine::with_slices(&cat, &cfg, poisoned.len());

@@ -39,9 +39,11 @@
 //! [`ServiceState`] — `Running` / `Restarting` / `Failed` — through a
 //! lock-free cell. A permanently failed service (restart budget exhausted)
 //! surfaces as [`ShimError::ServiceDown`] on every read instead of a
-//! silently frozen posterior. Non-finite samples are dropped at ingest and
-//! non-finite posteriors are caught at the publish boundary (both counted
-//! by [`Monitor::divergences`]), and a heartbeat counter
+//! silently frozen posterior. Malformed samples are skipped by the chunk
+//! engine's load ([`crate::model::ChunkEngine::load`], the guard every
+//! [`Corrector`] caller shares) and non-finite posteriors are caught at the
+//! publish boundary (both counted by [`Monitor::divergences`]), and a
+//! heartbeat counter
 //! ([`Monitor::heartbeat`]) lets watchdogs distinguish a stalled service
 //! from an idle one.
 
@@ -51,14 +53,12 @@
 
 use crate::corrector::{Corrector, CorrectorConfig};
 use crate::error::ShimError;
-use crate::shim::Reading;
 use crate::snapshot::{snapshot_cell, SnapshotReader, SnapshotWriter};
 use bayesperf_events::{Catalog, DerivedEvent, EventEnv, EventId};
 use bayesperf_inference::{EpRunStats, Gaussian};
 use bayesperf_obs::{labeled, Counter, FlightEvent, Histogram, SpanRecorder, Stage, Telemetry};
 use bayesperf_simcpu::{RingBuffer, Sample};
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::mpsc::{
@@ -138,6 +138,31 @@ impl PosteriorUpdate {
     /// The [`Reading`] of `event` in this update, if selected.
     pub fn reading(&self, event: EventId) -> Option<Reading> {
         self.gaussian(event).map(|g| Reading::from_gaussian(&g))
+    }
+}
+
+/// The value a read returns: an estimate with quantified uncertainty —
+/// the posterior mean, its spread, and the 95% credible interval (the
+/// paper's §4.2 confidence level).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Reading {
+    /// Point estimate of the event's per-window count (posterior mean).
+    pub value: f64,
+    /// Posterior standard deviation.
+    pub std_dev: f64,
+    /// 95% credible interval.
+    pub interval95: (f64, f64),
+}
+
+impl Reading {
+    /// The reading of a Gaussian posterior: mean, spread, 95% credible
+    /// interval (used by both the per-machine and the fleet read paths).
+    pub fn from_gaussian(g: &Gaussian) -> Self {
+        Reading {
+            value: g.mean,
+            std_dev: g.std_dev(),
+            interval95: g.interval(1.96),
+        }
     }
 }
 
@@ -239,11 +264,6 @@ enum Control {
     Pause(Sender<()>),
     /// Resume draining, process the backlog, then ack.
     Resume(Sender<()>),
-    /// Re-apply the chunking setting at a chunk boundary.
-    Reconfigure {
-        chunk_windows: Option<usize>,
-        ack: Sender<()>,
-    },
     /// Install (or, with `None`, remove) the schedule feedback hook.
     SetHook {
         hook: Option<Box<dyn ScheduleHook>>,
@@ -435,13 +455,13 @@ struct Shared {
     /// Crash restarts performed by the supervisor (monotonic;
     /// `supervisor.restarts`).
     restarts: Counter,
-    /// Divergences contained: non-finite samples dropped at ingest,
-    /// non-finite posteriors caught at the publish boundary, and (slice,
-    /// component) pairs whose data the chunk solve quarantined
+    /// Divergences contained: malformed samples the chunk engine's load
+    /// skipped, non-finite posteriors caught at the publish boundary, and
+    /// (slice, component) pairs whose data the chunk solve quarantined
     /// (`service.divergences`).
     divergences: Counter,
-    /// Chunk-solve wall time (`ep.sweep_ns`).
-    ep_sweep_ns: Histogram,
+    /// Chunk-solve wall time (`solve.chunk_ns`).
+    solve_ns: Histogram,
     /// Snapshot publication wall time (`service.publish_ns`).
     publish_ns: Histogram,
     /// The monitor's telemetry plane: the registry the counters above
@@ -556,7 +576,7 @@ impl Monitor {
             idle: AtomicBool::new(true),
             restarts: registry.counter("supervisor.restarts"),
             divergences: registry.counter("service.divergences"),
-            ep_sweep_ns: registry.histogram("ep.sweep_ns"),
+            solve_ns: registry.histogram("solve.chunk_ns"),
             publish_ns: registry.histogram("service.publish_ns"),
             tele: tele.clone(),
             hook: Mutex::new(None),
@@ -625,17 +645,15 @@ impl Monitor {
         SessionBuilder {
             monitor: self,
             events: None,
-            chunk_windows: None,
-            hook: None,
             err: None,
         }
     }
 
     /// Blocks until every sample pushed before this call has been ingested
     /// and every complete chunk corrected and published — the
-    /// deterministic barrier the [`crate::shim::BayesPerfShim`] compat
-    /// adapter reads through. While the service is [`Monitor::pause`]d
-    /// that guarantee cannot hold, so `sync` returns
+    /// deterministic barrier for recorded runs and tests: a read after it
+    /// serves everything pushed before it. While the service is
+    /// [`Monitor::pause`]d that guarantee cannot hold, so `sync` returns
     /// [`ShimError::ServicePaused`] instead of acking a no-op.
     pub fn sync(&self) -> Result<(), ShimError> {
         if self.shared.paused.load(Relaxed) {
@@ -726,7 +744,7 @@ impl Monitor {
     }
 
     /// The monitor's telemetry plane: the metrics registry every service
-    /// counter lives in (`ingest.*`, `service.*`, `ep.*`,
+    /// counter lives in (`ingest.*`, `service.*`, `solve.*`,
     /// `supervisor.*`), the span tracer the pipeline stamps window
     /// lifecycles into, and the flight recorder supervision events land
     /// in. The accessors above ([`Monitor::divergences`],
@@ -750,9 +768,9 @@ impl Monitor {
         self.shared.restarts.get()
     }
 
-    /// Divergences contained so far: non-finite samples dropped at
-    /// ingest, non-finite posteriors replaced at the publish boundary,
-    /// and (slice, component) pairs whose data the chunk solve
+    /// Divergences contained so far: malformed samples the chunk engine's
+    /// load skipped, non-finite posteriors replaced at the publish
+    /// boundary, and (slice, component) pairs whose data the chunk solve
     /// quarantined.
     pub fn divergences(&self) -> u64 {
         self.shared.divergences.get()
@@ -802,29 +820,15 @@ impl Drop for Monitor {
     }
 }
 
-/// Configures and opens a [`Session`]. Event selection defaults to the
-/// whole catalog; [`SessionBuilder::chunk_windows`] retunes the shared
-/// inference service (it applies at the next chunk boundary and affects
-/// every session), and
-/// [`SessionBuilder::schedule_hook`] installs the service's schedule
-/// feedback hook.
+/// Configures and opens a [`Session`]: which events it reads. Selection
+/// defaults to the whole catalog. A builder touches no service state —
+/// the chunk size is fixed at [`Monitor::new`], and the schedule feedback
+/// hook is installed with [`Monitor::set_schedule_hook`].
+#[derive(Debug)]
 pub struct SessionBuilder<'m> {
     monitor: &'m Monitor,
     events: Option<Vec<EventId>>,
-    chunk_windows: Option<usize>,
-    hook: Option<Box<dyn ScheduleHook>>,
     err: Option<ShimError>,
-}
-
-impl std::fmt::Debug for SessionBuilder<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SessionBuilder")
-            .field("events", &self.events)
-            .field("chunk_windows", &self.chunk_windows)
-            .field("hook", &self.hook.is_some())
-            .field("err", &self.err)
-            .finish()
-    }
 }
 
 impl SessionBuilder<'_> {
@@ -872,43 +876,13 @@ impl SessionBuilder<'_> {
         self
     }
 
-    /// Requests a different chunk size (windows per inference run) from
-    /// the shared service. Applied at the next chunk boundary; rebuilds
-    /// the inference engine, so the next chunk runs cold.
-    pub fn chunk_windows(mut self, windows: usize) -> Self {
-        self.chunk_windows = Some(windows.max(1));
-        self
-    }
-
-    /// Installs `hook` as the monitor's schedule feedback hook when the
-    /// session opens — the builder-flow equivalent of
-    /// [`Monitor::set_schedule_hook`] for sessions that exist to drive a
-    /// multiplexing schedule from the service's own posteriors. Like the
-    /// retuning knobs, the hook is service-level state: it replaces any
-    /// previously installed hook.
-    pub fn schedule_hook(mut self, hook: Box<dyn ScheduleHook>) -> Self {
-        self.hook = Some(hook);
-        self
-    }
-
-    /// Opens the session, applying any service retuning first.
+    /// Opens the session.
     pub fn open(self) -> Result<Session, ShimError> {
         if let Some(err) = self.err {
             return Err(err);
         }
         if self.monitor.shared.closed.load(Relaxed) {
             return Err(ShimError::SessionClosed);
-        }
-        if self.chunk_windows.is_some() {
-            self.monitor
-                .shared
-                .control_roundtrip(|ack| Control::Reconfigure {
-                    chunk_windows: self.chunk_windows,
-                    ack,
-                })?;
-        }
-        if let Some(hook) = self.hook {
-            self.monitor.set_schedule_hook(hook)?;
         }
         Ok(Session {
             shared: self.monitor.shared.clone(),
@@ -1237,6 +1211,15 @@ impl Iterator for Updates {
     }
 }
 
+/// A complete window awaiting a full chunk.
+struct PendingWindow {
+    window: u32,
+    /// Tracer stamp of the window's promotion — the start of its
+    /// `assemble` (chunk-wait) span.
+    closed_at: u64,
+    samples: Vec<Sample>,
+}
+
 /// The background inference service: owns the streaming corrector, the
 /// window assembly state and the snapshot writer.
 struct InferenceService {
@@ -1244,20 +1227,19 @@ struct InferenceService {
     catalog: Arc<Catalog>,
     config: CorrectorConfig,
     writer: SnapshotWriter<PosteriorSnapshot>,
-    /// Windows being assembled from ring samples, keyed by window index.
-    assembling: HashMap<u32, Vec<Sample>>,
-    /// Complete windows awaiting a full chunk, sorted by window index.
-    pending: Vec<(u32, Vec<Sample>)>,
+    /// Samples of the one open window, whose index is `frontier`.
+    open: Vec<Sample>,
+    /// Tracer stamp of the open window's first sample — the start of its
+    /// `ingest` span.
+    open_started: u64,
+    /// Complete windows awaiting a full chunk, in window order: a window
+    /// closes only when a later one opens.
+    pending: Vec<PendingWindow>,
     /// This incarnation's span ring (shared across restarts via the
     /// supervisor's clone — incarnations run serially on one thread).
     spans: SpanRecorder,
-    /// Tracer stamp of each assembling window's first sample — the start
-    /// of its `ingest` span.
-    ingest_started: HashMap<u32, u64>,
-    /// Tracer stamp of each pending window's promotion — the start of its
-    /// `assemble` (chunk-wait) span.
-    assembled_at: HashMap<u32, u64>,
-    /// Lowest window index still accepted; samples below it are late.
+    /// Index of the open window: the lowest still accepted, so samples
+    /// below it are late.
     frontier: Option<u32>,
     /// Reused ring-drain buffer.
     drained: Vec<Sample>,
@@ -1294,11 +1276,10 @@ impl InferenceService {
             catalog,
             config,
             writer,
-            assembling: HashMap::new(),
+            open: Vec::new(),
+            open_started: 0,
             pending: Vec::new(),
             spans,
-            ingest_started: HashMap::new(),
-            assembled_at: HashMap::new(),
             frontier,
             drained: Vec::new(),
             paused: false,
@@ -1345,22 +1326,6 @@ impl InferenceService {
                         self.paused = false;
                         self.shared.paused.store(false, Relaxed);
                         self.drain_and_correct(&mut corrector);
-                        let _ = ack.send(());
-                    }
-                    Control::Reconfigure { chunk_windows, ack } => {
-                        if let Some(k) = chunk_windows {
-                            if k != self.config.model.slices {
-                                self.config.model.slices = k;
-                                corrector = Corrector::new(&catalog, self.config.clone());
-                                // Windows already pending may form
-                                // complete chunks under the new size;
-                                // correct them now rather than stalling
-                                // until the next sample arrives.
-                                if !self.paused {
-                                    self.drain_and_correct(&mut corrector);
-                                }
-                            }
-                        }
                         let _ = ack.send(());
                     }
                     Control::SetHook { hook, ack } => {
@@ -1432,38 +1397,24 @@ impl InferenceService {
     }
 
     /// Window assembly. A sample for window `w` means every window `< w`
-    /// is complete (the PMU delivers window-ordered streams); a sample for
-    /// a window *below* the frontier arrived after its window completed.
-    /// If that window is still `pending` (complete, not yet corrected) the
-    /// straggler is **absorbed** — the normal fate of a slow-cadence gauge
-    /// source's reading landing just behind the PMU stream. Otherwise it
-    /// is dropped and counted as late, totalled and per source — never
-    /// re-opened into `assembling`.
+    /// is complete (the PMU delivers window-ordered streams), so it closes
+    /// the open window and opens `w`; a sample for a window *below* the
+    /// frontier arrived after its window completed. If that window is
+    /// still `pending` (complete, not yet corrected) the straggler is
+    /// **absorbed** — the normal fate of a slow-cadence gauge source's
+    /// reading landing just behind the PMU stream. Otherwise it is dropped
+    /// and counted as late, totalled and per source — never re-opened.
+    /// Samples are not inspected here: the chunk engine's load skips the
+    /// malformed ones.
     fn ingest(&mut self) {
         let mut late = 0u64;
         let mut late_src: Vec<u64> = Vec::new();
-        let mut diverged = 0u64;
         for i in 0..self.drained.len() {
             let s = self.drained[i];
-            // Divergence containment at the ingest boundary: a corrupted
-            // counter (NaN/Inf value or sub-sample moments, negative
-            // spread) would poison the likelihood model downstream — the
-            // sub-sample spread in particular is asserted non-negative at
-            // model build. Drop and count instead.
-            if !s.value.is_finite()
-                || !s.sub_mean.is_finite()
-                || !s.sub_sd.is_finite()
-                || s.sub_sd < 0.0
-            {
-                diverged += 1;
-                continue;
-            }
             match self.frontier {
                 Some(f) if s.window < f => {
-                    if let Some((_, samples)) =
-                        self.pending.iter_mut().find(|(w, _)| *w == s.window)
-                    {
-                        samples.push(s);
+                    if let Some(p) = self.pending.iter_mut().find(|p| p.window == s.window) {
+                        p.samples.push(s);
                     } else {
                         late += 1;
                         let idx = s.source.index();
@@ -1475,21 +1426,18 @@ impl InferenceService {
                     continue;
                 }
                 Some(f) if s.window > f => {
-                    self.promote_below(s.window);
+                    self.close_open_window();
                     self.frontier = Some(s.window);
                 }
                 None => self.frontier = Some(s.window),
                 _ => {}
             }
-            match self.assembling.entry(s.window) {
-                Entry::Occupied(mut e) => e.get_mut().push(s),
-                Entry::Vacant(e) => {
-                    // First sample of the window: the start stamp of its
-                    // `ingest` span (closed at promotion).
-                    self.ingest_started.insert(s.window, self.spans.now_ns());
-                    e.insert(vec![s]);
-                }
+            if self.open.is_empty() {
+                // First sample of the window: the start stamp of its
+                // `ingest` span (closed with the window).
+                self.open_started = self.spans.now_ns();
             }
+            self.open.push(s);
         }
         if late > 0 {
             self.shared.late_samples.add(late);
@@ -1508,73 +1456,58 @@ impl InferenceService {
                 total.add(*n);
             }
         }
-        if diverged > 0 {
-            self.shared.divergences.add(diverged);
-            self.shared
-                .tele
-                .flight()
-                .record(FlightEvent::DivergenceQuarantined {
-                    window: self.frontier.unwrap_or(0),
-                    sites: diverged,
-                });
-        }
-        self.pending.sort_by_key(|(w, _)| *w);
     }
 
-    /// Moves every assembling window below `limit` into `pending`,
-    /// closing each window's `ingest` span and opening its `assemble`
-    /// (chunk-wait) span.
-    fn promote_below(&mut self, limit: u32) {
-        let ready: Vec<u32> = self
-            .assembling
-            .keys()
-            .copied()
-            .filter(|&w| w < limit)
-            .collect();
-        if ready.is_empty() {
+    /// Moves the open window, if it holds samples, into `pending`, closing
+    /// its `ingest` span and opening its `assemble` (chunk-wait) span.
+    fn close_open_window(&mut self) {
+        if self.open.is_empty() {
             return;
         }
+        let Some(window) = self.frontier else {
+            return;
+        };
+        debug_assert!(self.pending.last().is_none_or(|p| p.window < window));
         let now = self.spans.now_ns();
-        for w in ready {
-            if let Some(samples) = self.assembling.remove(&w) {
-                let started = self.ingest_started.remove(&w).unwrap_or(now);
-                self.spans.record(Stage::Ingest, w, started, now);
-                self.assembled_at.insert(w, now);
-                self.pending.push((w, samples));
-            }
-        }
+        self.spans
+            .record(Stage::Ingest, window, self.open_started, now);
+        self.pending.push(PendingWindow {
+            window,
+            closed_at: now,
+            samples: std::mem::take(&mut self.open),
+        });
     }
 
-    /// Closes the `assemble` spans of the windows entering a chunk solve and
-    /// records the run itself as their `ep_sweep` span (plus the
-    /// `ep.sweep_ns` histogram entry).
-    fn record_sweep_spans(&mut self, windows: &[u32], sweep_start: u64) {
-        let sweep_end = self.spans.now_ns();
+    /// Closes the `assemble` spans of the windows entering a chunk solve
+    /// and records the solve itself as their `solve` span (plus the
+    /// `solve.chunk_ns` histogram entry).
+    fn record_solve_spans(&mut self, chunk: &[PendingWindow], solve_start: u64) {
+        let solve_end = self.spans.now_ns();
         self.shared
-            .ep_sweep_ns
-            .record(sweep_end.saturating_sub(sweep_start));
-        for &w in windows {
-            let assembled = self.assembled_at.remove(&w).unwrap_or(sweep_start);
+            .solve_ns
+            .record(solve_end.saturating_sub(solve_start));
+        for p in chunk {
             self.spans
-                .record(Stage::Assemble, w, assembled, sweep_start);
-            self.spans.record(Stage::EpSweep, w, sweep_start, sweep_end);
+                .record(Stage::Assemble, p.window, p.closed_at, solve_start);
+            self.spans
+                .record(Stage::Solve, p.window, solve_start, solve_end);
         }
     }
 
     fn correct_full_chunks(&mut self, corrector: &mut Corrector<'_>) {
         let k = self.config.model.slices.max(1);
         while self.pending.len() >= k {
-            let chunk: Vec<(u32, Vec<Sample>)> = self.pending.drain(..k).collect();
-            let refs: Vec<&[Sample]> = chunk.iter().map(|(_, s)| s.as_slice()).collect();
-            let sweep_start = self.spans.now_ns();
+            let chunk: Vec<PendingWindow> = self.pending.drain(..k).collect();
+            let refs: Vec<&[Sample]> = chunk.iter().map(|p| p.samples.as_slice()).collect();
+            let solve_start = self.spans.now_ns();
             let stats = match corrector.try_push_chunk(&refs) {
                 Ok(stats) => stats,
                 // A mismatched chunk cannot occur (we sized it above);
                 // drop it rather than poison the service.
                 Err(_) => continue,
             };
-            let windows: Vec<u32> = chunk.iter().map(|(w, _)| *w).collect();
-            self.record_sweep_spans(&windows, sweep_start);
+            self.record_solve_spans(&chunk, solve_start);
+            let windows: Vec<u32> = chunk.iter().map(|p| p.window).collect();
             self.publish(&windows, stats, |t, e| corrector.posterior(t, e));
             // A long multi-chunk drain still beats once per chunk, so
             // watchdogs don't mistake a busy service for a stalled one.
@@ -1582,22 +1515,21 @@ impl InferenceService {
         }
     }
 
-    /// Corrects the stream's ragged tail: everything still assembling is
-    /// completed, remaining full chunks run, and the final partial chunk
-    /// is corrected via the corrector's one-shot tail path.
+    /// Corrects the stream's ragged tail: the open window is closed,
+    /// remaining full chunks run, and the final partial chunk is corrected
+    /// via the corrector's one-shot tail path.
     fn flush(&mut self, corrector: &mut Corrector<'_>) {
         self.drain_and_correct(corrector);
-        self.promote_below(u32::MAX);
-        self.pending.sort_by_key(|(w, _)| *w);
-        let highest = self.pending.last().map(|(w, _)| *w);
+        self.close_open_window();
+        let highest = self.pending.last().map(|p| p.window);
         self.correct_full_chunks(corrector);
         if !self.pending.is_empty() {
-            let tail: Vec<(u32, Vec<Sample>)> = self.pending.drain(..).collect();
-            let refs: Vec<&[Sample]> = tail.iter().map(|(_, s)| s.as_slice()).collect();
-            let sweep_start = self.spans.now_ns();
+            let tail: Vec<PendingWindow> = self.pending.drain(..).collect();
+            let refs: Vec<&[Sample]> = tail.iter().map(|p| p.samples.as_slice()).collect();
+            let solve_start = self.spans.now_ns();
             if let Ok((post, stats)) = corrector.push_tail(&refs) {
-                let windows: Vec<u32> = tail.iter().map(|(w, _)| *w).collect();
-                self.record_sweep_spans(&windows, sweep_start);
+                self.record_solve_spans(&tail, solve_start);
+                let windows: Vec<u32> = tail.iter().map(|p| p.window).collect();
                 self.publish(&windows, stats, |t, e| post.posterior(t, e));
             }
         }
@@ -1652,7 +1584,7 @@ impl InferenceService {
                 }
             }
         }
-        let diverged = substituted + stats.sites_quarantined;
+        let diverged = substituted + stats.sites_quarantined + stats.samples_rejected;
         if diverged > 0 {
             self.shared.divergences.add(diverged);
             self.shared
@@ -2191,21 +2123,42 @@ mod tests {
         );
     }
 
+    /// The service runs the chunk engine's load guard rather than a check
+    /// of its own: a window whose every sample is malformed still takes
+    /// its place in assembly and is corrected at its own index, and each
+    /// malformed sample is counted once as a divergence.
     #[test]
-    fn reconfigured_chunking_applies_to_the_service() {
+    fn malformed_windows_keep_their_index_and_are_counted() {
         let cat = Catalog::new(Arch::X86SkyLake);
         let run = recorded_run(&cat, 9);
         let monitor =
             Monitor::new(&cat, CorrectorConfig::for_run(&run), 1 << 14).expect("spawn monitor");
-        let session = monitor.session().chunk_windows(4).open().expect("open");
-        feed(&monitor, &run);
-        monitor.sync().expect("sync");
-        // 9 windows, window 8 still assembling: 8 complete -> two chunks
-        // of 4.
-        assert_eq!(monitor.chunks_run(), 2, "service re-chunked to 4");
-        assert_eq!(monitor.windows_published(), 8);
-        let ev = cat.require(Semantic::L1dMisses);
-        assert!(session.read(ev).is_ok());
+        let session = monitor.session().open().expect("open");
+        let mut updates = session.subscribe();
+        let mut poisoned = 0u64;
+        for w in &run.windows {
+            for &s in &w.samples {
+                let s = if w.index == 3 {
+                    poisoned += 1;
+                    Sample {
+                        value: f64::NAN,
+                        ..s
+                    }
+                } else {
+                    s
+                };
+                monitor.push_sample(s).expect("ring has room");
+            }
+        }
+        monitor.flush().expect("flush");
+        assert!(poisoned > 0);
+        assert_eq!(monitor.divergences(), poisoned);
+        let mut windows = Vec::new();
+        while let Ok(Some(u)) = updates.try_next() {
+            assert!(u.posteriors.iter().all(|(_, g)| g.mean.is_finite()));
+            windows.push(u.window);
+        }
+        assert_eq!(windows, (0..run.windows.len() as u32).collect::<Vec<_>>());
     }
 
     #[test]
@@ -2225,12 +2178,9 @@ mod tests {
         let monitor =
             Monitor::new(&cat, CorrectorConfig::for_run(&run), 1 << 14).expect("spawn monitor");
         let log = Arc::new(Mutex::new(Vec::new()));
-        // The builder flow installs the hook on the service.
-        let _session = monitor
-            .session()
-            .schedule_hook(Box::new(Recorder(log.clone())))
-            .open()
-            .expect("open");
+        monitor
+            .set_schedule_hook(Box::new(Recorder(log.clone())))
+            .expect("install hook");
         feed(&monitor, &run);
         monitor.sync().expect("sync");
         monitor.flush().expect("flush");
@@ -2255,24 +2205,5 @@ mod tests {
         feed(&monitor, &run); // late samples only; no new chunks anyway
         monitor.sync().expect("sync");
         assert_eq!(log.lock().unwrap().len(), seen.len());
-    }
-
-    #[test]
-    fn rechunking_corrects_the_existing_backlog_without_new_samples() {
-        let cat = Catalog::new(Arch::X86SkyLake);
-        // 5 windows never fill a default chunk of 6: everything sits
-        // pending/assembling.
-        let run = recorded_run(&cat, 5);
-        let monitor =
-            Monitor::new(&cat, CorrectorConfig::for_run(&run), 1 << 14).expect("spawn monitor");
-        feed(&monitor, &run);
-        monitor.sync().expect("sync");
-        assert_eq!(monitor.chunks_run(), 0, "k=6 backlog incomplete");
-        // Shrinking the chunk size must correct the windows already
-        // buffered (4 complete -> two 2-window chunks), not stall until
-        // the next sample happens to arrive.
-        let session = monitor.session().chunk_windows(2).open().expect("open");
-        assert_eq!(monitor.chunks_run(), 2, "backlog corrected on rechunk");
-        assert!(session.read(cat.require(Semantic::L1dMisses)).is_ok());
     }
 }

@@ -280,7 +280,7 @@ fn non_finite_streams_are_contained_and_counted() {
     assert_eq!(
         monitor.divergences(),
         poisoned,
-        "every poisoned sample dropped at the ingest guard, none leaked"
+        "every poisoned sample skipped by the engine's load, none leaked"
     );
     assert_eq!(monitor.restarts(), 0, "containment, not crashes");
     let group = session.read_group().expect("snapshot");

@@ -1013,7 +1013,7 @@ mod tests {
                 value: MetricValue::Gauge(-0.25),
             },
             MetricSnapshot {
-                name: "ep.sweep_ns".into(),
+                name: "solve.chunk_ns".into(),
                 value: MetricValue::Histogram(Box::new(hist)),
             },
         ];

@@ -3,7 +3,7 @@
 //! scraper-backed session surface for fleet-wide metrics and updates.
 //!
 //! The headline acceptance test follows one window index across all six
-//! pipeline stages — ingest → assemble → EP sweep → publish on the
+//! pipeline stages — ingest → assemble → solve → publish on the
 //! monitor's tracer, scrape → fuse on the aggregator's — using nothing
 //! but what the telemetry plane recorded.
 
@@ -34,7 +34,7 @@ fn recorded_run(cat: &Catalog, n_windows: usize) -> MultiplexRun {
 }
 
 /// The acceptance bar: pick a window index and reconstruct its whole
-/// pipeline — ingest, window assembly, the EP sweep, snapshot publish,
+/// pipeline — ingest, window assembly, the chunk solve, snapshot publish,
 /// the scrape that carried it, the fusion that published it — from the
 /// two span tracers alone. Every stage must be present, internally
 /// ordered, and contiguous where the service hands off synchronously.
@@ -81,18 +81,13 @@ fn one_windows_life_is_reconstructable_from_spans_alone() {
 
     // Monitor side: all four service stages for that window, in order,
     // with synchronous hand-offs contiguous (ingest closes where the
-    // assemble wait opens; the assemble wait ends where the sweep
-    // starts; the sweep precedes the publish).
+    // assemble wait opens; the assemble wait ends where the solve
+    // starts; the solve precedes the publish).
     let monitor_spans = monitor.telemetry().spans().for_window(w);
     let stages: Vec<Stage> = monitor_spans.iter().map(|s| s.stage).collect();
     assert_eq!(
         stages,
-        [
-            Stage::Ingest,
-            Stage::Assemble,
-            Stage::EpSweep,
-            Stage::Publish
-        ],
+        [Stage::Ingest, Stage::Assemble, Stage::Solve, Stage::Publish],
         "window {w} must traverse every service stage exactly once"
     );
     for s in &monitor_spans {
@@ -106,10 +101,10 @@ fn one_windows_life_is_reconstructable_from_spans_alone() {
             .expect("present")
     };
     let (ingest, assemble) = (by_stage(Stage::Ingest), by_stage(Stage::Assemble));
-    let (sweep, publish) = (by_stage(Stage::EpSweep), by_stage(Stage::Publish));
+    let (solve, publish) = (by_stage(Stage::Solve), by_stage(Stage::Publish));
     assert_eq!(ingest.end_ns, assemble.start_ns, "ingest -> assemble");
-    assert_eq!(assemble.end_ns, sweep.start_ns, "assemble -> ep_sweep");
-    assert!(publish.start_ns >= sweep.end_ns, "ep_sweep -> publish");
+    assert_eq!(assemble.end_ns, solve.start_ns, "assemble -> solve");
+    assert!(publish.start_ns >= solve.end_ns, "solve -> publish");
 
     // Aggregator side: the scrape that carried window `w` and the fusion
     // that published it, on the scraper's tracer.

@@ -291,6 +291,10 @@ pub struct EpRunStats {
     /// instead (the typed divergence counter: nonzero means an
     /// observation diverged and was contained, not propagated).
     pub sites_quarantined: u64,
+    /// Malformed samples the chunk's load skipped (non-finite value or
+    /// sub-sample moments, negative spread, or an event outside the
+    /// catalog): their values never reached the solve. 0 on clean data.
+    pub samples_rejected: u64,
 }
 
 #[cfg(test)]

@@ -59,8 +59,8 @@ impl Gaussian {
 /// This is the paper's §4.2 observation model: given `N` noisy samples of an
 /// HPC with sample mean `μ` and sample variance `S²`, the marginal over the
 /// unknown true value (variance marginalized out) is
-/// `μ + (S/√N)·StudentT(ν = N−1)` — construct it with
-/// [`StudentT::posterior_of_mean`].
+/// `μ + (S/√N)·StudentT(ν = N−1)` (built per sample by the corrector's
+/// error model).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StudentT {
     /// Location.
@@ -89,23 +89,6 @@ impl StudentT {
         StudentT { loc, scale, dof }
     }
 
-    /// The marginal posterior of a Gaussian's unknown mean from `n` samples
-    /// with sample mean `mean` and sample standard deviation `sd`
-    /// (Gelman et al., *Bayesian Data Analysis*; the paper's Eq. in §4.2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2` (the marginal needs at least two samples) or `sd`
-    /// is negative.
-    pub fn posterior_of_mean(mean: f64, sd: f64, n: usize) -> Self {
-        assert!(n >= 2, "need at least 2 samples, got {n}");
-        assert!(sd >= 0.0, "standard deviation must be non-negative");
-        // A zero sample deviation still leaves measurement quantization;
-        // floor the scale to keep the density proper.
-        let scale = (sd / (n as f64).sqrt()).max(1e-12);
-        StudentT::new(mean, scale, (n - 1) as f64)
-    }
-
     /// Log probability density at `x`.
     pub fn log_pdf(&self, x: f64) -> f64 {
         let v = self.dof;
@@ -122,20 +105,6 @@ impl StudentT {
         let z = standard_normal(rng);
         let chi2 = 2.0 * gamma(rng, self.dof / 2.0);
         self.loc + self.scale * z / (chi2 / self.dof).sqrt()
-    }
-
-    /// Mean (defined for ν > 1).
-    pub fn mean(&self) -> f64 {
-        self.loc
-    }
-
-    /// Variance (defined for ν > 2; returns `None` otherwise).
-    pub fn variance(&self) -> Option<f64> {
-        if self.dof > 2.0 {
-            Some(self.scale * self.scale * self.dof / (self.dof - 2.0))
-        } else {
-            None
-        }
     }
 
     /// The variance of the Gaussian that stands in for this density at
@@ -269,7 +238,8 @@ mod tests {
         let samples: Vec<f64> = (0..200_000).map(|_| t.sample(&mut rng)).collect();
         let (mean, var) = sample_moments(&samples);
         assert!((mean - 5.0).abs() < 0.05, "mean {mean}");
-        let expected_var = t.variance().unwrap();
+        // scale²·ν/(ν − 2), the variance for ν > 2.
+        let expected_var = 1.5 * 1.5 * 10.0 / 8.0;
         assert!(
             (var - expected_var).abs() < 0.15 * expected_var,
             "var {var}"
@@ -288,20 +258,6 @@ mod tests {
         assert!(StudentT::new(f64::NAN, 0.5, 3.0)
             .irls_variance(1.0)
             .is_nan());
-    }
-
-    #[test]
-    fn posterior_of_mean_narrows_with_n() {
-        let wide = StudentT::posterior_of_mean(10.0, 2.0, 5);
-        let narrow = StudentT::posterior_of_mean(10.0, 2.0, 50);
-        assert!(narrow.scale < wide.scale);
-        assert_eq!(narrow.dof, 49.0);
-    }
-
-    #[test]
-    fn posterior_of_mean_handles_zero_sd() {
-        let t = StudentT::posterior_of_mean(3.0, 0.0, 4);
-        assert!(t.scale > 0.0);
     }
 
     #[test]

@@ -647,8 +647,7 @@ impl ScheduleHook for ServiceFeed {
 
 impl ServiceScheduler {
     /// Splits a scheduler into the producer handle and the service hook:
-    /// install the hook via `Monitor::set_schedule_hook` (or
-    /// `SessionBuilder::schedule_hook`) and drive the PMU from
+    /// install the hook via `Monitor::set_schedule_hook` and drive the PMU from
     /// [`ServiceScheduler::next_group`] — the service's own posteriors now
     /// steer its measurement schedule.
     pub fn new(scheduler: MuxScheduler, n_events: usize) -> (ServiceScheduler, Box<ServiceFeed>) {

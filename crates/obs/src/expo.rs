@@ -124,14 +124,14 @@ mod tests {
         h.record(6);
         let snap = h.snapshot();
         let text = render_prometheus(&[MetricSnapshot {
-            name: "ep.sweep_ns".into(),
+            name: "solve.chunk_ns".into(),
             value: MetricValue::Histogram(Box::new(snap)),
         }]);
-        assert!(text.contains("# TYPE ep_sweep_ns histogram\n"));
-        assert!(text.contains("ep_sweep_ns_bucket{le=\"1\"} 2\n"));
-        assert!(text.contains("ep_sweep_ns_bucket{le=\"7\"} 3\n"));
-        assert!(text.contains("ep_sweep_ns_bucket{le=\"+Inf\"} 3\n"));
-        assert!(text.contains("ep_sweep_ns_sum 8\n"));
-        assert!(text.contains("ep_sweep_ns_count 3\n"));
+        assert!(text.contains("# TYPE solve_chunk_ns histogram\n"));
+        assert!(text.contains("solve_chunk_ns_bucket{le=\"1\"} 2\n"));
+        assert!(text.contains("solve_chunk_ns_bucket{le=\"7\"} 3\n"));
+        assert!(text.contains("solve_chunk_ns_bucket{le=\"+Inf\"} 3\n"));
+        assert!(text.contains("solve_chunk_ns_sum 8\n"));
+        assert!(text.contains("solve_chunk_ns_count 3\n"));
     }
 }

@@ -12,7 +12,7 @@
 //!   formatting on the hot path;
 //! * [`spans`] — pipeline tracing via per-thread ring buffers
 //!   ([`SpanTracer`]/[`SpanRecorder`]), so one window's life is
-//!   reconstructable ingest → assemble → EP sweep → publish → scrape →
+//!   reconstructable ingest → assemble → solve → publish → scrape →
 //!   fuse from telemetry alone;
 //! * [`flight`] — a bounded [`FlightRecorder`] ring of recent structured
 //!   events (restarts, quarantined divergences, health transitions,

@@ -9,7 +9,7 @@
 //! are `Clone` (they share the underlying atomic) and never allocate,
 //! lock, or format on record.
 //!
-//! Metric names are dot-namespaced (`ep.sweep_ns`, `supervisor.restarts`)
+//! Metric names are dot-namespaced (`solve.chunk_ns`, `supervisor.restarts`)
 //! with optional Prometheus-style labels appended by [`labeled`]
 //! (`ingest.late_dropped{source="2"}`). The registry treats the full
 //! string as the identity: registering the same name twice returns the

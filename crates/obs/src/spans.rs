@@ -8,7 +8,7 @@
 //! [`SpanTracer::records`] drains every ring non-destructively (skipping
 //! any slot that is mid-write) and [`SpanTracer::for_window`] filters to
 //! one window index, which is how a window's life is reconstructed
-//! ingest → assemble → EP sweep → publish → scrape → fuse from telemetry
+//! ingest → assemble → solve → publish → scrape → fuse from telemetry
 //! alone.
 //!
 //! Timestamps are nanoseconds since the tracer's epoch (a monotonic
@@ -28,7 +28,7 @@ pub enum Stage {
     /// The window sitting assembled, waiting to fill a chunk.
     Assemble = 1,
     /// The corrector solving the chunk containing the window.
-    EpSweep = 2,
+    Solve = 2,
     /// The posterior snapshot for the window being published.
     Publish = 3,
     /// A scrape exchange carrying the window's snapshot off-box.
@@ -43,7 +43,7 @@ impl Stage {
         match self {
             Stage::Ingest => "ingest",
             Stage::Assemble => "assemble",
-            Stage::EpSweep => "ep_sweep",
+            Stage::Solve => "solve",
             Stage::Publish => "publish",
             Stage::Scrape => "scrape",
             Stage::Fuse => "fuse",
@@ -54,7 +54,7 @@ impl Stage {
         Some(match v {
             0 => Stage::Ingest,
             1 => Stage::Assemble,
-            2 => Stage::EpSweep,
+            2 => Stage::Solve,
             3 => Stage::Publish,
             4 => Stage::Scrape,
             5 => Stage::Fuse,
@@ -275,12 +275,12 @@ mod tests {
         let tracer = SpanTracer::new();
         let rec = tracer.recorder();
         rec.record(Stage::Ingest, 7, 10, 20);
-        rec.record(Stage::EpSweep, 7, 30, 90);
+        rec.record(Stage::Solve, 7, 30, 90);
         rec.record(Stage::Publish, 8, 95, 99);
         let spans = tracer.for_window(7);
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].stage, Stage::Ingest);
-        assert_eq!(spans[1].stage, Stage::EpSweep);
+        assert_eq!(spans[1].stage, Stage::Solve);
         assert_eq!(spans[1].end_ns, 90);
         assert_eq!(tracer.records().len(), 3);
     }

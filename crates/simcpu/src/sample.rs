@@ -51,6 +51,17 @@ impl Sample {
         self.sub_n == 0
     }
 
+    /// True if the sample can be trusted as a measurement: its value and
+    /// sub-sample moments are finite and its sub-sample spread is not
+    /// negative. A corrupted counter read fails this; inference skips such
+    /// a sample instead of building a likelihood from it.
+    pub fn is_well_formed(&self) -> bool {
+        self.value.is_finite()
+            && self.sub_mean.is_finite()
+            && self.sub_sd.is_finite()
+            && self.sub_sd >= 0.0
+    }
+
     /// Linux's built-in undercount correction: scale the raw value by
     /// enabled/running time (§4). Returns the raw value when the event
     /// never ran (avoids division by zero; perf reports 0 in that case).
@@ -130,6 +141,23 @@ mod tests {
             ..sample()
         };
         assert_eq!(s.linux_scaled(), 0.0);
+    }
+
+    #[test]
+    fn well_formed_accepts_zero_spread_and_rejects_corruption() {
+        let with = |f: fn(&mut Sample)| {
+            let mut s = sample();
+            f(&mut s);
+            s.is_well_formed()
+        };
+        assert!(sample().is_well_formed());
+        // A plain unscaled read: one sub-sample, zero deviation.
+        assert!(with(|s| s.sub_sd = 0.0));
+        assert!(!with(|s| s.value = f64::NAN));
+        assert!(!with(|s| s.value = f64::NEG_INFINITY));
+        assert!(!with(|s| s.sub_mean = f64::NAN));
+        assert!(!with(|s| s.sub_sd = f64::INFINITY));
+        assert!(!with(|s| s.sub_sd = -1.0));
     }
 
     #[test]

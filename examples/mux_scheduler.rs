@@ -100,11 +100,7 @@ fn main() {
     let monitor = Monitor::new(&catalog, corrector_cfg(), 1 << 16).expect("spawn monitor");
     let scheduler = MuxScheduler::new(schedule.clone(), Box::new(UncertaintyDriven::default()));
     let (handle, hook) = ServiceScheduler::new(scheduler, catalog.len());
-    let _session = monitor
-        .session()
-        .schedule_hook(hook)
-        .open()
-        .expect("fresh monitor");
+    monitor.set_schedule_hook(hook).expect("fresh monitor");
 
     let pmu = Pmu::new(&catalog, PmuConfig::for_catalog(&catalog));
     let mut truth = kmeans().instantiate(&catalog, 0);

@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 2. Pipeline spans: one window's life — ingest, window assembly, the
-    //    EP sweep, snapshot publish — reconstructed from the span rings.
+    //    chunk solve, snapshot publish — reconstructed from the span rings.
     let spans = tele.spans().records();
     let window = spans
         .iter()

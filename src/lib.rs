@@ -12,7 +12,8 @@
 //! * [`workloads`] — HiBench-like phase-structured workload generators
 //! * [`graph`] — factor graphs and Markov blankets
 //! * [`inference`] — distributions, the banded Gaussian-linear/IRLS solver, the MCMC test oracle
-//! * [`core`] — scheduling, model building, the corrector, the perf-like shim
+//! * [`core`] — scheduling, model building, the corrector, and the perf-like
+//!   shim: a [`Monitor`] service read through [`Session`] handles
 //! * [`fleet`] — sharded monitors, precision-weighted posterior fusion,
 //!   the snapshot wire codec
 //! * [`obs`] — the telemetry plane: lock-free metrics registry, pipeline
@@ -24,7 +25,7 @@
 // The session API's front door, re-exported at the crate root so
 // monitoring applications can `use bayesperf::{Monitor, Session}`.
 pub use bayesperf_core::{
-    GroupReading, HpcReader, Monitor, PosteriorUpdate, Reading, Session, SessionBuilder, ShimError,
+    GroupReading, Monitor, PosteriorUpdate, Reading, Session, SessionBuilder, ShimError,
 };
 // The fleet layer's front door: sharded monitors with fused reads.
 pub use bayesperf_fleet::{Fleet, FleetConfig, FleetSession, ShardId, ShardLabel};

@@ -4,7 +4,6 @@ use bayesperf::baselines::{LinuxScaling, SeriesEstimator};
 use bayesperf::core::corrector::{Corrector, CorrectorConfig};
 use bayesperf::core::metrics::dtw_relative_error;
 use bayesperf::core::scheduler::ScheduleTransformer;
-use bayesperf::core::shim::{BayesPerfShim, HpcReader, LinuxReader};
 use bayesperf::events::{try_assign, Arch, Catalog};
 use bayesperf::simcpu::{Pmu, PmuConfig};
 use bayesperf::workloads::{all_workloads, by_name};
@@ -41,46 +40,6 @@ fn bayesperf_beats_linux_on_both_architectures() {
             "{arch}: BayesPerf {err_bayes:.3} should beat Linux {err_linux:.3}"
         );
     }
-}
-
-/// The shim is API-compatible: the same monitoring loop runs against the
-/// Linux reader and the BayesPerf shim, and only BayesPerf quantifies
-/// uncertainty.
-#[test]
-fn shim_is_a_drop_in_replacement() {
-    let catalog = Catalog::new(Arch::X86SkyLake);
-    let mut truth = by_name("Join").expect("in suite").instantiate(&catalog, 1);
-    let events: Vec<_> = catalog.programmable_events().into_iter().take(8).collect();
-    let transformer = ScheduleTransformer::new(&catalog);
-    let schedule = transformer.plan(&events);
-    let pmu = Pmu::new(&catalog, PmuConfig::for_catalog(&catalog));
-    let run = pmu.run_multiplexed(&mut truth, &schedule.configs, 12);
-
-    fn monitor(reader: &mut dyn HpcReader, run: &bayesperf::simcpu::MultiplexRun) -> usize {
-        for w in &run.windows {
-            for s in &w.samples {
-                reader.push_sample(*s);
-            }
-        }
-        run.windows[0]
-            .samples
-            .iter()
-            .filter(|s| reader.read(s.event).is_some())
-            .count()
-    }
-
-    let mut linux = LinuxReader::new();
-    let mut shim = BayesPerfShim::new(&catalog, CorrectorConfig::for_run(&run), 1 << 14);
-    let linux_reads = monitor(&mut linux, &run);
-    let shim_reads = monitor(&mut shim, &run);
-    assert!(linux_reads > 0);
-    assert_eq!(linux_reads, shim_reads, "same events readable through both");
-
-    let ev = run.windows[0].samples[3].event;
-    let lr = linux.read(ev).expect("linux read");
-    let br = shim.read(ev).expect("shim read");
-    assert_eq!(lr.std_dev, 0.0, "perf reports point values");
-    assert!(br.std_dev > 0.0, "BayesPerf quantifies uncertainty");
 }
 
 /// Every workload in the suite yields a valid, fully-linked BayesPerf
@@ -134,40 +93,4 @@ fn suite_ground_truth_respects_invariants() {
             }
         }
     }
-}
-
-/// The accelerator keeps inference off the read path: posteriors computed
-/// by the software shim match a fresh corrector run (the accelerator is
-/// modelled as the same computation at lower latency).
-#[test]
-fn shim_posteriors_match_batch_correction() {
-    let catalog = Catalog::new(Arch::X86SkyLake);
-    let mut truth = by_name("Scan").expect("in suite").instantiate(&catalog, 5);
-    let events: Vec<_> = catalog.programmable_events().into_iter().take(8).collect();
-    let transformer = ScheduleTransformer::new(&catalog);
-    let schedule = transformer.plan(&events);
-    let pmu = Pmu::new(&catalog, PmuConfig::for_catalog(&catalog));
-    // 8 windows: the shim completes a window only when a later window's
-    // sample arrives, so 8 recorded windows yield one full 6-window chunk.
-    let run = pmu.run_multiplexed(&mut truth, &schedule.configs, 8);
-
-    let cfg = CorrectorConfig::for_run(&run);
-    let mut corrector = Corrector::new(&catalog, cfg.clone());
-    let series = corrector.correct_run(&run);
-
-    let mut shim = BayesPerfShim::new(&catalog, cfg, 1 << 14);
-    for w in &run.windows {
-        for s in &w.samples {
-            shim.push_sample(*s);
-        }
-    }
-    let ev = events[0];
-    let shim_read = shim.read(ev).expect("posterior available");
-    let batch = series.posterior(5, ev);
-    assert!(
-        (shim_read.value - batch.mean).abs() < 1e-6 * batch.mean.abs().max(1.0),
-        "shim {} vs batch {}",
-        shim_read.value,
-        batch.mean
-    );
 }
