@@ -112,14 +112,10 @@ impl PosteriorSeries {
 pub struct Corrector<'a> {
     catalog: &'a Catalog,
     config: CorrectorConfig,
-    /// The full-chunk engine (slice count = `config.model.slices`).
+    /// The full-chunk engine (slice count = `config.model.slices`). Its
+    /// chained prior is the stream's only state: cleared by a reset, set
+    /// by a resume or a push.
     engine: ChunkEngine,
-    /// Chunks pushed through the streaming API since the last reset.
-    stream_count: u64,
-    /// Whether a [`Corrector::resume_from`] prior is pending: the next
-    /// push, although first after a reset, chains off the recovered
-    /// prior instead of the base prior.
-    resume_pending: bool,
 }
 
 impl<'a> Corrector<'a> {
@@ -130,8 +126,6 @@ impl<'a> Corrector<'a> {
             catalog,
             config,
             engine,
-            stream_count: 0,
-            resume_pending: false,
         }
     }
 
@@ -149,9 +143,7 @@ impl<'a> Corrector<'a> {
                 got: posteriors.len(),
             });
         }
-        let seeded = self.engine.set_chain_prior_counts(posteriors);
-        self.resume_pending = true;
-        Ok(seeded)
+        Ok(self.engine.set_chain_prior_counts(posteriors))
     }
 
     /// The corrector's configuration.
@@ -191,16 +183,9 @@ impl<'a> Corrector<'a> {
                 got: windows.len(),
             });
         }
-        // A pending resume prior survives the first-chunk clear, making
-        // the restart warm in the statistical sense.
-        if self.stream_count == 0 && !self.resume_pending {
-            self.engine.clear_chain_prior();
-        }
-        self.resume_pending = false;
         self.engine.load(windows);
         let stats = self.engine.solve();
         self.engine.capture_chain_prior();
-        self.stream_count += 1;
         Ok(stats)
     }
 
@@ -210,9 +195,9 @@ impl<'a> Corrector<'a> {
     /// chained off the last full chunk's posterior, and solves it
     /// ([`Corrector::correct_run`] calls this too, so a streamed run
     /// followed by `push_tail` reproduces the batch series bit for bit).
-    /// The persistent engine's chain state and stream count are untouched:
-    /// the tail is terminal, and a later [`Corrector::push_chunk`]
-    /// continues chained from the last *full* chunk.
+    /// The persistent engine's chain state is untouched: the tail is
+    /// terminal, and a later [`Corrector::push_chunk`] continues chained
+    /// from the last *full* chunk.
     pub fn push_tail(
         &mut self,
         windows: &[&[Sample]],
@@ -230,8 +215,8 @@ impl<'a> Corrector<'a> {
             });
         }
         let mut tail = ChunkEngine::with_slices(self.catalog, &self.config.model, windows.len());
-        if self.stream_count > 0 || self.resume_pending {
-            tail.set_chain_prior(self.engine.chain_prior());
+        if let Some(prior) = self.engine.chain_prior() {
+            tail.set_chain_prior(prior);
         }
         tail.load(windows);
         let stats = tail.solve();
@@ -258,8 +243,7 @@ impl<'a> Corrector<'a> {
     /// Resets the streaming state: the next [`Corrector::push_chunk`]
     /// starts from the base prior (any pending resume prior is discarded).
     pub fn reset_stream(&mut self) {
-        self.stream_count = 0;
-        self.resume_pending = false;
+        self.engine.clear_chain_prior();
     }
 
     /// Corrects a recorded run into posterior series, borrowing the run's
@@ -442,7 +426,7 @@ mod tests {
                     let mut engine = ChunkEngine::new(&cat, &cfg.model);
                     if let Some(prev) = &mut prev {
                         prev.capture_chain_prior();
-                        engine.set_chain_prior(prev.chain_prior());
+                        engine.set_chain_prior(prev.chain_prior().expect("captured"));
                     }
                     engine.load(&windows);
                     engine.solve();

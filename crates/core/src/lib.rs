@@ -47,7 +47,8 @@ pub use model::{ChunkEngine, ChunkPosterior, ModelConfig};
 pub use scheduler::{Schedule, ScheduleTransformer};
 pub use service::{
     derived_reading, GroupReading, Monitor, PosteriorUpdate, Reading, ScheduleHook, Selection,
-    ServiceState, Session, SessionBuilder, SnapshotView, Supervised, SupervisorPolicy, Updates,
+    ServiceState, Session, SessionBuilder, SessionTarget, SnapshotView, Subscribers, Supervised,
+    SupervisorPolicy, Updates,
 };
 pub use snapshot::{snapshot_cell, SnapshotGuard, SnapshotReader, SnapshotWriter};
 pub use source::pump_sources;

@@ -464,9 +464,10 @@ impl ChunkEngine {
 
     /// The chained prior captured by
     /// [`ChunkEngine::capture_chain_prior`]/[`ChunkEngine::set_chain_prior`]
-    /// (normalized units).
-    pub fn chain_prior(&self) -> &[Gaussian] {
-        &self.chain
+    /// (normalized units), or `None` when the next solve starts from the
+    /// base prior.
+    pub fn chain_prior(&self) -> Option<&[Gaussian]> {
+        self.has_chain.then_some(self.chain.as_slice())
     }
 
     /// Forgets the chained prior: the next solve starts from the base prior.
@@ -908,7 +909,7 @@ mod tests {
         let mut first = run_cold(&cat, &windows[..2], &cfg);
         first.capture_chain_prior();
         let mut post = ChunkEngine::with_slices(&cat, &cfg, 2);
-        post.set_chain_prior(first.chain_prior());
+        post.set_chain_prior(first.chain_prior().expect("captured"));
         post.load(&windows[2..]);
         post.solve();
         // An event only measured in chunk 1's windows still has a

@@ -25,6 +25,12 @@
 //! a copy — the software analogue of the paper's accelerator serving reads
 //! from already-computed posteriors in host memory (Fig. 3).
 //!
+//! The read surface is shared with the fleet layer: one
+//! [`SessionBuilder`] over any [`SessionTarget`], one access rule
+//! ([`Selection`]), one subscriber fan-out ([`Subscribers`]) and one
+//! update stream ([`Updates`]). A fleet session differs from a
+//! [`Session`] only in its liveness check, snapshot type and metadata.
+//!
 //! Failures are typed ([`ShimError`]), not `None`: an unknown event is a
 //! programming error, "no posterior yet" means poll again, a ring overflow
 //! is backpressure, and a closed monitor is terminal.
@@ -53,7 +59,7 @@
 
 use crate::corrector::{Corrector, CorrectorConfig};
 use crate::error::ShimError;
-use crate::snapshot::{snapshot_cell, SnapshotReader, SnapshotWriter};
+use crate::snapshot::{snapshot_cell, SnapshotGuard, SnapshotReader, SnapshotWriter};
 use bayesperf_events::{Catalog, DerivedEvent, EventEnv, EventId};
 use bayesperf_inference::{EpRunStats, Gaussian};
 use bayesperf_obs::{labeled, Counter, FlightEvent, Histogram, SpanRecorder, Stage, Telemetry};
@@ -64,7 +70,7 @@ use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::mpsc::{
     channel, sync_channel, Receiver, Sender, SyncSender, TryRecvError, TrySendError,
 };
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// The posterior state published by the inference thread after each chunk:
@@ -181,8 +187,8 @@ pub struct GroupReading {
 }
 
 /// Which catalog events a session reads; `None` means all. Shared by the
-/// per-machine [`Session`] and the fleet layer's sessions, so selection
-/// semantics cannot diverge between the two read surfaces.
+/// per-machine [`Session`] and the fleet layer's sessions: its helpers are
+/// the one access rule both read surfaces enforce.
 #[derive(Debug)]
 pub struct Selection {
     events: Option<Vec<EventId>>,
@@ -191,7 +197,7 @@ pub struct Selection {
 impl Selection {
     /// Builds a selection; `None` means the whole catalog. An explicit
     /// list is sorted and deduplicated here — the invariant
-    /// [`Selection::contains`]'s binary search relies on.
+    /// [`Selection::check`]'s binary search relies on.
     pub fn new(events: Option<Vec<EventId>>) -> Selection {
         let events = events.map(|mut v| {
             v.sort_unstable();
@@ -201,36 +207,157 @@ impl Selection {
         Selection { events }
     }
 
-    /// Whether `event` is selected.
-    pub fn contains(&self, event: EventId) -> bool {
-        match &self.events {
-            None => true,
-            Some(list) => list.binary_search(&event).is_ok(),
+    /// The per-event access check: `event` must be in `catalog` and
+    /// selected, else [`ShimError::UnknownEvent`].
+    #[inline]
+    pub fn check(&self, catalog: &Catalog, event: EventId) -> Result<(), ShimError> {
+        let unselected = |list: &Vec<EventId>| list.binary_search(&event).is_err();
+        if event.index() >= catalog.len() || self.events.as_ref().is_some_and(unselected) {
+            return Err(ShimError::UnknownEvent(event));
         }
+        Ok(())
     }
 
-    /// Selected events in catalog order.
-    pub fn iter<'a>(&'a self, catalog: &'a Catalog) -> Box<dyn Iterator<Item = EventId> + 'a> {
+    /// The derived event `name` of `catalog`, once every component it
+    /// reads passes [`Selection::check`]: a metric is readable only
+    /// through its selected components.
+    pub fn derived<'c>(
+        &self,
+        catalog: &'c Catalog,
+        name: &str,
+    ) -> Result<&'c DerivedEvent, ShimError> {
+        let derived = find_derived(catalog, name)?;
+        for e in derived.events() {
+            self.check(catalog, e)?;
+        }
+        Ok(derived)
+    }
+
+    /// The [`Reading`]s of the selected events over catalog-indexed
+    /// `posteriors`, in catalog order — a group read's body.
+    pub fn readings(&self, posteriors: &[Gaussian]) -> Vec<(EventId, Reading)> {
+        self.map_selected(posteriors, Reading::from_gaussian)
+    }
+
+    /// `f` over the selected entries of catalog-indexed `posteriors`, in
+    /// catalog order (event ids are dense catalog indices).
+    fn map_selected<T>(
+        &self,
+        posteriors: &[Gaussian],
+        f: impl Fn(&Gaussian) -> T,
+    ) -> Vec<(EventId, T)> {
         match &self.events {
-            None => Box::new(catalog.iter().map(|e| e.id)),
-            Some(list) => Box::new(list.iter().copied()),
+            None => posteriors
+                .iter()
+                .enumerate()
+                .map(|(i, g)| (EventId::from_raw(i as u16), f(g)))
+                .collect(),
+            Some(list) => list
+                .iter()
+                .filter_map(|&e| posteriors.get(e.index()).map(|g| (e, f(g))))
+                .collect(),
         }
     }
 }
 
-/// Per-subscriber queue bound: a consumer that stops polling loses
-/// updates beyond this backlog instead of growing memory without bound
-/// (the gap is visible as skipped `window` indices, like the ring's
-/// `PERF_RECORD_LOST`).
-const UPDATE_QUEUE_CAP: usize = 1024;
+/// The derived event `name` of `catalog`, or [`ShimError::UnknownDerived`].
+fn find_derived<'c>(catalog: &'c Catalog, name: &str) -> Result<&'c DerivedEvent, ShimError> {
+    catalog
+        .derived_events()
+        .iter()
+        .find(|d| d.name == name)
+        .ok_or_else(|| ShimError::UnknownDerived(name.to_string()))
+}
 
-/// A subscriber channel plus its event selection.
-struct Subscriber {
-    tx: SyncSender<PosteriorUpdate>,
+/// Per-subscriber queue bound of a default subscription: a consumer that
+/// stops polling loses updates beyond this backlog instead of growing
+/// memory without bound (like the ring's `PERF_RECORD_LOST`).
+pub const UPDATE_QUEUE_CAP: usize = 1024;
+
+/// The subscriber fan-out of one publisher — a [`Monitor`]'s inference
+/// service or a fleet scraper — so the lossy-queue and close rules exist
+/// once. Each subscriber has a bounded queue and an event selection. A
+/// full queue loses the update (the next delivered one reports the loss
+/// in its `gap`, counted on the publisher's own sequence), and a
+/// disconnected subscriber is dropped. [`Subscribers::close`] ends every
+/// stream, and a subscription made after it ends at once.
+pub struct Subscribers<U> {
+    /// `None` once closed.
+    subs: Mutex<Option<Vec<Subscriber<U>>>>,
+}
+
+struct Subscriber<U> {
+    tx: SyncSender<U>,
     selection: Arc<Selection>,
-    /// Window index of the last update this subscriber's queue accepted;
-    /// the source of [`PosteriorUpdate::gap`] after a lossy stretch.
-    last_enqueued: Option<u32>,
+    /// Sequence number of the last update this subscriber's queue
+    /// accepted; the source of the next update's gap.
+    last_enqueued: Option<u64>,
+}
+
+impl<U> Default for Subscribers<U> {
+    fn default() -> Self {
+        Subscribers {
+            subs: Mutex::new(Some(Vec::new())),
+        }
+    }
+}
+
+impl<U> Subscribers<U> {
+    /// Registers a subscriber reading `selection` through a queue of
+    /// `capacity` updates (at least one).
+    pub fn subscribe(&self, selection: &Arc<Selection>, capacity: usize) -> Updates<U> {
+        let (tx, rx) = sync_channel(capacity.max(1));
+        if let Some(subs) = self.lock().as_mut() {
+            subs.push(Subscriber {
+                tx,
+                selection: Arc::clone(selection),
+                last_enqueued: None,
+            });
+        }
+        Updates { rx }
+    }
+
+    /// Offers update number `seq` — a window index, or a fleet
+    /// generation — to every subscriber: `make` builds it from the
+    /// subscriber's gap and its selection of catalog-indexed
+    /// `posteriors`.
+    pub fn offer(
+        &self,
+        seq: u64,
+        posteriors: &[Gaussian],
+        mut make: impl FnMut(u64, Vec<(EventId, Gaussian)>) -> U,
+    ) {
+        let mut subs = self.lock();
+        let Some(subs) = subs.as_mut() else {
+            return;
+        };
+        subs.retain_mut(|sub| {
+            let gap = sub
+                .last_enqueued
+                .map_or(0, |last| seq.saturating_sub(last + 1));
+            let selected = sub.selection.map_selected(posteriors, |g| *g);
+            match sub.tx.try_send(make(gap, selected)) {
+                Ok(()) => {
+                    sub.last_enqueued = Some(seq);
+                    true
+                }
+                // Bounded backpressure: the publisher never blocks on a
+                // subscriber.
+                Err(TrySendError::Full(_)) => true,
+                Err(TrySendError::Disconnected(_)) => false,
+            }
+        });
+    }
+
+    /// Ends every stream (drops the senders) and refuses later
+    /// subscriptions.
+    pub fn close(&self) {
+        *self.lock() = None;
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Option<Vec<Subscriber<U>>>> {
+        self.subs.lock().unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 /// The feedback hook the inference service calls after publishing each
@@ -420,9 +547,9 @@ struct Shared {
     /// published through the same lock-free cell machinery as posteriors
     /// so reads never block on the supervisor.
     service_state: SnapshotReader<ServiceState>,
-    subscribers: Mutex<Vec<Subscriber>>,
+    subscribers: Subscribers<PosteriorUpdate>,
     /// Set once the supervisor has exited (after the shutdown flush or a
-    /// terminal failure).
+    /// terminal failure); the supervisor closes `subscribers` with it.
     closed: AtomicBool,
     /// Mirrors the service's pause state (the [`Monitor::pause`] test
     /// hook) so [`Monitor::sync`] can refuse instead of silently acking
@@ -565,7 +692,7 @@ impl Monitor {
             cv: Condvar::new(),
             snapshot: reader,
             service_state: state_reader,
-            subscribers: Mutex::new(Vec::new()),
+            subscribers: Subscribers::default(),
             closed: AtomicBool::new(false),
             paused: AtomicBool::new(false),
             late_samples: registry.counter("ingest.late_total"),
@@ -642,11 +769,7 @@ impl Monitor {
 
     /// Starts building a new read session.
     pub fn session(&self) -> SessionBuilder<'_> {
-        SessionBuilder {
-            monitor: self,
-            events: None,
-            err: None,
-        }
+        SessionBuilder::new(self)
     }
 
     /// Blocks until every sample pushed before this call has been ingested
@@ -820,18 +943,60 @@ impl Drop for Monitor {
     }
 }
 
-/// Configures and opens a [`Session`]: which events it reads. Selection
-/// defaults to the whole catalog. A builder touches no service state —
-/// the chunk size is fixed at [`Monitor::new`], and the schedule feedback
-/// hook is installed with [`Monitor::set_schedule_hook`].
+/// What a [`SessionBuilder`] opens sessions on: a [`Monitor`], or the
+/// fleet layer's in-process fleet.
+pub trait SessionTarget {
+    /// The session type opened.
+    type Session;
+    /// The catalog a selection is checked against.
+    fn catalog(&self) -> &Catalog;
+    /// Opens a session reading `selection`, or
+    /// [`ShimError::SessionClosed`] once the target has closed.
+    fn open_session(&self, selection: Selection) -> Result<Self::Session, ShimError>;
+}
+
+impl SessionTarget for Monitor {
+    type Session = Session;
+
+    fn catalog(&self) -> &Catalog {
+        &self.shared.catalog
+    }
+
+    fn open_session(&self, selection: Selection) -> Result<Session, ShimError> {
+        if self.shared.closed.load(Relaxed) {
+            return Err(ShimError::SessionClosed);
+        }
+        Ok(Session {
+            shared: self.shared.clone(),
+            selection: Arc::new(selection),
+        })
+    }
+}
+
+/// Configures and opens a session on a [`SessionTarget`] — a [`Session`]
+/// on a [`Monitor`] (the default), a fleet session on a fleet: which
+/// events it reads. Selection defaults to the whole catalog. A builder
+/// touches no service state — the chunk size is fixed at
+/// [`Monitor::new`], and the schedule feedback hook is installed with
+/// [`Monitor::set_schedule_hook`].
 #[derive(Debug)]
-pub struct SessionBuilder<'m> {
-    monitor: &'m Monitor,
+pub struct SessionBuilder<'a, T = Monitor> {
+    target: &'a T,
     events: Option<Vec<EventId>>,
     err: Option<ShimError>,
 }
 
-impl SessionBuilder<'_> {
+impl<'a, T: SessionTarget> SessionBuilder<'a, T> {
+    /// A builder over `target` selecting its whole catalog (what
+    /// [`Monitor::session`] returns).
+    pub fn new(target: &'a T) -> Self {
+        SessionBuilder {
+            target,
+            events: None,
+            err: None,
+        }
+    }
+
     /// Restricts the session to `events` (adds to any previous selection).
     pub fn events(mut self, events: &[EventId]) -> Self {
         for &e in events {
@@ -842,7 +1007,7 @@ impl SessionBuilder<'_> {
 
     /// Adds one event to the selection.
     pub fn event(mut self, event: EventId) -> Self {
-        if event.index() >= self.monitor.catalog().len() {
+        if event.index() >= self.target.catalog().len() {
             self.err.get_or_insert(ShimError::UnknownEvent(event));
             return self;
         }
@@ -851,43 +1016,23 @@ impl SessionBuilder<'_> {
     }
 
     /// Adds a derived event by name: its component raw events join the
-    /// selection so [`Session::read_derived`] can evaluate it.
+    /// selection so the session's `read_derived` can evaluate it.
     pub fn derived(mut self, name: &str) -> Self {
-        let components = self
-            .monitor
-            .catalog()
-            .derived_events()
-            .iter()
-            .find(|d| d.name == name)
-            .map(|d| d.events());
-        match components {
-            Some(events) => self.events(&events),
-            None => {
-                self.err
-                    .get_or_insert(ShimError::UnknownDerived(name.to_string()));
+        match find_derived(self.target.catalog(), name) {
+            Ok(derived) => self.events(&derived.events()),
+            Err(err) => {
+                self.err.get_or_insert(err);
                 self
             }
         }
     }
 
-    /// Selects every catalog event (the default).
-    pub fn all_events(mut self) -> Self {
-        self.events = None;
-        self
-    }
-
     /// Opens the session.
-    pub fn open(self) -> Result<Session, ShimError> {
+    pub fn open(self) -> Result<T::Session, ShimError> {
         if let Some(err) = self.err {
             return Err(err);
         }
-        if self.monitor.shared.closed.load(Relaxed) {
-            return Err(ShimError::SessionClosed);
-        }
-        Ok(Session {
-            shared: self.monitor.shared.clone(),
-            selection: Arc::new(Selection::new(self.events)),
-        })
+        self.target.open_session(Selection::new(self.events))
     }
 }
 
@@ -947,17 +1092,15 @@ impl Session {
         }
     }
 
+    /// The latest published snapshot: one lock-free acquisition.
+    fn latest(&self) -> Result<SnapshotGuard<'_, PosteriorSnapshot>, ShimError> {
+        self.shared.snapshot.read().ok_or(ShimError::NoPosteriorYet)
+    }
+
     /// The supervisor's current view of the backing service — see
     /// [`Monitor::service_state`].
     pub fn service_state(&self) -> ServiceState {
         service_state_of(&self.shared)
-    }
-
-    fn check_event(&self, event: EventId) -> Result<(), ShimError> {
-        if event.index() >= self.shared.catalog.len() || !self.selection.contains(event) {
-            return Err(ShimError::UnknownEvent(event));
-        }
-        Ok(())
     }
 
     /// The monitored catalog.
@@ -969,12 +1112,8 @@ impl Session {
     /// snapshot acquisition and a copy; inference never runs on this path.
     pub fn read(&self, event: EventId) -> Result<Reading, ShimError> {
         self.ensure_open()?;
-        self.check_event(event)?;
-        let snap = self
-            .shared
-            .snapshot
-            .read()
-            .ok_or(ShimError::NoPosteriorYet)?;
+        self.selection.check(&self.shared.catalog, event)?;
+        let snap = self.latest()?;
         Ok(Reading::from_gaussian(&snap.posteriors[event.index()]))
     }
 
@@ -982,21 +1121,12 @@ impl Session {
     /// reading in the group comes from the same window and inference run.
     pub fn read_group(&self) -> Result<GroupReading, ShimError> {
         self.ensure_open()?;
-        let snap = self
-            .shared
-            .snapshot
-            .read()
-            .ok_or(ShimError::NoPosteriorYet)?;
-        let readings = self
-            .selection
-            .iter(&self.shared.catalog)
-            .map(|e| (e, Reading::from_gaussian(&snap.posteriors[e.index()])))
-            .collect();
+        let snap = self.latest()?;
         Ok(GroupReading {
             window: snap.window,
             chunk: snap.chunk,
             stats: snap.stats,
-            readings,
+            readings: self.selection.readings(&snap.posteriors),
         })
     }
 
@@ -1009,24 +1139,8 @@ impl Session {
     /// component is [`ShimError::UnknownEvent`], as on [`Session::read`].
     pub fn read_derived(&self, name: &str) -> Result<Reading, ShimError> {
         self.ensure_open()?;
-        let derived = self
-            .shared
-            .catalog
-            .derived_events()
-            .iter()
-            .find(|d| d.name == name)
-            .ok_or_else(|| ShimError::UnknownDerived(name.to_string()))?;
-        // The metric reads its component raw events, so the session must
-        // have selected them (what `SessionBuilder::derived` sets up) —
-        // the same access rule `read` enforces per event.
-        for e in derived.events() {
-            self.check_event(e)?;
-        }
-        let snap = self
-            .shared
-            .snapshot
-            .read()
-            .ok_or(ShimError::NoPosteriorYet)?;
+        let derived = self.selection.derived(&self.shared.catalog, name)?;
+        let snap = self.latest()?;
         Ok(derived_reading(derived, &snap.posteriors))
     }
 
@@ -1045,11 +1159,7 @@ impl Session {
     /// scrape loop polls before paying for [`Session::snapshot_into`].
     pub fn snapshot_stamp(&self) -> Result<(u32, u64), ShimError> {
         self.ensure_open()?;
-        let snap = self
-            .shared
-            .snapshot
-            .read()
-            .ok_or(ShimError::NoPosteriorYet)?;
+        let snap = self.latest()?;
         Ok((snap.window, snap.chunk))
     }
 
@@ -1058,11 +1168,7 @@ impl Session {
     /// aggregator polling many shards re-reads into the same buffers.
     pub fn snapshot_into(&self, view: &mut SnapshotView) -> Result<(), ShimError> {
         self.ensure_open()?;
-        let snap = self
-            .shared
-            .snapshot
-            .read()
-            .ok_or(ShimError::NoPosteriorYet)?;
+        let snap = self.latest()?;
         view.window = snap.window;
         view.chunk = snap.chunk;
         view.stats = snap.stats;
@@ -1086,8 +1192,9 @@ impl Session {
     /// closes. [`Updates::next`] blocks; [`Updates::try_next`] polls.
     ///
     /// The queue is bounded: a subscriber that falls more than
-    /// `UPDATE_QUEUE_CAP` updates behind loses the overflow (never the
-    /// service's progress) — skipped `window` indices mark the gap.
+    /// [`UPDATE_QUEUE_CAP`] updates behind loses the overflow (never the
+    /// service's progress), and the next delivered update reports it in
+    /// [`PosteriorUpdate::gap`].
     pub fn subscribe(&self) -> Updates {
         self.subscribe_with_capacity(UPDATE_QUEUE_CAP)
     }
@@ -1098,26 +1205,7 @@ impl Session {
     /// [`PosteriorUpdate::gap`]. Useful for consumers with a known polling
     /// cadence (and for deterministically testing the lossy path).
     pub fn subscribe_with_capacity(&self, capacity: usize) -> Updates {
-        let (tx, rx) = sync_channel(capacity.max(1));
-        {
-            // Check `closed` under the subscribers lock: the exiting
-            // service thread sets the flag before clearing this list
-            // (also under the lock), so a subscriber can never register
-            // after the final clear and block on a sender nobody holds.
-            let mut subs = self
-                .shared
-                .subscribers
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            if !self.shared.closed.load(Relaxed) {
-                subs.push(Subscriber {
-                    tx,
-                    selection: self.selection.clone(),
-                    last_enqueued: None,
-                });
-            }
-        }
-        Updates { rx }
+        self.shared.subscribers.subscribe(&self.selection, capacity)
     }
 
     /// The backing monitor's telemetry plane — see [`Monitor::telemetry`].
@@ -1182,19 +1270,21 @@ pub fn derived_reading(derived: &DerivedEvent, posteriors: &[Gaussian]) -> Readi
     }
 }
 
-/// Blocking iterator over a session's [`PosteriorUpdate`] stream.
+/// Blocking iterator over a subscription's update stream: a
+/// [`Session`]'s [`PosteriorUpdate`]s (the default), or a fleet
+/// session's per-generation updates.
 #[derive(Debug)]
-pub struct Updates {
-    rx: Receiver<PosteriorUpdate>,
+pub struct Updates<U = PosteriorUpdate> {
+    rx: Receiver<U>,
 }
 
-impl Updates {
+impl<U> Updates<U> {
     /// Non-blocking poll: `Ok(Some(update))` when one is queued,
     /// `Ok(None)` when the stream is open but currently empty, and
-    /// `Err(SessionClosed)` once the monitor has closed and every
+    /// `Err(SessionClosed)` once the publisher has closed and every
     /// buffered update has been drained — so a polling consumer can tell
     /// "nothing yet" from "the stream ended".
-    pub fn try_next(&mut self) -> Result<Option<PosteriorUpdate>, ShimError> {
+    pub fn try_next(&mut self) -> Result<Option<U>, ShimError> {
         match self.rx.try_recv() {
             Ok(u) => Ok(Some(u)),
             Err(TryRecvError::Empty) => Ok(None),
@@ -1203,10 +1293,10 @@ impl Updates {
     }
 }
 
-impl Iterator for Updates {
-    type Item = PosteriorUpdate;
+impl<U> Iterator for Updates<U> {
+    type Item = U;
 
-    fn next(&mut self) -> Option<PosteriorUpdate> {
+    fn next(&mut self) -> Option<U> {
         self.rx.recv().ok()
     }
 }
@@ -1612,44 +1702,16 @@ impl InferenceService {
         let chunk = self.shared.chunks_run.fetch_add(1) + 1;
         self.shared.windows_published.add(windows.len() as u64);
 
-        let mut subscribers = self
-            .shared
-            .subscribers
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        for (t, &w) in windows.iter().enumerate() {
-            let full = &per_window[t];
-            subscribers.retain_mut(|sub| {
-                let posteriors: Vec<(EventId, Gaussian)> = sub
-                    .selection
-                    .iter(&self.catalog)
-                    .map(|e| (e, full[e.index()]))
-                    .collect();
-                // Windows lost to this subscriber's bounded queue since
-                // the last update it accepted.
-                let gap = sub
-                    .last_enqueued
-                    .map_or(0, |last| u64::from(w.saturating_sub(last + 1)));
-                match sub.tx.try_send(PosteriorUpdate {
-                    window: w,
-                    gap,
-                    chunk,
-                    stats,
-                    posteriors,
-                }) {
-                    Ok(()) => {
-                        sub.last_enqueued = Some(w);
-                        true
-                    }
-                    // Bounded backpressure: a lagging consumer loses this
-                    // update (the next delivered one carries the skip in
-                    // `gap`); the service never blocks on a subscriber.
-                    Err(TrySendError::Full(_)) => true,
-                    Err(TrySendError::Disconnected(_)) => false,
-                }
-            });
+        for (&w, full) in windows.iter().zip(&per_window) {
+            let update = |gap, posteriors| PosteriorUpdate {
+                window: w,
+                gap,
+                chunk,
+                stats,
+                posteriors,
+            };
+            self.shared.subscribers.offer(u64::from(w), full, update);
         }
-        drop(subscribers);
 
         let Some(final_posteriors) = per_window.pop() else {
             return;
@@ -1737,8 +1799,11 @@ impl Supervised for ServiceLoop {
         self.shared.chunks_run.get()
     }
 
+    /// Records and publishes restart `n` before [`Monitor::restarts`]
+    /// reads `n`, so a waiter on the count never sees the crashed
+    /// incarnation's state. Only this thread writes the counter.
     fn on_restart(&mut self, cause: String, backoff: Duration) {
-        let restarts = self.shared.restarts.fetch_add(1) + 1;
+        let restarts = self.shared.restarts.get() + 1;
         self.shared
             .tele
             .flight()
@@ -1753,6 +1818,7 @@ impl Supervised for ServiceLoop {
                 millis: u64::try_from(backoff.as_millis()).unwrap_or(u64::MAX),
             });
         }
+        self.shared.restarts.incr();
     }
 
     fn on_give_up(&mut self, cause: String) {
@@ -1762,13 +1828,15 @@ impl Supervised for ServiceLoop {
             .record(FlightEvent::ServiceFailed {
                 cause: cause.clone(),
             });
-        // Refuse new work before announcing the failure, so whoever sees
-        // `Failed` also sees pushes refused. The shutdown guard would do
-        // it only once the thread exits, after the dump below.
+        // Refuse new work and end the update streams before announcing
+        // the failure, so whoever sees `Failed` also sees pushes refused
+        // and a new subscription ended. The shutdown guard would do it
+        // only once the thread exits, after the dump below.
         {
             let _st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
             self.shared.closed.store(true, Relaxed);
         }
+        self.shared.subscribers.close();
         self.state.publish(ServiceState::Failed { cause });
         // The automatic post-mortem: seal the flight ring at the moment
         // of death so the dump survives whatever happens to the ring
@@ -1809,9 +1877,8 @@ impl Supervised for ServiceLoop {
 ///    lock (dropping a control's ack sender errors its caller's recv into
 ///    SessionClosed; `enqueue_control` checks `closed` under the same
 ///    lock, so none slip in after);
-/// 2. disconnect subscribers so their iterators end (`subscribe`
-///    re-checks `closed` under that lock, so no late registration
-///    survives the clear).
+/// 2. close the subscriber set, so every stream ends once drained and a
+///    later subscription ends at once.
 ///
 /// In-flight controls already dequeued by a crashing service loop unwind
 /// before `catch_unwind` returns, erroring their acks too.
@@ -1824,11 +1891,7 @@ impl Drop for ShutdownGuard {
             self.0.closed.store(true, Relaxed);
             st.control.clear();
         }
-        self.0
-            .subscribers
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
+        self.0.subscribers.close();
     }
 }
 

@@ -245,6 +245,63 @@ fn exhausted_restart_budget_fails_loudly_not_frozen() {
     assert!(matches!(updates.try_next(), Err(ShimError::SessionClosed)));
 }
 
+/// The supervisor moves [`Monitor::restarts`] last: a waiter that sees
+/// restart `n` finds `service restart #n` in the flight ring and
+/// `Restarting { restarts: n }` in the state, never the crashed
+/// incarnation's `Running`. The next incarnation's `Running` comes one
+/// flat backoff after the count moves, so only a `Running` read sooner
+/// than that after the old count is known stale. One panic per cycle;
+/// each cycle re-phases on a `sync` the restarted service acks.
+#[test]
+fn restart_count_moves_after_the_restart_is_published() {
+    let cycles: u64 = std::env::var("CRASH_SOAK").map_or(40, |_| 200);
+    let backoff = Duration::from_millis(10);
+    let cat = Catalog::new(Arch::X86SkyLake);
+    let cfg = CorrectorConfig::for_run(&recorded_run(&cat, 6, 5));
+    // Nothing is published, so every crash is a consecutive one.
+    let policy = SupervisorPolicy {
+        max_consecutive_restarts: u32::MAX,
+        backoff_base: backoff,
+        backoff_cap: backoff,
+    };
+    let monitor = Monitor::with_policy(&cat, cfg, 1 << 14, policy).expect("spawn monitor");
+    let flight = monitor.telemetry().flight();
+    for n in 1..=cycles {
+        // Taken before the crash, so before the count moves.
+        let mut old_count_seen = Instant::now();
+        monitor.inject_panic().expect("service alive");
+        let deadline = old_count_seen + Duration::from_secs(30);
+        // A busy spin, not a yield: the waiter keeps its CPU, so a
+        // supervisor preempted mid-restart is caught there.
+        loop {
+            let before_read = Instant::now();
+            if monitor.restarts() >= n {
+                break;
+            }
+            old_count_seen = before_read;
+            assert!(before_read < deadline, "cycle {n}: no restart");
+            std::hint::spin_loop();
+        }
+        let state = monitor.service_state();
+        let dump = bayesperf_obs::FlightRecorder::render(&flight.dump());
+        let since_old_count = old_count_seen.elapsed();
+        assert!(
+            dump.contains(&format!("service restart #{n}:")),
+            "cycle {n}: count moved before the flight record:\n{dump}"
+        );
+        match state {
+            ServiceState::Restarting { restarts, .. } => assert_eq!(restarts, n, "cycle {n}"),
+            ServiceState::Running => assert!(
+                since_old_count >= backoff,
+                "cycle {n}: count moved while the state still read the crashed \
+                 incarnation's Running ({since_old_count:?} after the old count)"
+            ),
+            other => panic!("cycle {n}: unexpected state {other:?}"),
+        }
+        monitor.sync().expect("restarted service acks");
+    }
+}
+
 /// Divergence containment in isolation (no crashes): a stream where
 /// *every* value for one stretch is non-finite still yields a finite
 /// snapshot, and the drops are visible in the divergence counter.

@@ -30,10 +30,14 @@
 //! thread owns a [`FleetScraper`] whose endpoints are the local shard
 //! monitors, each behind an in-process transport that answers through
 //! the shard's [`ScrapeResponder`] with no socket in between. Deltas,
-//! health ageing, transition telemetry, fusion and subscriber updates
-//! therefore exist once, in [`crate::net`]; the published
-//! [`FleetSnapshot`] lands in a snapshot cell, so fleet-level reads are
-//! exactly as wait-free as single-session reads at any shard count.
+//! health ageing, transition telemetry and fusion therefore exist once,
+//! in [`crate::net`]; the published [`FleetSnapshot`] lands in a snapshot
+//! cell, so fleet-level reads are exactly as wait-free as single-session
+//! reads at any shard count. The read surface itself is the core one: a
+//! [`FleetSession`] opens through [`SessionBuilder`], checks access
+//! through [`Selection`], and subscribes through the core
+//! [`Subscribers`] fan-out to an [`Updates`] stream — it keeps only its
+//! liveness check, its snapshot type and its metadata.
 //!
 //! Before answering, the transport probes the shard monitor's liveness:
 //! a [`ServiceState::Failed`] monitor is a dead link, and one restarting —
@@ -60,20 +64,18 @@ use crate::net::{
 };
 use crate::topology::{ShardId, ShardLabel};
 use bayesperf_core::corrector::CorrectorConfig;
+use bayesperf_core::service::UPDATE_QUEUE_CAP;
 use bayesperf_core::snapshot::{snapshot_cell, SnapshotReader, SnapshotWriter};
 use bayesperf_core::{
-    derived_reading, Monitor, Reading, Selection, ServiceState, Session, ShimError, Supervised,
-    SupervisorPolicy,
+    derived_reading, Monitor, Reading, Selection, ServiceState, Session, SessionBuilder,
+    SessionTarget, ShimError, Subscribers, Supervised, SupervisorPolicy, Updates,
 };
 use bayesperf_events::{Catalog, EventId};
 use bayesperf_inference::Gaussian;
 use bayesperf_obs::{merge_metrics, Counter, FlightEvent, MetricSnapshot, Telemetry};
 use bayesperf_simcpu::Sample;
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
-use std::sync::mpsc::{
-    channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError,
-    TrySendError,
-};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::Duration;
 
@@ -243,75 +245,6 @@ pub struct FleetGroupReading {
     pub readings: Vec<(EventId, Reading)>,
 }
 
-/// Per-subscriber queue bound (same rationale as the per-monitor
-/// subscriber bound: lossy beyond this backlog, gap reported).
-const FLEET_QUEUE_CAP: usize = 1024;
-
-/// One subscriber's bounded queue and the events it selected.
-pub(crate) struct FleetSubscriber {
-    tx: SyncSender<FleetUpdate>,
-    events: Vec<EventId>,
-    last_enqueued: Option<u64>,
-}
-
-/// The subscriber queues a scraper feeds with every generation it
-/// publishes: `None` once that scraper is gone, so a late subscription
-/// ends at once instead of waiting on a sender nobody holds.
-pub(crate) struct Subscribers(Mutex<Option<Vec<FleetSubscriber>>>);
-
-impl Subscribers {
-    pub(crate) fn new() -> Subscribers {
-        Subscribers(Mutex::new(Some(Vec::new())))
-    }
-
-    fn register(&self, sub: FleetSubscriber) {
-        if let Some(subs) = self.0.lock().unwrap_or_else(|e| e.into_inner()).as_mut() {
-            subs.push(sub);
-        }
-    }
-
-    /// Enqueues `snap` for every subscriber. A full queue loses the
-    /// update (the next delivered one reports the skip in its `gap`); a
-    /// disconnected subscriber is dropped.
-    pub(crate) fn notify(&self, snap: &FleetSnapshot) {
-        let mut guard = self.0.lock().unwrap_or_else(|e| e.into_inner());
-        let Some(subs) = guard.as_mut().filter(|subs| !subs.is_empty()) else {
-            return;
-        };
-        let max_window = snap.max_window();
-        subs.retain_mut(|sub| {
-            let posteriors = sub
-                .events
-                .iter()
-                .filter_map(|&e| snap.fused.get(e.index()).map(|&g| (e, g)))
-                .collect();
-            let gap = sub
-                .last_enqueued
-                .map_or(0, |last| snap.generation.saturating_sub(last + 1));
-            match sub.tx.try_send(FleetUpdate {
-                generation: snap.generation,
-                gap,
-                max_window,
-                shards: snap.shards.len(),
-                posteriors,
-            }) {
-                Ok(()) => {
-                    sub.last_enqueued = Some(snap.generation);
-                    true
-                }
-                Err(TrySendError::Full(_)) => true,
-                Err(TrySendError::Disconnected(_)) => false,
-            }
-        });
-    }
-
-    /// Ends every stream (drops the senders) and refuses later
-    /// registrations.
-    pub(crate) fn close(&self) {
-        *self.0.lock().unwrap_or_else(|e| e.into_inner()) = None;
-    }
-}
-
 /// State shared between a scraper's published fleet view and its
 /// sessions — and, for an in-process [`Fleet`], its routers.
 struct FleetShared {
@@ -320,7 +253,7 @@ struct FleetShared {
     /// sessions.
     members: SnapshotReader<Membership>,
     fused: SnapshotReader<FleetSnapshot>,
-    subscribers: Arc<Subscribers>,
+    subscribers: Arc<Subscribers<FleetUpdate>>,
     closed: AtomicBool,
     /// The scraper's telemetry plane (registry + spans + flight recorder).
     tele: Telemetry,
@@ -431,12 +364,15 @@ impl Supervised for Ticker {
         self.scraper.totals().published
     }
 
+    /// Records restart `n` before [`Fleet::agg_restarts`] reads `n`, as
+    /// the inference service's supervisor does.
     fn on_restart(&mut self, cause: String, _backoff: Duration) {
-        let restarts = self.restarts.fetch_add(1) + 1;
+        let restarts = self.restarts.get() + 1;
         self.scraper
             .telemetry()
             .flight()
             .record(FlightEvent::AggRestart { restarts, cause });
+        self.restarts.incr();
     }
 
     fn on_give_up(&mut self, cause: String) {
@@ -644,11 +580,7 @@ impl Fleet {
 
     /// Starts building a fleet-scoped read session.
     pub fn session(&self) -> FleetSessionBuilder<'_> {
-        FleetSessionBuilder {
-            fleet: self,
-            events: None,
-            err: None,
-        }
+        SessionBuilder::new(self)
     }
 
     /// The latest fused snapshot (with per-shard posteriors for
@@ -736,68 +668,28 @@ fn read_snapshot(shared: &FleetShared) -> Result<FleetSnapshot, ShimError> {
     Ok(guard.clone())
 }
 
-/// Configures and opens a [`FleetSession`]. Event selection defaults to
-/// the whole catalog, mirroring [`Monitor::session`].
-#[derive(Debug)]
-pub struct FleetSessionBuilder<'f> {
-    fleet: &'f Fleet,
-    events: Option<Vec<EventId>>,
-    err: Option<ShimError>,
-}
+impl SessionTarget for Fleet {
+    type Session = FleetSession;
 
-impl FleetSessionBuilder<'_> {
-    /// Restricts the session to `events` (adds to any previous selection).
-    pub fn events(mut self, events: &[EventId]) -> Self {
-        for &e in events {
-            self = self.event(e);
-        }
-        self
+    fn catalog(&self) -> &Catalog {
+        &self.shared.catalog
     }
 
-    /// Adds one event to the selection.
-    pub fn event(mut self, event: EventId) -> Self {
-        if event.index() >= self.fleet.catalog().len() {
-            self.err.get_or_insert(ShimError::UnknownEvent(event));
-            return self;
-        }
-        self.events.get_or_insert_with(Vec::new).push(event);
-        self
-    }
-
-    /// Adds a derived event by name: its components join the selection so
-    /// [`FleetSession::read_derived`] can evaluate it.
-    pub fn derived(mut self, name: &str) -> Self {
-        let components = self
-            .fleet
-            .catalog()
-            .derived_events()
-            .iter()
-            .find(|d| d.name == name)
-            .map(|d| d.events());
-        match components {
-            Some(events) => self.events(&events),
-            None => {
-                self.err
-                    .get_or_insert(ShimError::UnknownDerived(name.to_string()));
-                self
-            }
-        }
-    }
-
-    /// Opens the session.
-    pub fn open(self) -> Result<FleetSession, ShimError> {
-        if let Some(err) = self.err {
-            return Err(err);
-        }
-        if self.fleet.shared.closed.load(Relaxed) {
+    fn open_session(&self, selection: Selection) -> Result<FleetSession, ShimError> {
+        if self.shared.closed.load(Relaxed) {
             return Err(ShimError::SessionClosed);
         }
         Ok(FleetSession {
-            shared: self.fleet.shared.clone(),
-            selection: Arc::new(Selection::new(self.events)),
+            shared: self.shared.clone(),
+            selection: Arc::new(selection),
         })
     }
 }
+
+/// Configures and opens a [`FleetSession`]: the per-machine
+/// [`SessionBuilder`] over a [`Fleet`]. Event selection defaults to the
+/// whole catalog, as for [`Monitor::session`].
+pub type FleetSessionBuilder<'f> = SessionBuilder<'f, Fleet>;
 
 /// Builds a [`FleetSession`] over a scraper's published fused snapshots
 /// (see [`FleetScraper::session`]): no local members; the scraper's
@@ -841,13 +733,6 @@ impl FleetSession {
         }
     }
 
-    fn check_event(&self, event: EventId) -> Result<(), ShimError> {
-        if event.index() >= self.shared.catalog.len() || !self.selection.contains(event) {
-            return Err(ShimError::UnknownEvent(event));
-        }
-        Ok(())
-    }
-
     /// The monitored catalog.
     pub fn catalog(&self) -> &Catalog {
         &self.shared.catalog
@@ -857,7 +742,7 @@ impl FleetSession {
     /// acquisition of the fused cell, independent of shard count).
     pub fn read(&self, event: EventId) -> Result<Reading, ShimError> {
         self.ensure_open()?;
-        self.check_event(event)?;
+        self.selection.check(&self.shared.catalog, event)?;
         let guard = self.shared.fused.read().ok_or(ShimError::NoShards)?;
         Ok(Reading::from_gaussian(&guard.fused[event.index()]))
     }
@@ -866,16 +751,11 @@ impl FleetSession {
     pub fn read_group(&self) -> Result<FleetGroupReading, ShimError> {
         self.ensure_open()?;
         let guard = self.shared.fused.read().ok_or(ShimError::NoShards)?;
-        let readings = self
-            .selection
-            .iter(&self.shared.catalog)
-            .map(|e| (e, Reading::from_gaussian(&guard.fused[e.index()])))
-            .collect();
         Ok(FleetGroupReading {
             generation: guard.generation,
             max_window: guard.max_window(),
             shards: guard.shards.len(),
-            readings,
+            readings: self.selection.readings(&guard.fused),
         })
     }
 
@@ -884,19 +764,10 @@ impl FleetSession {
     /// [`Session::read_derived`], so per-machine and
     /// fleet-level metrics agree by construction. The session must have
     /// selected the metric's components
-    /// ([`FleetSessionBuilder::derived`] does exactly that).
+    /// ([`SessionBuilder::derived`] does exactly that).
     pub fn read_derived(&self, name: &str) -> Result<Reading, ShimError> {
         self.ensure_open()?;
-        let derived = self
-            .shared
-            .catalog
-            .derived_events()
-            .iter()
-            .find(|d| d.name == name)
-            .ok_or_else(|| ShimError::UnknownDerived(name.to_string()))?;
-        for e in derived.events() {
-            self.check_event(e)?;
-        }
+        let derived = self.selection.derived(&self.shared.catalog, name)?;
         let guard = self.shared.fused.read().ok_or(ShimError::NoShards)?;
         Ok(derived_reading(derived, &guard.fused))
     }
@@ -905,7 +776,7 @@ impl FleetSession {
     /// shard id — the drill-down behind the fused number.
     pub fn shard_readings(&self, event: EventId) -> Result<Vec<(ShardId, Reading)>, ShimError> {
         self.ensure_open()?;
-        self.check_event(event)?;
+        self.selection.check(&self.shared.catalog, event)?;
         let guard = self.shared.fused.read().ok_or(ShimError::NoShards)?;
         Ok(guard
             .shards
@@ -953,51 +824,24 @@ impl FleetSession {
         Ok(out)
     }
 
-    /// Subscribes to the per-generation fused update stream (bounded
-    /// queue; a lagging consumer loses updates and the next delivered one
-    /// carries the skip in [`FleetUpdate::gap`]).
+    /// Subscribes to the per-generation fused update stream: one
+    /// [`FleetUpdate`] per published generation, through a queue bounded
+    /// at [`UPDATE_QUEUE_CAP`]; a lagging consumer loses updates and the
+    /// next delivered one carries the skip in [`FleetUpdate::gap`].
     pub fn subscribe(&self) -> FleetUpdates {
-        self.subscribe_with_capacity(FLEET_QUEUE_CAP)
+        self.subscribe_with_capacity(UPDATE_QUEUE_CAP)
     }
 
     /// [`FleetSession::subscribe`] with an explicit queue bound.
     pub fn subscribe_with_capacity(&self, capacity: usize) -> FleetUpdates {
-        let (tx, rx) = sync_channel(capacity.max(1));
-        self.shared.subscribers.register(FleetSubscriber {
-            tx,
-            events: self.selection.iter(&self.shared.catalog).collect(),
-            last_enqueued: None,
-        });
-        FleetUpdates { rx }
+        self.shared.subscribers.subscribe(&self.selection, capacity)
     }
 }
 
-/// Blocking iterator over a fleet session's [`FleetUpdate`] stream.
-#[derive(Debug)]
-pub struct FleetUpdates {
-    rx: Receiver<FleetUpdate>,
-}
-
-impl FleetUpdates {
-    /// Non-blocking poll: `Ok(Some(update))`, `Ok(None)` when open but
-    /// empty, `Err(SessionClosed)` once the fleet closed (or the backing
-    /// scraper was dropped) and the queue drained.
-    pub fn try_next(&mut self) -> Result<Option<FleetUpdate>, ShimError> {
-        match self.rx.try_recv() {
-            Ok(u) => Ok(Some(u)),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(ShimError::SessionClosed),
-        }
-    }
-}
-
-impl Iterator for FleetUpdates {
-    type Item = FleetUpdate;
-
-    fn next(&mut self) -> Option<FleetUpdate> {
-        self.rx.recv().ok()
-    }
-}
+/// Blocking iterator over a fleet session's [`FleetUpdate`] stream: the
+/// per-machine [`Updates`] stream; it ends once the fleet closes (or the
+/// backing scraper is dropped) and the queue drains.
+pub type FleetUpdates = Updates<FleetUpdate>;
 
 /// Widest idle multiplier: an idle fleet's ticker decays to polling at
 /// `interval × 2⁶ = 64×` — slow enough to stop burning a core on

@@ -30,15 +30,14 @@
 //!   the one aggregation path, shared with networked fleets — publishing
 //!   a [`FleetSnapshot`] through a second snapshot cell. Fleet reads are
 //!   as wait-free as single-session reads at any shard count.
-//! * [`FleetSession`] — the fleet-scoped mirror of
-//!   [`Session`](bayesperf_core::Session):
-//!   [`read`](FleetSession::read) /
-//!   [`read_group`](FleetSession::read_group) /
-//!   [`read_derived`](FleetSession::read_derived) /
-//!   [`subscribe`](FleetSession::subscribe), plus per-shard drill-down
-//!   ([`shard_readings`](FleetSession::shard_readings)) and
-//!   percentile/straggler views on [`FleetSnapshot`]. The same session
-//!   type reads an in-process [`Fleet`] or a networked [`FleetScraper`].
+//! * [`FleetSession`] — the fleet-scoped
+//!   [`Session`](bayesperf_core::Session), on the same core read surface:
+//!   one [`SessionBuilder`](bayesperf_core::SessionBuilder), one access
+//!   rule ([`Selection`](bayesperf_core::Selection)), one subscriber
+//!   fan-out and one [`Updates`](bayesperf_core::Updates) stream. It adds
+//!   per-shard drill-down ([`shard_readings`](FleetSession::shard_readings))
+//!   and percentile/straggler views on [`FleetSnapshot`], and reads an
+//!   in-process [`Fleet`] or a networked [`FleetScraper`] alike.
 //! * [`wire`] — the versioned varint binary codec carrying shard
 //!   snapshots and fleet summaries across byte boundaries (multi-process
 //!   scrape topologies), with typed, panic-free decoding.

@@ -34,12 +34,14 @@
 //! old ([`HealthState::Dead`]) that keeping it
 //! would let an arbitrarily stale opinion steer the fleet posterior.
 
-use crate::fleet::Subscribers;
+use crate::fleet::FleetUpdate;
 use crate::fuse::{Aggregator, FleetSnapshot, ShardStatus};
 use crate::health::{FailureKind, HealthPolicy, HealthState, ShardHealth, ShardHealthView};
 use crate::topology::{ShardId, ShardLabel};
 use crate::wire;
-use bayesperf_core::{snapshot_cell, Session, ShimError, SnapshotReader, SnapshotView};
+use bayesperf_core::{
+    snapshot_cell, Session, ShimError, SnapshotReader, SnapshotView, Subscribers,
+};
 use bayesperf_inference::Gaussian;
 use bayesperf_obs::{
     labeled, merge_metrics, Counter, FlightEvent, Histogram, MetricSnapshot, SpanRecorder, Stage,
@@ -815,7 +817,7 @@ pub struct FleetScraper {
     /// [`poll_telemetry`]: FleetScraper::poll_telemetry
     pub(crate) scraped: Arc<Mutex<Vec<MetricSnapshot>>>,
     /// Update queues of this scraper's sessions' subscribers.
-    pub(crate) subscribers: Arc<Subscribers>,
+    pub(crate) subscribers: Arc<Subscribers<FleetUpdate>>,
     /// Fuse-stage span ring (poll_round is caller-pumped, so this is
     /// single-threaded by construction).
     fuse_spans: SpanRecorder,
@@ -841,7 +843,7 @@ impl FleetScraper {
             tele,
             metrics,
             scraped: Arc::new(Mutex::new(Vec::new())),
-            subscribers: Arc::new(Subscribers::new()),
+            subscribers: Arc::default(),
             fuse_spans,
         }
     }
@@ -1041,7 +1043,14 @@ impl FleetScraper {
             .agg
             .fuse(self.generation)
             .expect("at least one contributor absorbed");
-        self.subscribers.notify(&snap);
+        let update = |gap, posteriors| FleetUpdate {
+            generation: snap.generation,
+            gap,
+            max_window: snap.max_window(),
+            shards: snap.shards.len(),
+            posteriors,
+        };
+        self.subscribers.offer(snap.generation, &snap.fused, update);
         self.writer.publish(snap);
         self.metrics.published.incr();
         self.changed = false;

@@ -376,17 +376,15 @@ pub fn peek_kind(buf: &[u8]) -> Result<u8, ShimError> {
 
 /// Appends the wire form of a shard snapshot to `out`.
 pub fn encode_shard(snapshot: &ShardSnapshot, out: &mut Vec<u8>) {
-    put_header(KIND_SHARD, out);
-    put_varint(u64::from(snapshot.shard.raw()), out);
-    put_varint(u64::from(snapshot.window), out);
-    put_varint(snapshot.chunk, out);
-    put_label(&snapshot.label, out);
-    put_late(&snapshot.late_by_source, out);
-    put_varint(snapshot.posteriors.len() as u64, out);
-    for g in &snapshot.posteriors {
-        put_f64(g.mean, out);
-        put_f64(g.var, out);
-    }
+    put_shard(
+        snapshot.shard,
+        snapshot.window,
+        snapshot.chunk,
+        &snapshot.label,
+        &snapshot.late_by_source,
+        &snapshot.posteriors,
+        out,
+    );
 }
 
 /// Appends a shard record straight from an in-process [`SnapshotView`],
@@ -398,14 +396,35 @@ pub fn encode_shard_view(
     view: &SnapshotView,
     out: &mut Vec<u8>,
 ) {
+    put_shard(
+        shard,
+        view.window,
+        view.chunk,
+        label,
+        &view.late_by_source,
+        &view.posteriors,
+        out,
+    );
+}
+
+/// The one writer of a `KIND_SHARD` record, behind both encoders.
+fn put_shard(
+    shard: ShardId,
+    window: u32,
+    chunk: u64,
+    label: &ShardLabel,
+    late_by_source: &[u64],
+    posteriors: &[Gaussian],
+    out: &mut Vec<u8>,
+) {
     put_header(KIND_SHARD, out);
     put_varint(u64::from(shard.raw()), out);
-    put_varint(u64::from(view.window), out);
-    put_varint(view.chunk, out);
+    put_varint(u64::from(window), out);
+    put_varint(chunk, out);
     put_label(label, out);
-    put_late(&view.late_by_source, out);
-    put_varint(view.posteriors.len() as u64, out);
-    for g in &view.posteriors {
+    put_late(late_by_source, out);
+    put_varint(posteriors.len() as u64, out);
+    for g in posteriors {
         put_f64(g.mean, out);
         put_f64(g.var, out);
     }

@@ -11,8 +11,8 @@ use bayesperf_core::corrector::CorrectorConfig;
 use bayesperf_core::{Monitor, ShimError, SnapshotView};
 use bayesperf_events::{Arch, Catalog, Semantic};
 use bayesperf_fleet::{
-    Fleet, FleetConfig, FleetScraper, ScrapeConfig, ScrapeResponder, ShardId, ShardLabel,
-    SimTransport, SnapshotSource,
+    Fleet, FleetConfig, FleetScraper, FleetUpdates, ScrapeConfig, ScrapeResponder, ShardId,
+    ShardLabel, SimTransport, SnapshotSource,
 };
 use bayesperf_inference::{EpRunStats, Gaussian};
 use bayesperf_obs::{MetricSnapshot, MetricValue, Stage, Telemetry};
@@ -167,6 +167,36 @@ impl SnapshotSource for MeteredSource {
     }
 }
 
+/// A scraper over `shards` [`MeteredSource`]s on clean sim links; shard
+/// `i`'s `sim.polls` counter starts at `polls(i)`.
+fn metered_scraper(
+    events: usize,
+    shards: u32,
+    polls: impl Fn(u32) -> u64,
+) -> (FleetScraper, Vec<Arc<MeteredSource>>) {
+    let mut scraper = FleetScraper::new(events, ScrapeConfig::default());
+    let mut sources = Vec::new();
+    for shard in 0..shards {
+        let source = MeteredSource::new(events, "sim.polls", polls(shard));
+        sources.push(Arc::clone(&source));
+        let label = ShardLabel::new(format!("m{shard}"), 0);
+        let responder = Arc::new(ScrapeResponder::new(
+            ShardId::from_raw(shard),
+            label.clone(),
+            source,
+        ));
+        scraper.add_endpoint(
+            ShardId::from_raw(shard),
+            label,
+            Box::new(SimTransport::new(
+                responder,
+                LinkState::new(LinkProfile::clean(u64::from(shard))),
+            )),
+        );
+    }
+    (scraper, sources)
+}
+
 fn counter_value(metrics: &[MetricSnapshot], name: &str) -> Option<u64> {
     metrics
         .iter()
@@ -183,25 +213,7 @@ fn counter_value(metrics: &[MetricSnapshot], name: &str) -> Option<u64> {
 /// own scrape-plane metrics.
 #[test]
 fn telemetry_frames_flow_over_the_sim_wire_and_merge() {
-    let events = 4;
-    let mut scraper = FleetScraper::new(events, ScrapeConfig::default());
-    for shard in 0..3u32 {
-        let source = MeteredSource::new(events, "sim.polls", u64::from(shard) + 10);
-        let label = ShardLabel::new(format!("m{shard}"), 0);
-        let responder = Arc::new(ScrapeResponder::new(
-            ShardId::from_raw(shard),
-            label.clone(),
-            source,
-        ));
-        scraper.add_endpoint(
-            ShardId::from_raw(shard),
-            label,
-            Box::new(SimTransport::new(
-                responder,
-                LinkState::new(LinkProfile::clean(u64::from(shard))),
-            )),
-        );
-    }
+    let (mut scraper, _) = metered_scraper(4, 3, |shard| u64::from(shard) + 10);
     scraper.poll_round();
     let metrics = scraper.poll_telemetry();
     // Same-named shard counters sum across the fleet: 10 + 11 + 12.
@@ -217,24 +229,7 @@ fn telemetry_frames_flow_over_the_sim_wire_and_merge() {
 #[test]
 fn scraper_backed_session_serves_totals_and_fleet_metrics() {
     let cat = Catalog::new(Arch::X86SkyLake);
-    let mut scraper = FleetScraper::new(cat.len(), ScrapeConfig::default());
-    for shard in 0..2u32 {
-        let source = MeteredSource::new(cat.len(), "sim.polls", 5);
-        let label = ShardLabel::new(format!("m{shard}"), 0);
-        let responder = Arc::new(ScrapeResponder::new(
-            ShardId::from_raw(shard),
-            label.clone(),
-            source,
-        ));
-        scraper.add_endpoint(
-            ShardId::from_raw(shard),
-            label,
-            Box::new(SimTransport::new(
-                responder,
-                LinkState::new(LinkProfile::clean(u64::from(shard))),
-            )),
-        );
-    }
+    let (mut scraper, _) = metered_scraper(cat.len(), 2, |_| 5);
     let session = scraper.session(&cat);
     let r0 = scraper.poll_round();
     let r1 = scraper.poll_round();
@@ -313,26 +308,7 @@ fn in_process_fleet_session_merges_member_registries() {
 #[test]
 fn scraper_backed_subscribers_get_one_update_per_generation() {
     let cat = Catalog::new(Arch::X86SkyLake);
-    let mut scraper = FleetScraper::new(cat.len(), ScrapeConfig::default());
-    let mut sources = Vec::new();
-    for shard in 0..2u32 {
-        let source = MeteredSource::new(cat.len(), "sim.polls", 0);
-        sources.push(Arc::clone(&source));
-        let label = ShardLabel::new(format!("m{shard}"), 0);
-        let responder = Arc::new(ScrapeResponder::new(
-            ShardId::from_raw(shard),
-            label.clone(),
-            source,
-        ));
-        scraper.add_endpoint(
-            ShardId::from_raw(shard),
-            label,
-            Box::new(SimTransport::new(
-                responder,
-                LinkState::new(LinkProfile::clean(u64::from(shard))),
-            )),
-        );
-    }
+    let (mut scraper, sources) = metered_scraper(cat.len(), 2, |_| 0);
     let session = scraper.session(&cat);
     let mut updates = session.subscribe();
     let reader = scraper.reader();
@@ -364,6 +340,44 @@ fn scraper_backed_subscribers_get_one_update_per_generation() {
     // The first round plus the three bumped ones; the rest acked
     // Unchanged everywhere and published nothing.
     assert_eq!(delivered, 4);
+    drop(scraper);
+    assert!(matches!(updates.try_next(), Err(ShimError::SessionClosed)));
+}
+
+/// The fleet side of the shared subscriber fan-out: a scraper-backed
+/// subscriber with room for two updates loses the generations published
+/// while it is not polling, and the next delivered update reports how
+/// many it lost in `gap` — counted in generations, as a monitor's
+/// subscriber counts lost windows.
+#[test]
+fn lossy_fleet_subscriber_gets_explicit_gap_counts() {
+    fn drain(updates: &mut FleetUpdates) -> Vec<(u64, u64)> {
+        std::iter::from_fn(|| updates.try_next().expect("open"))
+            .map(|u| (u.generation, u.gap))
+            .collect()
+    }
+    let cat = Catalog::new(Arch::X86SkyLake);
+    let (mut scraper, sources) = metered_scraper(cat.len(), 1, |_| 0);
+    let session = scraper.session(&cat);
+    let mut updates = session.subscribe_with_capacity(2);
+    // One new generation per round: the source moves before each poll.
+    let mut publish = |rounds: u64| {
+        for _ in 0..rounds {
+            sources[0].version.fetch_add(1, Ordering::Relaxed);
+            assert!(scraper.poll_round().published);
+        }
+    };
+
+    // Generations 1..=6 publish while the consumer sleeps: only 1 and 2
+    // fit the queue.
+    publish(6);
+    assert_eq!(drain(&mut updates), vec![(1, 0), (2, 0)]);
+    // Generations 7..=9: the first delivered one reports the four lost
+    // (3..=6), and 9 overflows the queue in turn.
+    publish(3);
+    assert_eq!(drain(&mut updates), vec![(7, 4), (8, 0)]);
+    publish(1);
+    assert_eq!(drain(&mut updates), vec![(10, 1)]);
     drop(scraper);
     assert!(matches!(updates.try_next(), Err(ShimError::SessionClosed)));
 }

@@ -88,15 +88,16 @@ fn main() {
     });
 
     // The subscriber sees every corrected window exactly once, in order,
-    // with the stats of the chunk solve that produced it.
-    println!("\nwindow  chunk  sweeps  llc-misses posterior");
+    // with the stats of the chunk solve that produced it: `sites` counts
+    // the (slice, component) pairs that solve fitted to data.
+    println!("\nwindow  chunk  sites  llc-misses posterior");
     let mut n = 0;
     while let Ok(Some(u)) = updates.try_next() {
         if let Some(r) = u.reading(llc) {
             if u.window % 4 == 0 {
                 println!(
-                    "{:>6}  {:>5}  {:>6}  {:>12.0} (+-{:>9.0})",
-                    u.window, u.chunk, u.stats.sweeps_run, r.value, r.std_dev
+                    "{:>6}  {:>5}  {:>5}  {:>12.0} (+-{:>9.0})",
+                    u.window, u.chunk, u.stats.analytic_site_updates, r.value, r.std_dev
                 );
             }
             n += 1;
