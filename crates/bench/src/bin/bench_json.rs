@@ -30,6 +30,8 @@
 //!              "gate": { "stat": 0.0, "lo": 0.0, "hi": 0.0, "n_a": 0,
 //!                        "n_b": 0, "rel": "<=", "bound": 1000000.0,
 //!                        "alpha": 0.005, "verdict": "pass" } },
+//!   "kernel": { "dim": 174, "band": 29, "reference_ns_per_cycle": 0.0,
+//!               "production_ns_per_cycle": 0.0, "gate": { ... } },
 //!   "calibration": { "cells": 24, "windows": 48, "events": 16,
 //!                    "cov68": 0.0, "cov95": 0.0, "cov997": 0.0,
 //!                    "worst_cell_cov95": 0.0, "z_p50": 0.0, "z_p90": 0.0,
@@ -73,6 +75,11 @@
 //!   fixture's 16 chunks; upper bound ≤ 1 ms, fail-closed (a sanity
 //!   ceiling — the per-PR benchmark A/B against the parent is what holds
 //!   the cost).
+//! * `kernel` — one IRLS cycle (two mean-only solves and one full solve)
+//!   of a chunk-shaped system, 6 slices × 29 variables at bandwidth 29,
+//!   by `AnalyticScratch` over the same cycle by the bit-identical
+//!   reference kernels (`bayesperf_bench::reference`); upper bound ≤ 0.8,
+//!   fail-closed (the side-by-side kernels keep their gain).
 //! * `calibration.cov95_gate` — per-cell share of (window, event) pairs
 //!   whose truth lies within 1.96 posterior sd of the mean, over x86 and
 //!   ppc64 × TeraSort, ALS, Scan, Join × seeds 0–2; lower bound ≥ 0.90,
@@ -117,6 +124,7 @@
 use bayesperf_baselines::{LinuxScaling, SeriesEstimator};
 use bayesperf_bench::fig6_fixture;
 use bayesperf_bench::gate::{GateConfig, GateVerdict};
+use bayesperf_bench::reference::{Chain, ReferenceScratch};
 use bayesperf_core::corrector::{CorrectionStats, Corrector, CorrectorConfig};
 use bayesperf_core::metrics::dtw_relative_error;
 use bayesperf_core::scheduler::ScheduleTransformer;
@@ -126,7 +134,7 @@ use bayesperf_fleet::{
     wire, Aggregator, Fleet, FleetConfig, FleetScraper, HealthState, ScrapeConfig, ScrapeResponder,
     ShardId, ShardLabel, SimTransport, SnapshotSource,
 };
-use bayesperf_inference::{EpRunStats, Gaussian};
+use bayesperf_inference::{AnalyticScratch, EpRunStats, Gaussian};
 use bayesperf_mlsched::mux::{
     hetero_demo_events, run_closed_loop, GroupSchedule, MuxPolicy, MuxScheduler, RoundRobin,
     UncertaintyDriven, VarianceEstimates,
@@ -287,6 +295,55 @@ fn main() {
         ns / N_WINDOWS as f64
     });
     check(&solve_gate);
+
+    // The kernels' gain: one IRLS cycle of a chunk-shaped system (6
+    // slices of the 29-event invariant component, bandwidth 29) by the
+    // production kernels over the same cycle by the reference kernels
+    // they replaced, which compute the same bits one dot product per
+    // entry. Both arms assemble the same terms; the interleaving cancels
+    // host drift.
+    let kernel_chain = Chain::seeded(29, 6, 0xC4);
+    let kernel_band = kernel_chain.slice_width();
+    let kernel_cycles = 20usize;
+    let start = || kernel_chain.prior().iter().map(|g| g.mean);
+    let mut production = AnalyticScratch::with_capacity(kernel_chain.dim(), kernel_band);
+    let mut reference = ReferenceScratch::new();
+    let kernel_gate = with_budget(
+        GateConfig::at_most("kernel_over_reference", 0.8)
+            .seed(0xAD)
+            .fail_closed(),
+        (3, 8),
+        (6, 16),
+    )
+    .run_ratio(
+        || {
+            let t = Instant::now();
+            for _ in 0..kernel_cycles {
+                assert!(
+                    reference.irls(kernel_chain.prior(), kernel_band, start(), |ws| {
+                        kernel_chain.terms(|l, c, o, v| ws.add_term(l, c, o, v));
+                        true
+                    })
+                );
+            }
+            std::hint::black_box(reference.var());
+            t.elapsed().as_nanos() as f64 / kernel_cycles as f64
+        },
+        || {
+            let t = Instant::now();
+            for _ in 0..kernel_cycles {
+                assert!(
+                    production.irls(kernel_chain.prior(), kernel_band, start(), |ws| {
+                        kernel_chain.terms(|l, c, o, v| ws.add_term(l, c, o, v));
+                        true
+                    })
+                );
+            }
+            std::hint::black_box(production.var());
+            t.elapsed().as_nanos() as f64 / kernel_cycles as f64
+        },
+    );
+    check(&kernel_gate);
 
     // Gate 2 — calibration: a nominal interval must cover simulated
     // truth. Cells: x86 and ppc64 × TeraSort, ALS, Scan, Join × seeds
@@ -952,6 +1009,9 @@ fn main() {
   "alpha": 0.005,
   "solve": {{ "ns_per_window": {:.0}, "site_updates_total": {},
              "gate": {} }},
+  "kernel": {{ "dim": {}, "band": {kernel_band},
+              "reference_ns_per_cycle": {:.0}, "production_ns_per_cycle": {:.0},
+              "gate": {} }},
   "calibration": {{ "cells": {cells}, "windows": {cal_windows}, "events": {cal_events},
                    "cov68": {cov68:.3}, "cov95": {cov95:.3}, "cov997": {cov997:.3},
                    "worst_cell_cov95": {worst_cov95:.3},
@@ -999,6 +1059,10 @@ fn main() {
         solve_gate.stat,
         solve_stats.analytic_site_updates,
         solve_gate.json(),
+        kernel_chain.dim(),
+        kernel_gate.mean_a,
+        kernel_gate.mean_b,
+        kernel_gate.json(),
         100.0 * mean_of(&cal_bayes),
         100.0 * mean_of(&cal_linux),
         cov95_gate.json(),

@@ -14,6 +14,7 @@
 //! 4. average across events and application runs.
 
 pub mod gate;
+pub mod reference;
 
 use bayesperf_baselines::{CounterMiner, LinuxScaling, SeriesEstimator, WmPin};
 use bayesperf_core::corrector::{Corrector, CorrectorConfig};

@@ -1801,7 +1801,8 @@ impl Supervised for ServiceLoop {
 
     /// Records and publishes restart `n` before [`Monitor::restarts`]
     /// reads `n`, so a waiter on the count never sees the crashed
-    /// incarnation's state. Only this thread writes the counter.
+    /// incarnation's state: the counter's release increment pairs with
+    /// that acquire read. Only this thread writes the counter.
     fn on_restart(&mut self, cause: String, backoff: Duration) {
         let restarts = self.shared.restarts.get() + 1;
         self.shared

@@ -364,8 +364,9 @@ impl Supervised for Ticker {
         self.scraper.totals().published
     }
 
-    /// Records restart `n` before [`Fleet::agg_restarts`] reads `n`, as
-    /// the inference service's supervisor does.
+    /// Records restart `n` before [`Fleet::agg_restarts`] reads `n` (a
+    /// release increment paired with that acquire read), as the inference
+    /// service's supervisor does.
     fn on_restart(&mut self, cause: String, _backoff: Duration) {
         let restarts = self.restarts.get() + 1;
         self.scraper

@@ -24,17 +24,59 @@
 //! al., NIPS 2003). Every factor in BayesPerf's catalogs takes one of
 //! these two forms, so no marginal needs sampling.
 //!
+//! # Kernels
+//!
+//! Written the textbook way, each entry of the factor, of the triangular
+//! solves and of the band-limited covariance is one dot product: a serial
+//! chain of dependent multiply-subtracts whose latency, not the flop
+//! count, sets the cost. The kernels here reorganise the loops so that
+//! entries which do not depend on each other are updated side by side,
+//! in contiguous element-wise loops the compiler vectorises:
+//!
+//! * the Cholesky factorization is right-looking: column `k` of `L` is
+//!   finished (pivot, square root, division), then its outer product is
+//!   subtracted from every entry of the trailing band it touches;
+//! * the forward solve `L·y = info` runs by columns: `y_k` is final once
+//!   column `k − 1` has been subtracted, and column `k` is then
+//!   subtracted from the entries below it;
+//! * the Takahashi pass runs by rows, bottom-up: every off-diagonal
+//!   covariance entry of row `i` reads only rows below `i`, so all of
+//!   them are computed as independent lanes over a symmetric band of the
+//!   covariance, and then the diagonal from them;
+//! * the back solve `Lᵀ·x = y` stays one dot product per entry: the first
+//!   term of entry `i` needs `x_{i+1}`, so its chain cannot be split
+//!   without reordering the sum.
+//!
+//! Every entry still receives exactly the floating-point operations of
+//! the dot-product form, in the same order (updates in ascending `k`),
+//! so every mean and variance is bit-identical to it: the posteriors, the
+//! benchmark's accuracy metrics and every seeded example output do not
+//! depend on how the loops are arranged. Summing with several
+//! accumulators would be faster again, but would change the last bits of
+//! every posterior.
+//!
+//! The precision band is stored column by column (see `slot`), so a
+//! column of `L`, the entries below a pivot, is one slice for each kernel.
+//!
 //! All state, the IRLS estimate included, lives in a caller-owned
 //! [`AnalyticScratch`], so the hot path is allocation-free once the
 //! buffers have grown to the largest system
-//! ([`AnalyticScratch::with_capacity`] grows them up front).
+//! ([`AnalyticScratch::with_capacity`] grows them up front, and then no
+//! solve allocates, the first included).
 
 use crate::dist::Gaussian;
 
-/// IRLS passes per solve. Three matched eight to two decimals in the
-/// measurements behind ROADMAP item 1, and five or eight moved the
+/// IRLS passes per solve. Three matched eight to two decimals when IRLS
+/// replaced the MCMC moment estimator, and five or eight moved the
 /// benchmark's error by less than 0.3 points.
 const IRLS_ITERATIONS: usize = 3;
+
+/// Slot of entry `(i, j)`, `j ≤ i ≤ j + band`, of the lower precision
+/// band in [`AnalyticScratch`]'s `prec`, where `w = band + 1`: column `j`
+/// occupies `w` contiguous slots from its diagonal down.
+fn slot(w: usize, i: usize, j: usize) -> usize {
+    j * w + (i - j)
+}
 
 /// Reusable buffers for one banded Gaussian-linear solve.
 ///
@@ -49,14 +91,17 @@ pub struct AnalyticScratch {
     dim: usize,
     /// Bandwidth of the current system, at most `dim − 1`.
     band: usize,
-    /// Lower band of the precision, `dim` rows of `band + 1`: entry
-    /// `(i, j)`, `i − band ≤ j ≤ i`, sits at `i·(band + 1) + (i − j)`.
-    /// The Cholesky factor overwrites it in place.
+    /// Lower band of the precision, `dim` columns of `band + 1` slots
+    /// (entry `(i, j)` at `slot(band + 1, i, j)`). The Cholesky factor
+    /// overwrites it in place.
     prec: Vec<f64>,
     /// Information vector `Λμ`.
     info: Vec<f64>,
-    /// Upper band of the covariance, `dim` rows of `band + 1`: entry
-    /// `(i, j)`, `i ≤ j ≤ i + band`, sits at `i·(band + 1) + (j − i)`.
+    /// Symmetric band of the covariance, `dim` rows of `2·band + 1`:
+    /// entry `(i, j)`, `|i − j| ≤ band`, sits at
+    /// `i·(2·band + 1) + (band + j − i)`, and `(j, i)` holds the same
+    /// value, so a row's off-diagonal entries are one slice whichever
+    /// side of the diagonal they lie on.
     cov: Vec<f64>,
     /// Marginal means of the last solve; between IRLS passes, the
     /// estimate the next pass weights its terms at.
@@ -74,11 +119,11 @@ impl AnalyticScratch {
     /// `dim` variables and bandwidth `bandwidth`, so solving one never
     /// allocates.
     pub fn with_capacity(dim: usize, bandwidth: usize) -> Self {
-        let band_len = dim * (bandwidth.min(dim.saturating_sub(1)) + 1);
+        let b = bandwidth.min(dim.saturating_sub(1));
         AnalyticScratch {
-            prec: Vec::with_capacity(band_len),
+            prec: Vec::with_capacity(dim * (b + 1)),
             info: Vec::with_capacity(dim),
-            cov: Vec::with_capacity(band_len),
+            cov: Vec::with_capacity(dim * (2 * b + 1)),
             mean: Vec::with_capacity(dim),
             var: Vec::with_capacity(dim),
             ..Self::default()
@@ -100,7 +145,7 @@ impl AnalyticScratch {
         self.info.clear();
         for (j, g) in prior.iter().enumerate() {
             let p = 1.0 / g.var;
-            self.prec[j * w] = p;
+            self.prec[slot(w, j, j)] = p;
             self.info.push(g.mean * p);
         }
     }
@@ -130,7 +175,7 @@ impl AnalyticScratch {
                         la - lb <= b,
                         "term couples locals {lb} and {la}, beyond bandwidth {b}"
                     );
-                    self.prec[la * (b + 1) + (la - lb)] += ca * cb * w;
+                    self.prec[slot(b + 1, la, lb)] += ca * cb * w;
                 }
             }
         }
@@ -180,32 +225,44 @@ impl AnalyticScratch {
             return false;
         }
         let (d, b) = (self.dim, self.band);
-        let w = b + 1;
-        self.cov.clear();
-        self.cov.resize(d * w, 0.0);
+        let (w, w2) = (b + 1, 2 * b + 1);
+        // Every entry the pass reads is written first, so the buffer
+        // needs no clearing.
+        self.cov.resize(d * w2, 0.0);
         self.var.clear();
-        self.var.resize(d, 0.0);
         // Takahashi: Lᵀ·Σ = L⁻¹, whose upper triangle is diag(1/Lᵢᵢ), so
         // Σᵢⱼ = (δᵢⱼ/Lᵢᵢ − Σₖ₌ᵢ₊₁ Lₖᵢ·Σₖⱼ)/Lᵢᵢ for j ≥ i. Rows run
-        // bottom-up and columns right to left, so every Σₖⱼ it reads is
-        // already known, and all of them lie within the band.
+        // bottom-up, so every Σₖⱼ it reads is already known, and all of
+        // them lie within the band. Off the diagonal (j > i) the sum reads
+        // only rows below i, so the row's entries are independent lanes;
+        // the diagonal then reads them.
         for i in (0..d).rev() {
-            let hi = (i + b).min(d - 1);
-            let lii = self.prec[i * w];
-            for j in (i..=hi).rev() {
-                let mut s = if j == i { 1.0 / lii } else { 0.0 };
-                for k in i + 1..=hi {
-                    let skj = if j >= k {
-                        self.cov[k * w + (j - k)]
-                    } else {
-                        self.cov[j * w + (k - j)]
-                    };
-                    s -= self.prec[k * w + (k - i)] * skj;
+            let n = b.min(d - 1 - i);
+            let col = &self.prec[slot(w, i, i)..][..=n];
+            let lii = col[0];
+            let (head, below) = self.cov.split_at_mut((i + 1) * w2);
+            // Σ(i, i+1..=i+n), accumulated in place.
+            let row = &mut head[i * w2 + b + 1..][..n];
+            row.fill(0.0);
+            for (m, &lki) in col[1..].iter().enumerate() {
+                // Row k = i + 1 + m from column i + 1 on.
+                let sk = &below[m * w2 + b - m..][..n];
+                for (s, &skj) in row.iter_mut().zip(sk) {
+                    *s -= lki * skj;
                 }
-                self.cov[i * w + (j - i)] = s / lii;
             }
-            self.var[i] = self.cov[i * w];
+            for (m, s) in row.iter_mut().enumerate() {
+                *s /= lii;
+                // Its mirror Σ(i + 1 + m, i), read by the rows above.
+                below[m * w2 + b - 1 - m] = *s;
+            }
+            let mut s = 1.0 / lii;
+            for (&lki, &sik) in col[1..].iter().zip(row.iter()) {
+                s -= lki * sik;
+            }
+            head[i * w2 + b] = s / lii;
         }
+        self.var.extend((0..d).map(|i| self.cov[i * w2 + b]));
         true
     }
 
@@ -216,39 +273,55 @@ impl AnalyticScratch {
     pub fn solve_mean(&mut self) -> bool {
         let (d, b) = (self.dim, self.band);
         let w = b + 1;
-        self.mean.resize(d, 0.0);
-        // In-place banded Cholesky: L(i, j) overwrites Λ(i, j).
-        for i in 0..d {
-            let lo = i.saturating_sub(b);
-            for j in lo..=i {
-                let mut s = self.prec[i * w + (i - j)];
-                for k in lo..j {
-                    s -= self.prec[i * w + (i - k)] * self.prec[j * w + (j - k)];
-                }
-                if i == j {
-                    if s <= 0.0 || !s.is_finite() {
-                        return false;
-                    }
-                    self.prec[i * w] = s.sqrt();
-                } else {
-                    self.prec[i * w + (i - j)] = s / self.prec[j * w];
+        // In-place right-looking banded Cholesky: L(i, j) overwrites
+        // Λ(i, j). Entry (i, j) receives its updates L(i, k)·L(j, k) in
+        // ascending k, exactly as the dot-product form subtracts them, so
+        // the factor keeps its bits (see the module doc).
+        for k in 0..d {
+            let n = b.min(d - 1 - k);
+            let trailing = slot(w, k + 1, k + 1);
+            let (done, rest) = self.prec.split_at_mut(trailing);
+            let col = &mut done[slot(w, k, k)..][..=n];
+            let s = col[0];
+            if s <= 0.0 || !s.is_finite() {
+                return false;
+            }
+            let lkk = s.sqrt();
+            col[0] = lkk;
+            for l in &mut col[1..] {
+                *l /= lkk;
+            }
+            // Column j = k + m of the trailing band, rows j..=k + n.
+            for (m, &ljk) in col.iter().enumerate().skip(1) {
+                let dst = &mut rest[slot(w, k + m, k + m) - trailing..][..=n - m];
+                for (a, &lik) in dst.iter_mut().zip(&col[m..]) {
+                    *a -= lik * ljk;
                 }
             }
         }
         // mean = Λ⁻¹·info via two triangular solves (y reuses `mean`).
-        for i in 0..d {
-            let mut s = self.info[i];
-            for k in i.saturating_sub(b)..i {
-                s -= self.prec[i * w + (i - k)] * self.mean[k];
+        // Forward, by columns: y_k is final once column k − 1 is in.
+        self.mean.clear();
+        self.mean.extend_from_slice(&self.info);
+        for k in 0..d {
+            let n = b.min(d - 1 - k);
+            let col = &self.prec[slot(w, k, k)..][..=n];
+            let (yk, below) = self.mean[k..].split_at_mut(1);
+            yk[0] /= col[0];
+            for (s, &l) in below[..n].iter_mut().zip(&col[1..]) {
+                *s -= l * yk[0];
             }
-            self.mean[i] = s / self.prec[i * w];
         }
+        // Back, by rows: one dot product per entry.
         for i in (0..d).rev() {
-            let mut s = self.mean[i];
-            for k in i + 1..=(i + b).min(d.saturating_sub(1)) {
-                s -= self.prec[k * w + (k - i)] * self.mean[k];
+            let n = b.min(d - 1 - i);
+            let col = &self.prec[slot(w, i, i)..][..=n];
+            let (xi, below) = self.mean[i..].split_at_mut(1);
+            let mut s = xi[0];
+            for (&l, &xk) in col[1..].iter().zip(&below[..n]) {
+                s -= l * xk;
             }
-            self.mean[i] = s / self.prec[i * w];
+            xi[0] = s / col[0];
         }
         true
     }
@@ -402,7 +475,7 @@ mod tests {
                     .map(|j| {
                         let (r, c) = (i.max(j), i.min(j));
                         if r - c <= 2 {
-                            ws.prec[r * 3 + (r - c)]
+                            ws.prec[slot(3, r, c)]
                         } else {
                             0.0
                         }
@@ -489,7 +562,7 @@ mod tests {
         // A malicious negative-variance-like term that destroys positive
         // definiteness cannot be built through `add_term` (var > 0), so
         // emulate an ill-conditioned system by cancelling the diagonal.
-        ws.prec[0] = -1.0;
+        ws.prec[slot(2, 0, 0)] = -1.0;
         assert!(!ws.solve());
     }
 }

@@ -7,9 +7,9 @@
 //!
 //! * [`metrics`] — a lock-free [`Registry`] of namespaced counters,
 //!   gauges, and fixed-bucket log-scale [`Histogram`]s. Handles are
-//!   pre-registered on the cold path; recording is a single relaxed
-//!   atomic op (two for histograms) — no allocation, no locks, no
-//!   formatting on the hot path;
+//!   pre-registered on the cold path; recording is a single atomic op
+//!   (release for counters, relaxed for the rest; two for histograms) —
+//!   no allocation, no locks, no formatting on the hot path;
 //! * [`spans`] — pipeline tracing via per-thread ring buffers
 //!   ([`SpanTracer`]/[`SpanRecorder`]), so one window's life is
 //!   reconstructable ingest → assemble → solve → publish → scrape →

@@ -3,9 +3,10 @@
 //!
 //! Registration (naming a metric, taking a handle) is the cold path and
 //! takes a mutex; recording through a handle is the hot path and is a
-//! single relaxed atomic RMW for counters and gauges, and two for
-//! histograms (one bucket, one sum — the total count is derived from the
-//! buckets at snapshot time, so no third op is paid per record). Handles
+//! single atomic op: a release RMW for counters, a relaxed store for
+//! gauges, and two relaxed RMWs for histograms (one bucket, one sum — the
+//! total count is derived from the buckets at snapshot time, so no third
+//! op is paid per record). Handles
 //! are `Clone` (they share the underlying atomic) and never allocate,
 //! lock, or format on record.
 //!
@@ -21,8 +22,13 @@ use std::sync::{Arc, Mutex};
 /// Number of fixed histogram buckets (one per power of two of `u64`).
 pub const HISTOGRAM_BUCKETS: usize = 64;
 
-/// A monotonically increasing counter. Recording is one relaxed
-/// `fetch_add`.
+/// A monotonically increasing counter. Recording is one `Release`
+/// `fetch_add` and [`Counter::get`] one `Acquire` load, so they pair: a
+/// reader that sees an increment also sees every write its thread made
+/// before it. The restart counters rely on this: a supervisor records and
+/// publishes restart `n`, then increments, so whoever reads `n` finds
+/// restart `n` published. On x86-64 both compile to the same
+/// instructions as relaxed ones.
 #[derive(Clone, Debug, Default)]
 pub struct Counter(Arc<AtomicU64>);
 
@@ -30,7 +36,7 @@ impl Counter {
     /// Adds `n` to the counter.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        self.0.fetch_add(n, Ordering::Release);
     }
 
     /// Adds one to the counter.
@@ -44,13 +50,13 @@ impl Counter {
     /// publication index from the cumulative count).
     #[inline]
     pub fn fetch_add(&self, n: u64) -> u64 {
-        self.0.fetch_add(n, Ordering::Relaxed)
+        self.0.fetch_add(n, Ordering::Release)
     }
 
     /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.load(Ordering::Acquire)
     }
 }
 
