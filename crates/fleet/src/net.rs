@@ -25,7 +25,12 @@
 //!   bounded retries and per-endpoint exponential backoff with seeded
 //!   jitter), feeds the per-shard [`health`](crate::health) state
 //!   machine, and publishes health-aware fused [`FleetSnapshot`]s
-//!   through a lock-free snapshot cell.
+//!   through a lock-free snapshot cell. The calling thread polls the
+//!   first chunk of endpoints itself; the other chunks move to
+//!   long-lived `scrape-poll-N` threads, which the scraper starts the
+//!   first time a round needs them and joins when it drops, so a round
+//!   creates no thread. Each polling thread records its scrape spans in
+//!   its own span ring.
 //!
 //! Failure philosophy: a scrape failure is *evidence about the link*,
 //! not about the shard's data — the cached posterior is still the best
@@ -51,9 +56,10 @@ use bayesperf_simcpu::{LinkFate, LinkState};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -580,7 +586,10 @@ pub struct ScrapeConfig {
     pub backoff_cap_rounds: u32,
     /// Seed for backoff jitter (de-synchronizes retry storms).
     pub jitter_seed: u64,
-    /// Endpoint-polling threads per round.
+    /// Threads that poll endpoints each round: the calling thread plus
+    /// `concurrency − 1` long-lived polling threads, started the first
+    /// time a round splits into more than one chunk and joined when the
+    /// scraper drops.
     pub concurrency: usize,
     /// The staleness state machine thresholds and inflation constants.
     pub health: HealthPolicy,
@@ -633,10 +642,6 @@ struct Endpoint {
     fails: u32,
     /// Per-endpoint jitter stream.
     rng: u64,
-    /// Span ring for this endpoint's scrape exchanges. Endpoints are
-    /// polled by exactly one worker per round (chunks are disjoint), so
-    /// a per-endpoint recorder is race-free.
-    spans: SpanRecorder,
     /// Health view and cache stamp as of the previous round: transition
     /// telemetry, and the change detector that keeps rounds in which
     /// nothing moved from republishing.
@@ -675,15 +680,18 @@ pub struct RoundReport {
     pub failures: usize,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Tally {
-    attempted: usize,
-    skipped: usize,
-    bytes_sent: u64,
-    bytes_received: u64,
-    full_snapshots: usize,
-    unchanged: usize,
-    failures: usize,
+impl RoundReport {
+    /// Adds the per-endpoint counts of `part` (one chunk's polls) to this
+    /// report.
+    fn absorb(&mut self, part: &RoundReport) {
+        self.attempted += part.attempted;
+        self.skipped += part.skipped;
+        self.bytes_sent += part.bytes_sent;
+        self.bytes_received += part.bytes_received;
+        self.full_snapshots += part.full_snapshots;
+        self.unchanged += part.unchanged;
+        self.failures += part.failures;
+    }
 }
 
 /// Cumulative scrape-plane totals since the scraper was built — the sums
@@ -713,7 +721,7 @@ pub struct ScrapeTotals {
 }
 
 /// Pre-registered scrape-plane metric handles: creation is cold-path,
-/// recording is one relaxed atomic op per tally field per round.
+/// recording is one relaxed atomic op per round-report count per round.
 /// Cloning shares the handles (they are `Arc`s onto the same registry
 /// slots), which is how a scraper-backed [`FleetSession`] reads live
 /// totals without reaching into the scraper.
@@ -818,9 +826,15 @@ pub struct FleetScraper {
     pub(crate) scraped: Arc<Mutex<Vec<MetricSnapshot>>>,
     /// Update queues of this scraper's sessions' subscribers.
     pub(crate) subscribers: Arc<Subscribers<FleetUpdate>>,
-    /// Fuse-stage span ring (poll_round is caller-pumped, so this is
-    /// single-threaded by construction).
-    fuse_spans: SpanRecorder,
+    /// The calling thread's span ring: the scrape spans of the chunk it
+    /// polls and the fuse spans of `publish` (poll_round is caller-pumped,
+    /// so the ring has one writer at a time).
+    spans: SpanRecorder,
+    /// The polling threads beside the caller; thread `k` polls chunk
+    /// `k + 1`. Started on first need, joined on drop.
+    pollers: Vec<Poller>,
+    /// Where each round leaves the polling threads their chunks.
+    handoff: Arc<Handoff>,
 }
 
 impl FleetScraper {
@@ -829,7 +843,7 @@ impl FleetScraper {
         let (writer, reader) = snapshot_cell();
         let tele = Telemetry::new();
         let metrics = ScrapeMetrics::new(&tele);
-        let fuse_spans = tele.spans().recorder();
+        let spans = tele.spans().recorder();
         FleetScraper {
             config,
             n_events,
@@ -844,13 +858,19 @@ impl FleetScraper {
             metrics,
             scraped: Arc::new(Mutex::new(Vec::new())),
             subscribers: Arc::default(),
-            fuse_spans,
+            spans,
+            pollers: Vec::new(),
+            handoff: Arc::default(),
         }
     }
 
     /// The scraper's telemetry plane: the `scrape.*` / `health.*` metric
     /// namespace, the scrape/fuse span rings, and the flight recorder
-    /// that logs health transitions.
+    /// that logs health transitions. Scrape spans go to one ring per
+    /// polling thread, the caller's included (its ring also takes the fuse
+    /// spans), so the tracer keeps the last
+    /// [`DEFAULT_SPAN_CAPACITY`](bayesperf_obs::DEFAULT_SPAN_CAPACITY)
+    /// spans of each polling thread, not of each endpoint.
     pub fn telemetry(&self) -> &Telemetry {
         &self.tele
     }
@@ -922,7 +942,6 @@ impl FleetScraper {
             cooldown: 0,
             fails: 0,
             rng,
-            spans: self.tele.spans().recorder(),
             view: ShardHealthView::healthy(shard),
             seen: None,
         });
@@ -953,30 +972,41 @@ impl FleetScraper {
         self.reader.clone()
     }
 
-    /// Runs one scrape round: poll every endpoint not in cooldown
-    /// (concurrently, `config.concurrency` threads), update per-shard
-    /// health, and — when some endpoint's cached snapshot, its health
-    /// view, or the endpoint set changed since the last published
-    /// generation — fuse the non-Dead cached contributions with staleness
-    /// inflation and publish the result. A round in which nothing moved
-    /// publishes nothing, so idle fleets do not spin generations. When
-    /// nothing contributes (all Dead, or nothing scraped yet) the previous
-    /// published snapshot stays in place — readers never see the fleet
-    /// posterior disappear.
+    /// Runs one scrape round: poll every endpoint not in cooldown (on
+    /// up to `config.concurrency` threads: this one and the scraper's
+    /// long-lived polling threads), update per-shard health, and — when
+    /// some endpoint's cached snapshot, its health view, or the endpoint
+    /// set changed since the last published generation — fuse the
+    /// non-Dead cached contributions with staleness inflation and publish
+    /// the result. A round in which nothing moved publishes nothing, so
+    /// idle fleets do not spin generations. When nothing contributes (all
+    /// Dead, or nothing scraped yet) the previous published snapshot
+    /// stays in place — readers never see the fleet posterior disappear.
+    ///
+    /// # Panics
+    ///
+    /// A panic raised while polling an endpoint (by its transport, say)
+    /// is caught on the thread that raised it and re-raised here, with
+    /// its original payload, once every chunk of endpoints is back: the
+    /// first in chunk order if several chunks panicked. The scraper keeps
+    /// all its endpoints, in registration order, and the next round polls
+    /// them all. A round that panics records no counts.
     pub fn poll_round(&mut self) -> RoundReport {
         self.round += 1;
-        let tally = self.poll_endpoints();
+        let mut report = self.poll_endpoints();
         self.metrics.rounds.incr();
-        self.metrics.attempted.add(tally.attempted as u64);
-        self.metrics.skipped.add(tally.skipped as u64);
-        self.metrics.bytes_sent.add(tally.bytes_sent);
-        self.metrics.bytes_received.add(tally.bytes_received);
-        self.metrics.full_snapshots.add(tally.full_snapshots as u64);
-        self.metrics.unchanged.add(tally.unchanged as u64);
-        self.metrics.failures.add(tally.failures as u64);
+        self.metrics.attempted.add(report.attempted as u64);
+        self.metrics.skipped.add(report.skipped as u64);
+        self.metrics.bytes_sent.add(report.bytes_sent);
+        self.metrics.bytes_received.add(report.bytes_received);
+        self.metrics
+            .full_snapshots
+            .add(report.full_snapshots as u64);
+        self.metrics.unchanged.add(report.unchanged as u64);
+        self.metrics.failures.add(report.failures as u64);
         self.metrics
             .round_bytes
-            .record(tally.bytes_sent + tally.bytes_received);
+            .record(report.bytes_sent + report.bytes_received);
         let mut dead = 0;
         let mut contributors = 0;
         for ep in &mut self.endpoints {
@@ -1002,26 +1032,18 @@ impl FleetScraper {
         if published {
             self.publish();
         }
-        RoundReport {
-            round: self.round,
-            published,
-            contributors,
-            dead,
-            attempted: tally.attempted,
-            skipped: tally.skipped,
-            bytes_sent: tally.bytes_sent,
-            bytes_received: tally.bytes_received,
-            full_snapshots: tally.full_snapshots,
-            unchanged: tally.unchanged,
-            failures: tally.failures,
-        }
+        report.round = self.round;
+        report.published = published;
+        report.contributors = contributors;
+        report.dead = dead;
+        report
     }
 
     /// Fuses every non-Dead cached contribution under this round's health
     /// views, publishes the result as the next generation, and hands it to
     /// subscribers.
     fn publish(&mut self) {
-        let fuse_start = self.fuse_spans.now_ns();
+        let fuse_start = self.spans.now_ns();
         self.agg.begin();
         let mut top_window = 0u32;
         for ep in &self.endpoints {
@@ -1056,54 +1078,67 @@ impl FleetScraper {
         self.changed = false;
         // The fuse span is tagged with the freshest window that entered
         // fusion, closing that window's end-to-end trace.
-        self.fuse_spans
-            .record_since(Stage::Fuse, top_window, fuse_start);
+        self.spans.record_since(Stage::Fuse, top_window, fuse_start);
     }
 
-    /// The concurrent polling phase: endpoints are split into contiguous
-    /// chunks, one scoped thread per chunk; all state touched is
-    /// per-endpoint, so threads never contend. A single chunk is polled
-    /// inline on the calling thread.
-    fn poll_endpoints(&mut self) -> Tally {
-        let (config, n_events) = (&self.config, self.n_events);
-        let poll = |eps: &mut [Endpoint]| {
-            let mut tally = Tally::default();
-            for ep in eps {
-                poll_endpoint(ep, config, n_events, &mut tally);
-            }
-            tally
-        };
+    /// The polling phase: the endpoints split into at most
+    /// `config.concurrency` contiguous chunks of `len.div_ceil(concurrency)`.
+    /// Each chunk after the first moves into its polling thread's slot
+    /// (the threads start here on first need), one broadcast wakes them
+    /// all, and this thread polls the first chunk meanwhile on its own
+    /// span ring. The chunks come back in order, so endpoints keep
+    /// registration order; all state touched is per-endpoint, so threads
+    /// never contend. A round with one chunk involves no other thread,
+    /// lock or condition variable. A panic while polling any chunk is
+    /// re-raised once every chunk is home; if several chunks panicked, the
+    /// lowest chunk's payload is the one raised.
+    fn poll_endpoints(&mut self) -> RoundReport {
         let chunk = self
             .endpoints
             .len()
-            .div_ceil(config.concurrency.max(1))
+            .div_ceil(self.config.concurrency.max(1))
             .max(1);
-        if chunk >= self.endpoints.len() {
-            return poll(&mut self.endpoints);
+        let others = self.endpoints.len().div_ceil(chunk).saturating_sub(1);
+        while self.pollers.len() < others {
+            let poller = Poller::spawn(
+                Arc::clone(&self.handoff),
+                self.pollers.len(),
+                self.config.clone(),
+                self.n_events,
+                self.tele.spans().recorder(),
+            );
+            self.pollers.push(poller);
         }
-        let poll = &poll;
-        let tallies: Vec<Tally> = thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .endpoints
-                .chunks_mut(chunk)
-                .map(|eps| scope.spawn(move || poll(eps)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scrape worker must not panic"))
-                .collect()
-        });
-        let mut total = Tally::default();
-        for t in tallies {
-            total.attempted += t.attempted;
-            total.skipped += t.skipped;
-            total.bytes_sent += t.bytes_sent;
-            total.bytes_received += t.bytes_received;
-            total.full_snapshots += t.full_snapshots;
-            total.unchanged += t.unchanged;
-            total.failures += t.failures;
+        if others > 0 {
+            let mut slots = self.handoff.lock();
+            // Last chunk first, so each split takes the tail.
+            for (k, slot) in slots[..others].iter_mut().enumerate().rev() {
+                *slot = Slot::Chunk(self.endpoints.split_off((k + 1) * chunk));
+            }
+            drop(slots);
+            self.handoff.posted.notify_all();
         }
-        total
+        let mut round = poll_chunk(
+            &mut self.endpoints,
+            &self.config,
+            self.n_events,
+            &self.spans,
+        );
+        for poller in &self.pollers[..others] {
+            let (mut eps, polled) = poller
+                .done
+                .recv()
+                .expect("a polling thread hands back every chunk");
+            self.endpoints.append(&mut eps);
+            round = match (round, polled) {
+                (Ok(mut total), Ok(part)) => {
+                    total.absorb(&part);
+                    Ok(total)
+                }
+                (Err(payload), _) | (_, Err(payload)) => Err(payload),
+            };
+        }
+        round.unwrap_or_else(|payload| panic::resume_unwind(payload))
     }
 }
 
@@ -1111,20 +1146,133 @@ impl Drop for FleetScraper {
     fn drop(&mut self) {
         // No generation can follow: end every subscriber stream.
         self.subscribers.close();
+        // Polling threads are idle between rounds, so no join waits on an
+        // exchange.
+        self.handoff.lock().fill_with(|| Slot::Closed);
+        self.handoff.posted.notify_all();
+        for poller in self.pollers.drain(..) {
+            let _ = poller.thread.join();
+        }
     }
+}
+
+/// What a polling thread hands back: its chunk, and the chunk's counts or
+/// the payload of a panic raised while polling it.
+type Polled = (Vec<Endpoint>, thread::Result<RoundReport>);
+
+/// What a round leaves a polling thread.
+#[derive(Default)]
+enum Slot {
+    /// Nothing to do.
+    #[default]
+    Empty,
+    /// This round's chunk, until the thread claims it.
+    Chunk(Vec<Endpoint>),
+    /// The scraper is dropping: the thread exits.
+    Closed,
+}
+
+/// One slot per polling thread, and the condition variable they all wait
+/// on. A round fills its slots and wakes every thread with one broadcast:
+/// woken one by one, each thread could preempt the caller before it
+/// woke the next.
+#[derive(Default)]
+struct Handoff {
+    slots: Mutex<Vec<Slot>>,
+    posted: Condvar,
+}
+
+impl Handoff {
+    fn lock(&self) -> MutexGuard<'_, Vec<Slot>> {
+        // Every update is one assignment, so poisoned slots are whole.
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Blocks until slot `k` holds something, and takes it.
+    fn wait(&self, k: usize) -> Slot {
+        let mut slots = self.lock();
+        while matches!(slots[k], Slot::Empty) {
+            slots = self
+                .posted
+                .wait(slots)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        std::mem::take(&mut slots[k])
+    }
+}
+
+/// A long-lived polling thread: it claims each chunk of endpoints left in
+/// its slot, polls it on its own span ring, and sends it back, until its
+/// slot closes.
+struct Poller {
+    done: mpsc::Receiver<Polled>,
+    thread: thread::JoinHandle<()>,
+}
+
+impl Poller {
+    /// Starts `scrape-poll-{k + 1}` on slot `k`, polling under `config`
+    /// and recording on `spans`.
+    fn spawn(
+        handoff: Arc<Handoff>,
+        k: usize,
+        config: ScrapeConfig,
+        n_events: usize,
+        spans: SpanRecorder,
+    ) -> Poller {
+        handoff.lock().push(Slot::Empty);
+        let (outbox, done) = mpsc::channel();
+        let thread = thread::Builder::new()
+            .name(format!("scrape-poll-{}", k + 1))
+            .spawn(move || {
+                while let Slot::Chunk(mut eps) = handoff.wait(k) {
+                    let polled = poll_chunk(&mut eps, &config, n_events, &spans);
+                    if outbox.send((eps, polled)).is_err() {
+                        return;
+                    }
+                }
+            })
+            .expect("spawn a scrape polling thread");
+        Poller { done, thread }
+    }
+}
+
+/// Polls `eps` in order, recording on `spans`, and sums their counts. A
+/// panic is caught here, on the thread that raised it, so the chunk always
+/// goes home.
+fn poll_chunk(
+    eps: &mut [Endpoint],
+    config: &ScrapeConfig,
+    n_events: usize,
+    spans: &SpanRecorder,
+) -> thread::Result<RoundReport> {
+    panic::catch_unwind(AssertUnwindSafe(|| {
+        let mut report = RoundReport::default();
+        for ep in eps {
+            poll_endpoint(ep, config, n_events, spans, &mut report);
+        }
+        report
+    }))
 }
 
 /// One endpoint's round: honor cooldown, otherwise exchange with bounded
 /// retries, classify the outcome into health, and set the next cooldown.
-/// Only snapshots with `n_events` posteriors are cached for fusion.
-fn poll_endpoint(ep: &mut Endpoint, config: &ScrapeConfig, n_events: usize, tally: &mut Tally) {
+/// Only snapshots with `n_events` posteriors are cached for fusion. The
+/// exchange's scrape span goes to `spans`, the polling thread's ring; the
+/// counts add to `report`.
+fn poll_endpoint(
+    ep: &mut Endpoint,
+    config: &ScrapeConfig,
+    n_events: usize,
+    spans: &SpanRecorder,
+    report: &mut RoundReport,
+) {
     if ep.cooldown > 0 {
         ep.cooldown -= 1;
         ep.health.on_skipped();
-        tally.skipped += 1;
+        report.skipped += 1;
         return;
     }
-    tally.attempted += 1;
+    report.attempted += 1;
     let (last_window, last_chunk) = ep.last.unwrap_or((0, 0));
     let req = wire::ScrapeRequest {
         last_window,
@@ -1132,12 +1280,12 @@ fn poll_endpoint(ep: &mut Endpoint, config: &ScrapeConfig, n_events: usize, tall
     };
     let mut request = Vec::new();
     wire::encode_request(&req, &mut request);
-    let scrape_start = ep.spans.now_ns();
+    let scrape_start = spans.now_ns();
     let mut scraped_window = None;
     let mut last_err = ShimError::ScrapeTimeout;
     let mut succeeded = false;
     for _ in 0..=config.retries {
-        tally.bytes_sent += request.len() as u64;
+        report.bytes_sent += request.len() as u64;
         let response = match ep.transport.exchange(&request, config.deadline) {
             Ok(r) => r,
             Err(e) => {
@@ -1145,7 +1293,7 @@ fn poll_endpoint(ep: &mut Endpoint, config: &ScrapeConfig, n_events: usize, tall
                 continue;
             }
         };
-        tally.bytes_received += response.len() as u64;
+        report.bytes_received += response.len() as u64;
         match wire::decode_response(&response) {
             Ok((wire::ScrapeResponse::Unchanged { window, chunk }, _)) => {
                 if (window, chunk) == (0, 0) && ep.last.is_some() {
@@ -1155,7 +1303,7 @@ fn poll_endpoint(ep: &mut Endpoint, config: &ScrapeConfig, n_events: usize, tall
                     ep.cache = None;
                 }
                 scraped_window = Some(window);
-                tally.unchanged += 1;
+                report.unchanged += 1;
                 succeeded = true;
             }
             Ok((wire::ScrapeResponse::Snapshot(snap), _)) => {
@@ -1182,7 +1330,7 @@ fn poll_endpoint(ep: &mut Endpoint, config: &ScrapeConfig, n_events: usize, tall
                 // scraped shard cannot rename itself on the wire.
                 status.label = ep.label.clone();
                 ep.cache = Some((status, snap.posteriors));
-                tally.full_snapshots += 1;
+                report.full_snapshots += 1;
                 succeeded = true;
             }
             Err(e) => {
@@ -1195,7 +1343,7 @@ fn poll_endpoint(ep: &mut Endpoint, config: &ScrapeConfig, n_events: usize, tall
     if let Some(window) = scraped_window {
         // Tagged with the window the exchange actually carried, so a
         // window's trace extends across the byte boundary.
-        ep.spans.record_since(Stage::Scrape, window, scrape_start);
+        spans.record_since(Stage::Scrape, window, scrape_start);
     }
     if succeeded {
         ep.health.on_success();
@@ -1203,7 +1351,7 @@ fn poll_endpoint(ep: &mut Endpoint, config: &ScrapeConfig, n_events: usize, tall
         ep.cooldown = 0;
     } else {
         ep.health.on_failure(FailureKind::from_error(&last_err));
-        tally.failures += 1;
+        report.failures += 1;
         ep.fails = ep.fails.saturating_add(1);
         ep.cooldown = backoff_rounds(ep.fails, config.backoff_cap_rounds, &mut ep.rng);
     }

@@ -8,13 +8,17 @@
 use bayesperf_core::{ShimError, SnapshotView};
 use bayesperf_fleet::net::backoff_rounds;
 use bayesperf_fleet::{
-    fuse_gaussians, FleetScraper, HealthState, ScrapeConfig, ScrapeResponder, ShardId, ShardLabel,
-    ShardTransport, SimTransport, SnapshotSource,
+    fuse_gaussians, wire, FleetScraper, FleetSnapshot, HealthState, RoundReport, ScrapeConfig,
+    ScrapeResponder, ShardId, ShardLabel, ShardTransport, SimTransport, SnapshotSource,
 };
 use bayesperf_inference::{EpRunStats, Gaussian};
+use bayesperf_obs::Stage;
 use bayesperf_simcpu::{LinkProfile, LinkState};
+use std::collections::HashSet;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
+use std::thread::ThreadId;
 use std::time::Duration;
 
 /// A shard stand-in whose snapshot is a pure function of a version
@@ -333,11 +337,16 @@ fn churn_under_faults_never_shows_torn_or_regressing_snapshots() {
     let stop = Arc::new(AtomicBool::new(false));
     // Concurrent readers hammer the published cell during churn: every
     // observed snapshot must be internally consistent (never torn) and
-    // generations must never run backwards per reader.
+    // generations must never run backwards per reader. Each observer
+    // reports its first snapshot, and the churn waits for all three after
+    // the first round, so every observer reads while the rest churns
+    // however fast the rounds run.
+    let (first_read, first_reads) = mpsc::channel();
     let observers: Vec<_> = (0..3)
         .map(|_| {
             let reader = reader.clone();
             let stop = Arc::clone(&stop);
+            let first_read = first_read.clone();
             std::thread::spawn(move || {
                 let mut last_generation = 0u64;
                 let mut observed = 0u64;
@@ -350,6 +359,9 @@ fn churn_under_faults_never_shows_torn_or_regressing_snapshots() {
                         for g in &snap.fused {
                             assert!(g.var.is_finite() && g.var > 0.0 && g.mean.is_finite());
                         }
+                        if observed == 0 {
+                            let _ = first_read.send(());
+                        }
                         observed += 1;
                     }
                     std::thread::yield_now();
@@ -358,6 +370,7 @@ fn churn_under_faults_never_shows_torn_or_regressing_snapshots() {
             })
         })
         .collect();
+    drop(first_read);
     let mut next_shard = 12u32;
     for round in 0..60u64 {
         for (_, source) in sources.iter().skip((round % 2) as usize).step_by(2) {
@@ -377,6 +390,11 @@ fn churn_under_faults_never_shows_torn_or_regressing_snapshots() {
         assert_never_oversharpened(&snap);
         // Removed shards leave the health rows entirely.
         assert_eq!(snap.health.len(), scraper.endpoints());
+        if round == 0 {
+            for _ in 0..3 {
+                first_reads.recv().expect("every observer reads a snapshot");
+            }
+        }
     }
     stop.store(true, Ordering::Relaxed);
     for handle in observers {
@@ -614,4 +632,278 @@ fn tcp_and_unix_servers_serve_real_scrapes() {
     }
     drop(unix_server);
     assert!(!path.exists(), "unix server must clean up its socket file");
+}
+
+/// Records the thread that runs each exchange.
+struct ThreadRecorder<T> {
+    inner: T,
+    threads: Arc<Mutex<HashSet<ThreadId>>>,
+}
+
+impl<T: ShardTransport> ShardTransport for ThreadRecorder<T> {
+    fn exchange(&mut self, request: &[u8], deadline: Duration) -> Result<Vec<u8>, ShimError> {
+        self.threads
+            .lock()
+            .expect("no recorder panics holding the set")
+            .insert(std::thread::current().id());
+        self.inner.exchange(request, deadline)
+    }
+}
+
+#[test]
+fn rounds_reuse_the_same_polling_threads() {
+    let concurrency = 4;
+    let mut scraper = FleetScraper::new(
+        EVENTS,
+        ScrapeConfig {
+            deadline: DEADLINE,
+            concurrency,
+            ..ScrapeConfig::default()
+        },
+    );
+    let threads = Arc::new(Mutex::new(HashSet::new()));
+    for shard in 0..32u32 {
+        let (_, r) = responder(shard, EVENTS);
+        scraper.add_endpoint(
+            ShardId::from_raw(shard),
+            ShardLabel::new(format!("m{shard}"), shard % 2),
+            Box::new(ThreadRecorder {
+                inner: SimTransport::new(r, LinkState::new(LinkProfile::clean(u64::from(shard)))),
+                threads: Arc::clone(&threads),
+            }),
+        );
+    }
+    for _ in 0..50 {
+        assert_eq!(scraper.poll_round().attempted, 32);
+    }
+    let distinct = threads.lock().expect("rounds are over").len();
+    assert!(
+        distinct <= concurrency,
+        "50 rounds at concurrency {concurrency} polled on {distinct} threads"
+    );
+}
+
+/// Logs the window of every exchange the scraper accepts: an `Unchanged`
+/// ack, or a snapshot from this shard with a catalog-sized posterior.
+/// (The links corrupt frames, so a response can fail to decode or decode
+/// to another shard's record; the scraper retries those.)
+struct WindowLog<T> {
+    inner: T,
+    shard: ShardId,
+    carried: Carried,
+}
+
+/// The windows of the accepted exchanges, shared by a fleet's loggers.
+type Carried = Arc<Mutex<Vec<u32>>>;
+
+impl<T: ShardTransport> ShardTransport for WindowLog<T> {
+    fn exchange(&mut self, request: &[u8], deadline: Duration) -> Result<Vec<u8>, ShimError> {
+        let response = self.inner.exchange(request, deadline)?;
+        let window = match wire::decode_response(&response) {
+            Ok((wire::ScrapeResponse::Unchanged { window, .. }, _)) => Some(window),
+            Ok((wire::ScrapeResponse::Snapshot(snap), _))
+                if snap.shard == self.shard && snap.posteriors.len() == EVENTS =>
+            {
+                Some(snap.window)
+            }
+            _ => None,
+        };
+        if let Some(window) = window {
+            self.carried
+                .lock()
+                .expect("no logger panics holding the log")
+                .push(window);
+        }
+        Ok(response)
+    }
+}
+
+/// A 32-shard fleet over 10%-drop links seeded per shard, polled on
+/// `concurrency` threads, logging the window of every accepted exchange.
+fn lossy_fleet(concurrency: usize) -> (FleetScraper, Vec<Arc<SynthSource>>, Carried) {
+    let mut scraper = FleetScraper::new(
+        EVENTS,
+        ScrapeConfig {
+            deadline: DEADLINE,
+            concurrency,
+            ..ScrapeConfig::default()
+        },
+    );
+    let template = LinkProfile::lossy(0x5CA1E, 0.10);
+    let carried = Arc::new(Mutex::new(Vec::new()));
+    let mut sources = Vec::new();
+    for shard in 0..32u32 {
+        let (source, r) = responder(shard, EVENTS);
+        sources.push(source);
+        let id = ShardId::from_raw(shard);
+        scraper.add_endpoint(
+            id,
+            ShardLabel::new(format!("m{shard}"), shard % 2),
+            Box::new(WindowLog {
+                inner: SimTransport::new(r, LinkState::new(template.derive(shard))),
+                shard: id,
+                carried: Arc::clone(&carried),
+            }),
+        );
+    }
+    (scraper, sources, carried)
+}
+
+/// Runs one round and checks that each exchange the scraper accepted left
+/// exactly one `Stage::Scrape` span, tagged with the window it carried.
+fn round_with_spans(scraper: &mut FleetScraper, carried: &Mutex<Vec<u32>>) -> RoundReport {
+    let tracer = scraper.telemetry().spans().clone();
+    let start = tracer.now_ns();
+    let report = scraper.poll_round();
+    let mut spans: Vec<u32> = tracer
+        .records()
+        .iter()
+        .filter(|s| s.stage == Stage::Scrape && s.start_ns >= start)
+        .map(|s| s.window)
+        .collect();
+    spans.sort_unstable();
+    let mut windows = std::mem::take(&mut *carried.lock().expect("the round is over"));
+    windows.sort_unstable();
+    assert_eq!(spans, windows, "round {}", report.round);
+    assert_eq!(spans.len(), report.full_snapshots + report.unchanged);
+    report
+}
+
+fn moment_bits(posteriors: &[Gaussian]) -> Vec<(u64, u64)> {
+    posteriors
+        .iter()
+        .map(|g| (g.mean.to_bits(), g.var.to_bits()))
+        .collect()
+}
+
+fn assert_same_snapshot(inline: &FleetSnapshot, pooled: &FleetSnapshot) {
+    assert_eq!(inline.generation, pooled.generation);
+    assert_eq!(inline.shards, pooled.shards);
+    assert_eq!(moment_bits(&inline.fused), moment_bits(&pooled.fused));
+    assert_eq!(inline.per_shard.len(), pooled.per_shard.len());
+    for (a, b) in inline.per_shard.iter().zip(&pooled.per_shard) {
+        assert_eq!(moment_bits(a), moment_bits(b));
+    }
+    assert_eq!(inline.health.len(), pooled.health.len());
+    for (a, b) in inline.health.iter().zip(&pooled.health) {
+        assert_eq!(a, b);
+        assert_eq!(a.inflation.to_bits(), b.inflation.to_bits());
+    }
+}
+
+#[test]
+fn pooled_rounds_equal_inline_rounds_bit_for_bit() {
+    let (mut inline, inline_sources, inline_carried) = lossy_fleet(1);
+    let (mut pooled, pooled_sources, pooled_carried) = lossy_fleet(8);
+    let (inline_reader, pooled_reader) = (inline.reader(), pooled.reader());
+    let mut published = 0;
+    for round in 1..=200u64 {
+        for (shard, (a, b)) in inline_sources.iter().zip(&pooled_sources).enumerate() {
+            if round % (1 + shard as u64 % 4) == 0 {
+                a.bump();
+                b.bump();
+            }
+        }
+        let report = round_with_spans(&mut inline, &inline_carried);
+        assert_eq!(
+            report,
+            round_with_spans(&mut pooled, &pooled_carried),
+            "round {round}"
+        );
+        if report.published {
+            published += 1;
+        }
+        assert_same_snapshot(
+            &inline_reader.read().expect("published from round one"),
+            &pooled_reader.read().expect("published from round one"),
+        );
+    }
+    assert!(published > 100, "only {published} of 200 rounds published");
+    assert!(
+        inline.totals().failures > 0,
+        "the links must drop exchanges"
+    );
+}
+
+/// Panics on its third exchange, once.
+struct PanicsOnThirdExchange<T> {
+    inner: T,
+    shard: u32,
+    exchanges: u32,
+}
+
+impl<T: ShardTransport> ShardTransport for PanicsOnThirdExchange<T> {
+    fn exchange(&mut self, request: &[u8], deadline: Duration) -> Result<Vec<u8>, ShimError> {
+        self.exchanges += 1;
+        if self.exchanges == 3 {
+            panic!("shard {} transport fault on exchange 3", self.shard);
+        }
+        self.inner.exchange(request, deadline)
+    }
+}
+
+#[test]
+fn a_polling_panic_reaches_the_caller_and_keeps_every_endpoint() {
+    // Shard 1 sits in the caller's chunk, shard 20 in a polling thread's
+    // (32 endpoints at the default concurrency of 8 make chunks of 4).
+    for faulty in [1u32, 20] {
+        let mut scraper = FleetScraper::new(
+            EVENTS,
+            ScrapeConfig {
+                deadline: DEADLINE,
+                ..ScrapeConfig::default()
+            },
+        );
+        let mut sources = Vec::new();
+        for shard in 0..32u32 {
+            let (source, r) = responder(shard, EVENTS);
+            sources.push(source);
+            let sim = SimTransport::new(r, LinkState::new(LinkProfile::clean(u64::from(shard))));
+            let transport: Box<dyn ShardTransport> = if shard == faulty {
+                Box::new(PanicsOnThirdExchange {
+                    inner: sim,
+                    shard,
+                    exchanges: 0,
+                })
+            } else {
+                Box::new(sim)
+            };
+            scraper.add_endpoint(
+                ShardId::from_raw(shard),
+                ShardLabel::new(format!("m{shard}"), shard % 2),
+                transport,
+            );
+        }
+        let mut round = || {
+            for source in &sources {
+                source.bump();
+            }
+            scraper.poll_round()
+        };
+        for _ in 0..2 {
+            assert!(round().published);
+        }
+        let payload = catch_unwind(AssertUnwindSafe(&mut round))
+            .expect_err("the third exchange panics the round");
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .expect("a panic message");
+        assert_eq!(
+            message,
+            format!("shard {faulty} transport fault on exchange 3")
+        );
+        let report = round();
+        assert_eq!(report.attempted, 32);
+        assert!(report.published);
+        assert_eq!(scraper.endpoints(), 32);
+        let reader = scraper.reader();
+        let snap = reader.read().expect("published");
+        assert_eq!(snap.shards.len(), 32);
+        assert!(snap
+            .shards
+            .iter()
+            .any(|s| s.shard == ShardId::from_raw(faulty)));
+    }
 }
