@@ -30,7 +30,8 @@
 //!              "gate": { "stat": 0.0, "lo": 0.0, "hi": 0.0, "n_a": 0,
 //!                        "n_b": 0, "rel": "<=", "bound": 1000000.0,
 //!                        "alpha": 0.005, "verdict": "pass" } },
-//!   "kernel": { "dim": 174, "band": 29, "reference_ns_per_cycle": 0.0,
+//!   "kernel": { "dim": 174, "band": 29, "simd": "avx2",
+//!               "reference_ns_per_cycle": 0.0,
 //!               "production_ns_per_cycle": 0.0, "gate": { ... } },
 //!   "calibration": { "cells": 24, "windows": 48, "events": 16,
 //!                    "cov68": 0.0, "cov95": 0.0, "cov997": 0.0,
@@ -78,8 +79,9 @@
 //! * `kernel` — one IRLS cycle (two mean-only solves and one full solve)
 //!   of a chunk-shaped system, 6 slices × 29 variables at bandwidth 29,
 //!   by `AnalyticScratch` over the same cycle by the bit-identical
-//!   reference kernels (`bayesperf_bench::reference`); upper bound ≤ 0.8,
-//!   fail-closed (the side-by-side kernels keep their gain).
+//!   reference kernels (`bayesperf_bench::reference`); upper bound ≤ 0.5,
+//!   fail-closed (the register-window kernels keep their gain). `simd`
+//!   names the instantiation that ran: `"avx2"` or `"portable"`.
 //! * `calibration.cov95_gate` — per-cell share of (window, event) pairs
 //!   whose truth lies within 1.96 posterior sd of the mean, over x86 and
 //!   ppc64 × TeraSort, ALS, Scan, Join × seeds 0–2; lower bound ≥ 0.90,
@@ -309,7 +311,7 @@ fn main() {
     let mut production = AnalyticScratch::with_capacity(kernel_chain.dim(), kernel_band);
     let mut reference = ReferenceScratch::new();
     let kernel_gate = with_budget(
-        GateConfig::at_most("kernel_over_reference", 0.8)
+        GateConfig::at_most("kernel_over_reference", 0.5)
             .seed(0xAD)
             .fail_closed(),
         (3, 8),
@@ -1009,7 +1011,7 @@ fn main() {
   "alpha": 0.005,
   "solve": {{ "ns_per_window": {:.0}, "site_updates_total": {},
              "gate": {} }},
-  "kernel": {{ "dim": {}, "band": {kernel_band},
+  "kernel": {{ "dim": {}, "band": {kernel_band}, "simd": "{}",
               "reference_ns_per_cycle": {:.0}, "production_ns_per_cycle": {:.0},
               "gate": {} }},
   "calibration": {{ "cells": {cells}, "windows": {cal_windows}, "events": {cal_events},
@@ -1060,6 +1062,7 @@ fn main() {
         solve_stats.analytic_site_updates,
         solve_gate.json(),
         kernel_chain.dim(),
+        production.simd(),
         kernel_gate.mean_a,
         kernel_gate.mean_b,
         kernel_gate.json(),

@@ -6,8 +6,49 @@
 //! computes, and a precision with a non-positive pivot fails both.
 
 use bayesperf_bench::reference::{Chain, ReferenceScratch};
-use bayesperf_inference::AnalyticScratch;
+use bayesperf_inference::{AnalyticScratch, Gaussian};
 use proptest::prelude::*;
+
+/// A seeded system to solve: a prior and terms emitted in a fixed order.
+trait System {
+    fn prior(&self) -> &[Gaussian];
+    fn terms(&self, term: impl FnMut(&[usize], &[f64], f64, f64));
+}
+
+impl System for Chain {
+    fn prior(&self) -> &[Gaussian] {
+        Chain::prior(self)
+    }
+
+    fn terms(&self, term: impl FnMut(&[usize], &[f64], f64, f64)) {
+        Chain::terms(self, term)
+    }
+}
+
+/// A chain's terms, then for each variable `i` two terms on `i` and
+/// `i + reach` whose coefficients are `0.0` and `−0.0`: they add signed
+/// zeros to the band, so a kernel that let a `−0.0` into an entry the
+/// reference holds at `+0.0`, or read padding that is not `+0.0`, would
+/// show.
+struct SignedZeros {
+    chain: Chain,
+    reach: usize,
+}
+
+impl System for SignedZeros {
+    fn prior(&self) -> &[Gaussian] {
+        self.chain.prior()
+    }
+
+    fn terms(&self, mut term: impl FnMut(&[usize], &[f64], f64, f64)) {
+        self.chain.terms(&mut term);
+        for i in 0..self.chain.dim().saturating_sub(self.reach) {
+            let pair = [i, i + self.reach];
+            term(&pair, &[0.0, -0.0], 1.5, 0.7);
+            term(&pair, &[-0.0, 0.0], -2.5, 1.3);
+        }
+    }
+}
 
 fn assert_same_bits(what: &str, got: &[f64], want: &[f64]) {
     assert_eq!(got.len(), want.len(), "{what}: length");
@@ -25,10 +66,10 @@ fn assert_same_bits(what: &str, got: &[f64], want: &[f64]) {
 /// term at the current estimate), and asserts equal bits everywhere.
 /// Callers reuse `ws` across shapes, so a kernel that read an entry an
 /// earlier solve left behind would show here.
-fn assert_bit_identical(ws: &mut AnalyticScratch, chain: &Chain, b: usize) {
+fn assert_bit_identical(ws: &mut AnalyticScratch, chain: &impl System, b: usize) {
     let fits = |l: &[usize]| l.iter().max().unwrap() - l.iter().min().unwrap() <= b;
     let mut reference = ReferenceScratch::new();
-    let what = format!("d {} band {b}", chain.dim());
+    let what = format!("d {} band {b}", chain.prior().len());
 
     ws.begin(chain.prior(), b);
     reference.begin(chain.prior(), b);
@@ -147,5 +188,33 @@ fn bandwidth_zero_a_dense_band_odd_dimensions_and_a_chunk() {
         }
         // A 6-window chunk of the 29-event invariant component.
         assert_bit_identical(&mut ws, &Chain::seeded(29, 6, seed), 29);
+    }
+}
+
+#[test]
+fn bands_wider_than_a_register_window() {
+    let mut ws = AnalyticScratch::new();
+    for seed in 0..4 {
+        // Bands past one and two 32-lane windows, mostly zero.
+        for b in [31, 32, 33, 63, 64, 65] {
+            assert_bit_identical(&mut ws, &Chain::seeded(12, 6, seed), b);
+        }
+        // Chains whose own terms fill such bands.
+        assert_bit_identical(&mut ws, &Chain::seeded(33, 3, seed), 33);
+        assert_bit_identical(&mut ws, &Chain::seeded(65, 2, seed), 65);
+    }
+}
+
+#[test]
+fn signed_zero_coefficients_keep_the_bits() {
+    let mut ws = AnalyticScratch::new();
+    for seed in 0..4 {
+        for (n, b) in [(5, 5), (12, 16), (12, 33), (12, 65)] {
+            let system = SignedZeros {
+                chain: Chain::seeded(n, 6, seed),
+                reach: b,
+            };
+            assert_bit_identical(&mut ws, &system, b);
+        }
     }
 }

@@ -244,18 +244,19 @@ struct Component {
 }
 
 impl Component {
-    /// Whether every data term a slice has in this component — each read
-    /// in `reads` (catalog-indexed) and each invariant — has a usable
-    /// variance at the slice state `x` (local variables).
-    fn data_usable(&self, reads: &[Option<StudentT>], x: &[f64]) -> bool {
-        self.events
-            .iter()
-            .zip(x)
-            .all(|(&e, &xp)| reads[e].is_none_or(|s| valid_variance(s.irls_variance(xp))))
-            && self
-                .invariants
+    /// Writes into `out` the variance at the slice state `x` (local
+    /// variables) of every data term a slice has in this component: each
+    /// read in `reads` (catalog-indexed), in event order, then each
+    /// invariant.
+    fn data_variances(&self, reads: &[Option<StudentT>], x: &[f64], out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(
+            self.events
                 .iter()
-                .all(|inv| valid_variance(inv.variance(x)))
+                .zip(x)
+                .filter_map(|(&e, &xp)| reads[e].map(|s| s.irls_variance(xp))),
+        );
+        out.extend(self.invariants.iter().map(|inv| inv.variance(x)));
     }
 }
 
@@ -294,6 +295,9 @@ pub struct ChunkEngine {
     estimate: Vec<f64>,
     /// One invariant term's locals, shifted to its slice.
     locals: Vec<usize>,
+    /// The variances of one slice's data terms at the estimate, evaluated
+    /// once per IRLS pass (see `Component::data_variances`).
+    term_vars: Vec<f64>,
     /// Per slice: whether the component being solved quarantined its data.
     quarantined: Vec<bool>,
     /// Malformed samples the last [`ChunkEngine::load`] skipped.
@@ -372,6 +376,11 @@ impl ChunkEngine {
     ) -> Self {
         let ne = scales.len();
         let widest = components.iter().map(|c| c.events.len()).max().unwrap_or(0);
+        let data_terms = components
+            .iter()
+            .map(|c| c.events.len() + c.invariants.len())
+            .max()
+            .unwrap_or(0);
         let arity = components
             .iter()
             .flat_map(|c| &c.invariants)
@@ -397,6 +406,7 @@ impl ChunkEngine {
             prior: Vec::with_capacity(slices * widest),
             estimate: Vec::with_capacity(slices * widest),
             locals: Vec::with_capacity(arity),
+            term_vars: Vec::with_capacity(data_terms),
             quarantined: Vec::with_capacity(slices),
             rejected: 0,
         }
@@ -586,6 +596,7 @@ impl ChunkEngine {
             prior,
             estimate,
             locals,
+            term_vars,
             quarantined,
             ..
         } = self;
@@ -615,21 +626,32 @@ impl ChunkEngine {
             estimate.clear();
             estimate.extend_from_slice(ws.mean());
             for (t, q) in quarantined.iter_mut().enumerate() {
-                let x = &estimate[t * nc..(t + 1) * nc];
-                let reads = &obs[t * ne..(t + 1) * ne];
-                *q = *q || !comp.data_usable(reads, x);
                 if *q {
                     continue;
                 }
-                for (p, &e) in comp.events.iter().enumerate() {
-                    if let Some(s) = reads[e] {
-                        ws.add_term(&[t * nc + p], &[1.0], s.loc, s.irls_variance(x[p]));
-                    }
+                let x = &estimate[t * nc..(t + 1) * nc];
+                let reads = &obs[t * ne..(t + 1) * ne];
+                comp.data_variances(reads, x, term_vars);
+                // A slice whose data has an unusable variance is
+                // quarantined for the rest of the solve.
+                if !term_vars.iter().all(|&v| valid_variance(v)) {
+                    *q = true;
+                    continue;
                 }
-                for inv in &comp.invariants {
+                let (read_vars, inv_vars) =
+                    term_vars.split_at(term_vars.len() - comp.invariants.len());
+                let read_at = comp
+                    .events
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(p, &e)| reads[e].map(|s| (t * nc + p, s)));
+                for ((i, s), &var) in read_at.zip(read_vars) {
+                    ws.add_term(&[i], &[1.0], s.loc, var);
+                }
+                for (inv, &var) in comp.invariants.iter().zip(inv_vars) {
                     locals.clear();
                     locals.extend(inv.locals.iter().map(|&l| t * nc + l));
-                    ws.add_term(locals, &inv.coeffs, inv.obs, inv.variance(x));
+                    ws.add_term(locals, &inv.coeffs, inv.obs, var);
                 }
             }
             add_walk(ws);

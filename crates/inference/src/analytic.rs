@@ -29,31 +29,62 @@
 //! Written the textbook way, each entry of the factor, of the triangular
 //! solves and of the band-limited covariance is one dot product: a serial
 //! chain of dependent multiply-subtracts whose latency, not the flop
-//! count, sets the cost. The kernels here reorganise the loops so that
-//! entries which do not depend on each other are updated side by side,
-//! in contiguous element-wise loops the compiler vectorises:
+//! count, sets the cost. The two `O(d·b²)` kernels here compute a whole
+//! column or row at once instead, in a register window: a fixed number of
+//! lanes (`V` quads of four) that the compiler keeps in vector registers,
+//! so each update is a few full-width instructions rather than a short
+//! loop with a scalar remainder.
 //!
-//! * the Cholesky factorization is right-looking: column `k` of `L` is
-//!   finished (pivot, square root, division), then its outer product is
-//!   subtracted from every entry of the trailing band it touches;
-//! * the forward solve `L·y = info` runs by columns: `y_k` is final once
-//!   column `k − 1` has been subtracted, and column `k` is then
-//!   subtracted from the entries below it;
-//! * the Takahashi pass runs by rows, bottom-up: every off-diagonal
-//!   covariance entry of row `i` reads only rows below `i`, so all of
-//!   them are computed as independent lanes over a symmetric band of the
-//!   covariance, and then the diagonal from them;
-//! * the back solve `Lᵀ·x = y` stays one dot product per entry: the first
+//! * The Cholesky factorization is left-looking. Column `j` of `L` is
+//!   loaded one window of rows at a time; each window takes
+//!   `acc −= L(·,k)·L(j,k)` for the columns `k` that reach it, ascending,
+//!   and is then pivoted, divided and stored. A column that reaches only
+//!   the window's first half updates that half, and every later column
+//!   the whole window, so a lane that a column reaches past the band reads
+//!   at most half a window below it: the zero padding each column carries
+//!   after its `b + 1` slots (columns are `b + 2·V` slots apart). Nothing
+//!   writes the padding: `add_term` asserts that every entry it adds is in
+//!   the band, and the factor stores only in-band rows. A stored entry
+//!   therefore receives, besides the updates of the dot-product form, only
+//!   `a − (±0)`, which is `a`: no entry is ever `−0.0`, because it starts
+//!   at `+0.0` and then only receives sums. A non-finite `L(j,k)` poisons
+//!   lanes through the padding, but it also enters pivot `j` squared, so
+//!   the factorization fails at pivot `j` before any of them is stored, as
+//!   the dot-product form does. The lanes of a window below the band
+//!   (padding, rows past the last, or the next column) are never stored.
+//! * The Takahashi pass runs by rows, bottom-up: every off-diagonal
+//!   covariance entry of row `i` reads only rows below `i`, so the row is
+//!   accumulated one window at a time over a symmetric band of the
+//!   covariance, and then the diagonal from it. Lanes past the row's band
+//!   may read the next row; they are discarded, and the buffer carries one
+//!   window of padding so that the last row's reads stay inside it.
+//! * The forward solve `L·y = info` runs by columns: `y_k` is final once
+//!   column `k − 1` has been subtracted, and column `k` is then subtracted
+//!   from the entries below it. It subtracts from exactly the entries the
+//!   band reaches: padding would add `−(±0)` to entries of `y`, which can
+//!   be `−0.0` (a prior mean of `−0.0` gives one), so it would not keep
+//!   their bits.
+//! * The back solve `Lᵀ·x = y` stays one dot product per entry: the first
 //!   term of entry `i` needs `x_{i+1}`, so its chain cannot be split
 //!   without reordering the sum.
 //!
-//! Every entry still receives exactly the floating-point operations of
-//! the dot-product form, in the same order (updates in ascending `k`),
-//! so every mean and variance is bit-identical to it: the posteriors, the
-//! benchmark's accuracy metrics and every seeded example output do not
-//! depend on how the loops are arranged. Summing with several
-//! accumulators would be faster again, but would change the last bits of
-//! every posterior.
+//! Every stored entry still receives exactly the floating-point
+//! operations of the dot-product form, in the same order (updates in
+//! ascending `k`), so every mean and variance is bit-identical to it: the
+//! posteriors, the benchmark's accuracy metrics and every seeded example
+//! output do not depend on how the loops are arranged. Summing with
+//! several accumulators, or fusing the multiply-subtract, would be faster
+//! again, but would change the last bits of every posterior.
+//!
+//! The window has to fit the instruction set's registers, or it spills
+//! on every update. Each kernel is one source, generic over `V`,
+//! instantiated twice: under `#[target_feature(enable = "avx2")]` with 32
+//! lanes (eight `ymm` accumulators), and portably with 16 lanes (eight
+//! SSE2 `xmm` accumulators on `x86_64`). A scratch picks the AVX2
+//! instantiation when `is_x86_feature_detected!("avx2")` holds and the
+//! portable one otherwise; other targets compile only the portable one.
+//! Both give the same bits. (A 32-lane AVX-512 instantiation measured no
+//! faster than the AVX2 one.)
 //!
 //! The precision band is stored column by column (see `slot`), so a
 //! column of `L`, the entries below a pivot, is one slice for each kernel.
@@ -72,10 +103,230 @@ use crate::dist::Gaussian;
 const IRLS_ITERATIONS: usize = 3;
 
 /// Slot of entry `(i, j)`, `j ≤ i ≤ j + band`, of the lower precision
-/// band in [`AnalyticScratch`]'s `prec`, where `w = band + 1`: column `j`
-/// occupies `w` contiguous slots from its diagonal down.
-fn slot(w: usize, i: usize, j: usize) -> usize {
-    j * w + (i - j)
+/// band in [`AnalyticScratch`]'s `prec`: column `j` starts `stride` slots
+/// after column `j − 1`, with its diagonal first.
+fn slot(stride: usize, i: usize, j: usize) -> usize {
+    j * stride + (i - j)
+}
+
+/// Four lanes of a register window: one `ymm` register under AVX2, two
+/// `xmm` registers under SSE2.
+type Quad = [f64; 4];
+
+/// Quads in one AVX2 register window: 32 lanes in eight `ymm` registers.
+#[cfg(target_arch = "x86_64")]
+const AVX2_QUADS: usize = 8;
+
+/// Quads in one portable register window: 16 lanes in eight SSE2 `xmm`
+/// registers, so the window leaves registers for its operands.
+const PORTABLE_QUADS: usize = 4;
+
+/// The instantiation of the kernels a scratch runs, chosen from what the
+/// CPU reports (see the module doc).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernels {
+    Portable,
+    /// Only ever chosen after `is_x86_feature_detected!("avx2")`.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Default for Kernels {
+    fn default() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Kernels::Avx2;
+        }
+        Kernels::Portable
+    }
+}
+
+impl Kernels {
+    /// Lanes of one register window.
+    fn lanes(self) -> usize {
+        4 * match self {
+            Kernels::Portable => PORTABLE_QUADS,
+            #[cfg(target_arch = "x86_64")]
+            Kernels::Avx2 => AVX2_QUADS,
+        }
+    }
+
+    /// Column stride of the precision band at bandwidth `b`: the band's
+    /// `b + 1` slots and the zero padding a window reads past them (see
+    /// [`cholesky`]).
+    fn stride(self, b: usize) -> usize {
+        b + self.lanes() / 2
+    }
+
+    fn cholesky(self, prec: &mut [f64], d: usize, b: usize) -> bool {
+        match self {
+            Kernels::Portable => cholesky::<PORTABLE_QUADS>(prec, d, b),
+            // SAFETY: `Avx2` is only chosen after
+            // `is_x86_feature_detected!("avx2")` returned true.
+            #[cfg(target_arch = "x86_64")]
+            Kernels::Avx2 => unsafe { cholesky_avx2(prec, d, b) },
+        }
+    }
+
+    fn takahashi(self, prec: &[f64], cov: &mut [f64], d: usize, b: usize) {
+        match self {
+            Kernels::Portable => takahashi::<PORTABLE_QUADS>(prec, cov, d, b),
+            // SAFETY: `Avx2` is only chosen after
+            // `is_x86_feature_detected!("avx2")` returned true.
+            #[cfg(target_arch = "x86_64")]
+            Kernels::Avx2 => unsafe { takahashi_avx2(prec, cov, d, b) },
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn cholesky_avx2(prec: &mut [f64], d: usize, b: usize) -> bool {
+    cholesky::<AVX2_QUADS>(prec, d, b)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn takahashi_avx2(prec: &[f64], cov: &mut [f64], d: usize, b: usize) {
+    takahashi::<AVX2_QUADS>(prec, cov, d, b)
+}
+
+/// The window of `V` quads that starts at `src[0]`.
+#[inline(always)]
+fn window<const V: usize>(src: &[f64]) -> &[Quad; V] {
+    src[..4 * V]
+        .as_chunks()
+        .0
+        .try_into()
+        .expect("a window is V whole quads")
+}
+
+/// `acc −= src·x` on the first `quads` quads of the window, where `src`
+/// starts the window it is read from. Callers pass `quads` as a constant,
+/// so the quads stay in registers.
+#[inline(always)]
+fn subtract_scaled<const V: usize>(acc: &mut [Quad; V], quads: usize, src: &[f64], x: f64) {
+    for (a, s) in acc.iter_mut().zip(window::<V>(src)).take(quads) {
+        for (a, &s) in a.iter_mut().zip(s) {
+            *a -= s * x;
+        }
+    }
+}
+
+/// In-place left-looking banded Cholesky of the `d`-variable precision
+/// band of bandwidth `b` in `prec` (columns `b + 2·V` apart, zero past the
+/// band, then one window of zeros), in register windows of `V` quads:
+/// `L(i, j)` overwrites `Λ(i, j)`. Returns `false` at the first pivot
+/// that is not finite and positive.
+#[inline(always)]
+fn cholesky<const V: usize>(prec: &mut [f64], d: usize, b: usize) -> bool {
+    const { assert!(V.is_multiple_of(2), "a window halves into whole quads") };
+    let lanes = 4 * V;
+    let stride = b + lanes / 2;
+    for j in 0..d {
+        let n = b.min(d - 1 - j);
+        let mut ljj = 0.0;
+        // Rows j + t0 .. j + t0 + lanes. Column k reaches the window's
+        // first half for k ≥ j + t0 − b and its second half for
+        // k ≥ j + t0 + lanes/2 − b, and reads at most lanes/2 − 1 slots
+        // past the band: zero padding.
+        for t0 in (0..=n).step_by(lanes) {
+            let mut acc = *window::<V>(&prec[slot(stride, j + t0, j)..]);
+            let half = (j + t0 + lanes / 2).saturating_sub(b).min(j);
+            for k in (j + t0).saturating_sub(b)..half {
+                let at = slot(stride, j, k);
+                subtract_scaled(&mut acc, V / 2, &prec[at + t0..], prec[at]);
+            }
+            for k in half..j {
+                let at = slot(stride, j, k);
+                subtract_scaled(&mut acc, V, &prec[at + t0..], prec[at]);
+            }
+            if t0 == 0 {
+                let s = acc[0][0];
+                if s <= 0.0 || !s.is_finite() {
+                    return false;
+                }
+                ljj = s.sqrt();
+            }
+            let col = &mut prec[slot(stride, j + t0, j)..][..=(n - t0).min(lanes - 1)];
+            for (l, &a) in col.iter_mut().zip(acc.as_flattened()) {
+                *l = a / ljj;
+            }
+            if t0 == 0 {
+                col[0] = ljj;
+            }
+        }
+    }
+    true
+}
+
+/// The band-limited Takahashi recursion over the factor in `prec` (as
+/// [`cholesky`] leaves it), into the symmetric covariance band `cov`
+/// (`d` rows of `2b + 1`, then one window of padding), in register
+/// windows of `V` quads.
+#[inline(always)]
+fn takahashi<const V: usize>(prec: &[f64], cov: &mut [f64], d: usize, b: usize) {
+    const { assert!(V.is_multiple_of(2), "a window halves into whole quads") };
+    let lanes = 4 * V;
+    let stride = b + lanes / 2;
+    let w2 = 2 * b + 1;
+    // Lᵀ·Σ = L⁻¹, whose upper triangle is diag(1/Lᵢᵢ), so
+    // Σᵢⱼ = (δᵢⱼ/Lᵢᵢ − Σₖ₌ᵢ₊₁ Lₖᵢ·Σₖⱼ)/Lᵢᵢ for j ≥ i. Rows run bottom-up,
+    // so every Σₖⱼ it reads is already known, and all of them lie within
+    // the band. Off the diagonal (j > i) the sum reads only rows below i,
+    // so the row's entries are independent lanes; the diagonal then reads
+    // them.
+    for i in (0..d).rev() {
+        let n = b.min(d - 1 - i);
+        let col = &prec[slot(stride, i, i)..][..=n];
+        let lii = col[0];
+        // Σ(i, i + 1 + t0 ..), one window at a time.
+        for t0 in (0..n).step_by(lanes) {
+            if n - t0 <= lanes / 2 {
+                // The entries fill at most the window's first half.
+                takahashi_window::<V>(cov, col, i, b, t0, V / 2);
+            } else {
+                takahashi_window::<V>(cov, col, i, b, t0, V);
+            }
+        }
+        let row = &cov[i * w2 + b + 1..][..n];
+        let mut s = 1.0 / lii;
+        for (&lki, &sik) in col[1..].iter().zip(row) {
+            s -= lki * sik;
+        }
+        cov[i * w2 + b] = s / lii;
+    }
+}
+
+/// The off-diagonal covariance entries `Σ(i, i + 1 + t0 ..)` of one
+/// window, from column `i` of the factor, `col`, over the first `quads`
+/// quads of the window (a constant at each call site), and their mirrors.
+#[inline(always)]
+fn takahashi_window<const V: usize>(
+    cov: &mut [f64],
+    col: &[f64],
+    i: usize,
+    b: usize,
+    t0: usize,
+    quads: usize,
+) {
+    let w2 = 2 * b + 1;
+    let n = col.len() - 1;
+    let mut acc = [[0.0; 4]; V];
+    for (m, &lki) in col[1..].iter().enumerate() {
+        // Row k = i + 1 + m from column i + 1 + t0 on.
+        subtract_scaled(&mut acc, quads, &cov[(i + 1 + m) * w2 + b - m + t0..], lki);
+    }
+    // Dividing whole quads keeps them in whole registers.
+    for q in acc.iter_mut().take(quads) {
+        *q = q.map(|a| a / col[0]);
+    }
+    for (l, &s) in acc.as_flattened().iter().enumerate().take(n - t0) {
+        let m = t0 + l;
+        cov[i * w2 + b + 1 + m] = s;
+        // Its mirror Σ(i + 1 + m, i), read by the rows above.
+        cov[(i + 1 + m) * w2 + b - 1 - m] = s;
+    }
 }
 
 /// Reusable buffers for one banded Gaussian-linear solve.
@@ -91,9 +342,12 @@ pub struct AnalyticScratch {
     dim: usize,
     /// Bandwidth of the current system, at most `dim − 1`.
     band: usize,
-    /// Lower band of the precision, `dim` columns of `band + 1` slots
-    /// (entry `(i, j)` at `slot(band + 1, i, j)`). The Cholesky factor
-    /// overwrites it in place.
+    kernels: Kernels,
+    /// Lower band of the precision, `dim` columns of
+    /// `kernels.stride(band)` slots (entry `(i, j)` at `slot`), zero past
+    /// the band, then one window of zeros, which the first window of a
+    /// last column reads. The Cholesky factor overwrites the band in
+    /// place.
     prec: Vec<f64>,
     /// Information vector `Λμ`.
     info: Vec<f64>,
@@ -101,7 +355,7 @@ pub struct AnalyticScratch {
     /// entry `(i, j)`, `|i − j| ≤ band`, sits at
     /// `i·(2·band + 1) + (band + j − i)`, and `(j, i)` holds the same
     /// value, so a row's off-diagonal entries are one slice whichever
-    /// side of the diagonal they lie on.
+    /// side of the diagonal they lie on. One window of padding follows.
     cov: Vec<f64>,
     /// Marginal means of the last solve; between IRLS passes, the
     /// estimate the next pass weights its terms at.
@@ -120,14 +374,31 @@ impl AnalyticScratch {
     /// allocates.
     pub fn with_capacity(dim: usize, bandwidth: usize) -> Self {
         let b = bandwidth.min(dim.saturating_sub(1));
+        let kernels = Kernels::default();
         AnalyticScratch {
-            prec: Vec::with_capacity(dim * (b + 1)),
+            kernels,
+            prec: Vec::with_capacity(dim * kernels.stride(b) + kernels.lanes()),
             info: Vec::with_capacity(dim),
-            cov: Vec::with_capacity(dim * (2 * b + 1)),
+            cov: Vec::with_capacity(dim * (2 * b + 1) + kernels.lanes()),
             mean: Vec::with_capacity(dim),
             var: Vec::with_capacity(dim),
             ..Self::default()
         }
+    }
+
+    /// The instruction set this scratch's kernels run on: `"avx2"` or
+    /// `"portable"` (see the module doc).
+    pub fn simd(&self) -> &'static str {
+        match self.kernels {
+            Kernels::Portable => "portable",
+            #[cfg(target_arch = "x86_64")]
+            Kernels::Avx2 => "avx2",
+        }
+    }
+
+    /// Column stride of the precision band of the current system.
+    fn stride(&self) -> usize {
+        self.kernels.stride(self.band)
     }
 
     /// Starts a `prior.len()`-dimensional solve whose terms couple
@@ -139,13 +410,13 @@ impl AnalyticScratch {
         let d = prior.len();
         self.dim = d;
         self.band = bandwidth.min(d.saturating_sub(1));
-        let w = self.band + 1;
+        let stride = self.stride();
         self.prec.clear();
-        self.prec.resize(d * w, 0.0);
+        self.prec.resize(d * stride + self.kernels.lanes(), 0.0);
         self.info.clear();
         for (j, g) in prior.iter().enumerate() {
             let p = 1.0 / g.var;
-            self.prec[slot(w, j, j)] = p;
+            self.prec[slot(stride, j, j)] = p;
             self.info.push(g.mean * p);
         }
     }
@@ -164,7 +435,7 @@ impl AnalyticScratch {
             var > 0.0,
             "linear-term variance must be positive, got {var}"
         );
-        let (d, b) = (self.dim, self.band);
+        let (d, b, stride) = (self.dim, self.band, self.stride());
         let w = 1.0 / var;
         for (&la, &ca) in locals.iter().zip(coeffs) {
             assert!(la < d, "local {la} out of range for dimension {d}");
@@ -175,7 +446,7 @@ impl AnalyticScratch {
                         la - lb <= b,
                         "term couples locals {lb} and {la}, beyond bandwidth {b}"
                     );
-                    self.prec[slot(b + 1, la, lb)] += ca * cb * w;
+                    self.prec[slot(stride, la, lb)] += ca * cb * w;
                 }
             }
         }
@@ -225,43 +496,12 @@ impl AnalyticScratch {
             return false;
         }
         let (d, b) = (self.dim, self.band);
-        let (w, w2) = (b + 1, 2 * b + 1);
-        // Every entry the pass reads is written first, so the buffer
+        let w2 = 2 * b + 1;
+        // Every entry a stored lane reads is written first, so the buffer
         // needs no clearing.
-        self.cov.resize(d * w2, 0.0);
+        self.cov.resize(d * w2 + self.kernels.lanes(), 0.0);
+        self.kernels.takahashi(&self.prec, &mut self.cov, d, b);
         self.var.clear();
-        // Takahashi: Lᵀ·Σ = L⁻¹, whose upper triangle is diag(1/Lᵢᵢ), so
-        // Σᵢⱼ = (δᵢⱼ/Lᵢᵢ − Σₖ₌ᵢ₊₁ Lₖᵢ·Σₖⱼ)/Lᵢᵢ for j ≥ i. Rows run
-        // bottom-up, so every Σₖⱼ it reads is already known, and all of
-        // them lie within the band. Off the diagonal (j > i) the sum reads
-        // only rows below i, so the row's entries are independent lanes;
-        // the diagonal then reads them.
-        for i in (0..d).rev() {
-            let n = b.min(d - 1 - i);
-            let col = &self.prec[slot(w, i, i)..][..=n];
-            let lii = col[0];
-            let (head, below) = self.cov.split_at_mut((i + 1) * w2);
-            // Σ(i, i+1..=i+n), accumulated in place.
-            let row = &mut head[i * w2 + b + 1..][..n];
-            row.fill(0.0);
-            for (m, &lki) in col[1..].iter().enumerate() {
-                // Row k = i + 1 + m from column i + 1 on.
-                let sk = &below[m * w2 + b - m..][..n];
-                for (s, &skj) in row.iter_mut().zip(sk) {
-                    *s -= lki * skj;
-                }
-            }
-            for (m, s) in row.iter_mut().enumerate() {
-                *s /= lii;
-                // Its mirror Σ(i + 1 + m, i), read by the rows above.
-                below[m * w2 + b - 1 - m] = *s;
-            }
-            let mut s = 1.0 / lii;
-            for (&lki, &sik) in col[1..].iter().zip(row.iter()) {
-                s -= lki * sik;
-            }
-            head[i * w2 + b] = s / lii;
-        }
         self.var.extend((0..d).map(|i| self.cov[i * w2 + b]));
         true
     }
@@ -271,33 +511,9 @@ impl AnalyticScratch {
     /// means. Returns `false` on a precision that is not numerically
     /// positive definite.
     pub fn solve_mean(&mut self) -> bool {
-        let (d, b) = (self.dim, self.band);
-        let w = b + 1;
-        // In-place right-looking banded Cholesky: L(i, j) overwrites
-        // Λ(i, j). Entry (i, j) receives its updates L(i, k)·L(j, k) in
-        // ascending k, exactly as the dot-product form subtracts them, so
-        // the factor keeps its bits (see the module doc).
-        for k in 0..d {
-            let n = b.min(d - 1 - k);
-            let trailing = slot(w, k + 1, k + 1);
-            let (done, rest) = self.prec.split_at_mut(trailing);
-            let col = &mut done[slot(w, k, k)..][..=n];
-            let s = col[0];
-            if s <= 0.0 || !s.is_finite() {
-                return false;
-            }
-            let lkk = s.sqrt();
-            col[0] = lkk;
-            for l in &mut col[1..] {
-                *l /= lkk;
-            }
-            // Column j = k + m of the trailing band, rows j..=k + n.
-            for (m, &ljk) in col.iter().enumerate().skip(1) {
-                let dst = &mut rest[slot(w, k + m, k + m) - trailing..][..=n - m];
-                for (a, &lik) in dst.iter_mut().zip(&col[m..]) {
-                    *a -= lik * ljk;
-                }
-            }
+        let (d, b, stride) = (self.dim, self.band, self.stride());
+        if !self.kernels.cholesky(&mut self.prec, d, b) {
+            return false;
         }
         // mean = Λ⁻¹·info via two triangular solves (y reuses `mean`).
         // Forward, by columns: y_k is final once column k − 1 is in.
@@ -305,7 +521,7 @@ impl AnalyticScratch {
         self.mean.extend_from_slice(&self.info);
         for k in 0..d {
             let n = b.min(d - 1 - k);
-            let col = &self.prec[slot(w, k, k)..][..=n];
+            let col = &self.prec[slot(stride, k, k)..][..=n];
             let (yk, below) = self.mean[k..].split_at_mut(1);
             yk[0] /= col[0];
             for (s, &l) in below[..n].iter_mut().zip(&col[1..]) {
@@ -315,7 +531,7 @@ impl AnalyticScratch {
         // Back, by rows: one dot product per entry.
         for i in (0..d).rev() {
             let n = b.min(d - 1 - i);
-            let col = &self.prec[slot(w, i, i)..][..=n];
+            let col = &self.prec[slot(stride, i, i)..][..=n];
             let (xi, below) = self.mean[i..].split_at_mut(1);
             let mut s = xi[0];
             for (&l, &xk) in col[1..].iter().zip(&below[..n]) {
@@ -475,7 +691,7 @@ mod tests {
                     .map(|j| {
                         let (r, c) = (i.max(j), i.min(j));
                         if r - c <= 2 {
-                            ws.prec[slot(3, r, c)]
+                            ws.prec[slot(ws.stride(), r, c)]
                         } else {
                             0.0
                         }
@@ -555,6 +771,80 @@ mod tests {
         assert!(!ws.irls(&prior, 0, [2.0], |_| false));
     }
 
+    /// The AVX2 and the portable instantiation give the same bits on
+    /// seeded banded systems at every bandwidth from 0 to 70, so every
+    /// window boundary of both (16 and 32 lanes) is crossed, on one
+    /// scratch each reused across the systems.
+    #[test]
+    fn avx2_and_portable_kernels_give_the_same_bits() {
+        #[cfg(not(target_arch = "x86_64"))]
+        println!("skipped: only x86_64 has an AVX2 instantiation");
+        #[cfg(target_arch = "x86_64")]
+        {
+            use rand::rngs::StdRng;
+            use rand::{Rng, SeedableRng};
+
+            if !std::arch::is_x86_feature_detected!("avx2") {
+                println!("skipped: this CPU does not report AVX2");
+                return;
+            }
+            let mut portable = AnalyticScratch {
+                kernels: Kernels::Portable,
+                ..AnalyticScratch::default()
+            };
+            let mut avx2 = AnalyticScratch {
+                kernels: Kernels::Avx2,
+                ..AnalyticScratch::default()
+            };
+            let mut rng = StdRng::seed_from_u64(0xA7C2);
+            for b in 0..=70 {
+                let d = 2 * b + 9;
+                let prior: Vec<Gaussian> = (0..d)
+                    .map(|_| Gaussian::new(rng.gen_range(-5.0..5.0), rng.gen_range(0.5..10.0)))
+                    .collect();
+                // An observation of some variables, a coupling at a random
+                // distance within the band, and a term as wide as the band.
+                let mut terms: Vec<(Vec<usize>, Vec<f64>, f64, f64)> = Vec::new();
+                for i in 0..d {
+                    if rng.gen_bool(0.5) {
+                        terms.push((vec![i], vec![1.0], rng.gen_range(-10.0..10.0), 0.5));
+                    }
+                    let far = (i + rng.gen_range(0..b + 1)).min(d - 1);
+                    if far > i {
+                        let c = rng.gen_range(-2.0..2.0);
+                        terms.push((vec![i, far], vec![1.0, c], 0.3, rng.gen_range(0.01..2.0)));
+                    }
+                    let wide: Vec<usize> = (i..=(i + b).min(d - 1)).collect();
+                    let coeffs = wide.iter().map(|_| rng.gen_range(-1.0..1.0)).collect();
+                    terms.push((
+                        wide,
+                        coeffs,
+                        rng.gen_range(-5.0..5.0),
+                        rng.gen_range(0.1..3.0),
+                    ));
+                }
+                for mean_only in [true, false] {
+                    for ws in [&mut portable, &mut avx2] {
+                        ws.begin(&prior, b);
+                        for (locals, coeffs, obs, var) in &terms {
+                            ws.add_term(locals, coeffs, *obs, *var);
+                        }
+                        assert!(if mean_only {
+                            ws.solve_mean()
+                        } else {
+                            ws.solve()
+                        });
+                    }
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(avx2.mean()), bits(portable.mean()), "band {b} means");
+                    if !mean_only {
+                        assert_eq!(bits(avx2.var()), bits(portable.var()), "band {b} variances");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn degenerate_precision_reports_failure() {
         let mut ws = AnalyticScratch::new();
@@ -562,7 +852,8 @@ mod tests {
         // A malicious negative-variance-like term that destroys positive
         // definiteness cannot be built through `add_term` (var > 0), so
         // emulate an ill-conditioned system by cancelling the diagonal.
-        ws.prec[slot(2, 0, 0)] = -1.0;
+        let at = slot(ws.stride(), 0, 0);
+        ws.prec[at] = -1.0;
         assert!(!ws.solve());
     }
 }

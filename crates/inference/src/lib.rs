@@ -31,6 +31,8 @@
 //! assert!((ws.mean()[1] - 7.0).abs() < 0.5);
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 mod analytic;
 mod dist;
 pub mod mcmc;

@@ -1,6 +1,7 @@
 //! Proof that a scratch sized by `AnalyticScratch::with_capacity` never
 //! allocates: `begin`, `add_term`, `solve_mean`, `solve` and `irls` leave
-//! the global allocation counter where it was, from the first solve on
+//! the global allocation counter where it was, from the first solve on,
+//! at a band within one register window and at one past the widest
 //! (the corrector's allocation test starts counting after its first
 //! chunk, so it cannot see a buffer that only the first solve grows).
 //!
@@ -59,7 +60,18 @@ fn a_presized_scratch_allocates_nothing_from_the_first_solve() {
         }
     };
 
+    // A band past the widest register window (32 lanes): 3 slices of 40
+    // variables at bandwidth 40, on a scratch presized for it.
+    let (wide_n, wide_slices) = (40usize, 3usize);
+    let wide_d = wide_n * wide_slices;
+    let wide_prior: Vec<Gaussian> = (0..wide_d)
+        .map(|i| Gaussian::new(0.05 * i as f64, 1.0 + 0.01 * i as f64))
+        .collect();
+    let wide_locals: Vec<usize> = (0..wide_d).collect();
+    let wide_coeffs: Vec<f64> = (0..wide_n).map(|p| 1.0 - 0.02 * p as f64).collect();
+
     let mut ws = AnalyticScratch::with_capacity(d, n);
+    let mut wide = AnalyticScratch::with_capacity(wide_d, wide_n);
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     ws.begin(&prior, n);
     add_terms(&mut ws, slices);
@@ -80,6 +92,23 @@ fn a_presized_scratch_allocates_nothing_from_the_first_solve() {
         add_terms(ws, slices);
         true
     }));
+    for mean_only in [false, true] {
+        wide.begin(&wide_prior, wide_n);
+        for (t, slice) in wide_locals.chunks(wide_n).enumerate() {
+            for &i in slice {
+                wide.add_term(&[i], &[1.0], 0.3 * t as f64, 0.4);
+                if i >= wide_n {
+                    wide.add_term(&[i - wide_n, i], &[-1.0, 1.0], 0.0, 0.3);
+                }
+            }
+            wide.add_term(slice, &wide_coeffs, 1.0, 0.1);
+        }
+        assert!(if mean_only {
+            wide.solve_mean()
+        } else {
+            wide.solve()
+        });
+    }
     let after = ALLOCATIONS.load(Ordering::SeqCst);
     assert_eq!(
         after - before,
