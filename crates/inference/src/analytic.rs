@@ -83,8 +83,12 @@
 //! SSE2 `xmm` accumulators on `x86_64`). A scratch picks the AVX2
 //! instantiation when `is_x86_feature_detected!("avx2")` holds and the
 //! portable one otherwise; other targets compile only the portable one.
-//! Both give the same bits. (A 32-lane AVX-512 instantiation measured no
-//! faster than the AVX2 one.)
+//! Both give the same bits. Each width is the fastest measured for its
+//! instruction set on the chunk shapes (6 slices of 16 and of 29
+//! variables): 16, 24 and 32 AVX2 lanes, and 8, 16, 24 and 32 SSE2 lanes,
+//! where 24 and 32 spill and run slower than the right-looking kernels
+//! these replaced, and 16 takes about three quarters of their time. (A
+//! 32-lane AVX-512 instantiation measured no faster than the AVX2 one.)
 //!
 //! The precision band is stored column by column (see `slot`), so a
 //! column of `L`, the entries below a pivot, is one slice for each kernel.
@@ -118,7 +122,8 @@ type Quad = [f64; 4];
 const AVX2_QUADS: usize = 8;
 
 /// Quads in one portable register window: 16 lanes in eight SSE2 `xmm`
-/// registers, so the window leaves registers for its operands.
+/// registers, so the window leaves registers for its operands (the
+/// fastest portable width measured; see the module doc).
 const PORTABLE_QUADS: usize = 4;
 
 /// The instantiation of the kernels a scratch runs, chosen from what the
