@@ -24,16 +24,10 @@ fn bench_chunk_solve(c: &mut Criterion) {
     let cat = Catalog::new(Arch::X86SkyLake);
     let windows = chunk_fixture(&cat);
     let cfg = ModelConfig {
+        slices: windows.len(),
         cycles_per_window: 1.0e7,
-        ..ModelConfig::for_run(
-            &bayesperf_simcpu::Pmu::new(&cat, PmuConfig::for_catalog(&cat)).run_polling(
-                &mut kmeans().instantiate(&cat, 0),
-                &[],
-                1,
-            ),
-        )
     };
-    let mut engine = ChunkEngine::with_slices(&cat, &cfg, windows.len());
+    let mut engine = ChunkEngine::new(&cat, &cfg);
     c.bench_function("chunk_solve", |b| {
         b.iter(|| {
             engine.load(&windows);

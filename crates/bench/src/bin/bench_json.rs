@@ -6,8 +6,9 @@
 //!
 //! Every gated quantity is measured the same way: the two arms (or the
 //! one arm, for absolute-deadline gates) run under a seeded coin-flip
-//! interleaving schedule, a Welch's-t confidence interval brackets the
-//! ratio of means, and the gate passes/fails on the **interval bound**,
+//! interleaving schedule, a Welch's-t confidence interval (a Student-t
+//! one on per-pair ratios, for the paired gates) brackets the ratio of
+//! means, and the gate passes/fails on the **interval bound**,
 //! never on a raw point estimate — see `crates/bench/README.md` for the
 //! methodology and the full gate table. With `BENCH_GATE=1` a verdict
 //! that does not hold aborts the run; without it the verdicts are only
@@ -79,11 +80,12 @@
 //! * `kernel` — one IRLS cycle (two mean-only solves and one full solve)
 //!   of a chunk-shaped system, 6 slices × 29 variables at bandwidth 29,
 //!   by `AnalyticScratch` over the same cycle by the bit-identical
-//!   reference kernels (`bayesperf_bench::reference`); upper bound ≤ 0.6,
-//!   fail-closed (the register-window kernels keep their gain; both
-//!   instantiations read about 0.3, and the bound leaves the interval
-//!   room for a noisy sample). `simd` names the instantiation that ran:
-//!   `"avx2"` or `"portable"`.
+//!   reference kernels (`bayesperf_bench::reference`), paired; upper
+//!   bound ≤ 0.6, fail-closed (the register-window kernels keep their
+//!   gain; both instantiations read about 0.3, and each sample is a
+//!   back-to-back pair, so a preempted sample moves one ratio instead of
+//!   widening the interval past the bound). `simd` names the
+//!   instantiation that ran: `"avx2"` or `"portable"`.
 //! * `calibration.cov95_gate` — per-cell share of (window, event) pairs
 //!   whose truth lies within 1.96 posterior sd of the mean, over x86 and
 //!   ppc64 × TeraSort, ALS, Scan, Join × seeds 0–2; lower bound ≥ 0.90,
@@ -304,8 +306,8 @@ fn main() {
     // slices of the 29-event invariant component, bandwidth 29) by the
     // production kernels over the same cycle by the reference kernels
     // they replaced, which compute the same bits one dot product per
-    // entry. Both arms assemble the same terms; the interleaving cancels
-    // host drift.
+    // entry. Both arms assemble the same terms, and each sample is a
+    // back-to-back pair, so host drift divides out of its ratio.
     let kernel_chain = Chain::seeded(29, 6, 0xC4);
     let kernel_band = kernel_chain.slice_width();
     let kernel_cycles = 20usize;
@@ -319,7 +321,7 @@ fn main() {
         (3, 8),
         (6, 16),
     )
-    .run_ratio(
+    .run_paired(
         || {
             let t = Instant::now();
             for _ in 0..kernel_cycles {

@@ -182,11 +182,6 @@ fn noisy_reference(run: &bayesperf_simcpu::MultiplexRun, ev: EventId) -> Option<
     Some(out)
 }
 
-/// Formats a TSV row.
-pub fn tsv_row(cells: &[String]) -> String {
-    cells.join("\t")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,22 +2,24 @@
 //!
 //! Chunks run sequentially, each chunk's slice-0 prior seeded from the
 //! previous chunk's final-slice posterior (the paper's temporal coupling),
-//! and every chunk runs on the corrector's **one** persistent
-//! [`ChunkEngine`]: the model topology, its components and all solver
-//! buffers are built once, in [`Corrector::new`]. Each chunk is one joint
-//! solve ([`ChunkEngine::solve`]): observations swapped in, the chunk
-//! solved, the final slice captured as the next chunk's prior — with
-//! **zero heap allocations** after construction.
+//! and every chunk, the stream's ragged tail included, runs on the
+//! corrector's **one** persistent [`ChunkEngine`]: the model topology, its
+//! components and all solver buffers are built once, in
+//! [`Corrector::new`]. Each chunk is one joint solve
+//! ([`ChunkEngine::solve`]): observations swapped in, the chunk solved,
+//! and a full chunk's final slice captured as the next chunk's prior —
+//! with **zero heap allocations** after construction.
 //!
 //! [`Corrector::try_push_chunk`] corrects one full chunk and
-//! [`Corrector::push_tail`] a ragged final chunk. The batch
-//! [`Corrector::correct_run`] is those two calls over a recorded run,
+//! [`Corrector::push_tail`] a ragged final chunk, and
+//! [`Corrector::posterior`] reads either back. The batch
+//! [`Corrector::correct_run`] is those calls over a recorded run,
 //! borrowing its sample windows in place. Every path loads its windows
 //! through [`ChunkEngine::load`], which skips and counts malformed
 //! samples, so no sample content can make a correction panic.
 
 use crate::error::ShimError;
-use crate::model::{ChunkEngine, ChunkPosterior, ModelConfig};
+use crate::model::{ChunkEngine, ModelConfig};
 use bayesperf_events::{Catalog, EventId};
 use bayesperf_inference::{EpRunStats, Gaussian};
 use bayesperf_simcpu::{MultiplexRun, Sample};
@@ -25,7 +27,7 @@ use bayesperf_simcpu::{MultiplexRun, Sample};
 /// Configuration of the [`Corrector`].
 #[derive(Debug, Clone)]
 pub struct CorrectorConfig {
-    /// Model hyperparameters (chunk size, priors, factor widths).
+    /// Model configuration (chunk size and count scaling).
     pub model: ModelConfig,
 }
 
@@ -105,28 +107,24 @@ impl PosteriorSeries {
 ///
 /// The corrector owns one persistent [`ChunkEngine`] — built in
 /// [`Corrector::new`] because the model topology is a pure function of
-/// the catalog — and runs every full chunk on it, whether streamed
-/// through [`Corrector::push_chunk`] or batched by
-/// [`Corrector::correct_run`]. Correction therefore takes `&mut self`.
+/// the catalog — and runs every chunk on it, full or ragged, whether
+/// streamed through [`Corrector::push_chunk`] and [`Corrector::push_tail`]
+/// or batched by [`Corrector::correct_run`]. Correction therefore takes
+/// `&mut self`.
 #[derive(Debug)]
-pub struct Corrector<'a> {
-    catalog: &'a Catalog,
+pub struct Corrector {
     config: CorrectorConfig,
-    /// The full-chunk engine (slice count = `config.model.slices`). Its
+    /// The engine, for chunks of up to `config.model.slices` windows. Its
     /// chained prior is the stream's only state: cleared by a reset, set
-    /// by a resume or a push.
+    /// by a resume or a full-chunk push.
     engine: ChunkEngine,
 }
 
-impl<'a> Corrector<'a> {
+impl Corrector {
     /// Creates a corrector; builds the per-catalog inference engine once.
-    pub fn new(catalog: &'a Catalog, config: CorrectorConfig) -> Self {
+    pub fn new(catalog: &Catalog, config: CorrectorConfig) -> Self {
         let engine = ChunkEngine::new(catalog, &config.model);
-        Corrector {
-            catalog,
-            config,
-            engine,
-        }
+        Corrector { config, engine }
     }
 
     /// Seeds a freshly built (or reset) corrector from **count-unit**
@@ -191,17 +189,19 @@ impl<'a> Corrector<'a> {
 
     /// Corrects a **partial** final chunk (fewer than `config.model.slices`
     /// windows) — the stream's ragged tail that [`Corrector::push_chunk`]
-    /// cannot accept. Builds a one-shot engine of `windows.len()` slices,
-    /// chained off the last full chunk's posterior, and solves it
+    /// cannot accept — on the corrector's one engine, chained off the last
+    /// full chunk's posterior, allocation-free. Its system is the one an
+    /// engine built for `windows.len()` slices would solve
     /// ([`Corrector::correct_run`] calls this too, so a streamed run
     /// followed by `push_tail` reproduces the batch series bit for bit).
-    /// The persistent engine's chain state is untouched: the tail is
-    /// terminal, and a later [`Corrector::push_chunk`] continues chained
-    /// from the last *full* chunk.
+    /// The returned engine, like [`Corrector::posterior`], serves the
+    /// tail's slices until the next push. The chained prior is untouched:
+    /// the tail is terminal, and a later [`Corrector::push_chunk`]
+    /// continues chained from the last *full* chunk.
     pub fn push_tail(
         &mut self,
         windows: &[&[Sample]],
-    ) -> Result<(ChunkPosterior, EpRunStats), ShimError> {
+    ) -> Result<(&ChunkEngine, EpRunStats), ShimError> {
         let k = self.config.model.slices.max(1);
         if windows.is_empty() {
             return Err(ShimError::EmptyChunk);
@@ -214,13 +214,9 @@ impl<'a> Corrector<'a> {
                 got: windows.len(),
             });
         }
-        let mut tail = ChunkEngine::with_slices(self.catalog, &self.config.model, windows.len());
-        if let Some(prior) = self.engine.chain_prior() {
-            tail.set_chain_prior(prior);
-        }
-        tail.load(windows);
-        let stats = tail.solve();
-        Ok((tail.to_posterior(), stats))
+        self.engine.load(windows);
+        let stats = self.engine.solve();
+        Ok((&self.engine, stats))
     }
 
     /// Sites the most recent [`Corrector::push_chunk`] reset on a change
@@ -230,12 +226,12 @@ impl<'a> Corrector<'a> {
         0
     }
 
-    /// Posterior of `event` at `slice` of the most recent
-    /// [`Corrector::push_chunk`], in count units.
+    /// Posterior of `event` at `slice` of the most recent push — a full
+    /// chunk or a tail — in count units.
     ///
     /// # Panics
     ///
-    /// Panics if `slice` is out of range.
+    /// Panics if the most recent push solved no slice `slice`.
     pub fn posterior(&self, slice: usize, event: EventId) -> Gaussian {
         self.engine.posterior(slice, event)
     }
@@ -259,25 +255,19 @@ impl<'a> Corrector<'a> {
     /// streaming the same windows after a [`Corrector::reset_stream`].
     pub fn correct_slices(&mut self, windows: &[&[Sample]]) -> PosteriorSeries {
         let k = self.config.model.slices.max(1);
-        let ne = self.catalog.len();
+        let ne = self.engine.n_events();
         let mut data: Vec<Gaussian> = Vec::with_capacity(windows.len() * ne);
         let mut stats = CorrectionStats::default();
         self.reset_stream();
         for chunk in windows.chunks(k) {
-            if chunk.len() == k {
-                let s = self.push_chunk(chunk);
-                stats.absorb_run(&s);
-                for t in 0..k {
-                    data.extend(self.catalog.iter().map(|e| self.engine.posterior(t, e.id)));
-                }
+            let solved = if chunk.len() == k {
+                self.try_push_chunk(chunk)
             } else {
-                let (post, s) = self
-                    .push_tail(chunk)
-                    .expect("chunks() yields a non-empty tail shorter than k");
-                stats.absorb_run(&s);
-                for t in 0..post.slices() {
-                    data.extend(self.catalog.iter().map(|e| post.posterior(t, e.id)));
-                }
+                self.push_tail(chunk).map(|(_, s)| s)
+            };
+            stats.absorb_run(&solved.expect("chunks() yields 1 to k windows"));
+            for t in 0..chunk.len() {
+                data.extend((0..ne as u16).map(|e| self.posterior(t, EventId::from_raw(e))));
             }
         }
 
@@ -403,10 +393,11 @@ mod tests {
 
     #[test]
     fn cold_correct_run_matches_a_fresh_engine_per_chunk() {
-        // The corrector runs every chunk on its one engine, which keeps
-        // nothing between chunks but the chained prior, so each chunk must
-        // equal, bit for bit, a freshly built engine chained off the
-        // previous chunk's final-slice posterior.
+        // The corrector runs every chunk, the ragged tail included, on its
+        // one engine, which keeps nothing between chunks but the chained
+        // prior, so each chunk must equal, bit for bit, a freshly built
+        // engine of the chunk's own slice count chained off the previous
+        // chunk's final-slice posterior.
         for arch in Arch::all() {
             let cat = Catalog::new(arch);
             let events: Vec<EventId> = cat.programmable_events().into_iter().take(16).collect();
@@ -414,23 +405,28 @@ mod tests {
             for name in ["TeraSort", "ALS", "Join"] {
                 let mut truth = by_name(name).expect("in suite").instantiate(&cat, 0);
                 let pmu = Pmu::new(&cat, PmuConfig::for_catalog(&cat));
-                let run = pmu.run_multiplexed(&mut truth, &schedule.configs, 18);
+                let run = pmu.run_multiplexed(&mut truth, &schedule.configs, 20);
                 let cfg = CorrectorConfig::for_run(&run);
                 let k = cfg.model.slices;
+                assert_eq!(run.windows.len() % k, 2, "a 2-window tail");
                 let series = Corrector::new(&cat, cfg.clone()).correct_run(&run);
 
                 let mut prev: Option<ChunkEngine> = None;
+                let mut stats = CorrectionStats::default();
                 for (c, chunk) in run.windows.chunks(k).enumerate() {
                     let windows: Vec<&[Sample]> =
                         chunk.iter().map(|w| w.samples.as_slice()).collect();
-                    let mut engine = ChunkEngine::new(&cat, &cfg.model);
-                    if let Some(prev) = &mut prev {
-                        prev.capture_chain_prior();
-                        engine.set_chain_prior(prev.chain_prior().expect("captured"));
+                    let model = ModelConfig {
+                        slices: chunk.len(),
+                        ..cfg.model
+                    };
+                    let mut engine = ChunkEngine::new(&cat, &model);
+                    if let Some(prev) = &prev {
+                        engine.chain_off(prev);
                     }
                     engine.load(&windows);
-                    engine.solve();
-                    for t in 0..k {
+                    stats.absorb_run(&engine.solve());
+                    for t in 0..chunk.len() {
                         for e in cat.iter() {
                             let got = series.posterior(c * k + t, e.id);
                             let want = engine.posterior(t, e.id);
@@ -444,8 +440,64 @@ mod tests {
                     }
                     prev = Some(engine);
                 }
+                // The tail's stats count its own slices, as a fresh engine
+                // of its length reports them.
+                assert_eq!(series.stats, stats, "{arch} {name}");
             }
         }
+    }
+
+    /// A KMeans run of `n` windows over 12 programmable events, and its
+    /// configuration.
+    fn kmeans_run(cat: &Catalog, n: usize) -> (MultiplexRun, CorrectorConfig) {
+        let mut truth = kmeans().instantiate(cat, 0);
+        let pmu = Pmu::new(cat, PmuConfig::for_catalog(cat));
+        let events: Vec<EventId> = cat.programmable_events().into_iter().take(12).collect();
+        let schedule = pack_round_robin(cat, &events).unwrap();
+        let run = pmu.run_multiplexed(&mut truth, &schedule, n);
+        let cfg = CorrectorConfig::for_run(&run);
+        (run, cfg)
+    }
+
+    #[test]
+    fn a_tail_leaves_the_chain_where_the_last_full_chunk_left_it() {
+        let cat = Catalog::new(Arch::X86SkyLake);
+        let (run, cfg) = kmeans_run(&cat, 20);
+        let k = cfg.model.slices;
+        let windows: Vec<&[Sample]> = run.windows.iter().map(|w| w.samples.as_slice()).collect();
+        let chunks: Vec<&[&[Sample]]> = windows.chunks(k).collect();
+        let (c1, c2, c3, tail) = (chunks[0], chunks[1], chunks[2], chunks[3]);
+        let bits = |c: &Corrector| -> Vec<(u64, u64)> {
+            (0..k)
+                .flat_map(|t| cat.iter().map(move |e| (t, e.id)))
+                .map(|(t, e)| c.posterior(t, e))
+                .map(|g| (g.mean.to_bits(), g.var.to_bits()))
+                .collect()
+        };
+        let mut plain = Corrector::new(&cat, cfg.clone());
+        let mut tailed = Corrector::new(&cat, cfg);
+        for chunk in [c1, c2] {
+            plain.push_chunk(chunk);
+            tailed.push_chunk(chunk);
+        }
+        tailed.push_tail(tail).expect("a 2-window tail");
+        plain.push_chunk(c3);
+        tailed.push_chunk(c3);
+        assert!(bits(&plain) == bits(&tailed), "c3 after the tail differs");
+    }
+
+    #[test]
+    #[should_panic(expected = "slice 2 out of range")]
+    fn posterior_after_a_tail_serves_only_its_slices() {
+        let cat = Catalog::new(Arch::X86SkyLake);
+        let (run, cfg) = kmeans_run(&cat, 8);
+        let windows: Vec<&[Sample]> = run.windows.iter().map(|w| w.samples.as_slice()).collect();
+        let mut corrector = Corrector::new(&cat, cfg);
+        corrector.push_chunk(&windows[..6]);
+        corrector.push_tail(&windows[6..]).expect("a 2-window tail");
+        let ev = cat.require(Semantic::Cycles);
+        assert!(corrector.posterior(1, ev).mean.is_finite());
+        corrector.posterior(2, ev);
     }
 
     /// Every kind of malformed sample is skipped by the engine's load, on
@@ -481,12 +533,11 @@ mod tests {
                 .flat_map(|t| cat.iter().map(move |e| (t, e.id)))
                 .map(|(t, e)| bits(corrector.posterior(t, e)))
                 .collect();
-            let (post, tail) = Corrector::new(&cat, cfg.clone())
-                .push_tail(&refs[..k - 2])
-                .expect("tail");
+            let mut cold = Corrector::new(&cat, cfg.clone());
+            let tail = cold.push_tail(&refs[..k - 2]).expect("tail").1;
             let tail_post: Vec<_> = (0..k - 2)
                 .flat_map(|t| cat.iter().map(move |e| (t, e.id)))
-                .map(|(t, e)| bits(post.posterior(t, e)))
+                .map(|(t, e)| bits(cold.posterior(t, e)))
                 .collect();
             ([full, tail], [full_post, tail_post])
         };

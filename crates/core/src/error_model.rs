@@ -48,10 +48,10 @@ pub fn observation(sample: &Sample, scale: f64, sigma_floor: f64) -> StudentT {
 /// `extrap_sigma` is floored at `1e-6` so a misconfigured zero (or a
 /// negative value) degrades to an extremely tight factor instead of
 /// panicking — this function runs on the monitor's background inference
-/// thread, where a panic closes the whole service. The model layer
-/// additionally floors it at `obs_sigma_floor` so a carry-forward can
-/// never be *tighter* than a real read (see
-/// [`crate::model::ModelConfig::extrap_sigma`]).
+/// thread, where a panic closes the whole service. The model's own width
+/// is asserted at compile time to be at least a real read's noise floor,
+/// so a carry-forward can never be *tighter* than a real read (see
+/// [`crate::model::ChunkEngine::load`]).
 ///
 /// # Panics
 ///

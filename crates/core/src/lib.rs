@@ -43,7 +43,7 @@ pub use corrector::{CorrectionStats, Corrector, CorrectorConfig, PosteriorSeries
 pub use error::ShimError;
 pub use error_model::{extrapolated_observation, gauge_observation, observation};
 pub use metrics::{adjusted_error, dtw_align, dtw_relative_error};
-pub use model::{ChunkEngine, ChunkPosterior, ModelConfig};
+pub use model::{ChunkEngine, ModelConfig};
 pub use scheduler::{Schedule, ScheduleTransformer};
 pub use service::{
     derived_reading, GroupReading, Monitor, PosteriorUpdate, Reading, ScheduleHook, Selection,

@@ -68,10 +68,11 @@
 //! has one observation slot per event, the invariant rows and components
 //! are fixed, and the temporal chain depends only on the slice count.
 //! [`ChunkEngine`] therefore builds all of it, and sizes every buffer,
-//! **once**; per chunk it swaps the observation slots
-//! ([`ChunkEngine::load`]) and solves, allocation-free. A ragged final
-//! chunk gets a one-shot engine of its own slice count
-//! ([`ChunkEngine::with_slices`]).
+//! **once**, for chunks of up to `cfg.slices` windows; per chunk it swaps
+//! the observation slots of as many slices as the chunk has windows
+//! ([`ChunkEngine::load`]) and solves that prefix, allocation-free. A
+//! ragged final chunk is solved on the same engine: its system is the one
+//! an engine built for exactly its window count would solve.
 
 use crate::error_model::{extrapolated_observation, gauge_observation, observation};
 use bayesperf_events::{Catalog, EventId, Expr, Invariant, SourceNoise};
@@ -79,28 +80,32 @@ use bayesperf_graph::{FactorGraph, VarId};
 use bayesperf_inference::{AnalyticScratch, EpRunStats, Gaussian, StudentT};
 use bayesperf_simcpu::{MultiplexRun, Sample};
 
-/// Model hyperparameters.
+/// Prior mean in normalized units (1 = the catalog's nominal magnitude).
+const PRIOR_MEAN: f64 = 1.0;
+/// Prior standard deviation in normalized units.
+const PRIOR_SD: f64 = 3.0;
+/// Random-walk standard deviation of the temporal factors (normalized).
+const TEMPORAL_TAU: f64 = 0.35;
+/// Variance `τ²` of the temporal random walk.
+const DRIFT: f64 = TEMPORAL_TAU * TEMPORAL_TAU;
+/// Relative noise floor of observation factors.
+const OBS_SIGMA_FLOOR: f64 = 0.02;
+/// Relative scale of observation factors built from *extrapolated*
+/// samples (`sub_n == 0`): an unscheduled slice's carry-forward estimate
+/// enters the model with this much noise instead of masquerading as a
+/// real read.
+const EXTRAP_SIGMA: f64 = 0.5;
+// A carry-forward can never claim to be tighter than a real read.
+const _: () = assert!(EXTRAP_SIGMA >= OBS_SIGMA_FLOOR);
+/// Noise floor of invariant factors (on the relative residual).
+const INV_SIGMA_FLOOR: f64 = 0.02;
+
+/// The model's settings: the chunk length and the run's count scale. Its
+/// widths are the constants above.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelConfig {
     /// Time slices (windows) per inference chunk — the paper's `k`.
     pub slices: usize,
-    /// Prior mean in normalized units (1 = the catalog's nominal magnitude).
-    pub prior_mean: f64,
-    /// Prior standard deviation in normalized units.
-    pub prior_sd: f64,
-    /// Random-walk standard deviation of the temporal factors (normalized).
-    pub temporal_tau: f64,
-    /// Relative noise floor of observation factors.
-    pub obs_sigma_floor: f64,
-    /// Relative scale of observation factors built from *extrapolated*
-    /// samples (`sub_n == 0`): an unscheduled slice's carry-forward
-    /// estimate enters the model with this much noise instead of
-    /// masquerading as a real read. The engine floors it at
-    /// `obs_sigma_floor` — a carry-forward can never claim to be tighter
-    /// than a real read, whatever this field is set to.
-    pub extrap_sigma: f64,
-    /// Noise floor of invariant factors (on the relative residual).
-    pub inv_sigma_floor: f64,
     /// Core cycles per multiplexing window (for count scaling).
     pub cycles_per_window: f64,
 }
@@ -110,12 +115,6 @@ impl ModelConfig {
     pub fn for_run(run: &MultiplexRun) -> Self {
         ModelConfig {
             slices: 6,
-            prior_mean: 1.0,
-            prior_sd: 3.0,
-            temporal_tau: 0.35,
-            obs_sigma_floor: 0.02,
-            extrap_sigma: 0.5,
-            inv_sigma_floor: 0.02,
             cycles_per_window: run.cycles_per_window,
         }
     }
@@ -265,6 +264,10 @@ impl Component {
 /// module docs for the solve and its lifecycle.
 pub struct ChunkEngine {
     n_events: usize,
+    /// The most slices a chunk may have, `cfg.slices`: every buffer is
+    /// sized for it.
+    max_slices: usize,
+    /// Slices of the loaded chunk, `1..=max_slices`.
     slices: usize,
     /// Denormalization scales, catalog-indexed.
     scales: Vec<f64>,
@@ -282,10 +285,6 @@ pub struct ChunkEngine {
     chain: Vec<Gaussian>,
     has_chain: bool,
     base_prior: Gaussian,
-    /// Variance `τ²` of the temporal random walk.
-    drift: f64,
-    obs_sigma_floor: f64,
-    extrap_sigma: f64,
     /// Solver scratch, sized at build for the largest component.
     ws: AnalyticScratch,
     /// The component being solved: its prior, at `t·n_c + p`.
@@ -308,6 +307,7 @@ impl std::fmt::Debug for ChunkEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ChunkEngine")
             .field("n_events", &self.n_events)
+            .field("max_slices", &self.max_slices)
             .field("slices", &self.slices)
             .field("components", &self.components.len())
             .finish()
@@ -315,20 +315,9 @@ impl std::fmt::Debug for ChunkEngine {
 }
 
 impl ChunkEngine {
-    /// Builds the engine for `cfg.slices` time slices.
+    /// Builds the engine for chunks of up to `cfg.slices` time slices (at
+    /// least one).
     pub fn new(catalog: &Catalog, cfg: &ModelConfig) -> Self {
-        Self::with_slices(catalog, cfg, cfg.slices.max(1))
-    }
-
-    /// Builds the engine for an explicit slice count (used by
-    /// [`Corrector::push_tail`](crate::corrector::Corrector::push_tail) for
-    /// ragged tail chunks).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slices` is zero.
-    pub fn with_slices(catalog: &Catalog, cfg: &ModelConfig, slices: usize) -> Self {
-        assert!(slices > 0, "chunk must contain at least one window");
         let scales = event_scales(catalog, cfg.cycles_per_window);
         // The invariant graph: event `e` is variable `e`, and each
         // invariant a factor over the events its two sides read.
@@ -338,8 +327,7 @@ impl ChunkEngine {
             .invariants()
             .iter()
             .map(|inv| {
-                let factor =
-                    InvariantFactor::new(inv, &scales, inv.rel_noise.max(cfg.inv_sigma_floor));
+                let factor = InvariantFactor::new(inv, &scales, inv.rel_noise.max(INV_SIGMA_FLOOR));
                 let reads: Vec<VarId> = factor.vars().map(|e| vars[e]).collect();
                 graph.add_factor((), &reads);
                 factor
@@ -363,15 +351,15 @@ impl ChunkEngine {
             }
         }
         let source_noise = catalog.sources().iter().map(|s| s.noise).collect();
-        Self::from_components(components, scales, source_noise, cfg, slices)
+        Self::from_components(components, scales, source_noise, cfg.slices.max(1))
     }
 
-    /// The engine over prebuilt components, with every buffer sized.
+    /// The engine over prebuilt components, with every buffer sized for
+    /// `slices` slices.
     fn from_components(
         components: Vec<Component>,
         scales: Vec<f64>,
         source_noise: Vec<SourceNoise>,
-        cfg: &ModelConfig,
         slices: usize,
     ) -> Self {
         let ne = scales.len();
@@ -387,9 +375,10 @@ impl ChunkEngine {
             .map(|inv| inv.locals.len())
             .max()
             .unwrap_or(0);
-        let base_prior = Gaussian::new(cfg.prior_mean, cfg.prior_sd * cfg.prior_sd);
+        let base_prior = Gaussian::new(PRIOR_MEAN, PRIOR_SD * PRIOR_SD);
         ChunkEngine {
             n_events: ne,
+            max_slices: slices,
             slices,
             scales,
             source_noise,
@@ -399,9 +388,6 @@ impl ChunkEngine {
             chain: vec![base_prior; ne],
             has_chain: false,
             base_prior,
-            drift: cfg.temporal_tau * cfg.temporal_tau,
-            obs_sigma_floor: cfg.obs_sigma_floor,
-            extrap_sigma: cfg.extrap_sigma,
             ws: AnalyticScratch::with_capacity(slices * widest, widest),
             prior: Vec::with_capacity(slices * widest),
             estimate: Vec::with_capacity(slices * widest),
@@ -412,7 +398,8 @@ impl ChunkEngine {
         }
     }
 
-    /// Number of time slices modelled.
+    /// Number of time slices of the loaded chunk (before the first
+    /// [`ChunkEngine::load`], the most a chunk may have).
     pub fn slices(&self) -> usize {
         self.slices
     }
@@ -422,15 +409,13 @@ impl ChunkEngine {
         self.n_events
     }
 
-    /// Sets the chained slice-0 prior (normalized units; length
-    /// `n_events`). The random-walk drift is added at solve time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prior.len() != n_events`.
-    pub fn set_chain_prior(&mut self, prior: &[Gaussian]) {
-        assert_eq!(prior.len(), self.n_events, "chain prior length mismatch");
-        self.chain.copy_from_slice(prior);
+    /// Chains the next solve off the final solved slice of `prev`, an
+    /// engine over the same catalog, as if this engine had solved it.
+    #[cfg(test)]
+    pub(crate) fn chain_off(&mut self, prev: &ChunkEngine) {
+        let last = (prev.slices - 1) * prev.n_events;
+        self.chain
+            .copy_from_slice(&prev.marginals[last..last + prev.n_events]);
         self.has_chain = true;
     }
 
@@ -463,8 +448,8 @@ impl ChunkEngine {
         seeded
     }
 
-    /// Captures the current posterior of the final slice as the next
-    /// solve's chained slice-0 prior (allocation-free).
+    /// Captures the current posterior of the loaded chunk's final slice as
+    /// the next solve's chained slice-0 prior (allocation-free).
     pub fn capture_chain_prior(&mut self) {
         let last = (self.slices - 1) * self.n_events;
         self.chain
@@ -472,27 +457,22 @@ impl ChunkEngine {
         self.has_chain = true;
     }
 
-    /// The chained prior captured by
-    /// [`ChunkEngine::capture_chain_prior`]/[`ChunkEngine::set_chain_prior`]
-    /// (normalized units), or `None` when the next solve starts from the
-    /// base prior.
-    pub fn chain_prior(&self) -> Option<&[Gaussian]> {
-        self.has_chain.then_some(self.chain.as_slice())
-    }
-
     /// Forgets the chained prior: the next solve starts from the base prior.
     pub fn clear_chain_prior(&mut self) {
         self.has_chain = false;
     }
 
-    /// Loads a window chunk: each slice's observation slots swapped to the
-    /// corresponding window (allocation-free).
+    /// Loads a chunk of 1 to `cfg.slices` windows: slice `t`'s observation
+    /// slots swapped to window `t` (allocation-free). The next
+    /// [`ChunkEngine::solve`] solves those slices alone, the system an
+    /// engine built for exactly `windows.len()` slices would solve.
     ///
     /// A real read ([`observation`]) and a scheduler extrapolation
     /// ([`extrapolated_observation`], `sub_n == 0`) land in the same slot
-    /// but with very different widths: the extrapolated factor carries
-    /// `extrap_sigma` relative noise and minimal degrees of freedom, so an
-    /// unscheduled slice is anchored without being mistaken for data.
+    /// but with very different widths: the extrapolated factor carries a
+    /// wide relative noise (never less than a read's floor) and minimal
+    /// degrees of freedom, so an unscheduled slice is anchored without
+    /// being mistaken for data.
     ///
     /// One observation slot per event: a window is expected to carry at
     /// most one sample per event (the PMU delivers one merged reading per
@@ -511,16 +491,20 @@ impl ChunkEngine {
     ///
     /// # Panics
     ///
-    /// Panics if the window count mismatches the slice count.
+    /// Panics if `windows` is empty or longer than `cfg.slices`.
     pub fn load<W: AsRef<[Sample]>>(&mut self, windows: &[W]) {
-        assert_eq!(
-            windows.len(),
-            self.slices,
+        assert!(
+            !windows.is_empty(),
+            "chunk must contain at least one window"
+        );
+        assert!(
+            windows.len() <= self.max_slices,
             "engine built for {} slices, got {} windows",
-            self.slices,
+            self.max_slices,
             windows.len()
         );
-        self.obs.fill(None);
+        self.slices = windows.len();
+        self.obs[..self.slices * self.n_events].fill(None);
         self.rejected = 0;
         for (t, w) in windows.iter().enumerate() {
             for s in w.as_ref() {
@@ -541,11 +525,8 @@ impl ChunkEngine {
     /// thread.
     fn observation_dist(&self, s: &Sample) -> StudentT {
         let scale = self.scales[s.event.index()];
-        let floor = self.obs_sigma_floor;
         if s.is_extrapolated() {
-            // The documented invariant, enforced rather than trusted: an
-            // extrapolation is never tighter than a real read's noise floor.
-            return extrapolated_observation(s, scale, self.extrap_sigma.max(floor));
+            return extrapolated_observation(s, scale, EXTRAP_SIGMA);
         }
         let noise = self
             .source_noise
@@ -553,8 +534,10 @@ impl ChunkEngine {
             .copied()
             .unwrap_or(SourceNoise::StudentT);
         match noise {
-            SourceNoise::StudentT => observation(s, scale, floor),
-            SourceNoise::Gaussian { .. } => gauge_observation(s, scale, noise.rel_scale(), floor),
+            SourceNoise::StudentT => observation(s, scale, OBS_SIGMA_FLOOR),
+            SourceNoise::Gaussian { .. } => {
+                gauge_observation(s, scale, noise.rel_scale(), OBS_SIGMA_FLOOR)
+            }
             // Low-trust source: same wide heavy-tailed factor an
             // extrapolation gets, at the source's scale.
             SourceNoise::HeavyTail { rel_sigma } => extrapolated_observation(s, scale, rel_sigma),
@@ -562,7 +545,8 @@ impl ChunkEngine {
     }
 
     /// Solves the loaded chunk: one IRLS solve per component, one after
-    /// another on the calling thread (allocation-free).
+    /// another on the calling thread (allocation-free). The stats count
+    /// the loaded slices.
     pub fn solve(&mut self) -> EpRunStats {
         let mut stats = EpRunStats {
             sweeps_total: 1,
@@ -591,7 +575,6 @@ impl ChunkEngine {
             chain,
             has_chain,
             base_prior,
-            drift,
             ws,
             prior,
             estimate,
@@ -600,14 +583,14 @@ impl ChunkEngine {
             quarantined,
             ..
         } = self;
-        let (ne, k, drift) = (*ne, *k, *drift);
+        let (ne, k) = (*ne, *k);
         let comp = &components[c];
         let nc = comp.events.len();
         prior.clear();
         for t in 0..k {
             prior.extend(comp.events.iter().map(|&e| {
                 if t == 0 && *has_chain {
-                    Gaussian::new(chain[e].mean, chain[e].var + drift)
+                    Gaussian::new(chain[e].mean, chain[e].var + DRIFT)
                 } else {
                     *base_prior
                 }
@@ -617,7 +600,7 @@ impl ChunkEngine {
         quarantined.resize(k, false);
         let add_walk = |ws: &mut AnalyticScratch| {
             for i in nc..k * nc {
-                ws.add_term(&[i - nc, i], &[-1.0, 1.0], 0.0, drift);
+                ws.add_term(&[i - nc, i], &[-1.0, 1.0], 0.0, DRIFT);
             }
         };
         let start = (0..k * nc)
@@ -676,51 +659,12 @@ impl ChunkEngine {
         quarantined.iter().filter(|&&q| q).count()
     }
 
-    /// Posterior of `event` at `slice`, in *count* units (denormalized).
+    /// Posterior of `event` at `slice` of the loaded chunk, in *count*
+    /// units (denormalized).
     ///
     /// # Panics
     ///
-    /// Panics if `slice` is out of range.
-    pub fn posterior(&self, slice: usize, event: EventId) -> Gaussian {
-        assert!(slice < self.slices, "slice {slice} out of range");
-        let g = self.marginals[slice * self.n_events + event.index()];
-        let s = self.scales[event.index()];
-        Gaussian::new(g.mean * s, g.var * s * s)
-    }
-
-    /// Snapshot of the current posterior as an owned [`ChunkPosterior`]
-    /// (allocates; the streaming corrector reads
-    /// [`ChunkEngine::posterior`] instead).
-    pub fn to_posterior(&self) -> ChunkPosterior {
-        ChunkPosterior {
-            marginals: self.marginals.clone(),
-            n_events: self.n_events,
-            slices: self.slices,
-            scales: self.scales.clone(),
-        }
-    }
-}
-
-/// Posterior marginals of one chunk.
-#[derive(Debug, Clone)]
-pub struct ChunkPosterior {
-    marginals: Vec<Gaussian>,
-    n_events: usize,
-    slices: usize,
-    scales: Vec<f64>,
-}
-
-impl ChunkPosterior {
-    /// Number of time slices.
-    pub fn slices(&self) -> usize {
-        self.slices
-    }
-
-    /// Posterior of `event` at `slice`, in *count* units (denormalized).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slice` is out of range.
+    /// Panics if `slice` is not a slice of the loaded chunk.
     pub fn posterior(&self, slice: usize, event: EventId) -> Gaussian {
         assert!(slice < self.slices, "slice {slice} out of range");
         let g = self.marginals[slice * self.n_events + event.index()];
@@ -767,14 +711,14 @@ mod tests {
         (cat, run)
     }
 
-    /// An engine over `windows`, loaded and solved — one chunk of the
+    /// A fresh engine with `windows` loaded and solved — one chunk of the
     /// corrector.
     fn run_cold<W: AsRef<[Sample]>>(
         cat: &Catalog,
         windows: &[W],
         cfg: &ModelConfig,
     ) -> ChunkEngine {
-        let mut engine = ChunkEngine::with_slices(cat, cfg, windows.len());
+        let mut engine = ChunkEngine::new(cat, cfg);
         engine.load(windows);
         engine.solve();
         engine
@@ -785,7 +729,8 @@ mod tests {
         let (cat, run) = run_fixture();
         let cfg = ModelConfig::for_run(&run);
         let windows: Vec<Vec<Sample>> = run.windows.iter().map(|w| w.samples.clone()).collect();
-        let mut engine = ChunkEngine::with_slices(&cat, &cfg, windows.len());
+        let mut engine = ChunkEngine::new(&cat, &cfg);
+        assert_eq!(engine.slices(), 6);
         engine.load(&windows);
         assert_eq!(engine.slices(), 4);
     }
@@ -928,10 +873,8 @@ mod tests {
         let (cat, run) = run_fixture();
         let cfg = ModelConfig::for_run(&run);
         let windows: Vec<Vec<Sample>> = run.windows.iter().map(|w| w.samples.clone()).collect();
-        let mut first = run_cold(&cat, &windows[..2], &cfg);
-        first.capture_chain_prior();
-        let mut post = ChunkEngine::with_slices(&cat, &cfg, 2);
-        post.set_chain_prior(first.chain_prior().expect("captured"));
+        let mut post = run_cold(&cat, &windows[..2], &cfg);
+        post.capture_chain_prior();
         post.load(&windows[2..]);
         post.solve();
         // An event only measured in chunk 1's windows still has a
@@ -946,18 +889,23 @@ mod tests {
     #[test]
     #[should_panic(expected = "chunk must contain at least one window")]
     fn empty_chunk_rejected() {
-        let cat = Catalog::new(Arch::X86SkyLake);
+        let (cat, run) = run_fixture();
+        ChunkEngine::new(&cat, &ModelConfig::for_run(&run)).load::<Vec<Sample>>(&[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "engine built for 2 slices, got 3 windows")]
+    fn chunk_longer_than_the_engine_rejected() {
+        let (cat, run) = run_fixture();
         let cfg = ModelConfig {
-            slices: 0,
-            prior_mean: 1.0,
-            prior_sd: 3.0,
-            temporal_tau: 0.3,
-            obs_sigma_floor: 0.02,
-            extrap_sigma: 0.5,
-            inv_sigma_floor: 0.02,
-            cycles_per_window: 1e7,
+            slices: 2,
+            ..ModelConfig::for_run(&run)
         };
-        ChunkEngine::with_slices(&cat, &cfg, 0);
+        let windows: Vec<&[Sample]> = run.windows[..3]
+            .iter()
+            .map(|w| w.samples.as_slice())
+            .collect();
+        ChunkEngine::new(&cat, &cfg).load(&windows);
     }
 
     fn pmu_fixture(cat: &Catalog) -> MultiplexRun {
@@ -1036,12 +984,12 @@ mod tests {
                     .invariants()
                     .iter()
                     .map(|inv| {
-                        InvariantFactor::new(inv, &scales, inv.rel_noise.max(cfg.inv_sigma_floor))
+                        InvariantFactor::new(inv, &scales, inv.rel_noise.max(INV_SIGMA_FLOOR))
                     })
                     .collect();
                 let prior: Vec<Gaussian> = (0..k * ne)
                     .map(|i| match engine.chain.get(i) {
-                        Some(g) => Gaussian::new(g.mean, g.var + engine.drift),
+                        Some(g) => Gaussian::new(g.mean, g.var + DRIFT),
                         None => engine.base_prior,
                     })
                     .collect();
@@ -1054,7 +1002,7 @@ mod tests {
                             ws.add_term(&[i], &[1.0], s.loc, s.irls_variance(xi));
                         }
                         if i >= ne {
-                            ws.add_term(&[i - ne, i], &[-1.0, 1.0], 0.0, engine.drift);
+                            ws.add_term(&[i - ne, i], &[-1.0, 1.0], 0.0, DRIFT);
                         }
                     }
                     for (t, xs) in x.chunks(ne).enumerate() {
@@ -1100,7 +1048,7 @@ mod tests {
         for overflow in overflowing {
             let mut windows = clean.clone();
             overflow(&mut windows[1][0]);
-            let mut engine = ChunkEngine::with_slices(&cat, &cfg, windows.len());
+            let mut engine = ChunkEngine::new(&cat, &cfg);
             engine.load(&windows);
             let stats = engine.solve();
             assert_eq!(stats.samples_rejected, 0, "finite reads pass the guard");
@@ -1126,7 +1074,7 @@ mod tests {
         poisoned[1][0].value = 1e300;
         let bad = poisoned[1][0].event;
         let clean_engine = run_cold(&cat, &clean, &cfg);
-        let mut engine = ChunkEngine::with_slices(&cat, &cfg, poisoned.len());
+        let mut engine = ChunkEngine::new(&cat, &cfg);
         engine.load(&poisoned);
         let stats = engine.solve();
 
@@ -1191,7 +1139,7 @@ mod tests {
                 lp += e.base_prior.log_pdf(xi);
                 lp += e.obs[i].map_or(0.0, |t| t.log_pdf(xi));
                 if i >= ne {
-                    lp += Gaussian::new(0.0, e.drift).log_pdf(xi - x[i - ne]);
+                    lp += Gaussian::new(0.0, DRIFT).log_pdf(xi - x[i - ne]);
                 }
             }
             for slice in x.chunks(ne) {
@@ -1227,23 +1175,11 @@ mod tests {
             events: vec![0, 1, 2],
             invariants: vec![InvariantFactor::new(&inv, &scales, 0.05)],
         };
-        let cfg = ModelConfig {
-            slices: 2,
-            prior_mean: 1.0,
-            prior_sd: 0.3,
-            temporal_tau: 0.35,
-            obs_sigma_floor: 0.02,
-            extrap_sigma: 0.5,
-            inv_sigma_floor: 0.02,
-            cycles_per_window: 1.0e6,
-        };
-        let mut engine = ChunkEngine::from_components(
-            vec![component],
-            scales,
-            vec![SourceNoise::StudentT],
-            &cfg,
-            2,
-        );
+        let mut engine =
+            ChunkEngine::from_components(vec![component], scales, vec![SourceNoise::StudentT], 2);
+        // A tighter base prior than the model's, N(1, 0.3²).
+        let (prior_mean, prior_sd) = (1.0, 0.3);
+        engine.base_prior = Gaussian::new(prior_mean, prior_sd * prior_sd);
         engine.obs[1] = Some(StudentT::new(1.1, 0.15, 3.0));
         engine.obs[2] = Some(StudentT::new(0.95, 0.1, 30.0));
         let stats = engine.solve();
@@ -1260,8 +1196,8 @@ mod tests {
             burn_in: 500,
             samples: 2000,
         });
-        let init = vec![cfg.prior_mean; 6];
-        let step = vec![cfg.prior_sd; 6];
+        let init = vec![prior_mean; 6];
+        let step = vec![prior_sd; 6];
         let chains: Vec<_> = (0..CHAINS as u64)
             .map(|seed| {
                 let mut target = Exact { engine: &engine };

@@ -1379,8 +1379,7 @@ impl InferenceService {
     }
 
     fn run(mut self) {
-        let catalog = self.catalog.clone();
-        let mut corrector = Corrector::new(&catalog, self.config.clone());
+        let mut corrector = Corrector::new(&self.catalog, self.config.clone());
         if let Some(post) = self.resume.take() {
             // Statistically warm restart: chain the first chunk off the
             // last published posterior (non-finite entries fall back to
@@ -1476,7 +1475,7 @@ impl InferenceService {
 
     /// Drains the ring, assembles windows (dropping late samples), and
     /// corrects every complete chunk.
-    fn drain_and_correct(&mut self, corrector: &mut Corrector<'_>) {
+    fn drain_and_correct(&mut self, corrector: &mut Corrector) {
         self.drained.clear();
         {
             let mut st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -1584,44 +1583,45 @@ impl InferenceService {
         }
     }
 
-    fn correct_full_chunks(&mut self, corrector: &mut Corrector<'_>) {
+    fn correct_full_chunks(&mut self, corrector: &mut Corrector) {
         let k = self.config.model.slices.max(1);
         while self.pending.len() >= k {
-            let chunk: Vec<PendingWindow> = self.pending.drain(..k).collect();
-            let refs: Vec<&[Sample]> = chunk.iter().map(|p| p.samples.as_slice()).collect();
-            let solve_start = self.spans.now_ns();
-            let stats = match corrector.try_push_chunk(&refs) {
-                Ok(stats) => stats,
-                // A mismatched chunk cannot occur (we sized it above);
-                // drop it rather than poison the service.
-                Err(_) => continue,
-            };
-            self.record_solve_spans(&chunk, solve_start);
-            let windows: Vec<u32> = chunk.iter().map(|p| p.window).collect();
-            self.publish(&windows, stats, |t, e| corrector.posterior(t, e));
+            self.correct_pending(corrector, k);
             // A long multi-chunk drain still beats once per chunk, so
             // watchdogs don't mistake a busy service for a stalled one.
             self.shared.beats.incr();
         }
     }
 
+    /// Corrects the first `n` pending windows as one chunk, a full one
+    /// (`n == k`) or the stream's ragged tail (`n < k`), and publishes it.
+    fn correct_pending(&mut self, corrector: &mut Corrector, n: usize) {
+        let chunk: Vec<PendingWindow> = self.pending.drain(..n).collect();
+        let refs: Vec<&[Sample]> = chunk.iter().map(|p| p.samples.as_slice()).collect();
+        let solve_start = self.spans.now_ns();
+        let solved = if n == self.config.model.slices.max(1) {
+            corrector.try_push_chunk(&refs)
+        } else {
+            corrector.push_tail(&refs).map(|(_, stats)| stats)
+        };
+        // A mismatched chunk cannot occur (the caller sized it); drop it
+        // rather than poison the service.
+        let Ok(stats) = solved else { return };
+        self.record_solve_spans(&chunk, solve_start);
+        let windows: Vec<u32> = chunk.iter().map(|p| p.window).collect();
+        self.publish(&windows, stats, |t, e| corrector.posterior(t, e));
+    }
+
     /// Corrects the stream's ragged tail: the open window is closed,
     /// remaining full chunks run, and the final partial chunk is corrected
-    /// via the corrector's one-shot tail path.
-    fn flush(&mut self, corrector: &mut Corrector<'_>) {
+    /// on the corrector's engine like any other.
+    fn flush(&mut self, corrector: &mut Corrector) {
         self.drain_and_correct(corrector);
         self.close_open_window();
         let highest = self.pending.last().map(|p| p.window);
         self.correct_full_chunks(corrector);
         if !self.pending.is_empty() {
-            let tail: Vec<PendingWindow> = self.pending.drain(..).collect();
-            let refs: Vec<&[Sample]> = tail.iter().map(|p| p.samples.as_slice()).collect();
-            let solve_start = self.spans.now_ns();
-            if let Ok((post, stats)) = corrector.push_tail(&refs) {
-                self.record_solve_spans(&tail, solve_start);
-                let windows: Vec<u32> = tail.iter().map(|p| p.window).collect();
-                self.publish(&windows, stats, |t, e| post.posterior(t, e));
-            }
+            self.correct_pending(corrector, self.pending.len());
         }
         // Anything arriving for flushed windows from here on is late.
         if let Some(h) = highest {

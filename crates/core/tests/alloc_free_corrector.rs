@@ -2,7 +2,8 @@
 //! the first chunk, pushing further chunks through the streaming API must
 //! not change the global allocation counter — observation swap, prior
 //! composition, the chunk solve, chain-prior capture and posterior reads
-//! included.
+//! included — and neither must a ragged tail, solved on the same engine,
+//! nor a full chunk after it.
 //!
 //! This file holds exactly one test so no concurrent test can pollute the
 //! global counter.
@@ -45,16 +46,18 @@ fn steady_state_corrector_loop_allocates_nothing() {
         cat.require(Semantic::LlcMisses),
     ];
     let schedule = pack_round_robin(&cat, &events).unwrap();
-    let n_windows = 12;
+    let n_windows = 13;
     let run = pmu.run_multiplexed(&mut truth, &schedule, n_windows);
 
     let mut config = CorrectorConfig::for_run(&run);
     config.model.slices = 2;
     let mut corrector = Corrector::new(&cat, config);
 
-    // Pre-build all chunk slices outside the measured region.
+    // Pre-build all chunk slices outside the measured region: six full
+    // chunks and a 1-window tail.
     let windows: Vec<&[Sample]> = run.windows.iter().map(|w| w.samples.as_slice()).collect();
-    let chunks: Vec<&[&[Sample]]> = windows.chunks(2).collect();
+    let (full, tail) = windows.split_at(12);
+    let chunks: Vec<&[&[Sample]]> = full.chunks(2).collect();
     let probe = cat.require(Semantic::LlcReferences);
 
     // Chunk 1 (cold): grows the engine caches, workspaces and history.
@@ -64,19 +67,26 @@ fn steady_state_corrector_loop_allocates_nothing() {
     // including reading posteriors back out.
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     let mut checksum = 0.0f64;
-    for chunk in &chunks[1..] {
+    for chunk in &chunks[1..5] {
         let stats = corrector.push_chunk(chunk);
         assert!(stats.sweeps_run >= 1);
         for t in 0..2 {
             checksum += corrector.posterior(t, probe).mean;
         }
     }
+    let (_, stats) = corrector.push_tail(tail).expect("a 1-window tail");
+    assert_eq!(stats.sweeps_run, 1);
+    checksum += corrector.posterior(0, probe).mean;
+    corrector.push_chunk(chunks[5]);
+    for t in 0..2 {
+        checksum += corrector.posterior(t, probe).mean;
+    }
     let after = ALLOCATIONS.load(Ordering::SeqCst);
     assert_eq!(
         after - before,
         0,
-        "steady-state push_chunk must not allocate ({} allocations observed \
-         across {} chunks)",
+        "steady-state push_chunk and push_tail must not allocate ({} \
+         allocations observed across {} chunks and a tail)",
         after - before,
         chunks.len() - 1
     );

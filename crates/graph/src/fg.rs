@@ -149,11 +149,6 @@ impl<V, F> FactorGraph<V, F> {
         (0..self.vars.len() as u32).map(VarId)
     }
 
-    /// Iterates over all factor ids.
-    pub fn factor_ids(&self) -> impl Iterator<Item = FactorId> {
-        (0..self.factors.len() as u32).map(FactorId)
-    }
-
     /// The Markov blanket of `v`: all variables sharing at least one factor
     /// with `v`, excluding `v` itself (Koller & Friedman, ch. 4).
     ///

@@ -799,23 +799,32 @@ pub fn run_closed_loop(
     let mut fed = 0usize;
 
     // One closure both corrects the backlog and decides the next group —
-    // the loop body of a real monitor, minus the threads.
+    // the loop body of a real monitor, minus the threads. The run's last
+    // window also corrects a ragged chunk tail, as a monitor's flush would.
     let mut absorb = |window: &bayesperf_simcpu::Window,
+                      last: bool,
                       corrector: &mut Corrector,
                       variances: &mut VarianceEstimates,
                       chunk_buf: &mut Vec<Vec<Sample>>,
                       post_buf: &mut Vec<Gaussian>| {
         chunk_buf.push(window.samples.clone());
-        if chunk_buf.len() < k {
+        let m = chunk_buf.len();
+        if m < k && !last {
             return;
         }
         let refs: Vec<&[Sample]> = chunk_buf.iter().map(|w| w.as_slice()).collect();
-        corrector.push_chunk(&refs);
+        if m == k {
+            corrector.push_chunk(&refs);
+        } else {
+            corrector
+                .push_tail(&refs)
+                .expect("a tail of 1 to k - 1 windows");
+        }
         chunk_no += 1;
-        acc.absorb_slices(&pool, k, chunk_no == 1, |t, e| corrector.posterior(t, e));
-        corrected += k;
+        acc.absorb_slices(&pool, m, chunk_no == 1, |t, e| corrector.posterior(t, e));
+        corrected += m;
         post_buf.clear();
-        post_buf.extend(catalog.iter().map(|e| corrector.posterior(k - 1, e.id)));
+        post_buf.extend(catalog.iter().map(|e| corrector.posterior(m - 1, e.id)));
         variances.update(window.index, chunk_no, post_buf);
         chunk_buf.clear();
     };
@@ -830,6 +839,7 @@ pub fn run_closed_loop(
                 fed += 1;
                 absorb(
                     w,
+                    false,
                     &mut corrector,
                     &mut variances,
                     &mut chunk_buf,
@@ -843,26 +853,18 @@ pub fn run_closed_loop(
         },
     );
 
-    // The final window (and any ragged chunk tail) never appeared as a
-    // `prev`; account for it the way a monitor's flush would.
-    for w in &run.windows[fed..] {
+    // The final window never appeared as a `prev`; account for it the way
+    // a monitor's flush would.
+    let n = run.windows.len();
+    for (i, w) in run.windows.iter().enumerate().skip(fed) {
         absorb(
             w,
+            i + 1 == n,
             &mut corrector,
             &mut variances,
             &mut chunk_buf,
             &mut post_buf,
         );
-    }
-    if !chunk_buf.is_empty() {
-        let refs: Vec<&[Sample]> = chunk_buf.iter().map(|w| w.as_slice()).collect();
-        if let Ok((post, _)) = corrector.push_tail(&refs) {
-            // A tail with no preceding full chunk is the run's cold start.
-            acc.absorb_slices(&pool, post.slices(), chunk_no == 0, |t, e| {
-                post.posterior(t, e)
-            });
-            corrected += post.slices();
-        }
     }
 
     ClosedLoopReport {

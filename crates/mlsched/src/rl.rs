@@ -277,14 +277,6 @@ impl TrainResult {
         }
         None
     }
-
-    /// Mean regret over the whole run (area under the learning curve).
-    pub fn regret_auc(&self) -> f64 {
-        if self.regret_curve.is_empty() {
-            return 0.0;
-        }
-        self.regret_curve.iter().sum::<f64>() / self.regret_curve.len() as f64
-    }
 }
 
 /// Actor-critic trainer: policy 36-16-16-2 (the paper's architecture) and
