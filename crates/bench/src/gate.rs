@@ -75,7 +75,8 @@
 //! assert!(verdict.hi <= 1.10, "{}", verdict.summary());
 //! ```
 
-use bayesperf_inference::{derive_stream_seed, ln_gamma};
+use crate::rng::derive_stream_seed;
+use bayesperf_inference::ln_gamma;
 use std::time::{Duration, Instant};
 
 /// Which side of the bound the gated statistic must stay on.

@@ -15,6 +15,7 @@
 
 pub mod gate;
 pub mod reference;
+pub mod rng;
 
 use bayesperf_baselines::{CounterMiner, LinuxScaling, SeriesEstimator, WmPin};
 use bayesperf_core::corrector::{Corrector, CorrectorConfig};

@@ -1,14 +1,13 @@
-//! Counter-based RNG streams for deterministic parallel randomness.
+//! Counter-based RNG streams for deterministic randomness.
 //!
-//! When many independent workers each need randomness, one shared
-//! sequential generator would make the stream each worker sees depend on
-//! execution interleaving — results would vary with thread count and
-//! scheduling. Instead, every `(seed, stream, step)` triple names its own
-//! independent stream: a [`SiteRng`] derived by mixing the triple through
-//! SplitMix64-style finalizers into a xoshiro256++ state, so each worker's
-//! draws are a pure function of its coordinates. The perf gates use these
-//! streams for their seeded arm order, and [`derive_stream_seed`] for
-//! per-measurement sub-seeds.
+//! One shared sequential generator would make the stream each consumer
+//! sees depend on the order of its draws. Instead, every
+//! `(seed, stream, step)` triple names its own independent stream: a
+//! [`SiteRng`] derived by mixing the triple through SplitMix64-style
+//! finalizers into a xoshiro256++ state, so each stream's draws are a pure
+//! function of its coordinates. The perf gates ([`crate::gate`]) draw their
+//! seeded arm order from [`derive_stream_seed`], and the gate's statistics
+//! tests draw their synthetic noise from [`SiteRng`] streams.
 //!
 //! This is the software analogue of the per-engine hardware RNGs in the
 //! accelerator's AcMC² sampler IPs (§5): each engine owns its stream; no
@@ -38,8 +37,8 @@ pub fn derive_stream_seed(seed: u64, index: usize) -> u64 {
 
 /// A per-`(seed, site, sweep)` random stream.
 ///
-/// Construction is O(1) — no warm-up draws — so the parallel sweep can mint
-/// a fresh stream per site update without touching shared state.
+/// Construction is O(1) — no warm-up draws — so a fresh stream per
+/// coordinate costs nothing and touches no shared state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SiteRng {
     s: [u64; 4],

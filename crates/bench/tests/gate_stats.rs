@@ -17,7 +17,7 @@
 //! the *decision rule*, independent of any real benchmark workload.
 
 use bayesperf_bench::gate::{Decision, GateConfig};
-use bayesperf_inference::SiteRng;
+use bayesperf_bench::rng::SiteRng;
 use proptest::prelude::*;
 use rand::Rng;
 

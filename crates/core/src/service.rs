@@ -360,17 +360,17 @@ impl<U> Subscribers<U> {
     }
 }
 
-/// The feedback hook the inference service calls after publishing each
-/// chunk's posterior snapshot — the multiplexing-scheduler integration
-/// point: a hook steers *which event group gets measured next* from the
-/// very posteriors this service computes (closing the paper's loop between
-/// inference and data collection; see `bayesperf_mlsched::mux`).
+/// A per-publish hook: the inference service calls it as it publishes
+/// each chunk's posterior snapshot, with the posteriors that snapshot
+/// holds.
 ///
-/// The hook runs on the **inference thread**, immediately after the
+/// The hook runs on the **inference thread**, immediately before the
 /// snapshot is published, so it sees every chunk exactly once and in
-/// order; producers read whatever state the hook maintains (e.g. a shared
-/// scheduler) without ever touching this thread. Keep implementations
-/// cheap — a scheduler update, not more inference.
+/// order. That makes it the place to observe the service's publishes in
+/// order, or to stall the inference thread on purpose (the fleet's
+/// watchdog tests park it here). Other threads read whatever state the
+/// hook keeps without touching this thread. Keep implementations cheap:
+/// the next chunk waits for the hook to return.
 pub trait ScheduleHook: Send {
     /// Called once per inference run with the final corrected window's
     /// index, the 1-based inference-run counter, and the catalog-indexed
@@ -391,7 +391,7 @@ enum Control {
     Pause(Sender<()>),
     /// Resume draining, process the backlog, then ack.
     Resume(Sender<()>),
-    /// Install (or, with `None`, remove) the schedule feedback hook.
+    /// Install (or, with `None`, remove) the per-publish hook.
     SetHook {
         hook: Option<Box<dyn ScheduleHook>>,
         ack: Sender<()>,
@@ -595,7 +595,7 @@ struct Shared {
     /// live in, the span tracer the pipeline stamps into, and the flight
     /// recorder supervision events land in.
     tele: Telemetry,
-    /// The schedule feedback hook lives here — not inside a service
+    /// The per-publish hook lives here — not inside a service
     /// incarnation — so an installed hook survives a crash restart. Locked
     /// only by the inference thread (per publish) and by the control
     /// handler that swaps it.
@@ -806,10 +806,9 @@ impl Monitor {
         self.shared.control_roundtrip(Control::Resume)
     }
 
-    /// Installs `hook` as the service's schedule feedback hook: from the
-    /// next publish on, the inference thread hands it every chunk's final
-    /// posteriors — the loop that lets the posterior drive what the PMU
-    /// measures next. Replaces any previous hook; blocks until the service
+    /// Installs `hook` as the service's per-publish hook: from the next
+    /// publish on, the inference thread hands it every chunk's final
+    /// posteriors. Replaces any previous hook; blocks until the service
     /// has installed it ([`Monitor::clear_schedule_hook`] removes it).
     pub fn set_schedule_hook(&self, hook: Box<dyn ScheduleHook>) -> Result<(), ShimError> {
         self.shared.control_roundtrip(|ack| Control::SetHook {
@@ -818,7 +817,7 @@ impl Monitor {
         })
     }
 
-    /// Removes the schedule feedback hook installed by
+    /// Removes the per-publish hook installed by
     /// [`Monitor::set_schedule_hook`] (a no-op when none is installed).
     pub fn clear_schedule_hook(&self) -> Result<(), ShimError> {
         self.shared
@@ -977,7 +976,7 @@ impl SessionTarget for Monitor {
 /// on a [`Monitor`] (the default), a fleet session on a fleet: which
 /// events it reads. Selection defaults to the whole catalog. A builder
 /// touches no service state — the chunk size is fixed at
-/// [`Monitor::new`], and the schedule feedback hook is installed with
+/// [`Monitor::new`], and the per-publish hook is installed with
 /// [`Monitor::set_schedule_hook`].
 #[derive(Debug)]
 pub struct SessionBuilder<'a, T = Monitor> {
@@ -1717,9 +1716,9 @@ impl InferenceService {
             return;
         };
         {
-            // Feed the schedule hook *before* the buffer moves into the
-            // snapshot: the scheduler sees exactly what readers are about
-            // to. The hook lives on `Shared` so it survives restarts.
+            // Call the hook *before* the buffer moves into the snapshot:
+            // it sees exactly what readers are about to. The hook lives on
+            // `Shared` so it survives restarts.
             let mut hook = self.shared.hook.lock().unwrap_or_else(|e| e.into_inner());
             if let Some(hook) = hook.as_mut() {
                 hook.on_publish(last_window, chunk, &final_posteriors);

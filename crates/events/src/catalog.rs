@@ -24,7 +24,6 @@ pub struct Catalog {
     pmu: PmuSpec,
     events: Vec<EventDesc>,
     by_semantic: HashMap<Semantic, EventId>,
-    by_name: HashMap<String, EventId>,
     invariants: Vec<Invariant>,
     derived: Vec<DerivedEvent>,
     nominal: Vec<f64>,
@@ -58,7 +57,6 @@ impl Catalog {
         let pmu = PmuSpec::for_arch(arch);
         let mut events = Vec::new();
         let mut by_semantic = HashMap::new();
-        let mut by_name = HashMap::new();
 
         for &sem in Semantic::all() {
             if sem == Semantic::RefCycles && params.ref_cycle_ratio.is_none() {
@@ -75,7 +73,6 @@ impl Catalog {
                 needs_msr,
             };
             by_semantic.insert(sem, id);
-            by_name.insert(desc.name.clone(), id);
             events.push(desc);
         }
 
@@ -93,7 +90,6 @@ impl Catalog {
                     needs_msr: false,
                 };
                 by_semantic.insert(sem, id);
-                by_name.insert(desc.name.clone(), id);
                 events.push(desc);
             }
             source_of.resize(events.len(), SourceId::PMU);
@@ -112,7 +108,6 @@ impl Catalog {
             pmu,
             events,
             by_semantic,
-            by_name,
             invariants: Vec::new(),
             derived: Vec::new(),
             nominal: Vec::new(),
@@ -175,11 +170,6 @@ impl Catalog {
     pub fn require(&self, sem: Semantic) -> EventId {
         self.id(sem)
             .unwrap_or_else(|| panic!("{} does not implement {sem}", self.arch))
-    }
-
-    /// Looks up an event by its vendor-style name.
-    pub fn id_by_name(&self, name: &str) -> Option<EventId> {
-        self.by_name.get(name).copied()
     }
 
     /// The descriptor for an event.
@@ -263,12 +253,6 @@ impl Catalog {
             .filter(|e| self.source_of(e.id) == source)
             .map(|e| e.id)
             .collect()
-    }
-
-    /// True when the catalog was built with the multi-source observation
-    /// plane (gauge events + gauge sources registered).
-    pub fn has_observation_plane(&self) -> bool {
-        self.sources.len() > 1
     }
 }
 
@@ -783,10 +767,13 @@ mod tests {
     }
 
     #[test]
-    fn name_lookup_roundtrips() {
-        let cat = Catalog::new(Arch::X86SkyLake);
-        for ev in cat.iter() {
-            assert_eq!(cat.id_by_name(&ev.name), Some(ev.id));
+    fn event_names_are_unique() {
+        for arch in Arch::all() {
+            for cat in [Catalog::new(arch), Catalog::with_observation_plane(arch)] {
+                let names: std::collections::HashSet<&str> =
+                    cat.iter().map(|ev| ev.name.as_str()).collect();
+                assert_eq!(names.len(), cat.len(), "{arch}");
+            }
         }
     }
 
@@ -874,7 +861,6 @@ mod tests {
     #[test]
     fn base_catalog_has_only_the_pmu_source() {
         let cat = Catalog::new(Arch::X86SkyLake);
-        assert!(!cat.has_observation_plane());
         assert_eq!(cat.sources().len(), 1);
         assert_eq!(cat.sources()[0].id, crate::SourceId::PMU);
         for ev in cat.iter() {
@@ -887,7 +873,7 @@ mod tests {
         for arch in Arch::all() {
             let base = Catalog::new(arch);
             let ext = Catalog::with_observation_plane(arch);
-            assert!(ext.has_observation_plane());
+            assert!(ext.sources().len() > 1);
             assert_eq!(ext.len(), base.len() + Semantic::gauges().len());
             // PMU events, invariants, and derived events are a strict
             // prefix: ids and names are unchanged.

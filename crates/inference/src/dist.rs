@@ -148,32 +148,9 @@ impl Gumbel {
         Gumbel { loc, scale }
     }
 
-    /// Method-of-moments fit from a sample mean and standard deviation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sd` is not positive and finite.
-    pub fn from_moments(mean: f64, sd: f64) -> Self {
-        const EULER_GAMMA: f64 = 0.577_215_664_901_532_9;
-        let scale = sd * 6f64.sqrt() / std::f64::consts::PI;
-        Gumbel::new(mean - EULER_GAMMA * scale, scale)
-    }
-
     /// Cumulative distribution function at `x`.
     pub fn cdf(&self, x: f64) -> f64 {
         (-(-(x - self.loc) / self.scale).exp()).exp()
-    }
-
-    /// Log probability density at `x`.
-    pub fn log_pdf(&self, x: f64) -> f64 {
-        let z = (x - self.loc) / self.scale;
-        -self.scale.ln() - z - (-z).exp()
-    }
-
-    /// Draws a sample via inverse-CDF.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-        self.loc - self.scale * (-u.ln()).ln()
     }
 }
 
@@ -266,16 +243,6 @@ mod tests {
         assert!(g.cdf(-5.0) < 1e-3);
         assert!(g.cdf(10.0) > 0.999);
         assert!(g.cdf(0.0) < g.cdf(1.0));
-    }
-
-    #[test]
-    fn gumbel_from_moments_roundtrip() {
-        let g = Gumbel::from_moments(7.0, 2.0);
-        let mut rng = StdRng::seed_from_u64(17);
-        let samples: Vec<f64> = (0..200_000).map(|_| g.sample(&mut rng)).collect();
-        let (mean, var) = sample_moments(&samples);
-        assert!((mean - 7.0).abs() < 0.05, "mean {mean}");
-        assert!((var.sqrt() - 2.0).abs() < 0.05, "sd {}", var.sqrt());
     }
 
     proptest! {

@@ -2,7 +2,8 @@
 //!
 //! Implements the machinery behind §4.2–§4.3 of the paper:
 //!
-//! * probability distributions ([`Gaussian`], [`StudentT`], [`Gumbel`]) with
+//! * probability distributions ([`Gaussian`], [`StudentT`], and the
+//!   [`Gumbel`] law behind the CounterMiner baseline's outlier test), with
 //!   sampling implemented from scratch (Box-Muller, Marsaglia-Tsang) so no
 //!   external distribution crate is needed;
 //! * the banded Gaussian-linear solver ([`AnalyticScratch`]): a banded
@@ -36,12 +37,10 @@
 mod analytic;
 mod dist;
 pub mod mcmc;
-mod rng;
 mod special;
 
 pub use analytic::{AnalyticScratch, EpRunStats};
 pub use dist::{Gaussian, Gumbel, StudentT};
-pub use rng::{derive_stream_seed, SiteRng};
 pub use special::ln_gamma;
 
 /// Draws a standard-normal variate (Box-Muller transform).

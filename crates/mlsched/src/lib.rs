@@ -1,11 +1,10 @@
 //! Schedulers: BayesPerf in feedback loops.
 //!
-//! Two loops live here. [`mux`] closes the loop *inside* the measurement
-//! stack: an event-multiplexing scheduler that lets the BayesPerf
-//! posterior decide which PMU event group to measure next
-//! ([`GroupSchedule`], [`RoundRobin`] vs [`UncertaintyDriven`], the
-//! starvation-bounded [`MuxScheduler`], and the service integration via
-//! [`bayesperf_core::ScheduleHook`]).
+//! Two loops live here. [`mux`] is the loop *inside* the measurement
+//! stack: event multiplexing ([`GroupSchedule`], the [`RoundRobin`]
+//! policy under the starvation-bounded [`MuxScheduler`]) and
+//! [`run_closed_loop`], which scores a schedule's corrected posteriors
+//! against the simulated truth.
 //!
 //! The rest is the §6.3 case study — the loop *outside*: the paper
 //! demonstrates downstream value by feeding (corrected) HPC measurements
@@ -34,9 +33,8 @@ pub mod rl;
 
 pub use cf::CollabFilter;
 pub use mux::{
-    hetero_demo_events, relative_variance, run_closed_loop, ClosedLoopReport, GroupSchedule,
-    MuxError, MuxPolicy, MuxScheduler, MuxStats, RoundRobin, ServiceFeed, ServiceScheduler,
-    UncertaintyDriven, VarianceEstimates,
+    hetero_demo_events, run_closed_loop, ClosedLoopReport, GroupSchedule, MuxError, MuxPolicy,
+    MuxScheduler, MuxStats, RoundRobin,
 };
 pub use nn::Mlp;
 pub use pcie::{Fabric, Flow, Node};

@@ -1,40 +1,35 @@
-//! The uncertainty-driven event-multiplexing scheduler.
+//! Event multiplexing: PMU event groups, a starvation-bounded scheduler,
+//! and the loop that scores a schedule against ground truth.
 //!
 //! The PMU can host only a few event groups at once; everything else is
 //! time-sliced and scaled, and that scaling is where HPC measurement error
 //! comes from (§2, Fig. 2 — and Röhl et al. show that *which* events get
-//! co-scheduled materially changes fidelity). The classic kernel answer is
-//! a blind round-robin rotation. BayesPerf, however, maintains a live
-//! posterior per event — so the measurement loop can be closed: **let the
-//! posterior decide what to measure next.**
+//! co-scheduled materially changes fidelity, so a schedule is judged by
+//! how close the corrected counts come to the truth).
 //!
 //! ```text
 //!   quantum q:  scheduler ──pick──▶ PMU runs group g   (other groups idle,
-//!      ▲                               │                their windows carry
-//!      │ read rel. variance            ▼                the scaling error)
-//!   snapshot cell ◀──publish── inference service ◀──samples──┘
+//!                                      │                their windows carry
+//!                                      ▼                the scaling error)
+//!   err_pct, cov95 ◀──truth── corrector ◀──samples──────┘
 //! ```
 //!
 //! * [`GroupSchedule`] — the validated set of PMU event groups (each group
 //!   must fit the hardware counters) plus the starvation bound `K`;
-//! * [`RoundRobin`] — the baseline policy: rotate, ignore the posterior;
-//! * [`UncertaintyDriven`] — each quantum, pick the group whose events
-//!   currently have the highest mean posterior *relative* variance, read
-//!   from the published snapshot ([`VarianceEstimates`]) — a wait-free
-//!   read that never touches the inference thread. Picks made since the
-//!   last posterior refresh are discounted (the scheduler knows a
-//!   measurement is already in flight), so stale variances don't cause a
-//!   single group to monopolize the counters between publishes;
-//! * [`MuxScheduler`] — wraps any policy with an EDF-style starvation
-//!   guard guaranteeing every group runs at least once per `K` quanta,
-//!   whatever the policy does;
-//! * [`ServiceScheduler`] — the live-service integration: one half
-//!   implements [`bayesperf_core::ScheduleHook`] (the inference thread
-//!   feeds fresh posteriors after every publish), the other half is the
-//!   producer-side handle the sampling loop asks for the next group;
+//! * [`RoundRobin`] — the policy: rotate groups in index order, as Linux
+//!   perf's multiplexing timer does;
+//! * [`MuxScheduler`] — wraps any [`MuxPolicy`] with an EDF-style
+//!   starvation guard guaranteeing every group runs at least once per `K`
+//!   quanta, whatever the policy does;
 //! * [`run_closed_loop`] — the deterministic single-threaded harness
-//!   (simulated PMU → streaming corrector → scheduler → PMU) behind the
-//!   equal-budget benchmark comparing both policies.
+//!   (scheduler → simulated PMU → chained corrector) that scores the
+//!   corrected posteriors against the run's own truth
+//!   ([`ClosedLoopReport::err_pct`], [`ClosedLoopReport::cov95`]).
+//!
+//! A policy earns its place on those truth figures, not on the posterior's
+//! own variance: ranking groups by claimed relative variance lowered that
+//! variance on 20 of 20 KMeans seeds while raising the truth error from
+//! 26.6% to 29.3%.
 //!
 //! # The starvation bound
 //!
@@ -50,12 +45,9 @@
 //! drifting unboundedly.
 
 use bayesperf_core::corrector::{Corrector, CorrectorConfig};
-use bayesperf_core::{ScheduleHook, Session, SnapshotView};
 use bayesperf_events::{try_assign, Catalog, EventId};
-use bayesperf_inference::Gaussian;
-use bayesperf_simcpu::{Configuration, Extrapolate, GroundTruth, Pmu, PmuConfig, Sample};
+use bayesperf_simcpu::{Configuration, Extrapolate, GroundTruth, Pmu, PmuConfig};
 use std::fmt;
-use std::sync::{Arc, Mutex};
 
 /// Why a [`GroupSchedule`] could not be built.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -212,11 +204,10 @@ impl GroupSchedule {
 /// bands: expensive to leave unscheduled), the cache hierarchy
 /// (partially inferable via `l2_demand`), and the µop pipeline (tied to
 /// the always-measured fixed counters by tight flow invariants: nearly
-/// free to skip). This is the situation where posterior-driven
-/// scheduling beats a rotation. One definition shared by the
-/// `mux_scheduler` example, the closed-loop acceptance test, and
-/// `bench_json`'s gated `mux_schedule` entry, so all three measure the
-/// same schedule.
+/// free to skip). This is the situation where which group runs when
+/// matters for fidelity. One definition shared by the `mux_scheduler`
+/// example, the closed-loop test, and `bench_json`'s `mux_schedule`
+/// entry, so all three measure the same schedule.
 pub fn hetero_demo_events(catalog: &Catalog) -> Vec<EventId> {
     use bayesperf_events::Semantic::*;
     [
@@ -241,133 +232,20 @@ pub fn hetero_demo_events(catalog: &Catalog) -> Vec<EventId> {
     .collect()
 }
 
-/// Posterior relative variance of one event: `var / max(mean² + var, 1)`
-/// — scale-free, so groups of large-count and small-count events score
-/// comparably. It rises monotonically with `var / mean²` and is bounded by
-/// 1, so an event whose truth sits near zero counts (mean a few counts,
-/// variance far above mean²) scores at most 1 instead of swamping every
-/// other event. The single definition behind the scheduler's live view
-/// ([`VarianceEstimates`]) and the closed-loop metric
-/// ([`ClosedLoopReport::mean_rel_var`]).
-pub fn relative_variance(g: &Gaussian) -> f64 {
-    g.var / (g.mean * g.mean + g.var).max(1.0)
-}
-
-/// Catalog-indexed posterior **relative** variances
-/// ([`relative_variance`]) plus the `(window, chunk)` stamp of the
-/// snapshot they came from — the scheduler's entire view of the
-/// inference state.
-///
-/// Refreshing from a live [`Session`] is one wait-free acquisition of the
-/// published snapshot cell ([`VarianceEstimates::refresh`]); the closed
-/// loop and the service hook update it directly from posteriors. The
-/// buffer is reused across refreshes (no steady-state allocation).
-#[derive(Debug, Clone)]
-pub struct VarianceEstimates {
-    window: u32,
-    chunk: u64,
-    rel_var: Vec<f64>,
-    view: SnapshotView,
-    fresh: bool,
-}
-
-impl VarianceEstimates {
-    /// An empty estimate set over `n_events` catalog events.
-    pub fn new(n_events: usize) -> VarianceEstimates {
-        VarianceEstimates {
-            window: 0,
-            chunk: 0,
-            rel_var: vec![0.0; n_events],
-            view: SnapshotView::default(),
-            fresh: false,
-        }
-    }
-
-    /// True once at least one posterior has been absorbed.
-    pub fn has_posterior(&self) -> bool {
-        self.fresh
-    }
-
-    /// The `(window, chunk)` stamp of the absorbed snapshot.
-    pub fn stamp(&self) -> (u32, u64) {
-        (self.window, self.chunk)
-    }
-
-    /// The catalog-indexed relative variances.
-    pub fn rel_var(&self) -> &[f64] {
-        &self.rel_var
-    }
-
-    /// Absorbs catalog-indexed posteriors (count units) published for
-    /// `window` by inference run `chunk`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `posteriors.len()` differs from the construction size.
-    pub fn update(&mut self, window: u32, chunk: u64, posteriors: &[Gaussian]) {
-        assert_eq!(
-            posteriors.len(),
-            self.rel_var.len(),
-            "posterior vector must be catalog-sized"
-        );
-        for (slot, g) in self.rel_var.iter_mut().zip(posteriors) {
-            *slot = relative_variance(g);
-        }
-        self.window = window;
-        self.chunk = chunk;
-        self.fresh = true;
-    }
-
-    /// Refreshes from the session's latest published snapshot — a
-    /// wait-free cell read plus one copy; the inference thread is never
-    /// touched. Returns `false` (estimates unchanged) while no posterior
-    /// has been published yet or the monitor has closed.
-    pub fn refresh(&mut self, session: &Session) -> bool {
-        // Move the scratch view out so `update` can borrow &mut self;
-        // its allocation is preserved either way.
-        let mut view = std::mem::take(&mut self.view);
-        let ok = session.snapshot_into(&mut view).is_ok();
-        if ok {
-            self.update(view.window, view.chunk, &view.posteriors);
-        }
-        self.view = view;
-        ok
-    }
-}
-
-/// A multiplexing policy: given the current posterior variances (when any
-/// posterior exists yet), choose the group to measure next. The
+/// A multiplexing policy: choose the group to measure next. The
 /// [`MuxScheduler`] wraps every policy with the starvation guard, so
 /// policies are free to be arbitrarily greedy.
 pub trait MuxPolicy: Send {
-    /// Short label for reports ("round_robin", "uncertainty").
+    /// Short label for reports ("round_robin").
     fn name(&self) -> &'static str;
 
     /// The group to measure in quantum `quantum`. Must return an index
     /// `< schedule.len()`; must be deterministic in its inputs.
-    fn pick(
-        &mut self,
-        quantum: u64,
-        schedule: &GroupSchedule,
-        variances: Option<&VarianceEstimates>,
-    ) -> usize;
-
-    /// Informs the policy that the starvation guard — not the policy —
-    /// scheduled `group` this quantum, so any in-flight accounting stays
-    /// truthful (a forced measurement is still a measurement). Default:
-    /// no-op.
-    fn observe_forced(
-        &mut self,
-        group: usize,
-        schedule: &GroupSchedule,
-        variances: Option<&VarianceEstimates>,
-    ) {
-        let _ = (group, schedule, variances);
-    }
+    fn pick(&mut self, quantum: u64, schedule: &GroupSchedule) -> usize;
 }
 
-/// The baseline: rotate groups in index order, ignoring the posterior —
-/// what Linux perf's multiplexing timer does.
+/// Rotate groups in index order — what Linux perf's multiplexing timer
+/// does.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RoundRobin;
 
@@ -376,125 +254,8 @@ impl MuxPolicy for RoundRobin {
         "round_robin"
     }
 
-    fn pick(
-        &mut self,
-        quantum: u64,
-        schedule: &GroupSchedule,
-        _: Option<&VarianceEstimates>,
-    ) -> usize {
+    fn pick(&mut self, quantum: u64, schedule: &GroupSchedule) -> usize {
         (quantum % schedule.len() as u64) as usize
-    }
-}
-
-/// The closed-loop policy: measure the group whose events currently carry
-/// the highest mean posterior relative variance.
-///
-/// Between posterior publishes the variance view is frozen, so a naive
-/// argmax would re-pick the same group every quantum until the next chunk
-/// lands. Each un-refreshed repeat is therefore discounted by
-/// [`UncertaintyDriven::discount`] — the scheduler's model of "I already
-/// sent a measurement for this group; its variance is about to drop" —
-/// which spreads the budget across the *set* of high-variance groups
-/// instead of burning it on one. The pending counts reset whenever a new
-/// snapshot stamp is observed. Fully deterministic: argmax ties break
-/// toward the lower group index.
-#[derive(Debug, Clone)]
-pub struct UncertaintyDriven {
-    /// Multiplicative score discount per pending (unconfirmed) pick of a
-    /// group; in `(0, 1]`. `1.0` disables the in-flight accounting.
-    pub discount: f64,
-    pending: Vec<u32>,
-    last_stamp: Option<(u32, u64)>,
-}
-
-impl Default for UncertaintyDriven {
-    fn default() -> Self {
-        UncertaintyDriven::new(0.25)
-    }
-}
-
-impl UncertaintyDriven {
-    /// Creates the policy with the given pending-pick discount.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < discount <= 1`.
-    pub fn new(discount: f64) -> UncertaintyDriven {
-        assert!(
-            discount > 0.0 && discount <= 1.0,
-            "discount must be in (0, 1], got {discount}"
-        );
-        UncertaintyDriven {
-            discount,
-            pending: Vec::new(),
-            last_stamp: None,
-        }
-    }
-
-    /// Mean posterior relative variance of a group's events.
-    fn group_score(group: &Configuration, rel_var: &[f64]) -> f64 {
-        let sum: f64 = group.events().iter().map(|e| rel_var[e.index()]).sum();
-        sum / group.len().max(1) as f64
-    }
-
-    /// Re-seats the pending counters for the current snapshot stamp: a
-    /// fresh publish confirms (or refutes) every in-flight pick, so the
-    /// discounts reset. Shared by [`MuxPolicy::pick`] and
-    /// [`MuxPolicy::observe_forced`] so a guard-forced pick under a new
-    /// stamp is not wiped by the next policy pick's own stamp check.
-    fn sync_pending(&mut self, schedule: &GroupSchedule, v: &VarianceEstimates) {
-        self.pending.resize(schedule.len(), 0);
-        if self.last_stamp != Some(v.stamp()) {
-            self.pending.fill(0);
-            self.last_stamp = Some(v.stamp());
-        }
-    }
-}
-
-impl MuxPolicy for UncertaintyDriven {
-    fn name(&self) -> &'static str {
-        "uncertainty"
-    }
-
-    fn pick(
-        &mut self,
-        quantum: u64,
-        schedule: &GroupSchedule,
-        variances: Option<&VarianceEstimates>,
-    ) -> usize {
-        let Some(v) = variances.filter(|v| v.has_posterior()) else {
-            // No posterior yet: fall back to the blind rotation.
-            return (quantum % schedule.len() as u64) as usize;
-        };
-        self.sync_pending(schedule, v);
-        let mut best = 0usize;
-        let mut best_score = f64::NEG_INFINITY;
-        for (g, group) in schedule.groups().iter().enumerate() {
-            let score =
-                Self::group_score(group, v.rel_var()) * self.discount.powi(self.pending[g] as i32);
-            if score > best_score {
-                best = g;
-                best_score = score;
-            }
-        }
-        self.pending[best] += 1;
-        best
-    }
-
-    fn observe_forced(
-        &mut self,
-        group: usize,
-        schedule: &GroupSchedule,
-        variances: Option<&VarianceEstimates>,
-    ) {
-        // A forced measurement is in flight like any other: without this,
-        // the policy would re-pick the group the guard just served while
-        // the variance view is frozen between publishes.
-        match variances.filter(|v| v.has_posterior()) {
-            Some(v) => self.sync_pending(schedule, v),
-            None => self.pending.resize(schedule.len(), 0),
-        }
-        self.pending[group] += 1;
     }
 }
 
@@ -508,7 +269,7 @@ pub struct MuxStats {
 }
 
 /// A policy wrapped with the starvation guard (see the module docs for the
-/// bound proof): [`MuxScheduler::next`] yields one group index per
+/// bound proof): as an endless [`Iterator`], it yields one group index per
 /// scheduling quantum, serving urgent groups oldest-first and delegating
 /// to the policy otherwise.
 pub struct MuxScheduler {
@@ -560,11 +321,13 @@ impl MuxScheduler {
     pub fn stats(&self) -> MuxStats {
         self.stats
     }
+}
 
-    /// Decides the group for the next quantum. Pass the current posterior
-    /// variance view when one exists ([`VarianceEstimates::has_posterior`]);
-    /// `None` before the first publish.
-    pub fn next(&mut self, variances: Option<&VarianceEstimates>) -> usize {
+impl Iterator for MuxScheduler {
+    type Item = usize;
+
+    /// Decides the group for the next quantum; never `None`.
+    fn next(&mut self) -> Option<usize> {
         let q = self.quantum as i64;
         // Saturate, don't cast: `usize::MAX` is the natural spelling of
         // "effectively unbounded", and a wrapping `as i64` would turn it
@@ -580,11 +343,10 @@ impl MuxScheduler {
         let pick = match urgent {
             Some(u) => {
                 self.stats.forced_picks += 1;
-                self.policy.observe_forced(u, &self.schedule, variances);
                 u
             }
             None => {
-                let p = self.policy.pick(self.quantum, &self.schedule, variances);
+                let p = self.policy.pick(self.quantum, &self.schedule);
                 assert!(
                     p < self.schedule.len(),
                     "policy {} picked group {p} of {}",
@@ -597,91 +359,7 @@ impl MuxScheduler {
         };
         self.last_run[pick] = q;
         self.quantum += 1;
-        pick
-    }
-}
-
-/// Shared state of a service-driven scheduler: the inference thread
-/// deposits variances through the hook half, producers draw decisions
-/// through the handle half.
-struct ServiceShared {
-    scheduler: MuxScheduler,
-    variances: VarianceEstimates,
-}
-
-/// The producer-side handle of a service-driven scheduler: call
-/// [`ServiceScheduler::next_group`] once per scheduling quantum. Cheap to
-/// clone; safe to share with the sampling thread.
-#[derive(Clone)]
-pub struct ServiceScheduler {
-    shared: Arc<Mutex<ServiceShared>>,
-}
-
-impl fmt::Debug for ServiceScheduler {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ServiceScheduler").finish_non_exhaustive()
-    }
-}
-
-/// The hook half: installed on a [`bayesperf_core::Monitor`], it absorbs
-/// each published chunk's posteriors into the shared variance view on the
-/// inference thread (one lock, one `O(events)` pass — no inference).
-pub struct ServiceFeed {
-    shared: Arc<Mutex<ServiceShared>>,
-}
-
-impl ScheduleHook for ServiceFeed {
-    fn on_publish(&mut self, window: u32, chunk: u64, posteriors: &[Gaussian]) {
-        let mut st = self.shared.lock().unwrap_or_else(|e| e.into_inner());
-        // The publish is authoritative about the catalog size: a caller
-        // who sized [`ServiceScheduler::new`] wrong (e.g. with the pool
-        // length instead of the catalog length) gets re-seated here
-        // rather than panicking the monitor's inference thread — which
-        // would close the whole service with no hint of the cause.
-        if st.variances.rel_var.len() != posteriors.len() {
-            st.variances = VarianceEstimates::new(posteriors.len());
-        }
-        st.variances.update(window, chunk, posteriors);
-    }
-}
-
-impl ServiceScheduler {
-    /// Splits a scheduler into the producer handle and the service hook:
-    /// install the hook via `Monitor::set_schedule_hook` and drive the PMU from
-    /// [`ServiceScheduler::next_group`] — the service's own posteriors now
-    /// steer its measurement schedule.
-    pub fn new(scheduler: MuxScheduler, n_events: usize) -> (ServiceScheduler, Box<ServiceFeed>) {
-        let shared = Arc::new(Mutex::new(ServiceShared {
-            scheduler,
-            variances: VarianceEstimates::new(n_events),
-        }));
-        (
-            ServiceScheduler {
-                shared: shared.clone(),
-            },
-            Box::new(ServiceFeed { shared }),
-        )
-    }
-
-    /// Decides the group for the next quantum from the variances most
-    /// recently deposited by the hook.
-    pub fn next_group(&self) -> usize {
-        let mut st = self.shared.lock().unwrap_or_else(|e| e.into_inner());
-        let ServiceShared {
-            scheduler,
-            variances,
-        } = &mut *st;
-        let v = variances.has_posterior().then_some(&*variances);
-        scheduler.next(v)
-    }
-
-    /// Decision accounting of the wrapped scheduler.
-    pub fn stats(&self) -> MuxStats {
-        self.shared
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .scheduler
-            .stats()
+        Some(pick)
     }
 }
 
@@ -694,76 +372,32 @@ pub struct ClosedLoopReport {
     pub decisions: Vec<u32>,
     /// Windows each group was scheduled, indexed by group.
     pub group_runs: Vec<u32>,
-    /// Mean posterior relative variance over corrected window ×
-    /// multiplexed-pool event, **excluding the first corrected chunk** —
-    /// the cold start pays prior-level variance under any policy and
-    /// would otherwise swamp the steady-state signal. This is the
-    /// quantity the uncertainty-driven policy explicitly minimizes at
-    /// equal sample budget. (When the run corrects a single chunk, that
-    /// chunk is the metric.)
-    pub mean_rel_var: f64,
+    /// Truth-scored error of the posterior means over the scored windows
+    /// × multiplexed-pool events, defined as the benchmark defines it: an
+    /// event's error is the mean over its windows of `|mean − truth| /
+    /// max(|truth|, 5% of the event's mean |truth|)`, and `err_pct` is 100
+    /// × the mean over events. The first corrected chunk is not scored
+    /// (the cold start pays prior-level error under any policy) unless it
+    /// is the run's only chunk.
+    pub err_pct: f64,
+    /// Share of scored (window, event) pairs whose truth lies within
+    /// `1.96·sd` of the posterior mean; a calibrated posterior reads 0.95.
+    pub cov95: f64,
     /// Quanta where the starvation guard preempted the policy.
     pub forced_picks: u64,
-    /// Windows whose posteriors entered `mean_rel_var`.
-    pub corrected_windows: usize,
+    /// Windows scored into `err_pct` and `cov95`.
+    pub scored_windows: usize,
 }
 
-/// The closed loop's variance bookkeeping: posterior relative variance
-/// summed separately for the cold-start chunk (reported only as a
-/// fallback) and the steady state (the [`ClosedLoopReport::mean_rel_var`]
-/// numerator) — one owner for the bucketing, shared by the full-chunk and
-/// ragged-tail paths.
-#[derive(Debug, Default)]
-struct VarAccum {
-    steady_sum: f64,
-    steady_n: usize,
-    cold_sum: f64,
-    cold_n: usize,
-}
-
-impl VarAccum {
-    /// Folds in one corrected chunk's `slices × pool` posteriors; `cold`
-    /// marks the run's first chunk.
-    fn absorb_slices(
-        &mut self,
-        pool: &[EventId],
-        slices: usize,
-        cold: bool,
-        posterior: impl Fn(usize, EventId) -> Gaussian,
-    ) {
-        for t in 0..slices {
-            for &e in pool {
-                let v = relative_variance(&posterior(t, e));
-                if cold {
-                    self.cold_sum += v;
-                    self.cold_n += 1;
-                } else {
-                    self.steady_sum += v;
-                    self.steady_n += 1;
-                }
-            }
-        }
-    }
-
-    /// Steady-state mean, falling back to the cold chunk only when it is
-    /// all there is.
-    fn mean(&self) -> f64 {
-        if self.steady_n > 0 {
-            self.steady_sum / self.steady_n as f64
-        } else {
-            self.cold_sum / self.cold_n.max(1) as f64
-        }
-    }
-}
-
-/// Runs the full feedback loop, single-threaded and deterministic: the
-/// simulated PMU measures one group per window
+/// Runs the scheduler against the simulated PMU, single-threaded and
+/// deterministic: the PMU measures the scheduler's group in each window
 /// ([`Pmu::run_driven`] with [`Extrapolate::LinuxScaled`], so unscheduled
-/// windows carry the paper's scaling error), completed windows stream
-/// through the chained [`Corrector`], and each corrected chunk's final
-/// posteriors feed the scheduler's variance view for subsequent picks.
+/// windows carry the paper's scaling error), the chained [`Corrector`]
+/// corrects the run chunk by chunk with a ragged tail, as a monitor's
+/// flush would, and the posteriors are scored against the run's own
+/// truth over the schedule's pool.
 ///
-/// Both policies run the same number of windows with one group per
+/// Every policy runs the same number of windows with one group per
 /// quantum, so comparisons are at an **equal sample budget** by
 /// construction.
 ///
@@ -780,100 +414,51 @@ pub fn run_closed_loop(
     n_windows: usize,
 ) -> ClosedLoopReport {
     assert!(n_windows > 0, "need at least one window");
-    let pmu = Pmu::new(catalog, pmu_config);
     let groups: Vec<Configuration> = schedule.groups().to_vec();
     let pool = schedule.pool();
     let k = corrector_config.model.slices.max(1);
-    let mut corrector = Corrector::new(catalog, corrector_config);
     let mut scheduler = MuxScheduler::new(schedule, policy);
-    let policy_name = scheduler.policy_name();
-
-    let mut variances = VarianceEstimates::new(catalog.len());
-    let mut post_buf: Vec<Gaussian> = Vec::with_capacity(catalog.len());
-    let mut chunk_buf: Vec<Vec<Sample>> = Vec::new();
-    let mut decisions: Vec<u32> = Vec::new();
-    let mut group_runs = vec![0u32; groups.len()];
-    let mut chunk_no = 0u64;
-    let mut acc = VarAccum::default();
-    let mut corrected = 0usize;
-    let mut fed = 0usize;
-
-    // One closure both corrects the backlog and decides the next group —
-    // the loop body of a real monitor, minus the threads. The run's last
-    // window also corrects a ragged chunk tail, as a monitor's flush would.
-    let mut absorb = |window: &bayesperf_simcpu::Window,
-                      last: bool,
-                      corrector: &mut Corrector,
-                      variances: &mut VarianceEstimates,
-                      chunk_buf: &mut Vec<Vec<Sample>>,
-                      post_buf: &mut Vec<Gaussian>| {
-        chunk_buf.push(window.samples.clone());
-        let m = chunk_buf.len();
-        if m < k && !last {
-            return;
-        }
-        let refs: Vec<&[Sample]> = chunk_buf.iter().map(|w| w.as_slice()).collect();
-        if m == k {
-            corrector.push_chunk(&refs);
-        } else {
-            corrector
-                .push_tail(&refs)
-                .expect("a tail of 1 to k - 1 windows");
-        }
-        chunk_no += 1;
-        acc.absorb_slices(&pool, m, chunk_no == 1, |t, e| corrector.posterior(t, e));
-        corrected += m;
-        post_buf.clear();
-        post_buf.extend(catalog.iter().map(|e| corrector.posterior(m - 1, e.id)));
-        variances.update(window.index, chunk_no, post_buf);
-        chunk_buf.clear();
-    };
-
-    let run = pmu.run_driven(
+    let run = Pmu::new(catalog, pmu_config).run_driven(
         truth,
         &groups,
         n_windows,
         Extrapolate::LinuxScaled,
-        |_, prev| {
-            if let Some(w) = prev {
-                fed += 1;
-                absorb(
-                    w,
-                    false,
-                    &mut corrector,
-                    &mut variances,
-                    &mut chunk_buf,
-                    &mut post_buf,
-                );
-            }
-            let pick = scheduler.next(variances.has_posterior().then_some(&variances));
-            decisions.push(pick as u32);
-            group_runs[pick] += 1;
-            pick
-        },
+        |_, _| scheduler.next().expect("the scheduler never runs out"),
     );
+    let decisions: Vec<u32> = run.windows.iter().map(|w| w.config_index as u32).collect();
+    let mut group_runs = vec![0u32; groups.len()];
+    for &d in &decisions {
+        group_runs[d as usize] += 1;
+    }
+    let series = Corrector::new(catalog, corrector_config).correct_run(&run);
 
-    // The final window never appeared as a `prev`; account for it the way
-    // a monitor's flush would.
-    let n = run.windows.len();
-    for (i, w) in run.windows.iter().enumerate().skip(fed) {
-        absorb(
-            w,
-            i + 1 == n,
-            &mut corrector,
-            &mut variances,
-            &mut chunk_buf,
-            &mut post_buf,
-        );
+    let skip = if n_windows > k { k } else { 0 };
+    let scored = &run.windows[skip..];
+    let n = scored.len() as f64;
+    let mut err_sum = 0.0;
+    let mut covered = 0usize;
+    for &e in &pool {
+        let mean_truth = scored.iter().map(|w| w.truth[e.index()].abs()).sum::<f64>() / n;
+        let floor = (0.05 * mean_truth).max(f64::MIN_POSITIVE);
+        let mut err = 0.0;
+        for (w, window) in scored.iter().enumerate() {
+            let g = series.posterior(skip + w, e);
+            let t = window.truth[e.index()];
+            let miss = (g.mean - t).abs();
+            err += miss / t.abs().max(floor);
+            covered += usize::from(miss <= 1.96 * g.std_dev());
+        }
+        err_sum += err / n;
     }
 
     ClosedLoopReport {
-        policy: policy_name,
+        policy: scheduler.policy_name(),
         decisions,
         group_runs,
-        mean_rel_var: acc.mean(),
+        err_pct: 100.0 * err_sum / pool.len() as f64,
+        cov95: covered as f64 / (scored.len() * pool.len()) as f64,
         forced_picks: scheduler.stats().forced_picks,
-        corrected_windows: corrected,
+        scored_windows: scored.len(),
     }
 }
 
@@ -882,6 +467,8 @@ mod tests {
     use super::*;
     use bayesperf_events::{Arch, Semantic};
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn catalog() -> Catalog {
         Catalog::new(Arch::X86SkyLake)
@@ -897,21 +484,6 @@ mod tests {
             cat.require(Semantic::UopsRetired),
         ];
         GroupSchedule::from_events(cat, &events, bound).expect("valid schedule")
-    }
-
-    #[test]
-    fn relative_variance_is_bounded_for_a_near_zero_mean() {
-        // A posterior of an event whose truth is zero counts in this
-        // phase: mean 4.8, variance 2.09e8. var/mean² would read ~9e6.
-        let wide = relative_variance(&Gaussian::new(4.8, 2.09e8));
-        assert!(wide <= 1.0 && wide > 0.99, "{wide}");
-        // Away from zero it tracks var/mean², and it stays monotone in it.
-        let tight = relative_variance(&Gaussian::new(1.0e6, 1.0e8));
-        assert!((tight - 1.0e-4).abs() < 2.0e-8, "{tight}");
-        let wider = relative_variance(&Gaussian::new(1.0e6, 4.0e8));
-        assert!(wider > tight);
-        // Sub-count posteriors keep the old one-count floor.
-        assert_eq!(relative_variance(&Gaussian::new(0.0, 0.25)), 0.25);
     }
 
     #[test]
@@ -949,54 +521,9 @@ mod tests {
         let schedule = two_group_schedule(&cat, 8);
         let g = schedule.len();
         let mut sched = MuxScheduler::new(schedule, Box::new(RoundRobin));
-        let picks: Vec<usize> = (0..12).map(|_| sched.next(None)).collect();
+        let picks: Vec<usize> = sched.by_ref().take(12).collect();
         assert_eq!(picks, (0..12).map(|q| q % g).collect::<Vec<_>>());
         assert_eq!(sched.stats().forced_picks, 0);
-    }
-
-    #[test]
-    fn uncertainty_prefers_the_noisiest_group_and_discounts_repeats() {
-        let cat = catalog();
-        let schedule = two_group_schedule(&cat, 64);
-        assert_eq!(schedule.len(), 2);
-        let noisy = schedule.groups()[1].events()[0];
-        let mut v = VarianceEstimates::new(cat.len());
-        let mut posteriors: Vec<Gaussian> = cat.iter().map(|_| Gaussian::new(100.0, 1.0)).collect();
-        // Group 1 scores ~2.5x group 0 — high enough to win the fresh
-        // pick, low enough that one pending-pick discount flips the order
-        // (a *hugely* noisier group would justifiably win repeats).
-        posteriors[noisy.index()] = Gaussian::new(100.0, 4.0);
-        v.update(0, 1, &posteriors);
-        let mut sched = MuxScheduler::new(schedule, Box::new(UncertaintyDriven::new(0.25)));
-        // Highest-variance group wins the first pick...
-        assert_eq!(sched.next(Some(&v)), 1);
-        // ...then the in-flight discount hands the budget to the other
-        // group instead of re-picking group 1 until the next publish.
-        assert_eq!(sched.next(Some(&v)), 0);
-        // A fresh stamp resets the pending discounts: group 1 again.
-        v.update(6, 2, &posteriors);
-        assert_eq!(sched.next(Some(&v)), 1);
-    }
-
-    #[test]
-    fn forced_picks_count_as_in_flight_for_the_policy() {
-        let cat = catalog();
-        let schedule = two_group_schedule(&cat, 64);
-        let noisy = schedule.groups()[1].events()[0];
-        let mut v = VarianceEstimates::new(cat.len());
-        let mut posteriors: Vec<Gaussian> = cat.iter().map(|_| Gaussian::new(100.0, 1.0)).collect();
-        posteriors[noisy.index()] = Gaussian::new(100.0, 4.0);
-        v.update(0, 1, &posteriors);
-        let mut policy = UncertaintyDriven::new(0.25);
-        // The guard serves group 1; the policy must treat that as an
-        // in-flight measurement and hand the next free pick to group 0
-        // instead of re-measuring what was just scheduled.
-        policy.observe_forced(1, &schedule, Some(&v));
-        assert_eq!(policy.pick(1, &schedule, Some(&v)), 0);
-
-        // Without the notification it would have re-picked group 1.
-        let mut naive = UncertaintyDriven::new(0.25);
-        assert_eq!(naive.pick(1, &schedule, Some(&v)), 1);
     }
 
     #[test]
@@ -1010,16 +537,6 @@ mod tests {
     }
 
     #[test]
-    fn without_posteriors_uncertainty_falls_back_to_rotation() {
-        let cat = catalog();
-        let schedule = two_group_schedule(&cat, 8);
-        let g = schedule.len();
-        let mut sched = MuxScheduler::new(schedule, Box::new(UncertaintyDriven::default()));
-        let picks: Vec<usize> = (0..6).map(|_| sched.next(None)).collect();
-        assert_eq!(picks, (0..6).map(|q| q % g).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn unbounded_starvation_bound_never_forces() {
         // usize::MAX means "effectively unbounded": the guard must stay
         // out of the way entirely (a wrapping i64 cast used to turn it
@@ -1028,9 +545,7 @@ mod tests {
         let cat = catalog();
         let schedule = two_group_schedule(&cat, usize::MAX);
         let mut sched = MuxScheduler::new(schedule, Box::new(RoundRobin));
-        for _ in 0..32 {
-            sched.next(None);
-        }
+        assert_eq!(sched.by_ref().take(32).count(), 32);
         assert_eq!(sched.stats().forced_picks, 0);
         assert_eq!(sched.stats().policy_picks, 32);
     }
@@ -1044,7 +559,7 @@ mod tests {
             fn name(&self) -> &'static str {
                 "stuck"
             }
-            fn pick(&mut self, _: u64, _: &GroupSchedule, _: Option<&VarianceEstimates>) -> usize {
+            fn pick(&mut self, _: u64, _: &GroupSchedule) -> usize {
                 0
             }
         }
@@ -1053,7 +568,7 @@ mod tests {
         let schedule = two_group_schedule(&cat, k);
         let g = schedule.len();
         let mut sched = MuxScheduler::new(schedule, Box::new(Stuck));
-        let picks: Vec<usize> = (0..48).map(|_| sched.next(None)).collect();
+        let picks: Vec<usize> = sched.by_ref().take(48).collect();
         for window in picks.windows(k) {
             for group in 0..g {
                 assert!(
@@ -1065,61 +580,38 @@ mod tests {
         assert!(sched.stats().forced_picks > 0);
     }
 
-    #[test]
-    fn service_feed_reseats_a_mis_sized_estimate_buffer() {
-        // A wrong n_events at construction must not panic on_publish —
-        // it runs on the monitor's inference thread, where a panic
-        // closes the whole service. The publish size wins instead.
-        let cat = catalog();
-        let schedule = two_group_schedule(&cat, 8);
-        let sched = MuxScheduler::new(schedule, Box::new(UncertaintyDriven::default()));
-        let (handle, mut feed) = ServiceScheduler::new(sched, 3); // wrong: pool-sized
-        let posteriors: Vec<Gaussian> = cat.iter().map(|_| Gaussian::new(100.0, 4.0)).collect();
-        feed.on_publish(0, 1, &posteriors); // catalog-sized
-        let pick = handle.next_group();
-        assert!(pick < 2, "scheduler serves picks from the re-seated view");
+    /// A seeded greedy policy for the proptest: it wants one group, drawn
+    /// at random, and draws a new favourite every `refresh_every` quanta,
+    /// so only the guard keeps the other groups measured.
+    struct Greedy {
+        rng: StdRng,
+        refresh_every: u64,
+        favourite: usize,
     }
 
-    /// Deterministic synthetic variance sequences for the proptests: a
-    /// seeded walk, no dependence on inference.
-    fn synth_variances(
-        cat: &Catalog,
-        seed: u64,
-        steps: usize,
-        refresh_every: usize,
-    ) -> Vec<VarianceEstimates> {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut out = Vec::with_capacity(steps);
-        let mut v = VarianceEstimates::new(cat.len());
-        let mut posteriors: Vec<Gaussian> = (0..cat.len())
-            .map(|_| Gaussian::new(100.0, 1.0 + 99.0 * rng.gen::<f64>()))
-            .collect();
-        v.update(0, 1, &posteriors);
-        for step in 1..=steps {
-            if step % refresh_every.max(1) == 0 {
-                for g in posteriors.iter_mut() {
-                    *g = Gaussian::new(100.0, 1.0 + 99.0 * rng.gen::<f64>());
-                }
-                v.update(step as u32, step as u64, &posteriors);
-            }
-            out.push(v.clone());
+    impl MuxPolicy for Greedy {
+        fn name(&self) -> &'static str {
+            "greedy"
         }
-        out
+
+        fn pick(&mut self, quantum: u64, schedule: &GroupSchedule) -> usize {
+            if quantum.is_multiple_of(self.refresh_every) {
+                self.favourite = self.rng.gen_range(0..schedule.len());
+            }
+            self.favourite
+        }
     }
 
     proptest! {
         /// Any generated GroupSchedule respects the counter width, covers
-        /// every group within the starvation bound K under the
-        /// uncertainty-driven policy fed arbitrary variances, and decides
-        /// identically for a fixed seed.
+        /// every group within the starvation bound K under a seeded
+        /// greedy policy, and decides identically for a fixed seed.
         #[test]
         fn group_schedules_respect_width_bound_and_determinism(
             picks in proptest::collection::vec(0usize..40, 2..16),
             extra_bound in 0usize..10,
             seed in 0u64..1_000,
-            refresh_every in 1usize..9,
+            refresh_every in 1u64..9,
         ) {
             let cat = catalog();
             let prog = cat.programmable_events();
@@ -1139,11 +631,13 @@ mod tests {
             }
 
             let steps = 4 * k + 8;
-            let variances = synth_variances(&cat, seed, steps, refresh_every);
             let decide = |schedule: GroupSchedule| -> Vec<usize> {
-                let mut sched =
-                    MuxScheduler::new(schedule, Box::new(UncertaintyDriven::new(0.25)));
-                variances.iter().map(|v| sched.next(Some(v))).collect()
+                let greedy = Greedy {
+                    rng: StdRng::seed_from_u64(seed),
+                    refresh_every,
+                    favourite: 0,
+                };
+                MuxScheduler::new(schedule, Box::new(greedy)).take(steps).collect()
             };
             let a = decide(schedule.clone());
 

@@ -266,13 +266,6 @@ impl Fabric {
         let t = self.alpha_seconds + msg_bytes / (eff * 1.0e9);
         msg_bytes / t / 1.0e9
     }
-
-    /// Seconds to transfer `bytes` for flow `idx` among `flows`, at the
-    /// fair-share rate with per-message overheads (messages of `msg_bytes`).
-    pub fn transfer_seconds(&self, flows: &[Flow], idx: usize, bytes: f64, msg_bytes: f64) -> f64 {
-        let bw = self.observed_bandwidth(flows, idx, msg_bytes);
-        bytes / (bw * 1.0e9)
-    }
 }
 
 #[cfg(test)]
@@ -399,18 +392,6 @@ mod tests {
         assert!(total <= 20.0 + 1e-9, "UPI capacity exceeded: {total}");
         // Max-min: all equal when symmetric over the bottleneck.
         assert!((rates[0] - rates[1]).abs() < 1e-9);
-    }
-
-    #[test]
-    fn transfer_time_scales_with_bytes() {
-        let f = Fabric::standard();
-        let flows = [Flow {
-            src: Gpu(1),
-            dst: Gpu(2),
-        }];
-        let t1 = f.transfer_seconds(&flows, 0, 1.0e9, 1.0e6);
-        let t2 = f.transfer_seconds(&flows, 0, 2.0e9, 1.0e6);
-        assert!((t2 / t1 - 2.0).abs() < 1e-6);
     }
 
     #[test]

@@ -149,9 +149,9 @@ impl<'a> Pmu<'a> {
     /// driver: before each window `w`, `pick(w, prev)` chooses which of
     /// `schedule`'s configurations runs next, where `prev` is the
     /// just-completed previous window (`None` for window 0). This is the
-    /// feedback-loop entry point: a driver can deliver `prev`'s samples to
-    /// an inference service and let the *posterior* decide what to measure
-    /// next (the uncertainty-driven multiplexing scheduler).
+    /// multiplexing scheduler's entry point (`bayesperf_mlsched::mux`):
+    /// `pick` decides per window, and may read `prev` (its samples, and
+    /// its truth for evaluation) before it does.
     ///
     /// With [`Extrapolate::LinuxScaled`], every multiplexed event whose
     /// group is unscheduled in a window (and that has run at least once)
