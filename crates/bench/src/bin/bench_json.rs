@@ -52,7 +52,7 @@
 //!                         "idle_bytes_per_round": 0.0,
 //!                         "lossy_drop_prob": 0.1, "staleness_p99_rounds": 0,
 //!                         "delta_gate": { ... }, "staleness_gate": { ... } },
-//!   "mux_schedule": { "groups": 3, "bound": 6, "windows": 48, "seeds": 20,
+//!   "mux_schedule": { "groups": 3, "windows": 48, "seeds": 20,
 //!                     "rr_err_pct": 0.0, "rr_cov95": 0.0 },
 //!   "supervised_recovery": { "cycles": 0, "restart_p50_ns": 0.0,
 //!                            "restart_p99_ns": 0.0, "reads_during_recovery": 0,
@@ -121,7 +121,7 @@
 //!   ns/window, paired; upper bound ≤ 0.02 (observation is a ≤ 2% tax).
 //!
 //! `mux_schedule` carries no gate. It reports round-robin's closed-loop
-//! truth `err_pct` and `cov95` (the multiplexing scheduler's rotation,
+//! truth `err_pct` and `cov95` (the schedule's round-robin rotation,
 //! corrected and scored against the simulated truth over kmeans seeds
 //! 0–19 at 48 windows, in quick and full mode alike): deterministic
 //! figures that a model change should hold.
@@ -140,7 +140,7 @@ use bayesperf_fleet::{
     ShardId, ShardLabel, SimTransport, SnapshotSource,
 };
 use bayesperf_inference::{AnalyticScratch, EpRunStats, Gaussian};
-use bayesperf_mlsched::mux::{hetero_demo_events, run_closed_loop, GroupSchedule, RoundRobin};
+use bayesperf_mlsched::mux::{hetero_demo_events, run_closed_loop, GroupSchedule};
 use bayesperf_obs::{Stage, Telemetry};
 use bayesperf_simcpu::{LinkProfile, LinkState, Pmu, PmuConfig, Sample};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -660,15 +660,14 @@ fn main() {
     ages.sort_unstable();
     let staleness_p99 = ages[ages.len() * 99 / 100];
 
-    // Multiplexing scheduler: round-robin's closed loop (simulated PMU →
+    // Multiplexing: round-robin's closed loop (simulated PMU →
     // chained corrector), scored against truth on 20 kmeans seeds. The
     // loops are seeded and untimed, so the figures are the same in quick
     // and full mode and on every host.
     let mux_windows = 48;
     let mux_seeds = 20u64;
-    let mux_bound = 6usize;
-    let mux_schedule = GroupSchedule::from_events(&cat, &hetero_demo_events(&cat), mux_bound)
-        .expect("groups fit the PMU");
+    let mux_schedule =
+        GroupSchedule::from_events(&cat, &hetero_demo_events(&cat)).expect("groups fit the PMU");
     let mux_groups = mux_schedule.len();
     let (mut mux_err, mut mux_cov) = (0.0, 0.0);
     for seed in 0..mux_seeds {
@@ -680,8 +679,7 @@ fn main() {
                 seed,
                 ..PmuConfig::for_catalog(&cat)
             },
-            mux_schedule.clone(),
-            Box::new(RoundRobin),
+            &mux_schedule,
             CorrectorConfig::for_run(&run),
             mux_windows,
         );
@@ -984,8 +982,7 @@ fn main() {
                         "lossy_drop_prob": {net_drop}, "staleness_p99_rounds": {staleness_p99},
                         "delta_gate": {},
                         "staleness_gate": {} }},
-  "mux_schedule": {{ "groups": {mux_groups}, "bound": {mux_bound},
-                    "windows": {mux_windows}, "seeds": {mux_seeds},
+  "mux_schedule": {{ "groups": {mux_groups}, "windows": {mux_windows}, "seeds": {mux_seeds},
                     "rr_err_pct": {mux_err:.2}, "rr_cov95": {mux_cov:.3} }},
   "supervised_recovery": {{ "cycles": {rec_cycles}, "restart_p50_ns": {:.0},
                            "restart_p99_ns": {:.0},

@@ -25,10 +25,6 @@ pub enum ShimError {
     /// The monitor service has been closed; no new sessions or samples are
     /// accepted and reads no longer serve.
     SessionClosed,
-    /// The service is paused (the deterministic-backpressure test hook),
-    /// so a sync barrier cannot honor its "everything processed"
-    /// guarantee. Resume first.
-    ServicePaused,
     /// The kernel↔shim ring buffer was full and the sample was dropped.
     /// `dropped` is the cumulative drop count including this one.
     RingOverflow {
@@ -118,7 +114,6 @@ impl fmt::Display for ShimError {
             ShimError::UnknownEvent(e) => write!(f, "unknown or unselected event {e}"),
             ShimError::UnknownDerived(name) => write!(f, "unknown derived event {name:?}"),
             ShimError::SessionClosed => write!(f, "monitor service is closed"),
-            ShimError::ServicePaused => write!(f, "monitor service is paused"),
             ShimError::RingOverflow { dropped } => {
                 write!(f, "ring buffer full, sample dropped ({dropped} total)")
             }

@@ -51,6 +51,4 @@ pub use service::{
     SupervisorPolicy, Updates,
 };
 pub use snapshot::{snapshot_cell, SnapshotGuard, SnapshotReader, SnapshotWriter};
-pub use source::pump_sources;
-#[cfg(feature = "proc-source")]
-pub use source::ProcSource;
+pub use source::{pump_sources, ProcSource};

@@ -797,7 +797,7 @@ mod tests {
 
     #[test]
     fn extrapolated_slices_keep_inflated_uncertainty() {
-        // A driven run where group 0 runs only in window 0 and its events
+        // A run where group 0 runs only in window 0 and its events
         // are carry-forward extrapolations afterwards. Treating those
         // carry-forwards as real reads would collapse the posterior around
         // a value that is not a measurement; the extrapolated observation
@@ -820,22 +820,16 @@ mod tests {
         // its unscheduled-slice posterior is governed by the observation
         // model under test, not by invariant coupling.
         let ev = cat.require(Semantic::DtlbMisses);
-        let schedule = vec![
-            bayesperf_simcpu::Configuration::new_unchecked(vec![ev]),
-            bayesperf_simcpu::Configuration::new_unchecked(vec![
-                cat.require(Semantic::BrInst),
-                cat.require(Semantic::BrMisp),
-                cat.require(Semantic::UopsIssued),
-                cat.require(Semantic::UopsRetired),
-            ]),
-        ];
-        let run = pmu.run_driven(
-            &mut truth,
-            &schedule,
-            4,
-            bayesperf_simcpu::Extrapolate::LinuxScaled,
-            |w, _| usize::from(w > 0),
-        );
+        let g0 = bayesperf_simcpu::Configuration::new_unchecked(vec![ev]);
+        let g1 = bayesperf_simcpu::Configuration::new_unchecked(vec![
+            cat.require(Semantic::BrInst),
+            cat.require(Semantic::BrMisp),
+            cat.require(Semantic::UopsIssued),
+            cat.require(Semantic::UopsRetired),
+        ]);
+        // Group 0 runs in window 0 only: the order is the schedule.
+        let schedule = [g0, g1.clone(), g1.clone(), g1];
+        let run = pmu.run_extrapolated(&mut truth, &schedule, 4);
         assert!(run.windows[2].sample_for(ev).unwrap().is_extrapolated());
 
         let cfg = ModelConfig::for_run(&run);

@@ -368,7 +368,8 @@ impl<U> Subscribers<U> {
 /// snapshot is published, so it sees every chunk exactly once and in
 /// order. That makes it the place to observe the service's publishes in
 /// order, or to stall the inference thread on purpose (the fleet's
-/// watchdog tests park it here). Other threads read whatever state the
+/// watchdog tests park it here, and the ring backpressure test overflows
+/// the ring while it is parked). Other threads read whatever state the
 /// hook keeps without touching this thread. Keep implementations cheap:
 /// the next chunk waits for the hook to return.
 pub trait ScheduleHook: Send {
@@ -386,11 +387,6 @@ enum Control {
     /// Complete all assembling windows, correct remaining full chunks and
     /// the ragged tail, publish, then ack.
     Flush(Sender<()>),
-    /// Stop draining the ring (samples queue up / overflow) — test hook
-    /// for deterministic backpressure.
-    Pause(Sender<()>),
-    /// Resume draining, process the backlog, then ack.
-    Resume(Sender<()>),
     /// Install (or, with `None`, remove) the per-publish hook.
     SetHook {
         hook: Option<Box<dyn ScheduleHook>>,
@@ -411,6 +407,14 @@ struct InboundState {
     ring: RingBuffer<Sample>,
     control: VecDeque<Control>,
     shutdown: bool,
+}
+
+impl InboundState {
+    /// Whether the service has nothing to do: the ring empty, no control
+    /// queued, no shutdown requested.
+    fn has_no_work(&self) -> bool {
+        self.ring.is_empty() && self.control.is_empty() && !self.shutdown
+    }
 }
 
 /// The supervision state of the inference service, published by the
@@ -551,10 +555,6 @@ struct Shared {
     /// Set once the supervisor has exited (after the shutdown flush or a
     /// terminal failure); the supervisor closes `subscribers` with it.
     closed: AtomicBool,
-    /// Mirrors the service's pause state (the [`Monitor::pause`] test
-    /// hook) so [`Monitor::sync`] can refuse instead of silently acking
-    /// without processing.
-    paused: AtomicBool,
     /// Samples dropped for arriving after their window completed
     /// (`ingest.late_total` on the telemetry registry).
     late_samples: Counter,
@@ -694,7 +694,6 @@ impl Monitor {
             service_state: state_reader,
             subscribers: Subscribers::default(),
             closed: AtomicBool::new(false),
-            paused: AtomicBool::new(false),
             late_samples: registry.counter("ingest.late_total"),
             late_by_source: Mutex::new(Vec::new()),
             chunks_run: registry.counter("service.chunks_run"),
@@ -775,13 +774,8 @@ impl Monitor {
     /// Blocks until every sample pushed before this call has been ingested
     /// and every complete chunk corrected and published — the
     /// deterministic barrier for recorded runs and tests: a read after it
-    /// serves everything pushed before it. While the service is
-    /// [`Monitor::pause`]d that guarantee cannot hold, so `sync` returns
-    /// [`ShimError::ServicePaused`] instead of acking a no-op.
+    /// serves everything pushed before it.
     pub fn sync(&self) -> Result<(), ShimError> {
-        if self.shared.paused.load(Relaxed) {
-            return Err(ShimError::ServicePaused);
-        }
         self.shared.control_roundtrip(Control::Sync)
     }
 
@@ -792,18 +786,6 @@ impl Monitor {
     /// dropped as late.
     pub fn flush(&self) -> Result<(), ShimError> {
         self.shared.control_roundtrip(Control::Flush)
-    }
-
-    /// Stops the service draining the ring, so pushed samples queue up (or
-    /// overflow) deterministically — the backpressure test hook.
-    pub fn pause(&self) -> Result<(), ShimError> {
-        self.shared.control_roundtrip(Control::Pause)
-    }
-
-    /// Resumes draining after [`Monitor::pause`] and processes the
-    /// backlog before acking.
-    pub fn resume(&self) -> Result<(), ShimError> {
-        self.shared.control_roundtrip(Control::Resume)
     }
 
     /// Installs `hook` as the service's per-publish hook: from the next
@@ -1332,7 +1314,6 @@ struct InferenceService {
     frontier: Option<u32>,
     /// Reused ring-drain buffer.
     drained: Vec<Sample>,
-    paused: bool,
     /// Warm-restart seed: the last published snapshot's posteriors, set by
     /// the supervisor when this incarnation replaces a crashed one. The
     /// corrector chains its first chunk off these, so only the poisoned
@@ -1371,7 +1352,6 @@ impl InferenceService {
             spans,
             frontier,
             drained: Vec::new(),
-            paused: false,
             resume,
             last_good,
         }
@@ -1388,32 +1368,17 @@ impl InferenceService {
         loop {
             let (mut controls, shutdown) = self.wait_for_work();
             self.shared.beats.incr();
-            if !self.paused {
-                self.drain_and_correct(&mut corrector);
-            }
+            self.drain_and_correct(&mut corrector);
             while let Some(ctrl) = controls.pop_front() {
                 match ctrl {
                     Control::Sync(ack) => {
-                        if !self.paused {
-                            self.drain_and_correct(&mut corrector);
-                        }
+                        self.drain_and_correct(&mut corrector);
                         self.mark_idle_if_caught_up(controls.is_empty());
                         let _ = ack.send(());
                     }
                     Control::Flush(ack) => {
                         self.flush(&mut corrector);
                         self.mark_idle_if_caught_up(controls.is_empty());
-                        let _ = ack.send(());
-                    }
-                    Control::Pause(ack) => {
-                        self.paused = true;
-                        self.shared.paused.store(true, Relaxed);
-                        let _ = ack.send(());
-                    }
-                    Control::Resume(ack) => {
-                        self.paused = false;
-                        self.shared.paused.store(false, Relaxed);
-                        self.drain_and_correct(&mut corrector);
                         let _ = ack.send(());
                     }
                     Control::SetHook { hook, ack } => {
@@ -1437,12 +1402,11 @@ impl InferenceService {
         // ShutdownGuard performs the close handshake as it drops.
     }
 
-    /// Blocks until there are samples to drain (unless paused), control
-    /// messages, or shutdown. Returns the pending controls and the
-    /// shutdown flag.
+    /// Blocks until there are samples to drain, control messages, or
+    /// shutdown. Returns the pending controls and the shutdown flag.
     fn wait_for_work(&mut self) -> (VecDeque<Control>, bool) {
         let mut st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-        while self.has_no_work(&st) {
+        while st.has_no_work() {
             // While parked here the heartbeat is legitimately frozen;
             // `idle` tells watchdogs this is a sleeping service, not a
             // stalled one.
@@ -1453,12 +1417,6 @@ impl InferenceService {
         (std::mem::take(&mut st.control), st.shutdown)
     }
 
-    /// Whether `st` leaves the service nothing to do: the ring empty (or
-    /// draining paused), no control queued, no shutdown requested.
-    fn has_no_work(&self, st: &InboundState) -> bool {
-        (self.paused || st.ring.is_empty()) && st.control.is_empty() && !st.shutdown
-    }
-
     /// Marks the service idle before a sync or flush ack that leaves it
     /// caught up: no control left in this batch (`batch_done`) and nothing
     /// queued. Otherwise the thread would report busy from the ack until
@@ -1467,7 +1425,7 @@ impl InferenceService {
     /// with a frozen heartbeat as stalled.
     fn mark_idle_if_caught_up(&self, batch_done: bool) {
         let st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-        if batch_done && self.has_no_work(&st) {
+        if batch_done && st.has_no_work() {
             self.shared.idle.store(true, Relaxed);
         }
     }
@@ -2042,22 +2000,6 @@ mod tests {
             narrow.read_derived(&name),
             Err(ShimError::UnknownEvent(_))
         ));
-    }
-
-    #[test]
-    fn sync_refuses_while_paused_instead_of_acking_a_noop() {
-        let cat = Catalog::new(Arch::X86SkyLake);
-        let run = recorded_run(&cat, 8);
-        let monitor =
-            Monitor::new(&cat, CorrectorConfig::for_run(&run), 1 << 14).expect("spawn monitor");
-        monitor.pause().expect("pause");
-        feed(&monitor, &run);
-        // Paused: the sync barrier cannot guarantee processing, so it
-        // must say so rather than return Ok with nothing corrected.
-        assert_eq!(monitor.sync(), Err(ShimError::ServicePaused));
-        monitor.resume().expect("resume");
-        monitor.sync().expect("sync after resume");
-        assert!(monitor.chunks_run() > 0, "backlog processed on resume");
     }
 
     #[test]

@@ -7,20 +7,16 @@
 //!
 //! * [`pump_sources`] — polls a set of sources for a window and pushes
 //!   everything they produce into a monitor (the driving loop's one-liner);
-//! * `ProcSource` *(feature `proc-source`, so not linkable from the
-//!   default docs)* — a real source reading
-//!   `/proc/stat`, `/proc/meminfo` and `/proc/diskstats`, mapping
-//!   diskstats' completed-IO and sector counters onto the catalog's gauge
-//!   events. Off Linux (or when `/proc` is unreadable) it gracefully
-//!   produces nothing — polling is always safe, never a panic or an error.
+//! * [`ProcSource`] — a real source reading `/proc/stat`, `/proc/meminfo`
+//!   and `/proc/diskstats`, mapping diskstats' completed-IO and sector
+//!   counters onto the catalog's gauge events. Off Linux (or when `/proc`
+//!   is unreadable) it gracefully produces nothing — polling is always
+//!   safe, never a panic or an error.
 //!
-//! # The `proc-source` feature flag
-//!
-//! `/proc` scraping is deliberately opt-in: the default build stays fully
-//! deterministic (simulation only), while `--features proc-source` adds
-//! the one real producer. The flag gates code, not behaviour — the type
-//! exists only with the feature, and its `poll` no-ops wherever the files
-//! are missing, so CI can build and test the feature leg on any OS.
+//! `/proc` scraping is opt-in by construction, not by build flag: a
+//! monitor reads only the sources its caller hands [`pump_sources`], so a
+//! simulation that never builds a [`ProcSource`] stays fully
+//! deterministic.
 
 use crate::error::ShimError;
 use crate::service::Monitor;
@@ -54,10 +50,8 @@ pub fn pump_sources(
     Ok(delivered)
 }
 
-#[cfg(feature = "proc-source")]
 pub use proc_source::ProcSource;
 
-#[cfg(feature = "proc-source")]
 mod proc_source {
     use bayesperf_events::{Catalog, EventId, Semantic, SourceDesc, SourceId, SourceKind};
     use bayesperf_simcpu::{Sample, SampleSource};

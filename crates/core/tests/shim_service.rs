@@ -3,12 +3,15 @@
 //! ring backpressure.
 
 use bayesperf_core::corrector::{Corrector, CorrectorConfig};
-use bayesperf_core::service::Monitor;
+use bayesperf_core::service::{Monitor, ScheduleHook};
 use bayesperf_core::ShimError;
 use bayesperf_events::{Arch, Catalog, Semantic};
+use bayesperf_inference::Gaussian;
 use bayesperf_simcpu::{pack_round_robin, MultiplexRun, Sample};
 use bayesperf_workloads::kmeans;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn recorded_run(cat: &Catalog, n_windows: usize, seed: u64) -> MultiplexRun {
     use bayesperf_simcpu::{NoiseModel, Pmu, PmuConfig};
@@ -170,44 +173,91 @@ fn streamed_run_with_flush_matches_batch_correction_including_tail() {
     }
 }
 
-/// Backpressure: with the service paused, an overflowing producer gets
-/// typed `RingOverflow` errors whose counts agree with `dropped()`; after
-/// resuming, posteriors still publish, stay finite, and window indices
-/// stay monotone.
+/// Parks the inference thread inside `on_publish` until released: the
+/// thread stops draining the ring, so a producer can overflow it.
+struct ParkHook {
+    entered: Arc<AtomicBool>,
+    release: Arc<AtomicBool>,
+}
+
+impl ScheduleHook for ParkHook {
+    fn on_publish(&mut self, _window: u32, _chunk: u64, _posteriors: &[Gaussian]) {
+        self.entered.store(true, SeqCst);
+        while !self.release.load(SeqCst) {
+            std::thread::sleep(Duration::from_micros(50));
+        }
+    }
+}
+
+/// Backpressure: with the inference thread parked in its first publish,
+/// an overflowing producer gets typed `RingOverflow` errors whose counts
+/// agree with `dropped()`; after the release, posteriors still publish,
+/// stay finite, and window indices stay monotone.
 #[test]
 fn ring_backpressure_surfaces_typed_errors_and_keeps_posteriors_sane() {
     let cat = Catalog::new(Arch::X86SkyLake);
-    let run = recorded_run(&cat, 12, 7);
+    let run = recorded_run(&cat, 24, 7);
     let cfg = CorrectorConfig::for_run(&run);
+    let k = cfg.model.slices;
     let capacity = 32;
     let monitor = Monitor::new(&cat, cfg, capacity).expect("spawn monitor");
     let session = monitor.session().open().expect("open");
     let mut updates = session.subscribe();
 
-    monitor.pause().expect("pause");
+    // The first chunk's windows, one synced window at a time so the tiny
+    // ring never fills; then the hook, which the first publish walks into
+    // once the next window opens.
+    for w in &run.windows[..k] {
+        for s in &w.samples {
+            monitor.push_sample(*s).expect("ring has room");
+        }
+        monitor.sync().expect("sync");
+    }
+    let entered = Arc::new(AtomicBool::new(false));
+    let release = Arc::new(AtomicBool::new(false));
+    monitor
+        .set_schedule_hook(Box::new(ParkHook {
+            entered: entered.clone(),
+            release: release.clone(),
+        }))
+        .expect("install hook");
+    monitor
+        .push_sample(run.windows[k].samples[0])
+        .expect("ring has room");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !entered.load(SeqCst) {
+        assert!(
+            Instant::now() < deadline,
+            "timed out waiting for the publish"
+        );
+        std::thread::yield_now();
+    }
+
     let mut overflows = 0u64;
     let mut last_reported = 0u64;
-    for w in &run.windows {
-        for s in &w.samples {
-            match monitor.push_sample(*s) {
-                Ok(()) => {}
-                Err(ShimError::RingOverflow { dropped }) => {
-                    overflows += 1;
-                    assert!(dropped > last_reported, "drop count grows");
-                    last_reported = dropped;
-                }
-                Err(e) => panic!("unexpected push error: {e}"),
+    for s in run.windows[k..].iter().flat_map(|w| &w.samples).skip(1) {
+        match monitor.push_sample(*s) {
+            Ok(()) => {}
+            Err(ShimError::RingOverflow { dropped }) => {
+                overflows += 1;
+                assert!(dropped > last_reported, "drop count grows");
+                last_reported = dropped;
             }
+            Err(e) => panic!("unexpected push error: {e}"),
         }
     }
-    assert!(overflows > 0, "tiny ring must overflow while paused");
+    assert!(overflows > 0, "tiny ring must overflow while parked");
     assert_eq!(monitor.dropped(), overflows);
 
-    monitor.resume().expect("resume");
+    release.store(true, SeqCst);
     monitor.flush().expect("flush");
-    // Only `capacity` samples survived, but inference over sparse windows
-    // must still publish finite posteriors in window order.
-    assert!(monitor.windows_published() > 0, "survivors were corrected");
+    // Only `capacity` samples of the parked stretch survived, but
+    // inference over sparse windows must still publish finite posteriors
+    // in window order.
+    assert!(
+        monitor.windows_published() > k as u64,
+        "survivors were corrected"
+    );
     let mut last_window = None;
     let mut seen = 0;
     while let Ok(Some(u)) = updates.try_next() {

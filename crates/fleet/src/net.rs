@@ -52,7 +52,7 @@ use bayesperf_obs::{
     labeled, merge_metrics, Counter, FlightEvent, Histogram, MetricSnapshot, SpanRecorder, Stage,
     Telemetry,
 };
-use bayesperf_simcpu::{LinkFate, LinkState};
+use bayesperf_simcpu::{splitmix64, LinkFate, LinkState};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -62,15 +62,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// SplitMix64, for backoff jitter (same mixer the simulator uses).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// What a scrape server serves: a stamped posterior snapshot. Implemented
 /// by [`Session`] (the real shard path) and by anything test code wants

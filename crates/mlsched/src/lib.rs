@@ -1,10 +1,10 @@
 //! Schedulers: BayesPerf in feedback loops.
 //!
 //! Two loops live here. [`mux`] is the loop *inside* the measurement
-//! stack: event multiplexing ([`GroupSchedule`], the [`RoundRobin`]
-//! policy under the starvation-bounded [`MuxScheduler`]) and
-//! [`run_closed_loop`], which scores a schedule's corrected posteriors
-//! against the simulated truth.
+//! stack: event multiplexing ([`GroupSchedule`], whose counter-valid
+//! groups rotate round-robin in schedule order) and [`run_closed_loop`],
+//! which scores a schedule's corrected posteriors against the simulated
+//! truth.
 //!
 //! The rest is the §6.3 case study — the loop *outside*: the paper
 //! demonstrates downstream value by feeding (corrected) HPC measurements
@@ -32,10 +32,7 @@ pub mod pcie;
 pub mod rl;
 
 pub use cf::CollabFilter;
-pub use mux::{
-    hetero_demo_events, run_closed_loop, ClosedLoopReport, GroupSchedule, MuxError, MuxPolicy,
-    MuxScheduler, MuxStats, RoundRobin,
-};
+pub use mux::{hetero_demo_events, run_closed_loop, ClosedLoopReport, GroupSchedule, MuxError};
 pub use nn::Mlp;
 pub use pcie::{Fabric, Flow, Node};
 pub use rl::{CorrectionQuality, SchedulerEnv, TrainResult, Trainer};

@@ -18,6 +18,7 @@
 //!   injected-fault accounting in soak tests.
 
 use crate::sample::Sample;
+use crate::{splitmix64, unit};
 
 /// What the fault model did to one sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,19 +126,6 @@ pub struct DataFaultState {
     last_value: Option<f64>,
     samples: u64,
     injected: u64,
-}
-
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Maps a word to `[0, 1)`.
-pub(crate) fn unit(word: u64) -> f64 {
-    (word >> 11) as f64 / (1u64 << 53) as f64
 }
 
 impl DataFaultState {

@@ -20,10 +20,11 @@
 //! source, or enabling one fault class, never perturbs any other source's
 //! samples, nor the non-faulted samples of the same source.
 
-use crate::datafault::{splitmix64, unit, DataFaultProfile, DataFaultState};
+use crate::datafault::{DataFaultProfile, DataFaultState};
 use crate::pmu::PmuConfig;
 use crate::sample::Sample;
 use crate::truth::GroundTruth;
+use crate::{splitmix64, unit};
 use bayesperf_events::{Catalog, EventId, SourceDesc, SourceId};
 use bayesperf_obs::{labeled, Counter, Telemetry};
 

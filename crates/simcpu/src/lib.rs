@@ -10,11 +10,10 @@
 //!   scheduler quantum, so each programmable event is only *running* for a
 //!   fraction of the time it is *enabled* — exactly the
 //!   `time_enabled`/`time_running` bookkeeping Linux perf exposes. The
-//!   rotation is pluggable: [`Pmu::run_driven`] asks a caller-supplied
-//!   driver which configuration to run each quantum (the feedback-loop
-//!   entry point for posterior-driven scheduling), and with
-//!   [`Extrapolate::LinuxScaled`] unscheduled events emit carry-forward
-//!   samples (`sub_n == 0`) that make the §2 scaling error explicit;
+//!   configurations rotate in schedule order ([`Pmu::run_multiplexed`]),
+//!   and [`Pmu::run_extrapolated`] adds the carry-forward samples
+//!   (`sub_n == 0`) with which unscheduled events make the §2 scaling
+//!   error explicit;
 //! * **PMI-based sampling** within a quantum, yielding per-event sub-sample
 //!   statistics (mean/deviation/count) that feed the paper's §4.2 Student-t
 //!   error model;
@@ -44,8 +43,6 @@
 //! hardware cannot provide), evaluation code can compute exact error — the
 //! paper has to approximate ground truth with a separate polling run, which
 //! [`Pmu::run_polling`] models as well.
-//!
-//! [`Extrapolate::LinuxScaled`]: crate::Extrapolate::LinuxScaled
 
 mod config;
 mod datafault;
@@ -64,7 +61,25 @@ pub use gauge::{GaugeProfile, SampleSource, SimGauge};
 pub use link::{LinkFate, LinkProfile, LinkState};
 pub use machine::{CorrelatedTruth, ShardProfile};
 pub use noise::NoiseModel;
-pub use pmu::{Extrapolate, MultiplexRun, Pmu, PmuConfig, Window};
+pub use pmu::{MultiplexRun, Pmu, PmuConfig, Window};
 pub use ring::RingBuffer;
 pub use sample::Sample;
 pub use truth::{ConstantTruth, GroundTruth};
+
+/// SplitMix64: advances `state` and returns its next well-mixed word. The
+/// one small seeded generator behind the simulator's streams (shard
+/// profiles, link and data faults, gauge noise) and the workload and
+/// scrape-backoff jitter built on this crate: same seed, same words.
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Maps a mixed 64-bit word to a uniform `f64` in `[0, 1)` (its top 53
+/// bits).
+pub fn unit(word: u64) -> f64 {
+    (word >> 11) as f64 / (1u64 << 53) as f64
+}

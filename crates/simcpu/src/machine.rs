@@ -23,6 +23,7 @@
 
 use crate::pmu::PmuConfig;
 use crate::truth::GroundTruth;
+use crate::{splitmix64, unit};
 
 /// Deterministic per-machine heterogeneity parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,20 +42,6 @@ pub struct ShardProfile {
     pub noise_scale: f64,
     /// Per-shard RNG seed for the PMU's noise process.
     pub seed: u64,
-}
-
-/// SplitMix64 — the standard small, high-quality seed mixer.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Maps a mixed 64-bit word to a uniform f64 in `[0, 1)`.
-fn unit(word: u64) -> f64 {
-    (word >> 11) as f64 / (1u64 << 53) as f64
 }
 
 impl ShardProfile {

@@ -83,27 +83,6 @@ impl MultiplexRun {
     }
 }
 
-/// How a driven run represents events whose group is *not* scheduled in a
-/// window.
-///
-/// Real perf tooling reports a count for every requested event every time
-/// it is read, scheduled or not: unscheduled stretches are filled with the
-/// `time_enabled / time_running` extrapolation — the zero-order hold over
-/// the run-average rate that is precisely the §2 scaling error BayesPerf
-/// exists to correct (Fig. 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Extrapolate {
-    /// Unscheduled events emit nothing; their windows simply have no
-    /// sample (the historical [`Pmu::run_multiplexed`] behaviour).
-    Off,
-    /// Every unscheduled multiplexed event that has run at least once
-    /// emits a synthetic carry-forward sample per window: the Linux-scaled
-    /// run-average count. `sub_n == 0` marks the sample as extrapolated —
-    /// it is an *estimate*, not a hardware read, and downstream observation
-    /// models must widen its noise accordingly.
-    LinuxScaled,
-}
-
 /// The simulated performance monitoring unit.
 #[derive(Debug, Clone)]
 pub struct Pmu<'a> {
@@ -128,8 +107,10 @@ impl<'a> Pmu<'a> {
     }
 
     /// Runs `n_windows` of multiplexed sampling: the schedule's
-    /// configurations rotate round-robin, one per quantum; fixed-counter
-    /// events are always measured.
+    /// configurations rotate in schedule order, one per quantum (window
+    /// `w` runs `schedule[w % len]`); fixed-counter events are always
+    /// measured. An event whose group is off the counters has no sample
+    /// in that window.
     ///
     /// # Panics
     ///
@@ -140,37 +121,45 @@ impl<'a> Pmu<'a> {
         schedule: &[Configuration],
         n_windows: usize,
     ) -> MultiplexRun {
-        self.run_driven(truth, schedule, n_windows, Extrapolate::Off, |w, _| {
-            w as usize % schedule.len()
-        })
+        self.rotate(truth, schedule, n_windows, false)
     }
 
-    /// Runs `n_windows` of multiplexed sampling with an external schedule
-    /// driver: before each window `w`, `pick(w, prev)` chooses which of
-    /// `schedule`'s configurations runs next, where `prev` is the
-    /// just-completed previous window (`None` for window 0). This is the
-    /// multiplexing scheduler's entry point (`bayesperf_mlsched::mux`):
-    /// `pick` decides per window, and may read `prev` (its samples, and
-    /// its truth for evaluation) before it does.
+    /// [`Pmu::run_multiplexed`] as perf tooling reports it: the same
+    /// rotation, the same hardware reads bit for bit, plus a count for
+    /// every requested event in every window, scheduled or not. Each
+    /// multiplexed event whose group is off the counters (and that has
+    /// run at least once) emits a carry-forward sample: the run-average
+    /// count a `time_enabled/time_running` scaling read would report,
+    /// marked `sub_n == 0` ([`Sample::is_extrapolated`]). That zero-order
+    /// hold is the §2 scaling error BayesPerf corrects (Fig. 2), made
+    /// explicit; it is an estimate, not a read, and observation models
+    /// widen its noise accordingly.
     ///
-    /// With [`Extrapolate::LinuxScaled`], every multiplexed event whose
-    /// group is unscheduled in a window (and that has run at least once)
-    /// additionally emits a carry-forward sample — the run-average count a
-    /// `time_enabled/time_running` scaling read would report, marked
-    /// `sub_n == 0`. Those windows thereby carry the paper's scaling error
-    /// explicitly instead of silently going missing.
+    /// A schedule may name a configuration more than once, so a
+    /// non-rotating order is written out as the schedule itself (for
+    /// example `[g0, g1, g1, g1]` keeps `g0` off the counters after its
+    /// first window).
     ///
     /// # Panics
     ///
-    /// Panics if `schedule` is empty or `pick` returns an out-of-range
-    /// configuration index.
-    pub fn run_driven(
+    /// Panics if `schedule` is empty.
+    pub fn run_extrapolated(
         &self,
         truth: &mut dyn GroundTruth,
         schedule: &[Configuration],
         n_windows: usize,
-        extrapolate: Extrapolate,
-        mut pick: impl FnMut(u64, Option<&Window>) -> usize,
+    ) -> MultiplexRun {
+        self.rotate(truth, schedule, n_windows, true)
+    }
+
+    /// The one body of both multiplexed runs: rotate `schedule`, read the
+    /// scheduled events, and with `extrapolate` add the carry-forwards.
+    fn rotate(
+        &self,
+        truth: &mut dyn GroundTruth,
+        schedule: &[Configuration],
+        n_windows: usize,
+        extrapolate: bool,
     ) -> MultiplexRun {
         assert!(!schedule.is_empty(), "schedule must not be empty");
         let mut rng = StdRng::seed_from_u64(self.config.seed);
@@ -182,7 +171,7 @@ impl<'a> Pmu<'a> {
             .map(|e| e.id)
             .collect();
         // The multiplexed pool: every event any configuration measures, in
-        // catalog order — the set a LinuxScaled run extrapolates over.
+        // catalog order — the set an extrapolated run carries forward.
         let mut pool: Vec<EventId> = schedule
             .iter()
             .flat_map(|c| c.events().iter().copied())
@@ -197,12 +186,7 @@ impl<'a> Pmu<'a> {
         let mut prev_events: Vec<EventId> = Vec::new();
 
         for w in 0..n_windows {
-            let config_index = pick(w as u64, windows.last());
-            assert!(
-                config_index < schedule.len(),
-                "driver picked configuration {config_index} of {}",
-                schedule.len()
-            );
+            let config_index = w % schedule.len();
             let cfg = &schedule[config_index];
             let mut measured: Vec<EventId> = fixed.clone();
             measured.extend_from_slice(cfg.events());
@@ -247,7 +231,7 @@ impl<'a> Pmu<'a> {
                 })
                 .collect();
 
-            if extrapolate == Extrapolate::LinuxScaled {
+            if extrapolate {
                 for &ev in &pool {
                     let running = time_running[ev.index()];
                     if cfg.contains(ev) || running == 0 {
@@ -491,7 +475,10 @@ mod tests {
     }
 
     #[test]
-    fn driven_run_follows_the_driver_and_matches_round_robin() {
+    fn extrapolated_run_is_the_multiplexed_run_plus_carry_forwards() {
+        // One rotation and one RNG stream: drop the carry-forwards and a
+        // seeded, noisy extrapolated run is the multiplexed run, bit for
+        // bit (the wire encoding carries every field of a sample).
         let (cat, rates) = setup();
         let mut cfg = PmuConfig::for_catalog(&cat);
         cfg.seed = 9;
@@ -509,30 +496,23 @@ mod tests {
         .collect();
         let schedule = pack_round_robin(&cat, &events).unwrap();
         assert!(schedule.len() >= 2);
-        // A driver that happens to pick round-robin reproduces
-        // run_multiplexed bit for bit (same RNG consumption order).
-        let mut truth = ConstantTruth::new(rates.clone());
-        let rr = pmu.run_multiplexed(&mut truth, &schedule, 8);
-        let mut truth = ConstantTruth::new(rates.clone());
-        let mut picks = Vec::new();
-        let driven = pmu.run_driven(&mut truth, &schedule, 8, Extrapolate::Off, |w, prev| {
-            assert_eq!(prev.map(|p| p.index), (w > 0).then(|| w as u32 - 1));
-            let c = w as usize % schedule.len();
-            picks.push(c);
-            c
-        });
-        for (a, b) in rr.windows.iter().zip(&driven.windows) {
-            assert_eq!(a.config_index, b.config_index);
-            assert_eq!(a.samples, b.samples);
+        let plain = pmu.run_multiplexed(&mut ConstantTruth::new(rates.clone()), &schedule, 12);
+        let extrapolated = pmu.run_extrapolated(&mut ConstantTruth::new(rates), &schedule, 12);
+        fn wire<'a>(samples: impl IntoIterator<Item = &'a Sample>) -> bytes::BytesMut {
+            let mut buf = bytes::BytesMut::new();
+            samples.into_iter().for_each(|s| s.encode(&mut buf));
+            buf
         }
-        // An arbitrary (non-rotating) driver is honoured verbatim.
-        let order = [1usize, 1, 0, 1, 0, 0, 1, 0];
-        let mut truth = ConstantTruth::new(rates);
-        let run = pmu.run_driven(&mut truth, &schedule, 8, Extrapolate::Off, |w, _| {
-            order[w as usize]
-        });
-        let got: Vec<usize> = run.windows.iter().map(|w| w.config_index).collect();
-        assert_eq!(got, order);
+        let truth_bits = |w: &Window| w.truth.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+        let mut carried = 0;
+        for (a, b) in plain.windows.iter().zip(&extrapolated.windows) {
+            assert_eq!(a.config_index, b.config_index);
+            assert_eq!(truth_bits(a), truth_bits(b), "window {}", a.index);
+            let reads = b.samples.iter().filter(|s| !s.is_extrapolated());
+            assert_eq!(wire(&a.samples), wire(reads), "window {}", a.index);
+            carried += b.samples.iter().filter(|s| s.is_extrapolated()).count();
+        }
+        assert!(carried > 0, "unscheduled windows carry forward");
     }
 
     #[test]
@@ -555,13 +535,7 @@ mod tests {
         .collect();
         let schedule = pack_round_robin(&cat, &events).unwrap();
         assert_eq!(schedule.len(), 2);
-        let run = pmu.run_driven(
-            &mut truth,
-            &schedule,
-            6,
-            Extrapolate::LinuxScaled,
-            |w, _| w as usize % 2,
-        );
+        let run = pmu.run_extrapolated(&mut truth, &schedule, 6);
         // Window 0: group 1's events have never run -> no carry-forward.
         assert!(run.windows[0].sample_for(events[4]).is_none());
         // Window 1: group 0 is off the counters but ran in window 0 ->
@@ -624,14 +598,11 @@ mod tests {
         let schedule = pack_round_robin(&cat, &all).unwrap();
         assert_eq!(schedule.len(), 2);
         // ev runs only in window 0 (group 0), then stays unscheduled while
-        // the rate quintuples at tick 8 (window 2).
-        let run = pmu.run_driven(
-            &mut truth,
-            &schedule,
-            6,
-            Extrapolate::LinuxScaled,
-            |w, _| usize::from(w > 0),
-        );
+        // the rate quintuples at tick 8 (window 2): the order is written
+        // out as the schedule, [g0, g1, g1, g1, g1, g1].
+        let mut order = vec![schedule[1].clone(); 6];
+        order[0] = schedule[0].clone();
+        let run = pmu.run_extrapolated(&mut truth, &order, 6);
         let w4 = &run.windows[4];
         let s = w4.sample_for(ev).expect("carry-forward");
         assert!(s.is_extrapolated());

@@ -3,7 +3,7 @@
 
 use crate::modulation::Modulation;
 use bayesperf_events::{synthesize_into, Catalog, FreeParams};
-use bayesperf_simcpu::GroundTruth;
+use bayesperf_simcpu::{splitmix64, unit, GroundTruth};
 use serde::{Deserialize, Serialize};
 
 /// HiBench workload families (the groups of §6.2).
@@ -87,7 +87,7 @@ impl PhaseProgram {
     /// run-to-run nondeterminism (§2: memory layout, multi-processor
     /// interactions, OS scheduling differ between runs).
     pub fn instantiate<'a>(&self, catalog: &'a Catalog, run_seed: u64) -> Workload<'a> {
-        let mut state = splitmix_init(&self.name, run_seed);
+        let mut state = jitter_seed(&self.name, run_seed);
         let phases: Vec<Phase> = self
             .phases
             .iter()
@@ -162,8 +162,9 @@ impl GroundTruth for Workload<'_> {
     }
 }
 
-/// SplitMix64 — tiny deterministic generator for per-run jitter.
-fn splitmix_init(name: &str, run_seed: u64) -> u64 {
+/// Seeds a program's per-run jitter stream: FNV-1a over its name, offset
+/// by the run seed.
+fn jitter_seed(name: &str, run_seed: u64) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64 ^ run_seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     for b in name.bytes() {
         h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
@@ -171,17 +172,9 @@ fn splitmix_init(name: &str, run_seed: u64) -> u64 {
     h
 }
 
-fn splitmix_next(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Uniform in [-1, 1).
 fn sym_unit(state: &mut u64) -> f64 {
-    (splitmix_next(state) >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+    unit(splitmix64(state)) * 2.0 - 1.0
 }
 
 #[cfg(test)]

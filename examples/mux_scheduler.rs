@@ -2,14 +2,14 @@
 //!
 //! The PMU hosts one event group per quantum; everything else is scaled —
 //! the very error BayesPerf corrects (Fig. 2). This example rotates three
-//! heterogeneous groups under the starvation-bounded scheduler, corrects
-//! each run with the chained corrector, and scores the posteriors against
-//! the simulated truth:
+//! heterogeneous groups round-robin, as Linux perf's multiplexing timer
+//! does, corrects each run with the chained corrector, and scores the
+//! posteriors against the simulated truth:
 //!
 //! ```text
-//!   quantum:  scheduler ──group──▶ PMU ──samples──▶ corrector
-//!                                   │                   │ posteriors
-//!                                   └──── truth ───▶ err_pct, cov95
+//!   quantum q:  group q mod G ──▶ PMU ──samples──▶ corrector
+//!                                  │                   │ posteriors
+//!                                  └──── truth ───▶ err_pct, cov95
 //! ```
 //!
 //! Single-threaded and fully seeded: two runs print the same bytes.
@@ -18,7 +18,7 @@
 
 use bayesperf::core::corrector::CorrectorConfig;
 use bayesperf::events::{Arch, Catalog};
-use bayesperf::mlsched::mux::{hetero_demo_events, run_closed_loop, GroupSchedule, RoundRobin};
+use bayesperf::mlsched::mux::{hetero_demo_events, run_closed_loop, GroupSchedule};
 use bayesperf::simcpu::{Pmu, PmuConfig};
 use bayesperf::workloads::kmeans;
 
@@ -33,15 +33,11 @@ fn main() {
     // by tight flow invariants. (The same fixture backs the closed-loop
     // test and bench_json's `mux_schedule` entry.)
     let events = hetero_demo_events(&catalog);
-
-    // The starvation bound K = 2G: whatever the policy, every group runs
-    // at least once per 6 quanta.
-    let schedule = GroupSchedule::from_events(&catalog, &events, 6).expect("groups fit the PMU");
+    let schedule = GroupSchedule::from_events(&catalog, &events).expect("groups fit the PMU");
     println!(
-        "schedule: {} groups over {} events, starvation bound K = {}",
+        "schedule: {} groups over {} events, rotated round-robin",
         schedule.len(),
-        events.len(),
-        schedule.starvation_bound()
+        events.len()
     );
 
     let n_windows = 48;
@@ -60,19 +56,13 @@ fn main() {
                 seed,
                 ..PmuConfig::for_catalog(&catalog)
             },
-            schedule.clone(),
-            Box::new(RoundRobin),
+            &schedule,
             CorrectorConfig::for_run(&probe),
             n_windows,
         );
         println!(
-            "seed {seed:>2}: {} err {:>5.2}%  cov95 {:.3}  group runs {:?}, {} forced picks, {} windows scored",
-            report.policy,
-            report.err_pct,
-            report.cov95,
-            report.group_runs,
-            report.forced_picks,
-            report.scored_windows
+            "seed {seed:>2}: err {:>5.2}%  cov95 {:.3}  {} windows scored",
+            report.err_pct, report.cov95, report.scored_windows
         );
         err_sum += report.err_pct;
         cov_sum += report.cov95;
