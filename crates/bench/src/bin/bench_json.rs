@@ -121,10 +121,11 @@
 //!   ns/window, paired; upper bound ≤ 0.02 (observation is a ≤ 2% tax).
 //!
 //! `mux_schedule` carries no gate. It reports round-robin's closed-loop
-//! truth `err_pct` and `cov95` (the schedule's round-robin rotation,
-//! corrected and scored against the simulated truth over kmeans seeds
-//! 0–19 at 48 windows, in quick and full mode alike): deterministic
-//! figures that a model change should hold.
+//! truth `err_pct` and `cov95` (the schedule's round-robin rotation, an
+//! unscheduled window left unobserved, corrected and scored against the
+//! simulated truth over kmeans seeds 0–19 at 48 windows, in quick and
+//! full mode alike): deterministic figures that a model change should
+//! hold. CI diffs the entry a run writes against the committed one.
 
 use bayesperf_baselines::{LinuxScaling, SeriesEstimator};
 use bayesperf_bench::fig6_fixture;

@@ -543,7 +543,7 @@ mod tests {
         };
         let (_, want) = correct(&removed);
 
-        let malformed: [fn(&mut Sample); 8] = [
+        let malformed: [fn(&mut Sample); 9] = [
             |s| s.value = f64::NAN,
             |s| s.value = f64::INFINITY,
             |s| s.value = f64::NEG_INFINITY,
@@ -551,6 +551,7 @@ mod tests {
             |s| s.sub_sd = f64::INFINITY,
             |s| s.sub_sd = -1.0,
             |s| s.sub_mean = f64::NAN,
+            |s| s.sub_n = 0,
             |s| s.event = EventId::from_raw(u16::MAX),
         ];
         for (kind, corrupt) in malformed.iter().enumerate() {

@@ -32,34 +32,27 @@ pub fn observation(sample: &Sample, scale: f64, sigma_floor: f64) -> StudentT {
     StudentT::new(loc, finite_scale(t_scale), n - 1.0)
 }
 
-/// Builds the observation factor for an **extrapolated** sample
-/// ([`Sample::is_extrapolated`]): the event's group was not on the
-/// counters, and the value is a `time_enabled/time_running`-style
-/// carry-forward — the §2 scaling estimate, not a hardware read.
+/// Builds the observation factor for a sample from a **low-trust**
+/// source ([`bayesperf_events::SourceNoise::HeavyTail`]): a coarse
+/// estimate or an unreliable scrape, whose reads may be badly wrong.
 ///
 /// The factor is deliberately wide and heavy-tailed: its scale is
-/// `extrap_sigma` *relative* to the carried value (floored like a real
-/// read), and the degrees of freedom are pinned at the minimum (2.5) so a
-/// phase change that makes the carry-forward badly wrong does not drag the
-/// posterior with the confidence of a measurement. The factor still
-/// anchors otherwise-unobserved slices — extrapolations carry *some*
-/// information — but a single real read dominates it.
+/// `rel_sigma` *relative* to the reading, and the degrees of freedom are
+/// pinned at the minimum (2.5), so a single wild reading does not drag
+/// the posterior with the confidence of a measurement.
 ///
-/// `extrap_sigma` is floored at `1e-6` so a misconfigured zero (or a
+/// `rel_sigma` is floored at `1e-6` so a misconfigured zero (or a
 /// negative value) degrades to an extremely tight factor instead of
 /// panicking — this function runs on the monitor's background inference
-/// thread, where a panic closes the whole service. The model's own width
-/// is asserted at compile time to be at least a real read's noise floor,
-/// so a carry-forward can never be *tighter* than a real read (see
-/// [`crate::model::ChunkEngine::load`]).
+/// thread, where a panic closes the whole service.
 ///
 /// # Panics
 ///
 /// Panics if `scale` is not positive.
-pub fn extrapolated_observation(sample: &Sample, scale: f64, extrap_sigma: f64) -> StudentT {
+pub fn heavy_tail_observation(sample: &Sample, scale: f64, rel_sigma: f64) -> StudentT {
     assert!(scale > 0.0, "scale must be positive, got {scale}");
     let loc = sample.value / scale;
-    let t_scale = extrap_sigma.max(1e-6) * loc.abs().max(1e-3);
+    let t_scale = rel_sigma.max(1e-6) * loc.abs().max(1e-3);
     StudentT::new(loc, finite_scale(t_scale), 2.5)
 }
 
@@ -77,7 +70,7 @@ pub fn extrapolated_observation(sample: &Sample, scale: f64, extrap_sigma: f64) 
 /// Student-t family the EP sites already handle.
 ///
 /// `rel_scale` is floored at `1e-6` for the same reason as
-/// [`extrapolated_observation`]: this runs on the monitor's inference
+/// [`heavy_tail_observation`]: this runs on the monitor's inference
 /// thread, where a panic closes the service.
 ///
 /// # Panics
@@ -158,30 +151,13 @@ mod tests {
     }
 
     #[test]
-    fn extrapolated_factor_is_much_wider_than_a_real_read() {
-        let real = observation(&sample(1000.0, 5.0, 4), 500.0, 0.02);
-        let mut carried = sample(1000.0, 0.0, 0);
-        carried.sub_n = 0;
-        let extrap = extrapolated_observation(&carried, 500.0, 0.5);
-        assert!((extrap.loc - real.loc).abs() < 1e-12, "same location");
-        assert!(
-            extrap.scale > 10.0 * real.scale,
-            "extrapolation scale {} must dwarf the read's {}",
-            extrap.scale,
-            real.scale
-        );
-        assert!(extrap.dof < real.dof, "heavier tails than any real read");
-    }
-
-    #[test]
-    fn extrapolated_factor_survives_nonpositive_sigma() {
-        // Runs on the inference thread: a misconfigured extrap_sigma must
+    fn heavy_tail_factor_survives_nonpositive_sigma() {
+        // Runs on the inference thread: a misconfigured rel_sigma must
         // degrade to a (floored) proper density, never panic the service.
-        let mut s = sample(1000.0, 0.0, 0);
-        s.sub_n = 0;
+        let s = sample(1000.0, 0.0, 1);
         for bad in [0.0, -1.0] {
-            let t = extrapolated_observation(&s, 500.0, bad);
-            assert!(t.scale > 0.0, "floored scale for extrap_sigma={bad}");
+            let t = heavy_tail_observation(&s, 500.0, bad);
+            assert!(t.scale > 0.0, "floored scale for rel_sigma={bad}");
         }
     }
 
@@ -200,11 +176,10 @@ mod tests {
     }
 
     #[test]
-    fn extrapolated_factor_handles_zero_counts() {
-        let mut s = sample(0.0, 0.0, 0);
-        s.sub_n = 0;
-        let t = extrapolated_observation(&s, 500.0, 0.5);
+    fn heavy_tail_factor_handles_zero_counts() {
+        let s = sample(0.0, 0.0, 1);
+        let t = heavy_tail_observation(&s, 500.0, 0.5);
         assert_eq!(t.loc, 0.0);
-        assert!(t.scale > 0.0, "proper density even at zero carry-forward");
+        assert!(t.scale > 0.0, "proper density even at a zero reading");
     }
 }

@@ -41,7 +41,7 @@ pub mod source;
 
 pub use corrector::{CorrectionStats, Corrector, CorrectorConfig, PosteriorSeries};
 pub use error::ShimError;
-pub use error_model::{extrapolated_observation, gauge_observation, observation};
+pub use error_model::{gauge_observation, heavy_tail_observation, observation};
 pub use metrics::{adjusted_error, dtw_align, dtw_relative_error};
 pub use model::{ChunkEngine, ModelConfig};
 pub use scheduler::{Schedule, ScheduleTransformer};

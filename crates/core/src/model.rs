@@ -74,7 +74,7 @@
 //! ragged final chunk is solved on the same engine: its system is the one
 //! an engine built for exactly its window count would solve.
 
-use crate::error_model::{extrapolated_observation, gauge_observation, observation};
+use crate::error_model::{gauge_observation, heavy_tail_observation, observation};
 use bayesperf_events::{Catalog, EventId, Expr, Invariant, SourceNoise};
 use bayesperf_graph::{FactorGraph, VarId};
 use bayesperf_inference::{AnalyticScratch, EpRunStats, Gaussian, StudentT};
@@ -90,13 +90,6 @@ const TEMPORAL_TAU: f64 = 0.35;
 const DRIFT: f64 = TEMPORAL_TAU * TEMPORAL_TAU;
 /// Relative noise floor of observation factors.
 const OBS_SIGMA_FLOOR: f64 = 0.02;
-/// Relative scale of observation factors built from *extrapolated*
-/// samples (`sub_n == 0`): an unscheduled slice's carry-forward estimate
-/// enters the model with this much noise instead of masquerading as a
-/// real read.
-const EXTRAP_SIGMA: f64 = 0.5;
-// A carry-forward can never claim to be tighter than a real read.
-const _: () = assert!(EXTRAP_SIGMA >= OBS_SIGMA_FLOOR);
 /// Noise floor of invariant factors (on the relative residual).
 const INV_SIGMA_FLOOR: f64 = 0.02;
 
@@ -467,13 +460,6 @@ impl ChunkEngine {
     /// [`ChunkEngine::solve`] solves those slices alone, the system an
     /// engine built for exactly `windows.len()` slices would solve.
     ///
-    /// A real read ([`observation`]) and a scheduler extrapolation
-    /// ([`extrapolated_observation`], `sub_n == 0`) land in the same slot
-    /// but with very different widths: the extrapolated factor carries a
-    /// wide relative noise (never less than a read's floor) and minimal
-    /// degrees of freedom, so an unscheduled slice is anchored without
-    /// being mistaken for data.
-    ///
     /// One observation slot per event: a window is expected to carry at
     /// most one sample per event (the PMU delivers one merged reading per
     /// window — `Sample` already aggregates the PMI sub-samples). If a
@@ -518,16 +504,11 @@ impl ChunkEngine {
     }
 
     /// The observation factor `s` contributes. Per-source dispatch: the
-    /// sample's source tag picks the error model the factor is built from.
-    /// Extrapolations always take the wide carry-forward factor, whatever
-    /// the source; an unknown source id (newer producer than catalog)
-    /// degrades to the PMU model rather than panicking the inference
-    /// thread.
+    /// sample's source tag picks the error model the factor is built from;
+    /// an unknown source id (newer producer than catalog) degrades to the
+    /// PMU model rather than panicking the inference thread.
     fn observation_dist(&self, s: &Sample) -> StudentT {
         let scale = self.scales[s.event.index()];
-        if s.is_extrapolated() {
-            return extrapolated_observation(s, scale, EXTRAP_SIGMA);
-        }
         let noise = self
             .source_noise
             .get(s.source.index())
@@ -538,9 +519,7 @@ impl ChunkEngine {
             SourceNoise::Gaussian { .. } => {
                 gauge_observation(s, scale, noise.rel_scale(), OBS_SIGMA_FLOOR)
             }
-            // Low-trust source: same wide heavy-tailed factor an
-            // extrapolation gets, at the source's scale.
-            SourceNoise::HeavyTail { rel_sigma } => extrapolated_observation(s, scale, rel_sigma),
+            SourceNoise::HeavyTail { rel_sigma } => heavy_tail_observation(s, scale, rel_sigma),
         }
     }
 
@@ -792,73 +771,6 @@ mod tests {
         assert!(
             rel_sd_un > rel_sd_obs,
             "unobserved rel-sd {rel_sd_un} should exceed observed {rel_sd_obs}"
-        );
-    }
-
-    #[test]
-    fn extrapolated_slices_keep_inflated_uncertainty() {
-        // A run where group 0 runs only in window 0 and its events
-        // are carry-forward extrapolations afterwards. Treating those
-        // carry-forwards as real reads would collapse the posterior around
-        // a value that is not a measurement; the extrapolated observation
-        // model must keep the uncertainty inflated instead.
-        let cat = Catalog::new(Arch::X86SkyLake);
-        let rates = bayesperf_events::synthesize(&cat, &bayesperf_events::FreeParams::default());
-        let mut truth = ConstantTruth::new(rates.clone());
-        let pmu = Pmu::new(
-            &cat,
-            PmuConfig {
-                noise: NoiseModel {
-                    measurement_sigma: 0.02,
-                    ..NoiseModel::none()
-                },
-                ..PmuConfig::for_catalog(&cat)
-            },
-        );
-        // DtlbMisses has no invariant path to the always-measured fixed
-        // counters (see posterior_uncertainty_larger_for_unobserved), so
-        // its unscheduled-slice posterior is governed by the observation
-        // model under test, not by invariant coupling.
-        let ev = cat.require(Semantic::DtlbMisses);
-        let g0 = bayesperf_simcpu::Configuration::new_unchecked(vec![ev]);
-        let g1 = bayesperf_simcpu::Configuration::new_unchecked(vec![
-            cat.require(Semantic::BrInst),
-            cat.require(Semantic::BrMisp),
-            cat.require(Semantic::UopsIssued),
-            cat.require(Semantic::UopsRetired),
-        ]);
-        // Group 0 runs in window 0 only: the order is the schedule.
-        let schedule = [g0, g1.clone(), g1.clone(), g1];
-        let run = pmu.run_extrapolated(&mut truth, &schedule, 4);
-        assert!(run.windows[2].sample_for(ev).unwrap().is_extrapolated());
-
-        let cfg = ModelConfig::for_run(&run);
-        let windows: Vec<Vec<Sample>> = run.windows.iter().map(|w| w.samples.clone()).collect();
-        let posterior = |wins: &[Vec<Sample>]| run_cold(&cat, wins, &cfg);
-        let honest = posterior(&windows);
-
-        // The regression this feature prevents: relabel the carry-forwards
-        // as 4-sub-sample reads and the posterior snaps shut around them.
-        let mut lying = windows.clone();
-        for w in &mut lying {
-            for s in w {
-                if s.is_extrapolated() {
-                    s.sub_n = 4;
-                }
-            }
-        }
-        let fooled = posterior(&lying);
-
-        let sd_measured = honest.posterior(0, ev).std_dev();
-        let sd_extrap = honest.posterior(2, ev).std_dev();
-        let sd_fooled = fooled.posterior(2, ev).std_dev();
-        assert!(
-            sd_extrap > 1.5 * sd_measured,
-            "extrapolated slice sd {sd_extrap} must stay well above measured {sd_measured}"
-        );
-        assert!(
-            sd_extrap > 1.5 * sd_fooled,
-            "honest extrapolation sd {sd_extrap} vs read-masquerade {sd_fooled}"
         );
     }
 

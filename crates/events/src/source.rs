@@ -72,9 +72,8 @@ impl fmt::Display for SourceKind {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum SourceNoise {
     /// The PMU path: per-window PMI sub-sample moments drive a Student-t
-    /// factor (§4.2); extrapolated reads fall back to the wide
-    /// heavy-tailed factor. Carries no parameters — the sample itself
-    /// brings its sub-sample statistics.
+    /// factor (§4.2). Carries no parameters — the sample itself brings
+    /// its sub-sample statistics.
     StudentT,
     /// A soft gauge: near-Gaussian read noise of `rel_sigma` (fraction of
     /// the reading) plus a slow random-walk calibration `drift`,

@@ -8,8 +8,8 @@
 //! how close the corrected counts come to the truth).
 //!
 //! ```text
-//!   quantum q:  PMU runs group q mod G   (other groups idle, their
-//!                      │                  windows carry the scaling error)
+//!   quantum q:  PMU runs group q mod G   (other groups idle: their
+//!                      │                  events go unobserved)
 //!                      ▼
 //!   err_pct, cov95 ◀──truth── corrector ◀──samples
 //! ```
@@ -29,7 +29,7 @@
 //! built. An adaptive rotation would have to earn its place on the truth
 //! figures, not on the posterior's own variance: ranking groups by
 //! claimed relative variance lowered that variance on 20 of 20 KMeans
-//! seeds while raising the truth error from 26.6% to 29.3%.
+//! seeds while raising the mean truth error by 2.7 points.
 
 use bayesperf_core::corrector::{Corrector, CorrectorConfig};
 use bayesperf_events::{try_assign, Catalog, EventId};
@@ -202,11 +202,11 @@ pub struct ClosedLoopReport {
 
 /// Runs the schedule on the simulated PMU, single-threaded and
 /// deterministic: the PMU rotates the groups one per window
-/// ([`Pmu::run_extrapolated`], so unscheduled windows carry the paper's
-/// scaling error as carry-forward samples), the chained [`Corrector`]
-/// corrects the run chunk by chunk with a ragged tail, as a monitor's
-/// flush would, and the posteriors are scored against the run's own
-/// truth over the schedule's pool.
+/// ([`Pmu::run_multiplexed`], so an event has no sample in a window its
+/// group is off the counters), the chained [`Corrector`] corrects the
+/// run chunk by chunk with a ragged tail, as a monitor's flush would, and
+/// the posteriors are scored against the run's own truth over the
+/// schedule's pool.
 ///
 /// # Panics
 ///
@@ -222,7 +222,7 @@ pub fn run_closed_loop(
     assert!(n_windows > 0, "need at least one window");
     let pool = schedule.pool();
     let k = corrector_config.model.slices.max(1);
-    let run = Pmu::new(catalog, pmu_config).run_extrapolated(truth, schedule.groups(), n_windows);
+    let run = Pmu::new(catalog, pmu_config).run_multiplexed(truth, schedule.groups(), n_windows);
     let series = Corrector::new(catalog, corrector_config).correct_run(&run);
 
     let skip = if n_windows > k { k } else { 0 };

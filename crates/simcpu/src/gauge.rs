@@ -317,7 +317,7 @@ mod tests {
             for s in &out {
                 assert_eq!(s.window % desc.cadence, 0, "{} off cadence", desc.name);
                 assert_eq!(s.source, desc.id);
-                assert_eq!(s.sub_n, 1, "gauge reads are never extrapolations");
+                assert_eq!(s.sub_n, 1, "a gauge read is one sub-sample");
             }
         }
     }

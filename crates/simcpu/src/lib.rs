@@ -11,9 +11,8 @@
 //!   fraction of the time it is *enabled* — exactly the
 //!   `time_enabled`/`time_running` bookkeeping Linux perf exposes. The
 //!   configurations rotate in schedule order ([`Pmu::run_multiplexed`]),
-//!   and [`Pmu::run_extrapolated`] adds the carry-forward samples
-//!   (`sub_n == 0`) with which unscheduled events make the §2 scaling
-//!   error explicit;
+//!   and an event whose configuration is off the counters has no sample
+//!   in that window;
 //! * **PMI-based sampling** within a quantum, yielding per-event sub-sample
 //!   statistics (mean/deviation/count) that feed the paper's §4.2 Student-t
 //!   error model;

@@ -39,8 +39,6 @@ impl PmuConfig {
 pub struct Window {
     /// Window index.
     pub index: u32,
-    /// Which schedule configuration was active (`usize::MAX` for polling).
-    pub config_index: usize,
     /// Samples delivered for this window (fixed events + scheduled events).
     pub samples: Vec<Sample>,
     /// True counts per catalog event during this window (evaluation only —
@@ -70,16 +68,6 @@ impl MultiplexRun {
     /// The ground-truth count series of an event across windows.
     pub fn truth_series(&self, id: EventId) -> Vec<f64> {
         self.windows.iter().map(|w| w.truth[id.index()]).collect()
-    }
-
-    /// The windows in which `id` was actually measured (extrapolated
-    /// carry-forward samples do not count as measurements).
-    pub fn measured_windows(&self, id: EventId) -> Vec<u32> {
-        self.windows
-            .iter()
-            .filter(|w| w.sample_for(id).is_some_and(|s| !s.is_extrapolated()))
-            .map(|w| w.index)
-            .collect()
     }
 }
 
@@ -112,29 +100,6 @@ impl<'a> Pmu<'a> {
     /// measured. An event whose group is off the counters has no sample
     /// in that window.
     ///
-    /// # Panics
-    ///
-    /// Panics if `schedule` is empty.
-    pub fn run_multiplexed(
-        &self,
-        truth: &mut dyn GroundTruth,
-        schedule: &[Configuration],
-        n_windows: usize,
-    ) -> MultiplexRun {
-        self.rotate(truth, schedule, n_windows, false)
-    }
-
-    /// [`Pmu::run_multiplexed`] as perf tooling reports it: the same
-    /// rotation, the same hardware reads bit for bit, plus a count for
-    /// every requested event in every window, scheduled or not. Each
-    /// multiplexed event whose group is off the counters (and that has
-    /// run at least once) emits a carry-forward sample: the run-average
-    /// count a `time_enabled/time_running` scaling read would report,
-    /// marked `sub_n == 0` ([`Sample::is_extrapolated`]). That zero-order
-    /// hold is the §2 scaling error BayesPerf corrects (Fig. 2), made
-    /// explicit; it is an estimate, not a read, and observation models
-    /// widen its noise accordingly.
-    ///
     /// A schedule may name a configuration more than once, so a
     /// non-rotating order is written out as the schedule itself (for
     /// example `[g0, g1, g1, g1]` keeps `g0` off the counters after its
@@ -143,23 +108,11 @@ impl<'a> Pmu<'a> {
     /// # Panics
     ///
     /// Panics if `schedule` is empty.
-    pub fn run_extrapolated(
+    pub fn run_multiplexed(
         &self,
         truth: &mut dyn GroundTruth,
         schedule: &[Configuration],
         n_windows: usize,
-    ) -> MultiplexRun {
-        self.rotate(truth, schedule, n_windows, true)
-    }
-
-    /// The one body of both multiplexed runs: rotate `schedule`, read the
-    /// scheduled events, and with `extrapolate` add the carry-forwards.
-    fn rotate(
-        &self,
-        truth: &mut dyn GroundTruth,
-        schedule: &[Configuration],
-        n_windows: usize,
-        extrapolate: bool,
     ) -> MultiplexRun {
         assert!(!schedule.is_empty(), "schedule must not be empty");
         let mut rng = StdRng::seed_from_u64(self.config.seed);
@@ -170,24 +123,14 @@ impl<'a> Pmu<'a> {
             .filter(|e| e.domain == Domain::Fixed)
             .map(|e| e.id)
             .collect();
-        // The multiplexed pool: every event any configuration measures, in
-        // catalog order — the set an extrapolated run carries forward.
-        let mut pool: Vec<EventId> = schedule
-            .iter()
-            .flat_map(|c| c.events().iter().copied())
-            .collect();
-        pool.sort_unstable();
-        pool.dedup();
 
         let mut time_running = vec![0u64; n_events];
-        let mut cum_raw = vec![0.0f64; n_events];
         let mut rates = vec![0.0; n_events];
         let mut windows: Vec<Window> = Vec::with_capacity(n_windows);
         let mut prev_events: Vec<EventId> = Vec::new();
 
         for w in 0..n_windows {
-            let config_index = w % schedule.len();
-            let cfg = &schedule[config_index];
+            let cfg = &schedule[w % schedule.len()];
             let mut measured: Vec<EventId> = fixed.clone();
             measured.extend_from_slice(cfg.events());
 
@@ -213,51 +156,21 @@ impl<'a> Pmu<'a> {
                 time_running[ev.index()] += self.config.quantum_ticks;
             }
 
-            let mut samples: Vec<Sample> = measured
+            let samples = measured
                 .iter()
                 .enumerate()
                 .map(|(mi, &ev)| {
-                    let is_fixed = mi < fixed.len();
-                    let running = if is_fixed {
+                    let running = if mi < fixed.len() {
                         enabled
                     } else {
                         time_running[ev.index()]
                     };
-                    let s = make_sample(ev, w as u32, &subs[mi], enabled, running);
-                    if !is_fixed {
-                        cum_raw[ev.index()] += s.value;
-                    }
-                    s
+                    make_sample(ev, w as u32, &subs[mi], enabled, running)
                 })
                 .collect();
 
-            if extrapolate {
-                for &ev in &pool {
-                    let running = time_running[ev.index()];
-                    if cfg.contains(ev) || running == 0 {
-                        continue;
-                    }
-                    // Zero-order hold over the run-average rate: what a
-                    // perf read's enabled/running scaling attributes to
-                    // this window (§2's smearing error, made explicit).
-                    let rate = cum_raw[ev.index()] / running as f64;
-                    samples.push(Sample {
-                        event: ev,
-                        window: w as u32,
-                        value: rate * self.config.quantum_ticks as f64,
-                        sub_mean: rate,
-                        sub_sd: 0.0,
-                        sub_n: 0,
-                        time_enabled: enabled,
-                        time_running: running,
-                        source: SourceId::PMU,
-                    });
-                }
-            }
-
             windows.push(Window {
                 index: w as u32,
-                config_index,
                 samples,
                 truth: truth_counts,
             });
@@ -307,7 +220,6 @@ impl<'a> Pmu<'a> {
                 .collect();
             windows.push(Window {
                 index: w as u32,
-                config_index: usize::MAX,
                 samples,
                 truth: truth_counts,
             });
@@ -412,8 +324,21 @@ mod tests {
         let schedule = pack_round_robin(&cat, &events).unwrap();
         assert_eq!(schedule.len(), 2);
         let run = pmu.run_multiplexed(&mut truth, &schedule, 8);
-        assert_eq!(run.measured_windows(events[0]), vec![0, 2, 4, 6]);
-        assert_eq!(run.measured_windows(events[4]), vec![1, 3, 5, 7]);
+        for w in &run.windows {
+            let even = w.index % 2 == 0;
+            assert_eq!(
+                w.sample_for(events[0]).is_some(),
+                even,
+                "window {}",
+                w.index
+            );
+            assert_eq!(
+                w.sample_for(events[4]).is_some(),
+                !even,
+                "window {}",
+                w.index
+            );
+        }
     }
 
     #[test]
@@ -472,146 +397,6 @@ mod tests {
         assert_eq!(s.sub_n as u64, pmu.config().quantum_ticks);
         // Constant truth + no noise -> zero sub-sample deviation.
         assert!(s.sub_sd < 1e-9);
-    }
-
-    #[test]
-    fn extrapolated_run_is_the_multiplexed_run_plus_carry_forwards() {
-        // One rotation and one RNG stream: drop the carry-forwards and a
-        // seeded, noisy extrapolated run is the multiplexed run, bit for
-        // bit (the wire encoding carries every field of a sample).
-        let (cat, rates) = setup();
-        let mut cfg = PmuConfig::for_catalog(&cat);
-        cfg.seed = 9;
-        let pmu = Pmu::new(&cat, cfg);
-        let events: Vec<EventId> = [
-            Semantic::UopsIssued,
-            Semantic::UopsRetired,
-            Semantic::BrInst,
-            Semantic::BrMisp,
-            Semantic::L1dMisses,
-            Semantic::L2References,
-        ]
-        .iter()
-        .map(|&s| cat.require(s))
-        .collect();
-        let schedule = pack_round_robin(&cat, &events).unwrap();
-        assert!(schedule.len() >= 2);
-        let plain = pmu.run_multiplexed(&mut ConstantTruth::new(rates.clone()), &schedule, 12);
-        let extrapolated = pmu.run_extrapolated(&mut ConstantTruth::new(rates), &schedule, 12);
-        fn wire<'a>(samples: impl IntoIterator<Item = &'a Sample>) -> bytes::BytesMut {
-            let mut buf = bytes::BytesMut::new();
-            samples.into_iter().for_each(|s| s.encode(&mut buf));
-            buf
-        }
-        let truth_bits = |w: &Window| w.truth.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
-        let mut carried = 0;
-        for (a, b) in plain.windows.iter().zip(&extrapolated.windows) {
-            assert_eq!(a.config_index, b.config_index);
-            assert_eq!(truth_bits(a), truth_bits(b), "window {}", a.index);
-            let reads = b.samples.iter().filter(|s| !s.is_extrapolated());
-            assert_eq!(wire(&a.samples), wire(reads), "window {}", a.index);
-            carried += b.samples.iter().filter(|s| s.is_extrapolated()).count();
-        }
-        assert!(carried > 0, "unscheduled windows carry forward");
-    }
-
-    #[test]
-    fn extrapolated_samples_fill_unscheduled_windows_with_scaling_error() {
-        let (cat, rates) = setup();
-        let pmu = Pmu::new(&cat, noiseless(&cat));
-        let mut truth = ConstantTruth::new(rates.clone());
-        let events: Vec<EventId> = [
-            Semantic::UopsIssued,
-            Semantic::UopsRetired,
-            Semantic::UopsBadSpec,
-            Semantic::IdqMiteUops,
-            Semantic::BrInst,
-            Semantic::BrMisp,
-            Semantic::L1dMisses,
-            Semantic::L2References,
-        ]
-        .iter()
-        .map(|&s| cat.require(s))
-        .collect();
-        let schedule = pack_round_robin(&cat, &events).unwrap();
-        assert_eq!(schedule.len(), 2);
-        let run = pmu.run_extrapolated(&mut truth, &schedule, 6);
-        // Window 0: group 1's events have never run -> no carry-forward.
-        assert!(run.windows[0].sample_for(events[4]).is_none());
-        // Window 1: group 0 is off the counters but ran in window 0 ->
-        // every group-0 event carries an extrapolated sample.
-        let s = run.windows[1].sample_for(events[0]).expect("extrapolated");
-        assert!(s.is_extrapolated());
-        assert_eq!(s.sub_n, 0);
-        // Constant truth + no noise: the run-average equals the truth, so
-        // the carry-forward is exact here.
-        let expected = run.windows[1].truth[events[0].index()];
-        assert!(
-            (s.value - expected).abs() < 1e-6,
-            "{} vs {expected}",
-            s.value
-        );
-        // Extrapolations never count as measurements.
-        assert_eq!(run.measured_windows(events[0]), vec![0, 2, 4]);
-        // The real sample in window 2 is a hardware read again.
-        assert!(!run.windows[2]
-            .sample_for(events[0])
-            .unwrap()
-            .is_extrapolated());
-    }
-
-    #[test]
-    fn extrapolation_carries_stale_counts_across_phase_changes() {
-        // The point of marking extrapolations: under a rate change, the
-        // carry-forward is *wrong* by construction (it reports the
-        // run-average, not the current phase) — the Fig. 2 scaling error.
-        let (cat, rates) = setup();
-        let pmu = Pmu::new(&cat, noiseless(&cat));
-        let ev = cat.require(Semantic::L1dMisses);
-        struct StepTruth {
-            rates: Vec<f64>,
-            idx: usize,
-        }
-        impl GroundTruth for StepTruth {
-            fn rates_at(&mut self, tick: u64, out: &mut [f64]) {
-                out.copy_from_slice(&self.rates);
-                if tick >= 8 {
-                    out[self.idx] *= 5.0; // phase change mid-run
-                }
-            }
-        }
-        let mut truth = StepTruth {
-            rates,
-            idx: ev.index(),
-        };
-        let others: Vec<EventId> = [
-            Semantic::UopsIssued,
-            Semantic::UopsRetired,
-            Semantic::BrInst,
-            Semantic::BrMisp,
-        ]
-        .iter()
-        .map(|&s| cat.require(s))
-        .collect();
-        let mut all = vec![ev];
-        all.extend(&others);
-        let schedule = pack_round_robin(&cat, &all).unwrap();
-        assert_eq!(schedule.len(), 2);
-        // ev runs only in window 0 (group 0), then stays unscheduled while
-        // the rate quintuples at tick 8 (window 2): the order is written
-        // out as the schedule, [g0, g1, g1, g1, g1, g1].
-        let mut order = vec![schedule[1].clone(); 6];
-        order[0] = schedule[0].clone();
-        let run = pmu.run_extrapolated(&mut truth, &order, 6);
-        let w4 = &run.windows[4];
-        let s = w4.sample_for(ev).expect("carry-forward");
-        assert!(s.is_extrapolated());
-        let truth_now = w4.truth[ev.index()];
-        assert!(
-            s.value < 0.5 * truth_now,
-            "stale carry-forward {} must badly undershoot the new phase {truth_now}",
-            s.value
-        );
     }
 
     #[test]

@@ -24,12 +24,9 @@ pub struct Sample {
     pub sub_mean: f64,
     /// Standard deviation of the PMI sub-samples.
     pub sub_sd: f64,
-    /// Number of PMI sub-samples. `0` is reserved as the in-band marker
-    /// for scheduler *extrapolations* ([`Sample::is_extrapolated`]):
-    /// producers adapting real counter reads must report at least one
-    /// sub-sample (a plain unscaled read is `sub_n = 1` with zero
-    /// deviation), or the observation model will treat the value as a
-    /// carry-forward estimate with deliberately inflated noise.
+    /// Number of PMI sub-samples. Every read reports at least one (a
+    /// plain unscaled read is `sub_n = 1` with zero deviation); a sample
+    /// with none is not [well formed](Sample::is_well_formed).
     pub sub_n: u32,
     /// Ticks this event has been enabled (requested), cumulatively.
     pub time_enabled: u64,
@@ -42,29 +39,22 @@ pub struct Sample {
 }
 
 impl Sample {
-    /// True if this sample is a scheduler *extrapolation* (zero PMI
-    /// sub-samples): the event's group was not on the counters during this
-    /// window and the value is a `time_enabled/time_running`-style
-    /// carry-forward estimate, not a hardware read. Observation models
-    /// must treat it with inflated noise.
-    pub fn is_extrapolated(&self) -> bool {
-        self.sub_n == 0
-    }
-
-    /// True if the sample can be trusted as a measurement: its value and
-    /// sub-sample moments are finite and its sub-sample spread is not
-    /// negative. A corrupted counter read fails this; inference skips such
-    /// a sample instead of building a likelihood from it.
+    /// True if the sample can be trusted as a measurement: it reports at
+    /// least one sub-sample, its value and sub-sample moments are finite
+    /// and its sub-sample spread is not negative. A corrupted counter read
+    /// fails this; inference skips such a sample instead of building a
+    /// likelihood from it.
     pub fn is_well_formed(&self) -> bool {
-        self.value.is_finite()
+        self.sub_n >= 1
+            && self.value.is_finite()
             && self.sub_mean.is_finite()
             && self.sub_sd.is_finite()
             && self.sub_sd >= 0.0
     }
 
     /// Linux's built-in undercount correction: scale the raw value by
-    /// enabled/running time (§4). Returns the raw value when the event
-    /// never ran (avoids division by zero; perf reports 0 in that case).
+    /// enabled/running time (§4). Returns 0 when the event never ran, as
+    /// perf reports.
     pub fn linux_scaled(&self) -> f64 {
         if self.time_running == 0 {
             return 0.0;
@@ -158,6 +148,7 @@ mod tests {
         assert!(!with(|s| s.sub_mean = f64::NAN));
         assert!(!with(|s| s.sub_sd = f64::INFINITY));
         assert!(!with(|s| s.sub_sd = -1.0));
+        assert!(!with(|s| s.sub_n = 0));
     }
 
     #[test]

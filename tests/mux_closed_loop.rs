@@ -58,7 +58,7 @@ fn round_robin_closed_loop_equals_the_batch_path() {
         // corrected as one run.
         let config = corrector_config(&cat, seed);
         let k = config.model.slices;
-        let run = Pmu::new(&cat, pmu_config(&cat, seed)).run_extrapolated(
+        let run = Pmu::new(&cat, pmu_config(&cat, seed)).run_multiplexed(
             &mut kmeans().instantiate(&cat, seed),
             schedule.groups(),
             n_windows,
