@@ -39,10 +39,11 @@
 //!                    "worst_cell_cov95": 0.0, "z_p50": 0.0, "z_p90": 0.0,
 //!                    "bayesperf_dtw_pct": 0.0, "linux_dtw_pct": 0.0,
 //!                    "cov95_gate": { ... }, "dtw_gate": { ... } },
-//!   "shim_read": { "reads": 0, "p50_ns": 0.0, "p99_ns": 0.0,
-//!                  "push_chunk_ns": 0.0, "gate": { ... } },
-//!   "fleet_read": { "shards": 8, "reads": 0, "p50_ns": 0.0, "p99_ns": 0.0,
-//!                   "gate": { ... } },
+//!   "shim_read": { "reads": 0, "timer_ns": 0.0, "p50_ns": 0.0,
+//!                  "p99_ns": 0.0, "push_chunk_ns": 0.0, "gate": { ... } },
+//!   "fleet_read": { "shards": 8, "reads": 0, "timer_ns": 0.0,
+//!                   "p50_ns": 0.0, "p99_ns": 0.0,
+//!                   "gate": { ... }, "shim_gate": { ... } },
 //!   "fleet_scrape": { "shards": 8, "passes_per_sample": 0,
 //!                     "ns_per_shard": 0.0, "bytes_per_pass": 0,
 //!                     "gate": { ... } },
@@ -96,6 +97,11 @@
 //! * `fleet_read` — mean 8-shard `FleetSession::read` over mean
 //!   single-session read; upper bound ≤ 5× (shard count must not leak
 //!   into the read path).
+//! * `fleet_read.shim_gate` — 512-read batches of `Session::read` over
+//!   8-shard `FleetSession::read`, paired; upper bound ≤ 1.5, fail-closed
+//!   (each read is one snapshot-cell acquisition around the same cheap
+//!   checks, so the ratio is about 1; a session read that also acquired
+//!   the supervisor's state cell would read about 2).
 //! * `fleet_scrape` — ns per full scrape-encode-decode-fuse pass at 8
 //!   shards; upper bound ≤ 1 ms (a loose absolute sanity ceiling).
 //! * `fleet_scrape_net.delta_gate` — idle-round bytes over active-round
@@ -119,6 +125,11 @@
 //! * `obs_overhead` — the service loop's per-chunk telemetry traffic
 //!   (counters, histograms, spans) ns/window over streaming inference
 //!   ns/window, paired; upper bound ≤ 0.02 (observation is a ≤ 2% tax).
+//!
+//! The `p50_ns` and `p99_ns` of `shim_read` and `fleet_read` time one
+//! read each between two `Instant::now()` calls, net of `timer_ns`: the
+//! median of an empty region timed the same way in the same loop. The
+//! gates time 512-read batches, where the clock is negligible.
 //!
 //! `mux_schedule` carries no gate. It reports round-robin's closed-loop
 //! truth `err_pct` and `cov95` (the schedule's round-robin rotation, an
@@ -255,6 +266,31 @@ fn net_fleet(
         sources.push(source);
     }
     (scraper, sources)
+}
+
+/// Times `reads` single calls of `read`, each between two
+/// `Instant::now()` calls, and after each an empty region timed the same
+/// way. A clock pair costs about as much as a read, so the read's p50
+/// and p99 are returned net of the empty region's median, which is
+/// returned third (`timer_ns`).
+fn net_read_percentiles(reads: usize, mut read: impl FnMut()) -> (f64, f64, f64) {
+    let mut read_ns = Vec::with_capacity(reads);
+    let mut timer_ns = Vec::with_capacity(reads);
+    for _ in 0..reads {
+        let t = Instant::now();
+        read();
+        read_ns.push(t.elapsed().as_nanos() as f64);
+        let t = Instant::now();
+        timer_ns.push(t.elapsed().as_nanos() as f64);
+    }
+    read_ns.sort_by(f64::total_cmp);
+    timer_ns.sort_by(f64::total_cmp);
+    let timer = timer_ns[reads / 2];
+    (
+        read_ns[reads / 2] - timer,
+        read_ns[reads * 99 / 100] - timer,
+        timer,
+    )
 }
 
 fn main() {
@@ -433,9 +469,9 @@ fn main() {
     // from the lock-free posterior snapshot — it must be orders of
     // magnitude cheaper than the inference it hides. Percentiles are
     // measured read-by-read against a live monitor that has corrected the
-    // same run; the gate then compares interleaved read *batches* (mean
-    // ns/read, amortizing timer overhead) against single `push_chunk`
-    // runs.
+    // same run, net of the clock's own cost; the gate then compares
+    // interleaved read *batches* (mean ns/read, amortizing timer
+    // overhead) against single `push_chunk` runs.
     let reads = if quick() { 2_000 } else { 20_000 };
     let monitor =
         Monitor::new(&cat, CorrectorConfig::for_run(&run), 1 << 16).expect("spawn monitor");
@@ -448,18 +484,9 @@ fn main() {
     monitor.flush().expect("service alive");
     let ev = run.windows[0].samples[0].event;
     assert!(session.read(ev).is_ok(), "posterior published after flush");
-    let percentiles = |ns: &mut Vec<f64>| {
-        ns.sort_by(|a, b| a.total_cmp(b));
-        (ns[ns.len() / 2], ns[ns.len() * 99 / 100])
-    };
-    let mut read_ns: Vec<f64> = (0..reads)
-        .map(|_| {
-            let t = Instant::now();
-            let _ = std::hint::black_box(session.read(ev));
-            t.elapsed().as_nanos() as f64
-        })
-        .collect();
-    let (read_p50, read_p99) = percentiles(&mut read_ns);
+    let (read_p50, read_p99, read_timer) = net_read_percentiles(reads, || {
+        let _ = std::hint::black_box(session.read(ev));
+    });
 
     let read_batch = 512usize;
     let batch_read = |session: &bayesperf_core::Session| -> f64 {
@@ -515,14 +542,9 @@ fn main() {
         fleet_session.read(ev).is_ok(),
         "fused posterior published after flush"
     );
-    let mut fleet_ns: Vec<f64> = (0..reads)
-        .map(|_| {
-            let t = Instant::now();
-            let _ = std::hint::black_box(fleet_session.read(ev));
-            t.elapsed().as_nanos() as f64
-        })
-        .collect();
-    let (fleet_p50, fleet_p99) = percentiles(&mut fleet_ns);
+    let (fleet_p50, fleet_p99, fleet_timer) = net_read_percentiles(reads, || {
+        let _ = std::hint::black_box(fleet_session.read(ev));
+    });
     let batch_fleet_read = || -> f64 {
         let t = Instant::now();
         for _ in 0..read_batch {
@@ -537,6 +559,21 @@ fn main() {
     )
     .run_ratio(|| batch_read(&session), batch_fleet_read);
     check(&fleet_gate);
+    // The other direction, tight: a session read and a fused read each
+    // acquire one snapshot cell around the same cheap checks, so a
+    // session read that takes a second acquisition (or any other fixed
+    // cost the fused read lacks) shows as a ratio near 2. Paired, since
+    // a batch is a few microseconds and host drift between batches would
+    // otherwise swamp a 1.5 bound.
+    let shim_fleet_gate = with_budget(
+        GateConfig::at_most("shim_over_fleet_read", 1.5)
+            .seed(0xA7)
+            .fail_closed(),
+        (6, 40),
+        (10, 80),
+    )
+    .run_paired(batch_fleet_read, || batch_read(&session));
+    check(&shim_fleet_gate);
 
     // Fleet scrape throughput: one pass = snapshot + wire encode + wire
     // decode + precision-weighted fusion for all shards (the collector's
@@ -743,7 +780,11 @@ fn main() {
         ns
     });
     check(&restart_gate);
-    let (restart_p50, restart_p99) = percentiles(&mut restart_ns);
+    restart_ns.sort_by(f64::total_cmp);
+    let (restart_p50, restart_p99) = (
+        restart_ns[restart_ns.len() / 2],
+        restart_ns[restart_ns.len() * 99 / 100],
+    );
     if std::env::var_os("BENCH_GATE").is_some() {
         assert_eq!(
             read_failures, 0,
@@ -968,12 +1009,13 @@ fn main() {
                    "bayesperf_dtw_pct": {:.2}, "linux_dtw_pct": {:.2},
                    "cov95_gate": {},
                    "dtw_gate": {} }},
-  "shim_read": {{ "reads": {reads}, "p50_ns": {:.0}, "p99_ns": {:.0},
-                 "push_chunk_ns": {:.0},
+  "shim_read": {{ "reads": {reads}, "timer_ns": {read_timer:.0}, "p50_ns": {:.0},
+                 "p99_ns": {:.0}, "push_chunk_ns": {:.0},
                  "gate": {} }},
-  "fleet_read": {{ "shards": {n_shards}, "reads": {reads}, "p50_ns": {:.0},
-                  "p99_ns": {:.0},
-                  "gate": {} }},
+  "fleet_read": {{ "shards": {n_shards}, "reads": {reads}, "timer_ns": {fleet_timer:.0},
+                  "p50_ns": {:.0}, "p99_ns": {:.0},
+                  "gate": {},
+                  "shim_gate": {} }},
   "fleet_scrape": {{ "shards": {n_shards}, "passes_per_sample": {passes_per_sample},
                     "ns_per_shard": {:.0}, "bytes_per_pass": {scrape_bytes},
                     "gate": {} }},
@@ -1021,6 +1063,7 @@ fn main() {
         fleet_p50,
         fleet_p99,
         fleet_gate.json(),
+        shim_fleet_gate.json(),
         scrape_gate.stat / f64::from(n_shards),
         scrape_gate.json(),
         net_active_ns,

@@ -1062,7 +1062,20 @@ fn down_cause(shared: &Shared) -> Option<String> {
 }
 
 impl Session {
+    /// The read surface's failure check. Its fast path is two plain
+    /// loads, so a read acquires only the posterior cell: while `closed`
+    /// is unset and the state cell's writer lives, the service cannot be
+    /// `Failed`, because `on_give_up` stores `closed` before it publishes
+    /// `Failed`. The state cell's `SeqCst` publish and read pair up, so a
+    /// thread that has read `Failed` also reads `closed` set. This
+    /// relies on that order; were it reversed, a read could serve the
+    /// stale snapshot of a failed service. `Restarting` keeps serving the
+    /// last snapshot, as the slow path does. Anything else falls through
+    /// to the state cell and errs as before.
     fn ensure_open(&self) -> Result<(), ShimError> {
+        if !self.shared.closed.load(Relaxed) && self.shared.service_state.writer_live() {
+            return Ok(());
+        }
         if let Some(cause) = down_cause(&self.shared) {
             return Err(ShimError::ServiceDown { cause });
         }
@@ -1789,7 +1802,10 @@ impl Supervised for ServiceLoop {
         // Refuse new work and end the update streams before announcing
         // the failure, so whoever sees `Failed` also sees pushes refused
         // and a new subscription ended. The shutdown guard would do it
-        // only once the thread exits, after the dump below.
+        // only once the thread exits, after the dump below. The read path
+        // relies on this order too: `Session::ensure_open` skips the state
+        // cell while `closed` is unset, so `closed` must be stored before
+        // `Failed` is published.
         {
             let _st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
             self.shared.closed.store(true, Relaxed);
@@ -1936,9 +1952,27 @@ mod tests {
         feed(&monitor, &run);
         monitor.sync().expect("sync");
         let ev = cat.require(Semantic::L1dMisses);
+        let name = cat.derived_events()[0].name.clone();
+        let mut view = SnapshotView::default();
         assert!(session.read(ev).is_ok());
+        assert!(session.read_group().is_ok());
+        assert!(session.read_derived(&name).is_ok());
+        assert!(session.snapshot().is_ok());
+        assert!(session.snapshot_stamp().is_ok());
+        assert!(session.snapshot_into(&mut view).is_ok());
         monitor.close();
         assert_eq!(session.read(ev), Err(ShimError::SessionClosed));
+        assert!(matches!(
+            session.read_group(),
+            Err(ShimError::SessionClosed)
+        ));
+        assert_eq!(session.read_derived(&name), Err(ShimError::SessionClosed));
+        assert!(matches!(session.snapshot(), Err(ShimError::SessionClosed)));
+        assert_eq!(session.snapshot_stamp(), Err(ShimError::SessionClosed));
+        assert_eq!(
+            session.snapshot_into(&mut view),
+            Err(ShimError::SessionClosed)
+        );
         assert_eq!(
             monitor.push_sample(run.windows[0].samples[0]),
             Err(ShimError::SessionClosed)

@@ -20,7 +20,7 @@
 
 use bayesperf_core::corrector::CorrectorConfig;
 use bayesperf_core::service::{Monitor, ServiceState, SupervisorPolicy};
-use bayesperf_core::ShimError;
+use bayesperf_core::{ShimError, SnapshotView};
 use bayesperf_events::{Arch, Catalog, Semantic};
 use bayesperf_simcpu::{
     pack_round_robin, DataFaultProfile, DataFaultState, MultiplexRun, NoiseModel, Pmu, PmuConfig,
@@ -205,6 +205,8 @@ fn exhausted_restart_budget_fails_loudly_not_frozen() {
     let ev = cat.require(Semantic::L1dMisses);
     let healthy = session.read(ev).expect("published before the crash");
     assert!(healthy.value.is_finite());
+    let name = cat.derived_events()[0].name.clone();
+    assert!(session.read_derived(&name).is_ok());
 
     monitor.inject_panic().expect("alive");
     wait_until("terminal failure", || {
@@ -231,6 +233,20 @@ fn exhausted_restart_budget_fails_loudly_not_frozen() {
         session.snapshot(),
         Err(ShimError::ServiceDown { .. })
     ));
+    // Every other read surface shares the failure check.
+    let down = |what: &str, result: Result<(), ShimError>| match result {
+        Err(ShimError::ServiceDown { cause }) => assert!(
+            cause.contains("injected service panic"),
+            "{what}: cause carries the panic message, got {cause:?}"
+        ),
+        other => panic!("{what}: expected ServiceDown, got {other:?}"),
+    };
+    down("read_derived", session.read_derived(&name).map(drop));
+    down("snapshot_stamp", session.snapshot_stamp().map(drop));
+    down(
+        "snapshot_into",
+        session.snapshot_into(&mut SnapshotView::default()),
+    );
     match monitor.service_state() {
         ServiceState::Failed { cause } => assert!(cause.contains("injected service panic")),
         other => panic!("expected Failed, got {other:?}"),
